@@ -31,9 +31,9 @@ from .fields import (
 from .flow import (
     FlowMap,
     FlowSolver,
+    chained_trajectory,
     flow_map,
     flow_operator_apply,
-    trajectory_states,
 )
 from .quadrature import gauss_legendre, split_at
 
@@ -309,7 +309,7 @@ def integral_equation_residual(field: VectorField, obs: Observable, q, t0: float
         xs, ws = gauss_legendre(a, b, nodes)
         taus.extend(xs)
         weights.extend(ws)
-    states = trajectory_states(field, t0, taus, point, solver)
+    states, _ = chained_trajectory(field, t0, taus, point, solver)
     total = np.zeros(obs.dim_out)
     cache: dict[int, Observable] = {}
     for x, w, moved in zip(taus, weights, states):

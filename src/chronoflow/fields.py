@@ -155,16 +155,6 @@ class PolynomialMap:
         self._components: tuple[TermDict, ...] = tuple(
             _normalize_component(comp, dim_in) for comp in components
         )
-        # Flat term table: one monomial row per term, scattered to components
-        # by a dense coefficient matrix, so evaluation is three numpy calls.
-        rows: list[Exps] = []
-        comp_of: list[int] = []
-        coefs: list[float] = []
-        for i, comp in enumerate(self._components):
-            for exps in sorted(comp):
-                rows.append(exps)
-                comp_of.append(i)
-                coefs.append(comp[exps])
         self._evaluator = _compile_evaluator(self._components, dim_in)
 
     @property

@@ -9,6 +9,7 @@ trajectory.  Backward flows use negative steps on the same field.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field as dataclass_field
 from typing import Callable
 
@@ -22,15 +23,27 @@ from .fields import Observable, VectorField, as_point
 class FlowSolver:
     """Fixed-step RK4 configuration.
 
-    ``steps_per_unit_time`` sets the substep density (h = 1/steps); with
-    ``breakpoint_splitting`` the step grid is cut at every time-structure
-    breakpoint.  Any coordinate magnitude beyond ``blowup_threshold``
-    aborts integration, since local flows need not exist globally.
+    ``steps_per_unit_time`` sets the substep density (h = 1/steps) and must
+    be a positive integer.  The step grid is always cut at every
+    time-structure breakpoint; ``breakpoint_splitting`` only accepts True,
+    since a step across a breakpoint would integrate the wrong piece.  Any
+    coordinate magnitude beyond ``blowup_threshold`` aborts integration,
+    since local flows need not exist globally.
     """
 
     steps_per_unit_time: int = 1000
     breakpoint_splitting: bool = True
     blowup_threshold: float = 1e12
+
+    def __post_init__(self):
+        steps = self.steps_per_unit_time
+        if not isinstance(steps, numbers.Integral) or steps < 1:
+            raise ValueError(
+                f"steps_per_unit_time must be a positive integer, got {steps!r}"
+            )
+        if not self.breakpoint_splitting:
+            raise ValueError("breakpoint_splitting=False is not supported: a step "
+                             "across a time breakpoint integrates the wrong piece")
 
     def step_count(self, a: float, b: float) -> int:
         span = abs(b - a)
@@ -45,6 +58,10 @@ class FlowMap:
     t0: float
     t1: float
     solver: FlowSolver = dataclass_field(default_factory=FlowSolver)
+
+    def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError(f"flow times must be finite, got [{self.t0}, {self.t1}]")
 
 
 class NumericalField:
@@ -110,10 +127,7 @@ def _advance_piece(pm, q: np.ndarray, mat: np.ndarray | None, a: float, b: float
     return q, mat, step_base + n_steps
 
 
-def _sub_intervals(field: VectorField, t0: float, t1: float,
-                   solver: FlowSolver) -> list[tuple[float, float]]:
-    if not solver.breakpoint_splitting:
-        return [(t0, t1)]
+def _sub_intervals(field: VectorField, t0: float, t1: float) -> list[tuple[float, float]]:
     cuts = field.breakpoints_between(t0, t1)
     if t1 < t0:
         cuts = sorted(cuts, reverse=True)
@@ -132,7 +146,7 @@ def _flow_core(fm: FlowMap, q, want_pushforward: bool) -> tuple[np.ndarray, np.n
         return point, mat
     mat = np.eye(field.dim) if want_pushforward else None
     step_base = 0
-    for a, b in _sub_intervals(field, fm.t0, fm.t1, fm.solver):
+    for a, b in _sub_intervals(field, fm.t0, fm.t1):
         pm = field.piece_for_interval(a, b)
         point, mat, step_base = _advance_piece(pm, point, mat, a, b, fm.solver, step_base)
     return point, mat
@@ -185,21 +199,33 @@ def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> Numeric
                           f"pushforward by flow [{fm.t0}, {fm.t1}]")
 
 
-def trajectory_states(field: VectorField, t0: float, times, q,
-                      solver: FlowSolver) -> list[np.ndarray]:
-    """States of one trajectory at the given times, chained node to node.
+def chained_trajectory(field: VectorField, t0: float, times, q, solver: FlowSolver,
+                       pushforward: bool = False) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """One trajectory from (t0, q), solved segment by segment through ``times``.
 
-    ``times`` must be monotone in the integration direction; chaining keeps
-    the cost at one pass along the trajectory instead of one solve per time.
+    Segment i runs from times[i-1] (t0 for the first) to times[i] and starts
+    where segment i-1 ended, so the call costs one pass along the trajectory
+    instead of one solve per time; ``times`` must be monotone in the
+    integration direction.  Returns the states at ``times`` and, with
+    ``pushforward``, the segment pushforwards S_i, the differential of the
+    flow times[i-1] -> times[i] at the previous state (an empty list
+    otherwise).  The pushforward between two nodes is the product of the
+    segments in between, S_j ... S_{i+1}.
     """
-    states = []
+    states: list[np.ndarray] = []
+    segments: list[np.ndarray] = []
     current_t = t0
     point = as_point(q, field.dim)
     for t in times:
-        point = flow_map(FlowMap(field, current_t, t, solver), point)
+        fm = FlowMap(field, current_t, t, solver)
+        if pushforward:
+            point, mat = flow_with_pushforward(fm, point)
+            segments.append(mat)
+        else:
+            point = flow_map(fm, point)
         current_t = t
         states.append(point)
-    return states
+    return states, segments
 
 
 def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float,

@@ -18,13 +18,11 @@ import numpy as np
 
 from .chrono import (
     OrderEstimate,
-    ZERO_NORM_CUTOFF,
     degenerate_estimate,
     fit_order,
 )
 from .errors import DegenerateProbe, DimensionError
 from .fields import (
-    Observable,
     PolynomialMap,
     VectorField,
     as_point,
@@ -36,9 +34,8 @@ from .fields import (
 from .flow import (
     FlowMap,
     FlowSolver,
+    chained_trajectory,
     flow_map,
-    flow_pushforward,
-    flow_with_pushforward,
     inverse_flow,
     pushforward_field,
 )
@@ -307,20 +304,28 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
     Checks, at the point q, that the field W transported by the backward
     flow of V satisfies
     (P_{t,0})_* W (q) = W(q) + integral over [0, t] of (P_{tau,0})_* [V, W] (q).
-    Transport is realized through pushforward_field and the bracket through
-    the exact coordinate bracket.
+    Every transport evaluates at a point x_tau of the forward trajectory
+    from q, where the backward pushforward (P_{tau,0})_* is the inverse of
+    the forward one, P_{0,tau}'s differential at q.  One variational pass
+    from q through the quadrature nodes to t supplies all of them as
+    products of segment pushforwards; the bracket is the exact coordinate
+    bracket.
     """
     if not (v.is_autonomous and w.is_autonomous):
         raise ValueError("the adjoint identity check expects autonomous fields")
     point = as_point(q, v.dim)
     bracket = lie_bracket_field(v, w)
-
-    lhs = pushforward_field(FlowMap(v, t, 0.0, solver), w, 0.0)(0.0, point)
-    total = eval_field(w, 0.0, point).astype(float)
     xs, ws = gauss_legendre(0.0, t, nodes)
-    for x, weight in zip(xs, ws):
-        moved = pushforward_field(FlowMap(v, x, 0.0, solver), bracket, 0.0)(0.0, point)
-        total += weight * moved
+    states, segments = chained_trajectory(v, 0.0, list(xs) + [t], point, solver,
+                                          pushforward=True)
+
+    total = eval_field(w, 0.0, point).astype(float)
+    forward = np.eye(v.dim)
+    for weight, x_tau, mat in zip(ws, states, segments):
+        forward = mat @ forward
+        total += weight * np.linalg.solve(forward, eval_field(bracket, 0.0, x_tau))
+    forward = segments[-1] @ forward
+    lhs = np.linalg.solve(forward, eval_field(w, 0.0, states[-1]))
     return float(np.linalg.norm(lhs - total))
 
 

@@ -19,11 +19,10 @@ from .fields import VectorField, add_fields, as_point, eval_field
 from .flow import (
     FlowMap,
     FlowSolver,
+    chained_trajectory,
     flow_map,
-    flow_pushforward,
     flow_time_dependent,
     pushforward_field,
-    trajectory_states,
 )
 from .quadrature import gauss_legendre, split_at
 
@@ -66,10 +65,16 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
                      nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Derivative of the perturbed flow at alpha = 0, by quadrature in tau.
 
-    ``mode="in"`` integrates pushforward(tau -> t1) applied to W along the
-    trajectory; ``mode="out"`` pulls each contribution back to the start
-    and applies the full pushforward once outside the integral.  The two
-    agree up to quadrature and solver tolerance.
+    One variational pass t0 -> tau_1 -> ... -> tau_n -> t1 along the
+    unperturbed trajectory gives the segment pushforwards S_1, ..., S_{n+1},
+    and every pushforward below is a product of them.  ``mode="in"``
+    integrates pushforward(tau_i -> t1) = S_{n+1} ... S_{i+1} applied to W
+    along the trajectory; ``mode="out"`` pulls each contribution back to
+    the start through the inverse of pushforward(t0 -> tau_i) = S_i ... S_1
+    and applies the full product once outside the integral.  Because both
+    modes share the same S_i they agree to rounding: they are two
+    evaluations of one numerical route, not independent checks of each
+    other.  ``fd_param_derivative`` is the independent oracle.
     """
     if mode not in (IN_FORMULA, OUT_FORMULA):
         raise ValueError(f"mode must be '{IN_FORMULA}' or '{OUT_FORMULA}'")
@@ -77,19 +82,22 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     if sys.t1 == sys.t0:
         return np.zeros(sys.base_field.dim)
     xs, ws = _quad_nodes(sys, nodes)
-    states = trajectory_states(sys.base_field, sys.t0, xs, point, solver)
+    states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], point,
+                                          solver, pushforward=True)
+    contributions = [w * eval_field(sys.perturbation_field, tau, p)
+                     for tau, w, p in zip(xs, ws, states)]
 
     total = np.zeros(sys.base_field.dim)
     if mode == IN_FORMULA:
-        for tau, w, p in zip(xs, ws, states):
-            mat = flow_pushforward(FlowMap(sys.base_field, tau, sys.t1, solver), p)
-            total += w * (mat @ eval_field(sys.perturbation_field, tau, p))
-        return total
-    for tau, w, p in zip(xs, ws, states):
-        mat = flow_pushforward(FlowMap(sys.base_field, tau, sys.t0, solver), p)
-        total += w * (mat @ eval_field(sys.perturbation_field, tau, p))
-    outer = flow_pushforward(FlowMap(sys.base_field, sys.t0, sys.t1, solver), point)
-    return outer @ total
+        # Horner form: after node i, total = sum over j <= i of S_i ... S_{j+1} c_j
+        for mat, c in zip(segments, contributions):
+            total = mat @ total + c
+        return segments[-1] @ total
+    forward = np.eye(sys.base_field.dim)
+    for mat, c in zip(segments, contributions):
+        forward = mat @ forward
+        total += np.linalg.solve(forward, c)
+    return (segments[-1] @ forward) @ total
 
 
 def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,

@@ -167,3 +167,15 @@ def test_param_deriv_command():
     oracle = np.array(doc["finite_difference"])
     assert np.linalg.norm(inner - outer) <= 1e-6
     assert np.linalg.norm(inner - oracle) <= 1e-4
+
+
+@pytest.mark.parametrize("extra", [
+    ("--t", "inf"),
+    ("--t", "1", "--steps-per-unit", "0"),
+    ("--t", "1", "--steps-per-unit", "-5"),
+])
+def test_flow_invalid_time_or_density_exits_2(extra):
+    result = run_cli("flow", "--system", "heisenberg", "--q", "0,0,0", *extra)
+    assert result.returncode == 2
+    assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1

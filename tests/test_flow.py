@@ -26,6 +26,7 @@ from chronoflow import (
     rotation2d,
     zero_field,
 )
+from chronoflow.flow import chained_trajectory
 
 SOLVER = FlowSolver(steps_per_unit_time=1000)
 V1, V2 = heisenberg_fields()
@@ -223,6 +224,40 @@ def test_breakpoint_splitting_handles_backward_flow():
     back = flow_map(fm, q)
     again = flow_map(FlowMap(field, 0.1, 1.2, SOLVER), back)
     assert np.linalg.norm(again - q) <= 1e-8
+
+
+@pytest.mark.parametrize("steps", [0, -5, 2.5])
+def test_solver_rejects_non_positive_integer_density(steps):
+    with pytest.raises(ValueError, match="positive integer"):
+        FlowSolver(steps)
+
+
+def test_solver_rejects_disabled_breakpoint_splitting():
+    # Without splitting, +1 on [0, 1] then -1 on [1, 2] would flow 0 to -2.
+    with pytest.raises(ValueError, match="breakpoint_splitting"):
+        FlowSolver(100, breakpoint_splitting=False)
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])
+def test_flow_map_rejects_non_finite_times(t0, t1):
+    with pytest.raises(ValueError, match="finite"):
+        FlowMap(rotation2d(), t0, t1, SOLVER)
+
+
+def test_chained_trajectory_matches_direct_solves():
+    field = piecewise_benchmark()
+    q = np.array([0.5, -0.2])
+    times = [0.3, 0.7, 1.2]
+    states, segments = chained_trajectory(field, 0.0, times, q, SOLVER, pushforward=True)
+    product = np.eye(2)
+    for t, state, mat in zip(times, states, segments):
+        product = mat @ product
+        end, direct = flow_with_pushforward(FlowMap(field, 0.0, t, SOLVER), q)
+        assert np.linalg.norm(state - end) <= 1e-10
+        assert np.linalg.norm(product - direct) <= 1e-10
+    plain, none = chained_trajectory(field, 0.0, times, q, SOLVER)
+    assert none == []
+    assert_allclose(plain, states, rtol=0, atol=1e-14)
 
 
 def test_zero_field_flow_is_identity():

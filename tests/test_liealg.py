@@ -233,6 +233,16 @@ def test_adjoint_check_heisenberg():
     assert adjoint_check(V1, V2, [0.0, 0.0, 0.0], 0.2, FlowSolver(300)) <= 1e-4
 
 
+def test_adjoint_check_negative_time():
+    assert adjoint_check(V1, V2, [0.1, -0.2, 0.3], -0.3, FlowSolver(300)) <= 1e-9
+
+
+@pytest.mark.parametrize("t", [0.4, -0.4])
+def test_adjoint_check_random_field(random_field, t):
+    v, w = random_field(11, 3, 3), random_field(12, 3, 3)
+    assert adjoint_check(v, w, [0.2, -0.1, 0.3], t, FlowSolver(300)) <= 1e-9
+
+
 def test_pushforward_invariance_identity_flow():
     fm = FlowMap(V1, 0.0, 0.0, SOLVER)
     assert pushforward_invariance_check(fm, V1, V2, [0.1, 0.2, 0.0]) <= 1e-6

@@ -3,11 +3,14 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chronoflow.flow
 from chronoflow import (
     FlowSolver,
     IN_FORMULA,
     OUT_FORMULA,
     PerturbedSystem,
+    PolynomialMap,
+    VectorField,
     add_fields,
     constant_field,
     fd_param_derivative,
@@ -58,6 +61,54 @@ def test_formula_oracle_agreement_catalog_pairs(base, perturbation, dim):
     for mode in (IN_FORMULA, OUT_FORMULA):
         value = param_derivative(system, q, mode, SOLVER)
         assert np.linalg.norm(value - oracle) / (1.0 + np.linalg.norm(oracle)) <= 1e-4
+
+
+def test_param_derivative_is_one_pass(monkeypatch):
+    # Every RK4 step of every solve, plain or variational, goes through
+    # _advance_piece; one pass through the 32 nodes may add one partial step
+    # per segment to the step count of the whole window.
+    steps = []
+    advance = chronoflow.flow._advance_piece
+
+    def counting(pm, q, mat, a, b, solver, step_base):
+        steps.append(solver.step_count(a, b))
+        return advance(pm, q, mat, a, b, solver, step_base)
+
+    monkeypatch.setattr(chronoflow.flow, "_advance_piece", counting)
+    system = PerturbedSystem(V1, V2, 0.0, 0.5)
+    for mode in (IN_FORMULA, OUT_FORMULA):
+        steps.clear()
+        param_derivative(system, [0.1, 0.2, 0.3], mode, SOLVER, nodes=32)
+        assert 0 < sum(steps) <= SOLVER.step_count(0.0, 0.5) + 33
+
+
+def _piecewise_base():
+    """Rotation on [0, 0.5], then a quadratic field on [0.5, 1.5]."""
+    rot = PolynomialMap.linear([[0.0, -1.0], [1.0, 0.0]])
+    quad = PolynomialMap(2, 2, [[(0.5, (0, 2))], [(-0.3, (1, 0)), (0.2, (1, 1))]])
+    return VectorField.piecewise([(0.0, 0.5, rot), (0.5, 1.5, quad)])
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, 1.2), (1.3, 0.1)])
+def test_formula_oracle_agreement_across_breakpoint(t0, t1):
+    system = PerturbedSystem(_piecewise_base(), linear_field([[0.3, 0.1], [0.0, -0.2]]),
+                             t0, t1)
+    q = np.array([0.4, -0.3])
+    oracle = fd_param_derivative(system, q, 1e-4, SOLVER)
+    for mode in (IN_FORMULA, OUT_FORMULA):
+        value = param_derivative(system, q, mode, SOLVER)
+        assert np.linalg.norm(value - oracle) / (1.0 + np.linalg.norm(oracle)) <= 1e-4
+
+
+@pytest.mark.parametrize("t", [0.8, -0.6])
+def test_formula_oracle_agreement_random_field(random_field, t):
+    system = PerturbedSystem(random_field(5, 4, 3), random_field(6, 4, 3), 0.0, t)
+    q = np.array([0.3, -0.2, 0.1, 0.4])
+    oracle = fd_param_derivative(system, q, 1e-4, SOLVER)
+    inner = param_derivative(system, q, IN_FORMULA, SOLVER)
+    outer = param_derivative(system, q, OUT_FORMULA, SOLVER)
+    assert np.linalg.norm(inner - oracle) / (1.0 + np.linalg.norm(oracle)) <= 1e-4
+    assert np.linalg.norm(inner - outer) <= 1e-6
 
 
 def test_fd_halving_shrinks_discrepancy_about_4x():
