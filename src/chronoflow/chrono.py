@@ -4,7 +4,7 @@ The flow operator expands into iterated integrals of lift compositions
 over simplices t0 <= tau_k <= ... <= tau_1 <= t.  For autonomous fields
 the integrand is constant over the simplex and each term collapses to
 (t - t0)^k / k! times the k-fold lift; otherwise the simplex is integrated
-by nested Gauss-Legendre quadrature, split at time breakpoints.
+by one nested Gauss-Legendre quadrature, split at time breakpoints.
 
 Decay orders are measured on dyadic grids t_j = t_max * 2^-j by a
 least-squares fit of log(norm) against log(t); samples at numerical zero
@@ -27,12 +27,12 @@ from .fields import (
     apply_lift,
     as_point,
     iterate_lift,
+    zero_field,
 )
 from .flow import (
     FlowMap,
     FlowSolver,
     chained_trajectory,
-    flow_map,
     flow_operator_apply,
 )
 from .quadrature import gauss_legendre, split_at
@@ -103,18 +103,35 @@ class RemainderReport:
         }
 
 
+def _simplex_leaves(fields: Sequence[VectorField], obs: Observable | None,
+                    t0: float, t: float,
+                    nodes: int) -> list[tuple[float, float, Observable | None]]:
+    """Leaves (tau_k, product of the k weights, lifted observable) of the
+    nested quadrature: depth i integrates tau_{i+1} over [t0, tau_i] split at
+    the breakpoints of ``fields[i]`` and lifts by its piece there, one lift
+    per distinct piece sequence (none when ``obs`` is None).
+    """
+    frontier = [(t, 1.0, obs, ())]
+    lifts: dict[tuple[int, ...], Observable | None] = {}
+    for field in fields:
+        deeper = []
+        for upper, weight, lifted, key in frontier:
+            for a, b in split_at(t0, upper, field.breakpoints_between(t0, upper)):
+                piece_key = key + (id(field.piece_for_interval(a, b)),)
+                if piece_key not in lifts:
+                    lifts[piece_key] = (None if lifted is None
+                                        else apply_lift(field, 0.5 * (a + b), lifted))
+                nxt = lifts[piece_key]
+                xs, ws = gauss_legendre(a, b, nodes)
+                deeper.extend((x, weight * w, nxt, piece_key) for x, w in zip(xs, ws))
+        frontier = deeper
+    return [(x, w, lifted) for x, w, lifted, _ in frontier]
+
+
 def simplex_volume(t0: float, t: float, k: int, nodes: int = DEFAULT_NODES) -> float:
     """Nested-quadrature volume of the order-k simplex (closed form t^k/k!)."""
-    if k == 0:
-        return 1.0
-
-    def level(depth: int, upper: float) -> float:
-        xs, ws = gauss_legendre(t0, upper, nodes)
-        if depth == k - 1:
-            return float(np.sum(ws))
-        return float(sum(w * level(depth + 1, x) for x, w in zip(xs, ws)))
-
-    return level(0, t)
+    leaves = _simplex_leaves([zero_field(1)] * k, None, t0, t, nodes)  # no breakpoints
+    return float(sum(w for _, w, _ in leaves))
 
 
 def simplex_integral_term(fields: Sequence[VectorField], obs: Observable, q,
@@ -127,8 +144,6 @@ def simplex_integral_term(fields: Sequence[VectorField], obs: Observable, q,
     """
     k = len(fields)
     point = as_point(q)
-    if k == 0:
-        return obs(point)
     if obs.max_derivative_order < k:
         iterate_lift([(f, t0) for f in fields], obs)  # raises DefectExhaustedError
     for f in fields:
@@ -138,24 +153,8 @@ def simplex_integral_term(fields: Sequence[VectorField], obs: Observable, q,
         lifted = iterate_lift([(f, 0.0) for f in fields], obs)
         return ((t - t0) ** k / math.factorial(k)) * lifted(point)
 
-    def level(depth: int, upper: float, lifted: Observable) -> np.ndarray:
-        total = np.zeros(obs.dim_out)
-        cache: dict[int, Observable] = {}
-        for a, b in split_at(t0, upper, fields[depth].breakpoints_between(t0, upper)):
-            xs, ws = gauss_legendre(a, b, nodes)
-            for x, w in zip(xs, ws):
-                piece = fields[depth].piece_at(x)
-                nxt = cache.get(id(piece))
-                if nxt is None:
-                    nxt = apply_lift(fields[depth], x, lifted)
-                    cache[id(piece)] = nxt
-                if depth == k - 1:
-                    total += w * nxt(point)
-                else:
-                    total += w * level(depth + 1, x, nxt)
-        return total
-
-    return level(0, t, obs)
+    leaves = _simplex_leaves(fields, obs, t0, t, nodes)
+    return sum((w * lifted(point) for _, w, lifted in leaves), np.zeros(obs.dim_out))
 
 
 def volterra_terms(field: VectorField, obs: Observable, q, t0: float, t: float,
@@ -187,8 +186,9 @@ def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
 
     ``method="difference"`` (default) computes flow value minus truncation;
     ``method="direct"`` evaluates the nested remainder integral whose
-    integrand composes the flow operator with the k lifts -- one flow solve
-    per quadrature tuple, so intended for cross-validation at small k only.
+    integrand composes the flow operator with the k lifts, evaluated on one
+    chained trajectory through the distinct innermost quadrature times (about
+    one solve's steps plus one per time, of which there are about nodes^k).
     """
     point = as_point(q, field.dim)
     if method == "difference":
@@ -218,28 +218,11 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     if obs.max_derivative_order < k:
         iterate_lift([(field, t0)] * k, obs)
     field.check_window(t0, t)
-
-    def level(depth: int, upper: float, lifted: Observable) -> np.ndarray:
-        total = np.zeros(obs.dim_out)
-        cache: dict[int, Observable] = {}
-        for a, b in split_at(t0, upper, field.breakpoints_between(t0, upper)):
-            xs, ws = gauss_legendre(a, b, nodes)
-            for x, w in zip(xs, ws):
-                piece = field.piece_at(x)
-                nxt = cache.get(id(piece))
-                if nxt is None:
-                    nxt = apply_lift(field, x, lifted)
-                    cache[id(piece)] = nxt
-                if depth == k - 1:
-                    # innermost time: evaluate the lifted observable at the
-                    # point flowed to the smallest simplex time
-                    moved = flow_map(FlowMap(field, t0, x, solver), point)
-                    total += w * nxt(moved)
-                else:
-                    total += w * level(depth + 1, x, nxt)
-        return total
-
-    return level(0, t, obs)
+    leaves = _simplex_leaves([field] * k, obs, t0, t, nodes)
+    times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
+    states, _ = chained_trajectory(field, t0, times, point, solver)
+    moved = dict(zip(times, states))
+    return sum((w * lifted(moved[x]) for x, w, lifted in leaves), np.zeros(obs.dim_out))
 
 
 def fit_order(t_grid: np.ndarray, norms: np.ndarray,
@@ -299,27 +282,9 @@ def integral_equation_residual(field: VectorField, obs: Observable, q, t0: float
     integral equation.
     """
     point = as_point(q, field.dim)
-    fm = FlowMap(field, t0, t, solver)
-    lhs = flow_operator_apply(fm, obs, point) - obs(point)
-    if t == t0:
-        return float(np.linalg.norm(lhs))
-    taus: list[float] = []
-    weights: list[float] = []
-    for a, b in split_at(t0, t, field.breakpoints_between(t0, t)):
-        xs, ws = gauss_legendre(a, b, nodes)
-        taus.extend(xs)
-        weights.extend(ws)
-    states, _ = chained_trajectory(field, t0, taus, point, solver)
-    total = np.zeros(obs.dim_out)
-    cache: dict[int, Observable] = {}
-    for x, w, moved in zip(taus, weights, states):
-        piece = field.piece_at(x)
-        lifted = cache.get(id(piece))
-        if lifted is None:
-            lifted = apply_lift(field, x, obs)
-            cache[id(piece)] = lifted
-        total += w * lifted(moved)
-    return float(np.linalg.norm(lhs - total))
+    lhs = flow_operator_apply(FlowMap(field, t0, t, solver), obs, point) - obs(point)
+    integral = _direct_remainder(field, obs, point, t0, t, 1, solver, nodes)
+    return float(np.linalg.norm(lhs - integral))
 
 
 def remainder_table(field: VectorField, obs: Observable, q, t0: float, k: int,

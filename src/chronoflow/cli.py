@@ -45,6 +45,12 @@ def _solver(args) -> FlowSolver:
     return FlowSolver(steps_per_unit_time=args.steps_per_unit)
 
 
+def _t_grid(args) -> list[float]:
+    if args.grid < 1:
+        raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    return [args.t_max * (j + 1) / args.grid for j in range(args.grid)]
+
+
 def _pick_field(fields, index: int):
     if not 1 <= index <= len(fields):
         raise IndexError(
@@ -121,7 +127,7 @@ def cmd_volterra(args) -> str:
     if args.witness_radius is not None:
         from .fields import sample_lift_bound
         witness = sample_lift_bound(field, obs, args.k, q, args.witness_radius)
-    t_values = [args.t_max * (j + 1) / args.grid for j in range(args.grid)]
+    t_values = _t_grid(args)
     reports = chrono.remainder_table(field, obs, q, args.t0, args.k, t_values,
                                      solver, args.nodes, witness)
     if args.format == "csv":
@@ -179,7 +185,7 @@ def cmd_flow_bracket(args) -> str:
     expr = liealg.BracketExpression.parse(args.expr)
     q = _parse_point(args.q)
     solver = _solver(args)
-    t_values = [args.t_max * (j + 1) / args.grid for j in range(args.grid)]
+    t_values = _t_grid(args)
     endpoints = [liealg.flow_bracket(expr, fields, t, q, solver) for t in t_values]
     if args.format == "json":
         return _json_text({
@@ -387,6 +393,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.nodes < 1:
+            raise ValueError(f"--nodes must be >= 1, got {args.nodes}")
         text = args.fn(args)
     except (BlowUpError, StalledError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -18,6 +18,8 @@ import numpy as np
 from .errors import BlowUpError
 from .fields import Observable, VectorField, as_point
 
+MAX_STEPS_PER_SOLVE = 10 ** 8
+
 
 @dataclass(frozen=True)
 class FlowSolver:
@@ -28,7 +30,9 @@ class FlowSolver:
     time-structure breakpoint; ``breakpoint_splitting`` only accepts True,
     since a step across a breakpoint would integrate the wrong piece.  Any
     coordinate magnitude beyond ``blowup_threshold`` aborts integration,
-    since local flows need not exist globally.
+    since local flows need not exist globally.  ``step_count`` raises
+    ValueError before any step beyond ``MAX_STEPS_PER_SOLVE`` steps between
+    two breakpoints, so a finite but huge time fails at once.
     """
 
     steps_per_unit_time: int = 1000
@@ -46,8 +50,11 @@ class FlowSolver:
                              "across a time breakpoint integrates the wrong piece")
 
     def step_count(self, a: float, b: float) -> int:
-        span = abs(b - a)
-        return max(1, math.ceil(span * self.steps_per_unit_time - 1e-9))
+        steps = abs(b - a) * self.steps_per_unit_time
+        if not steps <= MAX_STEPS_PER_SOLVE:  # False also for inf and NaN
+            raise ValueError(f"[{a:.6g}, {b:.6g}] needs {steps:.3g} RK4 steps, over "
+                             f"the limit of {MAX_STEPS_PER_SOLVE} per solve")
+        return max(1, math.ceil(steps - 1e-9))
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,6 +171,8 @@ def canonical_bracket_basis(num_fields: int, max_degree: int) -> list[BracketExp
 def bracket_rank(sys: AffineControlSystem, q, max_degree: int,
                  rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Numerical rank of the iterated-bracket span at q via singular values."""
+    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+        raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
     point = as_point(q, sys.dim)
     basis = canonical_bracket_basis(len(sys.fields), max_degree)
     rows = [

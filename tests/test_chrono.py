@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chronoflow.flow
 from chronoflow import (
     DegenerateProbe,
     FlowSolver,
@@ -23,6 +24,7 @@ from chronoflow import (
     simplex_volume,
     volterra_truncate,
 )
+from chronoflow.quadrature import gauss_legendre, split_at
 
 SOLVER = FlowSolver(1000)
 NILPOTENT = linear_field([[0.0, 1.0], [0.0, 0.0]])
@@ -244,3 +246,60 @@ def test_series_report_serialization():
     assert len(rows) == 9
     summary = estimate.to_json_summary()
     assert abs(summary["slope"] - 2.0) <= 1e-9
+
+
+def _rotation_then_drift(b=0.5):
+    """Rotation on [0, b), constant drift on [b, 1.5]: a field with one breakpoint."""
+    return VectorField.piecewise([
+        (0.0, b, PolynomialMap.linear([[0.0, -1.0], [1.0, 0.0]])),
+        (b, 1.5, PolynomialMap.constants([0.7, -0.6], 2)),
+    ])
+
+
+def _distinct_innermost_times(t0, t, k, cut, nodes=16):
+    """Distinct innermost nodes of the order-k quadrature split at ``cut``."""
+    uppers = [t]
+    for _ in range(k):
+        uppers = [x for upper in uppers for a, b in split_at(t0, upper, [cut])
+                  for x in gauss_legendre(a, b, nodes)[0]]
+    return len(set(uppers))
+
+
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.3, 0.2)])
+def test_direct_remainder_is_one_pass(monkeypatch, k, t0, t):
+    # Every RK4 step goes through _advance_piece.  One chained pass through
+    # the distinct innermost times adds at most one partial step per segment
+    # and per breakpoint crossed to the step count of the whole window.
+    steps = []
+    advance = chronoflow.flow._advance_piece
+
+    def counting(pm, q, mat, a, b, solver, step_base):
+        steps.append(solver.step_count(a, b))
+        return advance(pm, q, mat, a, b, solver, step_base)
+
+    monkeypatch.setattr(chronoflow.flow, "_advance_piece", counting)
+    remainder_eval(_rotation_then_drift(), Observable.identity(2), [0.6, -0.8], t0, t,
+                   k, SOLVER, method="direct")
+    bound = SOLVER.step_count(t0, t) + _distinct_innermost_times(t0, t, k, 0.5) + 1
+    assert 0 < sum(steps) <= bound
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+@pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.3, 0.2)])
+def test_direct_and_difference_agree_across_breakpoint(k, t0, t):
+    field = _rotation_then_drift()
+    phi = Observable.identity(2)
+    q = [0.6, -0.8]
+    diff = remainder_eval(field, phi, q, t0, t, k, SOLVER)
+    direct = remainder_eval(field, phi, q, t0, t, k, SOLVER, method="direct")
+    assert diff.remainder_norm > 1e-3
+    assert abs(diff.remainder_norm - direct.remainder_norm) <= 1e-8
+
+
+def test_simplex_volume_backward_and_split_orders():
+    assert simplex_volume(0.3, 0.3, 2) == 0.0
+    assert simplex_volume(0.0, 0.7, 0) == 1.0
+    for k in (1, 2, 3):
+        expected = (-0.5) ** k / math.factorial(k)
+        assert abs(simplex_volume(0.5, 0.0, k) - expected) <= 1e-12

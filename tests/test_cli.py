@@ -10,7 +10,7 @@ import pytest
 def run_cli(*args, env=None):
     return subprocess.run(
         [sys.executable, "-m", "chronoflow", *args],
-        capture_output=True, text=True, env=env,
+        capture_output=True, text=True, env=env, timeout=60,
     )
 
 
@@ -173,9 +173,27 @@ def test_param_deriv_command():
     ("--t", "inf"),
     ("--t", "1", "--steps-per-unit", "0"),
     ("--t", "1", "--steps-per-unit", "-5"),
+    ("--t", "1e300"),  # finite, but would take about 1e303 steps
 ])
 def test_flow_invalid_time_or_density_exits_2(extra):
     result = run_cli("flow", "--system", "heisenberg", "--q", "0,0,0", *extra)
     assert result.returncode == 2
     assert "Traceback" not in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ("rank", "--system", "heisenberg", "--q", "0,0,0", "--rel-tol", "nan"),
+    ("rank", "--system", "heisenberg", "--q", "0,0,0", "--rel-tol", "-1"),
+    ("volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0", "--t-max", "0.4",
+     "--grid", "0"),
+    ("flow-bracket", "--system", "heisenberg", "--expr", "[V1,V2]", "--q", "0,0,0",
+     "--t-max", "0.2", "--grid", "0"),
+    ("volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0", "--t-max", "0.4",
+     "--nodes", "0"),
+])
+def test_invalid_tolerance_grid_or_nodes_exits_2(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
     assert len(result.stderr.strip().splitlines()) == 1

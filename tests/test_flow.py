@@ -26,7 +26,7 @@ from chronoflow import (
     rotation2d,
     zero_field,
 )
-from chronoflow.flow import chained_trajectory
+from chronoflow.flow import MAX_STEPS_PER_SOLVE, chained_trajectory
 
 SOLVER = FlowSolver(steps_per_unit_time=1000)
 V1, V2 = heisenberg_fields()
@@ -264,3 +264,14 @@ def test_zero_field_flow_is_identity():
     fm = FlowMap(zero_field(3), 0.0, 2.0, SOLVER)
     q = np.array([1.0, -1.0, 0.5])
     assert_allclose(flow_map(fm, q), q)
+
+
+def test_step_count_ceiling():
+    solver = FlowSolver(1000)
+    limit = MAX_STEPS_PER_SOLVE // 1000
+    assert solver.step_count(0.0, limit) == MAX_STEPS_PER_SOLVE
+    for a, b in [(0.0, 2.0 * limit), (1e300, -1e300), (-1e308, 1e308)]:
+        with pytest.raises(ValueError, match="limit"):
+            solver.step_count(a, b)
+    with pytest.raises(ValueError, match="limit"):
+        flow_map(FlowMap(heisenberg_fields()[0], 0.0, 1e300, solver), [0.1, 0.2, 0.3])

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chronoflow.flow
 from chronoflow import (
     BracketExpression,
     FlowBracketProgram,
@@ -14,9 +15,11 @@ from chronoflow import (
     VectorField,
     adjoint_check,
     bracket_asymptotics_check,
+    brockett_fields,
     commutator_decomposition_residual,
     constant_field,
     eval_bracket_expression,
+    finite_difference_jacobian,
     flow_bracket,
     heisenberg_fields,
     inverse_expansion_check,
@@ -268,3 +271,40 @@ def test_commutator_decomposition_residual(t):
     x_field, y_field = planar_shear_pair()
     assert commutator_decomposition_residual(x_field, y_field, t, [1.0, 0.0],
                                              solver) <= 1e-8
+
+
+def _invariance_reference(fm, v, w, q, t_eval=0.0):
+    """The check through three independent pushforward_field evaluators."""
+    point = np.asarray(q, dtype=float)
+    lhs = pushforward_field(fm, lie_bracket_field(v, w, t_eval), t_eval)(t_eval, point)
+    fv = lambda p: pushforward_field(fm, v, t_eval)(t_eval, p)
+    fw = lambda p: pushforward_field(fm, w, t_eval)(t_eval, p)
+    rhs = (finite_difference_jacobian(fw, point) @ fv(point)
+           - finite_difference_jacobian(fv, point) @ fw(point))
+    return float(np.linalg.norm(lhs - rhs))
+
+
+@pytest.mark.parametrize("fields,q", [
+    (heisenberg_fields(), [0.1, 0.2, 0.0]),
+    (heisenberg_fields(), [-0.4, 0.3, 0.7]),
+    (heisenberg_fields(), [1.2, -0.5, 0.2]),
+    (brockett_fields(), [0.1, 0.2, 0.0]),
+    (brockett_fields(), [-0.3, 0.6, -0.1]),
+    (brockett_fields(), [0.5, 0.5, 0.5]),
+])
+def test_pushforward_invariance_matches_reference_and_shares_solves(monkeypatch, fields,
+                                                                    q):
+    v, w = fields
+    fm = FlowMap(v, 0.0, 0.3, SOLVER)
+    expected = _invariance_reference(fm, v, w, q)
+    calls = []
+    core = chronoflow.flow._flow_core
+
+    def counting(fm_, q_, want_pushforward):
+        calls.append(want_pushforward)
+        return core(fm_, q_, want_pushforward)
+
+    monkeypatch.setattr(chronoflow.flow, "_flow_core", counting)
+    assert pushforward_invariance_check(fm, v, w, q) == expected
+    # one inverse solve and one variational solve per distinct point
+    assert calls.count(True) == calls.count(False) <= 2 * len(q) + 1

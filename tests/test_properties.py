@@ -1,0 +1,158 @@
+"""Property tests on random sparse polynomial fields (dimension <= 4, degree <= 3).
+
+The exact algebra (bracket antisymmetry, the Jacobi identity, linearity of
+lifts, JSON round trips) must hold for every field, not only the catalog
+systems, up to float rounding in the polynomial arithmetic; the direct and
+difference remainders must agree on random piecewise fields in either time
+direction.  Examples are derandomized so the suite is repeatable.
+"""
+import json
+
+import numpy as np
+from hypothesis import given, settings, strategies as st
+
+from chronoflow import (
+    ControlSchedule,
+    FlowSolver,
+    Observable,
+    PolynomialMap,
+    Segment,
+    VectorField,
+    remainder_eval,
+    vector_field_from_json,
+)
+from chronoflow.fields import lift_map
+from chronoflow.liealg import lie_bracket_map
+
+ALGEBRA = settings(max_examples=30, deadline=None, database=None, derandomize=True)
+REMAINDER = settings(max_examples=8, deadline=None, database=None, derandomize=True)
+
+coefficients = st.floats(-1.0, 1.0, allow_nan=False, allow_infinity=False)
+dims = st.integers(1, 4)
+
+
+@st.composite
+def polynomial_maps(draw, dim: int, dim_out: int | None = None, degree: int = 3,
+                    max_terms: int = 3) -> PolynomialMap:
+    """Up to ``max_terms`` monomials of degree <= ``degree`` per component."""
+    comps = []
+    for _ in range(dim if dim_out is None else dim_out):
+        comp = []
+        for _ in range(draw(st.integers(0, max_terms))):
+            exps = [0] * dim
+            for var in draw(st.lists(st.integers(0, dim - 1), max_size=degree)):
+                exps[var] += 1
+            comp.append((draw(coefficients), tuple(exps)))
+        comps.append(comp)
+    return PolynomialMap(dim, dim if dim_out is None else dim_out, comps)
+
+
+def points(dim: int):
+    return st.lists(coefficients, min_size=dim, max_size=dim).map(np.array)
+
+
+def assert_rounding_zero(total, *parts):
+    """``total`` is a sum of ``parts`` that cancels exactly in exact arithmetic."""
+    scale = 1.0 + sum(float(np.max(np.abs(p), initial=0.0)) for p in parts)
+    assert float(np.max(np.abs(total), initial=0.0)) <= 1e-12 * scale
+
+
+@ALGEBRA
+@given(st.data())
+def test_bracket_is_antisymmetric(data):
+    dim = data.draw(dims)
+    v, w = data.draw(polynomial_maps(dim)), data.draw(polynomial_maps(dim))
+    x = data.draw(points(dim))
+    forward, backward = lie_bracket_map(v, w)(x), lie_bracket_map(w, v)(x)
+    assert_rounding_zero(forward + backward, forward, backward)
+    assert_rounding_zero(lie_bracket_map(v, v)(x))
+
+
+@ALGEBRA
+@given(st.data())
+def test_jacobi_identity(data):
+    dim = data.draw(dims)
+    u, v, w = (data.draw(polynomial_maps(dim)) for _ in range(3))
+    x = data.draw(points(dim))
+    terms = [lie_bracket_map(a, lie_bracket_map(b, c))(x)
+             for a, b, c in ((u, v, w), (v, w, u), (w, u, v))]
+    assert_rounding_zero(sum(terms), *terms)
+
+
+@ALGEBRA
+@given(st.data())
+def test_lift_is_linear_in_observable_and_field(data):
+    dim = data.draw(dims)
+    m = data.draw(st.integers(1, 2))
+    phi, psi = (data.draw(polynomial_maps(dim, m)) for _ in range(2))
+    v, w = data.draw(polynomial_maps(dim)), data.draw(polynomial_maps(dim))
+    a, b = data.draw(coefficients), data.draw(coefficients)
+    x = data.draw(points(dim))
+
+    combined = lift_map(phi.scaled(a).add(psi, 1.0, b), v)(x)
+    separate = [a * lift_map(phi, v)(x), b * lift_map(psi, v)(x)]
+    assert_rounding_zero(combined - sum(separate), combined, *separate)
+
+    combined = lift_map(phi, v.scaled(a).add(w, 1.0, b))(x)
+    separate = [a * lift_map(phi, v)(x), b * lift_map(phi, w)(x)]
+    assert_rounding_zero(combined - sum(separate), combined, *separate)
+
+
+@ALGEBRA
+@given(st.data())
+def test_field_json_round_trip(data):
+    dim = data.draw(dims)
+    order = data.draw(st.integers(1, 8))
+    if data.draw(st.booleans()):
+        field = VectorField.autonomous(data.draw(polynomial_maps(dim)), order)
+    else:
+        cuts = sorted(data.draw(st.sets(st.integers(-20, 20), min_size=2, max_size=4)))
+        field = VectorField.piecewise(
+            [(a / 8.0, b / 8.0, data.draw(polynomial_maps(dim)))
+             for a, b in zip(cuts, cuts[1:])], order)
+    again = vector_field_from_json(json.loads(json.dumps(field.to_json())))
+    assert again.is_autonomous == field.is_autonomous
+    assert again.smoothness_order == field.smoothness_order
+    assert [(a, b) for a, b, _ in again.pieces] == [(a, b) for a, b, _ in field.pieces]
+    assert all(p == r for (_, _, p), (_, _, r) in zip(again.pieces, field.pieces))
+
+
+@ALGEBRA
+@given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from((-1, 1)),
+                          st.floats(1e-6, 10.0, allow_nan=False)), max_size=6))
+def test_schedule_json_and_csv_round_trip(rows):
+    schedule = ControlSchedule(tuple(Segment(i, s, d) for i, s, d in rows))
+    assert ControlSchedule.from_json(json.loads(json.dumps(schedule.to_json()))) == schedule
+    assert ControlSchedule.from_csv(schedule.to_csv()) == schedule
+
+
+@st.composite
+def two_piece_fields(draw):
+    """A linear or constant piece on [0, b), another on [b, 1.5]."""
+    dim = draw(st.integers(1, 3))
+
+    def piece():
+        if draw(st.booleans()):
+            return PolynomialMap.linear(
+                np.array(draw(st.lists(coefficients, min_size=dim * dim,
+                                       max_size=dim * dim))).reshape(dim, dim))
+        return PolynomialMap.constants(draw(st.lists(coefficients, min_size=dim,
+                                                     max_size=dim)), dim)
+
+    b = draw(st.floats(0.4, 0.8))
+    return VectorField.piecewise([(0.0, b, piece()), (b, 1.5, piece())]), b
+
+
+@REMAINDER
+@given(two_piece_fields(), st.data())
+def test_direct_and_difference_remainders_agree(field_and_cut, data):
+    field, b = field_and_cut
+    q = data.draw(points(field.dim))
+    late = data.draw(st.floats(b + 0.1, 1.4))
+    t0, t = (0.0, late) if data.draw(st.booleans()) else (late, 0.0)
+    phi = Observable.identity(field.dim)
+    solver = FlowSolver(1000)
+    for k in (1, 2, 3):
+        diff = remainder_eval(field, phi, q, t0, t, k, solver, nodes=8)
+        direct = remainder_eval(field, phi, q, t0, t, k, solver, nodes=8, method="direct")
+        assert abs(diff.remainder_norm - direct.remainder_norm) <= 1e-8
