@@ -218,11 +218,15 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     if obs.max_derivative_order < k:
         iterate_lift([(field, t0)] * k, obs)
     field.check_window(t0, t)
-    leaves = _simplex_leaves([field] * k, obs, t0, t, nodes)
-    times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
+    # leaves sharing an innermost time and a lift share one evaluation
+    weights: dict[tuple[float, int], list] = {}
+    for x, w, lifted in _simplex_leaves([field] * k, obs, t0, t, nodes):
+        weights.setdefault((x, id(lifted)), [0.0, lifted])[0] += w
+    times = sorted({x for x, _ in weights}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times, point, solver)
     moved = dict(zip(times, states))
-    return sum((w * lifted(moved[x]) for x, w, lifted in leaves), np.zeros(obs.dim_out))
+    return sum((w * lifted(moved[x]) for (x, _), (w, lifted) in weights.items()),
+               np.zeros(obs.dim_out))
 
 
 def fit_order(t_grid: np.ndarray, norms: np.ndarray,

@@ -279,8 +279,15 @@ def cmd_simulate(args) -> str:
 # ---------------------------------------------------------------------------
 # Parser
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors exit 2 with one stderr line, like every validation error."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="chronoflow",
         description="Flows, Volterra truncations, bracket asymptotics, and "
                     "bracket-generating reachability at desk scale.",

@@ -53,6 +53,8 @@ def _normalize_component(terms: Iterable[tuple[float, Sequence[int]]], dim_in: i
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         c = out.get(exps, 0.0) + float(coef)
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite coefficient {c!r} for exponents {exps}")
         if c == 0.0:
             out.pop(exps, None)
         else:
@@ -137,8 +139,9 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
 class PolynomialMap:
     """Exact polynomial map R^dim_in -> R^dim_out.
 
-    Each output component is a list of (coefficient, exponent-tuple) terms.
-    Evaluation is compiled at construction; the Jacobian is itself a
+    Each output component is a list of (coefficient, exponent-tuple) terms
+    with finite coefficients.  Evaluation is compiled on first use, so maps
+    that are never evaluated are never compiled; the Jacobian is itself a
     cached PolynomialMap, so derivatives of any order stay exact.
     """
 
@@ -155,7 +158,10 @@ class PolynomialMap:
         self._components: tuple[TermDict, ...] = tuple(
             _normalize_component(comp, dim_in) for comp in components
         )
-        self._evaluator = _compile_evaluator(self._components, dim_in)
+
+    @cached_property
+    def _evaluator(self):
+        return _compile_evaluator(self._components, self.dim_in)
 
     @property
     def components(self) -> tuple[tuple[tuple[float, Exps], ...], ...]:

@@ -148,10 +148,9 @@ def _flow_core(fm: FlowMap, q, want_pushforward: bool) -> tuple[np.ndarray, np.n
     field = fm.field
     point = as_point(q, field.dim)
     field.check_window(fm.t0, fm.t1)
-    if fm.t1 == fm.t0:
-        mat = np.eye(field.dim) if want_pushforward else None
-        return point, mat
     mat = np.eye(field.dim) if want_pushforward else None
+    if fm.t1 == fm.t0:
+        return point, mat
     step_base = 0
     for a, b in _sub_intervals(field, fm.t0, fm.t1):
         pm = field.piece_for_interval(a, b)
@@ -180,6 +179,14 @@ def flow_pushforward(fm: FlowMap, q) -> np.ndarray:
 def inverse_flow(fm: FlowMap, q) -> np.ndarray:
     """The inverse flow: integrate from t1 back to t0."""
     return flow_map(FlowMap(fm.field, fm.t1, fm.t0, fm.solver), q)
+
+
+def run_segments(fields, segments, q, solver: FlowSolver) -> np.ndarray:
+    """Follow (1-based field index, sign, duration) flow segments in turn from q."""
+    for index, sign, duration in segments:
+        fm = FlowMap(fields[index - 1], 0.0, duration, solver)
+        q = flow_map(fm, q) if sign > 0 else inverse_flow(fm, q)
+    return q
 
 
 def flow_operator_apply(fm: FlowMap, obs: Observable, q) -> np.ndarray:

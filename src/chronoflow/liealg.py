@@ -38,6 +38,7 @@ from .flow import (
     flow_map,
     flow_pushforward,
     inverse_flow,
+    run_segments,
 )
 from .quadrature import gauss_legendre
 
@@ -139,28 +140,29 @@ def lie_bracket(v: VectorField, w: VectorField, t: float, q) -> np.ndarray:
             - field_jacobian(v, t, point) @ eval_field(w, t, point))
 
 
-def bracket_expression_field(expr: BracketExpression, fields,
-                             t: float = 0.0) -> VectorField:
-    """Recursively build the polynomial field of an iterated bracket."""
+def bracket_fields(exprs, fields, t: float = 0.0) -> list[VectorField]:
+    """Polynomial fields of iterated brackets, each shared sub-bracket built once."""
     fields = list(fields)
-    if expr.max_index() > len(fields):
-        raise IndexError(
-            f"bracket expression uses V{expr.max_index()} but only "
-            f"{len(fields)} fields were given"
-        )
-    if expr.is_leaf:
-        return fields[expr.index - 1]
-    return lie_bracket_field(
-        bracket_expression_field(expr.left, fields, t),
-        bracket_expression_field(expr.right, fields, t),
-        t,
-    )
+    built: dict[str, VectorField] = {}
+
+    def build(expr: BracketExpression) -> VectorField:
+        key = str(expr)
+        if key not in built:
+            if expr.max_index() > len(fields):
+                raise IndexError(
+                    f"bracket expression uses V{expr.max_index()} but only "
+                    f"{len(fields)} fields were given"
+                )
+            built[key] = (fields[expr.index - 1] if expr.is_leaf
+                          else lie_bracket_field(build(expr.left), build(expr.right), t))
+        return built[key]
+
+    return [build(expr) for expr in exprs]
 
 
 def eval_bracket_expression(expr: BracketExpression, fields, t: float, q) -> np.ndarray:
     """Value of the iterated bracket field at (t, q)."""
-    built = bracket_expression_field(expr, fields, t)
-    return eval_field(built, t, q)
+    return eval_field(bracket_fields([expr], fields, t)[0], t, q)
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +192,14 @@ class FlowBracketProgram:
         """Build the program; ``leaf_exponents`` assigns t-powers per field index."""
         exponents = leaf_exponents or {}
 
-        def build(e: BracketExpression) -> list[ProgramSegment]:
+        def build(e: BracketExpression) -> FlowBracketProgram:
             if e.is_leaf:
-                return [ProgramSegment(e.index, +1, exponents.get(e.index, 1))]
-            left = build(e.left)
-            right = build(e.right)
-            return left + right + _reversed(left) + _reversed(right)
+                return cls((ProgramSegment(e.index, +1, exponents.get(e.index, 1)),))
+            left, right = build(e.left), build(e.right)
+            return cls(left.segments + right.segments
+                       + left.reversed().segments + right.reversed().segments)
 
-        def _reversed(segs: list[ProgramSegment]) -> list[ProgramSegment]:
-            return [
-                ProgramSegment(s.field_index, -s.sign, s.time_exponent)
-                for s in reversed(segs)
-            ]
-
-        return cls(tuple(build(expr)))
+        return build(expr)
 
     def reversed(self) -> "FlowBracketProgram":
         return FlowBracketProgram(tuple(
@@ -224,14 +220,11 @@ def run_program(program: FlowBracketProgram, fields, t: float, q,
                 solver: FlowSolver) -> np.ndarray:
     """Execute the flow segments left to right from q."""
     fields = list(fields)
-    point = as_point(q)
     for i, seg in enumerate(program.segments):
         if not 1 <= seg.field_index <= len(fields):
             raise IndexError(f"segment {i} uses V{seg.field_index}, out of range")
-        duration = t ** seg.time_exponent
-        fm = FlowMap(fields[seg.field_index - 1], 0.0, duration, solver)
-        point = flow_map(fm, point) if seg.sign > 0 else inverse_flow(fm, point)
-    return point
+    return run_segments(fields, ((seg.field_index, seg.sign, t ** seg.time_exponent)
+                                 for seg in program.segments), as_point(q), solver)
 
 
 def flow_bracket(expr: BracketExpression, fields, t: float, q,
@@ -244,6 +237,8 @@ def flow_bracket(expr: BracketExpression, fields, t: float, q,
 # Asymptotic checks
 
 def _probe_flow_residual(residual, t_max: float, levels: int) -> OrderEstimate:
+    if not t_max > 0:  # False also for NaN
+        raise ValueError(f"t_max must be positive, got {t_max!r}")
     t_grid = t_max * 2.0 ** (-np.arange(levels, dtype=float))
     norms = np.array([float(residual(t)) for t in t_grid])
     if np.max(norms) < FLOW_ZERO_CUTOFF:

@@ -10,6 +10,7 @@ verify them.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,8 @@ class PerturbedSystem:
     t1: float
 
     def __post_init__(self):
+        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
+            raise ValueError(f"times must be finite, got [{self.t0}, {self.t1}]")
         if self.base_field.dim != self.perturbation_field.dim:
             raise DimensionError("base and perturbation fields have different dims")
         self.base_field.check_window(self.t0, self.t1)
@@ -103,8 +106,8 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
 def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,
                         solver: FlowSolver) -> np.ndarray:
     """Central-difference oracle: flows of V +/- epsilon*W."""
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     point = as_point(q, sys.base_field.dim)
     plus = add_fields(sys.base_field, sys.perturbation_field, 1.0, epsilon)
     minus = add_fields(sys.base_field, sys.perturbation_field, 1.0, -epsilon)

@@ -5,8 +5,10 @@ value +1 or -1 per segment; magnitudes live in segment durations only.
 The rank test evaluates a canonical set of iterated brackets at a point
 and counts singular values; full rank at the start certifies the planner's
 precondition.  The planner itself is a constructive desk-scale witness of
-approximate controllability: it composes bracket motions greedily and
-re-simulates the returned schedule end to end.
+approximate controllability: it composes bracket motions greedily along
+one chained trajectory, and its endpoint is that trajectory's end, equal
+bit for bit to ``simulate_schedule`` of the returned schedule from the
+start point.
 """
 from __future__ import annotations
 
@@ -18,9 +20,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, as_point
-from .flow import FlowMap, FlowSolver, flow_map, inverse_flow
-from .liealg import BracketExpression, FlowBracketProgram, eval_bracket_expression
+from .fields import VectorField, as_point, eval_field
+from .flow import FlowSolver, flow_map, run_segments  # noqa: F401 (perfbench reads reach.flow_map)
+from .liealg import BracketExpression, FlowBracketProgram, bracket_fields
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_STEP_FRACTION = 0.5
@@ -116,11 +118,9 @@ def simulate_schedule(sys: AffineControlSystem, q0, sched: ControlSchedule,
                       solver: FlowSolver) -> np.ndarray:
     """Endpoint of the trajectory following each signed segment in turn."""
     _validate_segments(sys, sched)
-    point = as_point(q0, sys.dim)
-    for seg in sched.segments:
-        fm = FlowMap(sys.fields[seg.field_index - 1], 0.0, seg.duration, solver)
-        point = flow_map(fm, point) if seg.sign > 0 else inverse_flow(fm, point)
-    return point
+    return run_segments(sys.fields, ((s.field_index, s.sign, s.duration)
+                                     for s in sched.segments),
+                        as_point(q0, sys.dim), solver)
 
 
 @dataclass(eq=False)
@@ -168,6 +168,15 @@ def canonical_bracket_basis(num_fields: int, max_degree: int) -> list[BracketExp
     return basis
 
 
+def _rank_report(basis, fields, point: np.ndarray, rel_tol: float) -> RankReport:
+    rows = [(expr, eval_field(f, 0.0, point)) for expr, f in zip(basis, fields)]
+    matrix = np.array([v for _, v in rows])
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    top = singular[0] if singular.size else 0.0
+    rank = int(np.sum(singular > rel_tol * top)) if top > 0 else 0
+    return RankReport(brackets=rows, numerical_rank=rank, singular_values=singular)
+
+
 def bracket_rank(sys: AffineControlSystem, q, max_degree: int,
                  rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Numerical rank of the iterated-bracket span at q via singular values."""
@@ -175,15 +184,7 @@ def bracket_rank(sys: AffineControlSystem, q, max_degree: int,
         raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
     point = as_point(q, sys.dim)
     basis = canonical_bracket_basis(len(sys.fields), max_degree)
-    rows = [
-        (expr, eval_bracket_expression(expr, sys.fields, 0.0, point))
-        for expr in basis
-    ]
-    matrix = np.array([v for _, v in rows])
-    singular = np.linalg.svd(matrix, compute_uv=False)
-    top = singular[0] if singular.size else 0.0
-    rank = int(np.sum(singular > rel_tol * top)) if top > 0 else 0
-    return RankReport(brackets=rows, numerical_rank=rank, singular_values=singular)
+    return _rank_report(basis, bracket_fields(basis, sys.fields), point, rel_tol)
 
 
 def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
@@ -212,7 +213,8 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
 
 @dataclass(eq=False)
 class PlanResult:
-    """Planner output; the endpoint is an end-to-end re-simulation result."""
+    """Planner output; the endpoint ends the planner's chained simulation of the
+    schedule and equals ``simulate_schedule(sys, q0, schedule, solver)`` bit for bit."""
 
     schedule: ControlSchedule
     endpoint: np.ndarray
@@ -240,39 +242,40 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
     discarded and the fraction halves (resetting on success); twenty
     consecutive halvings raise StalledError with the best result so far.
     """
-    point0 = as_point(q0, sys.dim)
+    point = as_point(q0, sys.dim)
     goal = as_point(target, sys.dim)
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    if not (math.isfinite(step_fraction) and step_fraction > 0):
+        raise ValueError(f"step_fraction must be positive and finite, got {step_fraction!r}")
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 
-    report = bracket_rank(sys, point0, max_degree)
+    basis = canonical_bracket_basis(len(sys.fields), max_degree)
+    fields = bracket_fields(basis, sys.fields)
+    report = _rank_report(basis, fields, point, DEFAULT_RANK_TOL)
     if report.numerical_rank < sys.dim:
         raise PlannerPreconditionError(
             f"bracket rank {report.numerical_rank} < dim {sys.dim} at the "
             f"start point; the system is not bracket-generating there"
         )
-    basis = canonical_bracket_basis(len(sys.fields), max_degree)
 
     schedule = ControlSchedule(())
-    point = point0
     fraction = step_fraction
     halvings = 0
     iterations = 0
 
-    def result_for(sched: ControlSchedule, iters: int) -> PlanResult:
-        end = simulate_schedule(sys, point0, sched, solver)
-        return PlanResult(schedule=sched, endpoint=end,
-                          residual=float(np.linalg.norm(end - goal)),
-                          iterations=iters)
+    def result() -> PlanResult:
+        return PlanResult(schedule=schedule, endpoint=point,
+                          residual=float(np.linalg.norm(point - goal)),
+                          iterations=iterations)
 
     while iterations < max_iters:
         residual = goal - point
         residual_norm = float(np.linalg.norm(residual))
         if residual_norm <= epsilon:
             break
-        directions = np.array([
-            eval_bracket_expression(expr, sys.fields, 0.0, point) for expr in basis
-        ])
+        directions = np.array([eval_field(f, 0.0, point) for f in fields])
         coeffs, *_ = np.linalg.lstsq(directions.T, residual, rcond=None)
         pick = int(np.argmax(np.abs(coeffs)))
         magnitude = fraction * abs(float(coeffs[pick]))
@@ -295,7 +298,7 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
             raise StalledError(
                 f"no improvement over {MAX_CONSECUTIVE_HALVINGS} consecutive "
                 f"step halvings (residual {residual_norm:.3e})",
-                best=result_for(schedule, iterations),
+                best=result(),
             )
 
-    return result_for(schedule, iterations)
+    return result()

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chronoflow.chrono
 import chronoflow.flow
 from chronoflow import (
     DegenerateProbe,
@@ -303,3 +304,21 @@ def test_simplex_volume_backward_and_split_orders():
     for k in (1, 2, 3):
         expected = (-0.5) ** k / math.factorial(k)
         assert abs(simplex_volume(0.5, 0.0, k) - expected) <= 1e-12
+
+
+@pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.3, 0.2)])
+def test_direct_remainder_evaluates_each_time_and_lift_once(monkeypatch, t0, t):
+    field, phi = _rotation_then_drift(), Observable.identity(2)
+    leaves = chronoflow.chrono._simplex_leaves([field] * 3, phi, t0, t, 8)
+    pairs = len({(x, id(lifted)) for x, _, lifted in leaves})
+    assert pairs < len(leaves)
+    calls = []
+    evaluate = Observable.__call__
+
+    def counting(self, q):
+        calls.append(q)
+        return evaluate(self, q)
+
+    monkeypatch.setattr(Observable, "__call__", counting)
+    remainder_eval(field, phi, [0.6, -0.8], t0, t, 3, SOLVER, nodes=8, method="direct")
+    assert len(calls) == pairs

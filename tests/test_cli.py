@@ -197,3 +197,40 @@ def test_invalid_tolerance_grid_or_nodes_exits_2(args):
     assert result.returncode == 2
     assert result.stdout == ""
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+PLAN = ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04")
+
+
+@pytest.mark.parametrize("args", [
+    ("param-deriv", "--system", "heisenberg", "--t", "0.5", "--q", "0,0,0",
+     "--epsilon", "nan"),
+    ("param-deriv", "--system", "heisenberg", "--t", "inf", "--q", "0,0,0"),
+    PLAN + ("--epsilon", "nan"),
+    PLAN + ("--epsilon", "1e-3", "--max-iters", "-1"),
+    PLAN + ("--epsilon", "1e-3", "--step-fraction", "-1"),
+    ("order-probe", "--system", "rotation2d", "--residual", "inverse-expansion",
+     "--q", "1,0", "--t-max", "-0.5"),
+])
+def test_non_finite_or_negative_inputs_exit_2(args):
+    result = run_cli(*args)
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_field_file_with_nan_coefficient_exits_2(tmp_path):
+    path = tmp_path / "field.json"
+    path.write_text('{"dim": 1, "components": [[{"coef": NaN, "exps": [1]}]]}')
+    result = run_cli("flow", "--system", str(path), "--t", "1", "--q", "1")
+    assert result.returncode == 2
+    assert "non-finite coefficient" in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+def test_usage_error_is_one_line():
+    result = run_cli("plan", "--system", "heisenberg")
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        "chronoflow plan: error: the following arguments are required: "
+        "--q0, --target, --epsilon"]

@@ -273,3 +273,23 @@ def test_rotation2d_is_the_quarter_turn_generator():
         field_jacobian(rotation2d(), 0.0, [0.0, 0.0]),
         [[0.0, -1.0], [1.0, 0.0]],
     )
+
+
+@pytest.mark.parametrize("coef", [float("nan"), float("inf"), -float("inf")])
+def test_non_finite_coefficients_are_rejected(coef):
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        PolynomialMap(2, 1, [[(coef, (1, 0))]])
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        vector_field_from_json({"dim": 1, "components": [[{"coef": coef, "exps": [0]}]]})
+
+
+def test_overflowing_coefficient_sum_is_rejected():
+    with pytest.raises(ValueError, match="non-finite coefficient"):
+        PolynomialMap(1, 1, [[(1e308, (1,)), (1e308, (1,))]])
+
+
+def test_evaluator_is_compiled_on_first_call():
+    pm = PolynomialMap(2, 2, [[(1.0, (1, 0))], [(2.0, (0, 2))]])
+    assert "_evaluator" not in vars(pm)
+    assert_allclose(pm(np.array([3.0, 0.5])), [3.0, 0.5])
+    assert "_evaluator" in vars(pm)

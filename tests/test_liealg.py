@@ -308,3 +308,12 @@ def test_pushforward_invariance_matches_reference_and_shares_solves(monkeypatch,
     assert pushforward_invariance_check(fm, v, w, q) == expected
     # one inverse solve and one variational solve per distinct point
     assert calls.count(True) == calls.count(False) <= 2 * len(q) + 1
+
+
+@pytest.mark.parametrize("t_max", [-0.4, 0.0, float("nan")])
+def test_flow_residual_probes_reject_non_positive_t_max(t_max):
+    with pytest.raises(ValueError, match="t_max"):
+        inverse_expansion_check(rotation2d(), [1.0, 0.0], t_max, 8, SOLVER)
+    with pytest.raises(ValueError, match="t_max"):
+        bracket_asymptotics_check(BracketExpression.parse("[V1,V2]"), [V1, V2],
+                                  [0.0, 0.0, 0.0], t_max, 8, SOLVER)

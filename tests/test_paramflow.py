@@ -151,6 +151,19 @@ def test_zero_perturbation_gives_zero_vector():
                         np.zeros(3), atol=1e-14)
 
 
+@pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-4])
+def test_fd_param_derivative_rejects_bad_epsilon(epsilon):
+    system = PerturbedSystem(V1, V2, 0.0, 0.5)
+    with pytest.raises(ValueError, match="epsilon"):
+        fd_param_derivative(system, [0.0, 0.0, 0.0], epsilon, SOLVER)
+
+
+@pytest.mark.parametrize("t0,t1", [(0.0, float("inf")), (float("nan"), 0.5)])
+def test_perturbed_system_rejects_non_finite_times(t0, t1):
+    with pytest.raises(ValueError, match="finite"):
+        PerturbedSystem(V1, V2, t0, t1)
+
+
 def test_param_derivative_rejects_unknown_mode():
     system = PerturbedSystem(V1, V2, 0.0, 0.5)
     with pytest.raises(ValueError):

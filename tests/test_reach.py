@@ -3,21 +3,31 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+import chronoflow.flow
+import chronoflow.liealg
+import chronoflow.reach
 from chronoflow import (
     AffineControlSystem,
     BracketExpression,
     ControlSchedule,
+    FlowMap,
     FlowSolver,
     PlannerPreconditionError,
     Segment,
     bracket_motion,
     bracket_rank,
+    brockett_fields,
     canonical_bracket_basis,
     constant_field,
+    flow_bracket,
+    flow_map,
     heisenberg_fields,
+    inverse_flow,
     plan_reach,
     simulate_schedule,
+    unicycle_fields,
 )
+from chronoflow.liealg import FlowBracketProgram, ProgramSegment, run_program
 
 SOLVER = FlowSolver(400)
 HEIS = AffineControlSystem.of(heisenberg_fields())
@@ -208,3 +218,101 @@ def test_rank_report_serialization():
 def test_bracket_rank_rejects_bad_rel_tol(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
         bracket_rank(HEIS, [0.0, 0.0, 0.0], 2, rel_tol)
+
+
+PLANNERS = [
+    (AffineControlSystem.of(heisenberg_fields()), 2, [0.05, -0.03, 0.04]),
+    (AffineControlSystem.of(brockett_fields()), 2, [-0.04, 0.02, 0.06]),
+    (AffineControlSystem.of(unicycle_fields()), 3, [0.03, 0.05, -0.02]),
+]
+
+
+@pytest.mark.parametrize("system,degree,target", PLANNERS)
+def test_plan_endpoint_is_the_replay_bit_for_bit(system, degree, target):
+    result = plan_reach(system, [0.0, 0.0, 0.0], target, 1e-3, degree, 200, SOLVER)
+    assert result.schedule.segments
+    replay = simulate_schedule(system, [0.0, 0.0, 0.0], result.schedule, SOLVER)
+    assert np.array_equal(result.endpoint, replay)
+    assert result.residual == float(np.linalg.norm(replay - np.array(target)))
+
+
+@pytest.mark.parametrize("system,degree,target", PLANNERS)
+def test_plan_solves_each_tried_motion_once(monkeypatch, system, degree, target):
+    # Every solve goes through _flow_core and every attempt through bracket_motion:
+    # the planner solves the motions it tries and nothing else.
+    solves, motions, builds = [], [], []
+    core = chronoflow.flow._flow_core
+    make_motion = chronoflow.reach.bracket_motion
+    bracket = chronoflow.liealg.lie_bracket_map
+
+    def counting_core(fm, q, want_pushforward):
+        solves.append(fm)
+        return core(fm, q, want_pushforward)
+
+    def recording_motion(*args, **kwargs):
+        motions.append(make_motion(*args, **kwargs))
+        return motions[-1]
+
+    def counting_bracket(v, w):
+        builds.append((v, w))
+        return bracket(v, w)
+
+    monkeypatch.setattr(chronoflow.flow, "_flow_core", counting_core)
+    monkeypatch.setattr(chronoflow.reach, "bracket_motion", recording_motion)
+    monkeypatch.setattr(chronoflow.liealg, "lie_bracket_map", counting_bracket)
+    result = plan_reach(system, [0.0, 0.0, 0.0], target, 1e-3, degree, 200, SOLVER)
+    assert result.iterations > 1
+    assert len(solves) == sum(len(m.segments) for m in motions)
+    # each bracket of the basis is built once per call, not once per iteration
+    basis = canonical_bracket_basis(len(system.fields), degree)
+    assert len(builds) == sum(not e.is_leaf for e in basis)
+
+
+def test_plan_stall_best_is_the_chained_state():
+    from chronoflow import StalledError
+    with pytest.raises(StalledError) as info:
+        plan_reach(HEIS, [0.0, 0.0, 0.0], [0.05, -0.03, 0.04], 1e-300, 2, 500, SOLVER)
+    best = info.value.best
+    assert best.schedule.segments
+    replay = simulate_schedule(HEIS, [0.0, 0.0, 0.0], best.schedule, SOLVER)
+    assert np.array_equal(best.endpoint, replay)
+
+
+def test_simulate_and_run_program_match_the_segment_loop():
+    # the shared executor must give the bits of a plain loop over the segments
+    rng = np.random.default_rng(9)
+    segs = tuple(Segment(int(rng.integers(1, 3)), int(rng.choice([-1, 1])),
+                         float(rng.uniform(0.05, 0.3))) for _ in range(8))
+    q0 = np.array([0.1, -0.2, 0.05])
+    expected = q0
+    for seg in segs:
+        fm = FlowMap(HEIS.fields[seg.field_index - 1], 0.0, seg.duration, SOLVER)
+        expected = flow_map(fm, expected) if seg.sign > 0 else inverse_flow(fm, expected)
+    assert np.array_equal(simulate_schedule(HEIS, q0, ControlSchedule(segs), SOLVER),
+                          expected)
+    program = FlowBracketProgram(tuple(ProgramSegment(s.field_index, s.sign) for s in segs))
+    assert np.array_equal(run_program(program, HEIS.fields, 0.2, q0, SOLVER),
+                          simulate_schedule(HEIS, q0, ControlSchedule(tuple(
+                              Segment(s.field_index, s.sign, 0.2) for s in segs)), SOLVER))
+
+
+def test_run_program_zero_time_and_out_of_range_index():
+    q = np.array([0.3, -0.1, 0.2])
+    assert np.array_equal(flow_bracket(BracketExpression.parse("[V1,V2]"), HEIS.fields,
+                                       0.0, q, SOLVER), q)
+    with pytest.raises(IndexError, match=r"^segment 1 uses V3, out of range$"):
+        flow_bracket(BracketExpression.parse("[V1,V3]"), HEIS.fields, 0.1, q, SOLVER)
+
+
+@pytest.mark.parametrize("kwargs,match", [
+    ({"epsilon": float("nan")}, "epsilon"),
+    ({"epsilon": float("inf")}, "epsilon"),
+    ({"max_iters": -1}, "max_iters"),
+    ({"step_fraction": float("nan")}, "step_fraction"),
+    ({"step_fraction": 0.0}, "step_fraction"),
+])
+def test_plan_rejects_bad_inputs(kwargs, match):
+    args = {"epsilon": 1e-3, "max_iters": 50, "step_fraction": 0.5, **kwargs}
+    with pytest.raises(ValueError, match=match):
+        plan_reach(HEIS, [0.0, 0.0, 0.0], [0.0, 0.0, 0.04], args["epsilon"], 2,
+                   args["max_iters"], SOLVER, step_fraction=args["step_fraction"])
