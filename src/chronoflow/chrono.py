@@ -263,15 +263,17 @@ def order_probe(sample: Callable[[float], float], t_max: float,
 
     Raises DegenerateProbe when fewer than two samples exceed the zero
     cutoff; callers asserting an o(t^k) claim should treat that as success.
+    Raises ValueError unless t_max is finite and positive and every sample is
+    finite and nonnegative.
     """
-    if t_max <= 0:
-        raise ValueError("t_max must be positive")
+    if not (math.isfinite(t_max) and t_max > 0):
+        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
     if levels < 4:
         raise ValueError("need at least 4 probe levels")
     t_grid = t_max * 2.0 ** (-np.arange(levels, dtype=float))
     norms = np.array([float(sample(t)) for t in t_grid])
-    if np.any(norms < 0):
-        raise ValueError("sample returned a negative norm")
+    if not np.all(np.isfinite(norms) & (norms >= 0)):
+        raise ValueError(f"samples must be finite and nonnegative, got {norms.tolist()}")
     return fit_order(t_grid, norms)
 
 

@@ -286,6 +286,13 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
+def _node_count(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="chronoflow",
@@ -294,13 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, nodes_default=16):
+    def common(p, steps=True, nodes=None):
         p.add_argument("--system", required=True,
                        help="builtin system name or path to a JSON system file")
-        p.add_argument("--steps-per-unit", type=int, default=1000,
-                       help="RK4 substeps per unit time (default 1000)")
-        p.add_argument("--nodes", type=int, default=nodes_default,
-                       help=f"Gauss-Legendre nodes per level (default {nodes_default})")
+        if steps:
+            p.add_argument("--steps-per-unit", type=int, default=1000,
+                           help="RK4 substeps per unit time (default 1000)")
+        if nodes:
+            p.add_argument("--nodes", type=_node_count, default=nodes,
+                           help=f"Gauss-Legendre nodes per level (default {nodes})")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default="-",
                        help="output path ('-' for stdout); relative paths are "
@@ -315,7 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("volterra", help="truncation remainder table over a t-grid")
-    common(p)
+    common(p, nodes=16)
     p.add_argument("--field", type=int, default=1)
     p.add_argument("--obs-coord", type=int, default=None,
                    help="1-based coordinate observable (default: identity)")
@@ -329,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_volterra)
 
     p = sub.add_parser("order-probe", help="fit the decay order of a residual")
-    common(p)
+    common(p, nodes=16)
     p.add_argument("--residual", required=True,
                    choices=("remainder", "flow-bracket", "inverse-expansion"))
     p.add_argument("--field", type=int, default=1)
@@ -343,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_order_probe)
 
     p = sub.add_parser("bracket", help="evaluate an iterated bracket at a point")
-    common(p)
+    common(p, steps=False)
     p.add_argument("--expr", required=True, help='e.g. "V1" or "[[V1,V2],V1]"')
     p.add_argument("--t", type=float, default=0.0)
     p.add_argument("--q", required=True)
@@ -359,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param-deriv",
                        help="flow derivative in a perturbation direction")
-    common(p, nodes_default=32)
+    common(p, nodes=32)
     p.add_argument("--field", type=int, default=1, help="base field index")
     p.add_argument("--perturb", type=int, default=2, help="perturbation field index")
     p.add_argument("--t0", type=float, default=0.0)
@@ -370,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_param_deriv)
 
     p = sub.add_parser("rank", help="bracket-generating rank test at a point")
-    common(p)
+    common(p, steps=False)
     p.add_argument("--q", required=True)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--rel-tol", type=float, default=reach.DEFAULT_RANK_TOL)
@@ -400,8 +409,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.nodes < 1:
-            raise ValueError(f"--nodes must be >= 1, got {args.nodes}")
         text = args.fn(args)
     except (BlowUpError, StalledError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

@@ -42,47 +42,26 @@ def as_point(q, dim: int | None = None) -> np.ndarray:
     return arr
 
 
-def _normalize_component(terms: Iterable[tuple[float, Sequence[int]]], dim_in: int) -> TermDict:
+def as_int(value, what: str) -> int:
+    """``value`` as an int; ValueError when it is not integral (never truncates)."""
+    try:
+        if isinstance(value, str) or int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def _accumulate(terms: Iterable[tuple[Exps, float]]) -> TermDict:
+    """Sum coefficients per exponent tuple, dropping the ones that cancel.
+
+    Every term table is built by this one loop.  A cancelled key is popped
+    and reinserted at the end if it comes back: dict order fixes the
+    summation order of later products, so results depend on it bit for bit.
+    """
     out: TermDict = {}
-    for coef, exps in terms:
-        exps = tuple(int(e) for e in exps)
-        if len(exps) != dim_in:
-            raise DimensionError(
-                f"exponent tuple {exps} has length {len(exps)}, expected {dim_in}"
-            )
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
-        c = out.get(exps, 0.0) + float(coef)
-        if not math.isfinite(c):
-            raise ValueError(f"non-finite coefficient {c!r} for exponents {exps}")
-        if c == 0.0:
-            out.pop(exps, None)
-        else:
-            out[exps] = c
-    return out
-
-
-def _mul_terms(a: TermDict, b: TermDict) -> TermDict:
-    out: TermDict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            c = out.get(e, 0.0) + ca * cb
-            if c == 0.0:
-                out.pop(e, None)
-            else:
-                out[e] = c
-    return out
-
-
-def _diff_terms(a: TermDict, var: int) -> TermDict:
-    out: TermDict = {}
-    for exps, coef in a.items():
-        k = exps[var]
-        if k == 0:
-            continue
-        e = exps[:var] + (k - 1,) + exps[var + 1 :]
-        c = out.get(e, 0.0) + coef * k
+    for e, c in terms:
+        c = out.get(e, 0.0) + c
         if c == 0.0:
             out.pop(e, None)
         else:
@@ -90,16 +69,37 @@ def _diff_terms(a: TermDict, var: int) -> TermDict:
     return out
 
 
-def _add_terms(a: TermDict, b: TermDict, sa: float = 1.0, sb: float = 1.0) -> TermDict:
-    out: TermDict = {}
-    for src, s in ((a, sa), (b, sb)):
-        for exps, coef in src.items():
-            c = out.get(exps, 0.0) + s * coef
-            if c == 0.0:
-                out.pop(exps, None)
-            else:
-                out[exps] = c
+def _normalize_component(terms: Iterable[tuple[float, Sequence[int]]], dim_in: int) -> TermDict:
+    checked = []
+    for coef, exps in terms:
+        exps = tuple(as_int(e, "exponent") for e in exps)
+        if len(exps) != dim_in:
+            raise DimensionError(
+                f"exponent tuple {exps} has length {len(exps)}, expected {dim_in}"
+            )
+        if any(e < 0 for e in exps):
+            raise ValueError(f"negative exponent in {exps}")
+        checked.append((exps, float(coef)))
+    out = _accumulate(checked)
+    for exps, c in out.items():
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite coefficient {c!r} for exponents {exps}")
     return out
+
+
+def _mul_terms(a: TermDict, b: TermDict) -> TermDict:
+    return _accumulate([(tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+                        for ea, ca in a.items() for eb, cb in b.items()])
+
+
+def _diff_terms(a: TermDict, var: int) -> TermDict:
+    return _accumulate([(exps[:var] + (exps[var] - 1,) + exps[var + 1:], coef * exps[var])
+                        for exps, coef in a.items() if exps[var]])
+
+
+def _add_terms(a: TermDict, b: TermDict, sa: float = 1.0, sb: float = 1.0) -> TermDict:
+    return _accumulate([(exps, s * coef) for src, s in ((a, sa), (b, sb))
+                        for exps, coef in src.items()])
 
 
 def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
@@ -176,12 +176,8 @@ class PolynomialMap:
     @cached_property
     def jacobian_map(self) -> "PolynomialMap":
         """Polynomial map of all partials, row-major: output r*dim_in + c."""
-        comps = []
-        for comp in self._components:
-            for var in range(self.dim_in):
-                comps.append(
-                    [(c, e) for e, c in _diff_terms(comp, var).items()]
-                )
+        comps = [[(c, e) for e, c in _diff_terms(comp, var).items()]
+                 for comp in self._components for var in range(self.dim_in)]
         return PolynomialMap(self.dim_in, self.dim_out * self.dim_in, comps)
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
@@ -273,13 +269,11 @@ def lift_map(obs_map: PolynomialMap, field_map: PolynomialMap) -> PolynomialMap:
     field_comps = field_map._components
     out = []
     for comp in obs_map._components:
-        acc: TermDict = {}
-        for var in range(n):
-            d = _diff_terms(comp, var)
-            if not d or not field_comps[var]:
-                continue
-            acc = _add_terms(acc, _mul_terms(d, field_comps[var]))
-        out.append([(c, e) for e, c in acc.items()])
+        products = []
+        for var, field_comp in enumerate(field_comps):
+            if field_comp and (d := _diff_terms(comp, var)):
+                products.extend(_mul_terms(d, field_comp).items())
+        out.append([(c, e) for e, c in _accumulate(products).items()])
     return PolynomialMap(n, obs_map.dim_out, out)
 
 
@@ -593,49 +587,26 @@ def rotation2d() -> VectorField:
     return linear_field([[0.0, -1.0], [1.0, 0.0]])
 
 
+def _planar_pair(a: float, b: float) -> tuple[VectorField, VectorField]:
+    """The pair (1, 0, a*y) and (0, 1, b*x) on R^3; b = 0 drops the x term."""
+    first = PolynomialMap(3, 3, [[(1.0, (0, 0, 0))], [], [(a, (0, 1, 0))]])
+    second = PolynomialMap(3, 3, [[], [(1.0, (0, 0, 0))], [(b, (1, 0, 0))]])
+    return VectorField.autonomous(first), VectorField.autonomous(second)
+
+
 def heisenberg_fields() -> tuple[VectorField, VectorField]:
     """The Heisenberg pair V1 = (1, 0, -y/2), V2 = (0, 1, x/2) on R^3."""
-    v1 = VectorField.autonomous(PolynomialMap(3, 3, [
-        [(1.0, (0, 0, 0))],
-        [],
-        [(-0.5, (0, 1, 0))],
-    ]))
-    v2 = VectorField.autonomous(PolynomialMap(3, 3, [
-        [],
-        [(1.0, (0, 0, 0))],
-        [(0.5, (1, 0, 0))],
-    ]))
-    return v1, v2
+    return _planar_pair(-0.5, 0.5)
 
 
 def unicycle_fields() -> tuple[VectorField, VectorField]:
     """Chained-form unicycle on R^3: (1, 0, y) and (0, 1, 0)."""
-    g1 = VectorField.autonomous(PolynomialMap(3, 3, [
-        [(1.0, (0, 0, 0))],
-        [],
-        [(1.0, (0, 1, 0))],
-    ]))
-    g2 = VectorField.autonomous(PolynomialMap(3, 3, [
-        [],
-        [(1.0, (0, 0, 0))],
-        [],
-    ]))
-    return g1, g2
+    return _planar_pair(1.0, 0.0)
 
 
 def brockett_fields() -> tuple[VectorField, VectorField]:
     """Brockett integrator on R^3: (1, 0, -y) and (0, 1, x)."""
-    b1 = VectorField.autonomous(PolynomialMap(3, 3, [
-        [(1.0, (0, 0, 0))],
-        [],
-        [(-1.0, (0, 1, 0))],
-    ]))
-    b2 = VectorField.autonomous(PolynomialMap(3, 3, [
-        [],
-        [(1.0, (0, 0, 0))],
-        [(1.0, (1, 0, 0))],
-    ]))
-    return b1, b2
+    return _planar_pair(-1.0, 1.0)
 
 
 _BUILTIN_BUILDERS: dict[str, Callable[[], tuple[VectorField, ...]]] = {
@@ -664,8 +635,10 @@ def builtin_system(name: str) -> tuple[VectorField, ...]:
 
 def vector_field_from_json(doc: dict) -> VectorField:
     """Build a field from {"dim": n, "components": ...} or {"time_pieces": ...}."""
-    dim = int(doc["dim"])
-    order = int(doc.get("smoothness_order", DEFAULT_SMOOTHNESS_ORDER))
+    if not isinstance(doc, dict):
+        raise ValueError(f"a field document must be a JSON object, got {type(doc).__name__}")
+    dim = as_int(doc["dim"], "dim")
+    order = as_int(doc.get("smoothness_order", DEFAULT_SMOOTHNESS_ORDER), "smoothness_order")
     if "time_pieces" in doc:
         pieces = [
             (float(p["t0"]), float(p["t1"]),
@@ -679,8 +652,8 @@ def vector_field_from_json(doc: dict) -> VectorField:
 
 
 def observable_from_json(doc: dict) -> Observable:
-    dim = int(doc["dim"])
-    order = int(doc.get("max_derivative_order", DEFAULT_OBSERVABLE_ORDER))
+    dim = as_int(doc["dim"], "dim")
+    order = as_int(doc.get("max_derivative_order", DEFAULT_OBSERVABLE_ORDER), "max_derivative_order")
     return Observable(PolynomialMap.from_json(doc["components"], dim), order)
 
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import BlowUpError
 from .fields import Observable, VectorField, as_point
+from .quadrature import split_at
 
 MAX_STEPS_PER_SOLVE = 10 ** 8
 
@@ -134,16 +135,6 @@ def _advance_piece(pm, q: np.ndarray, mat: np.ndarray | None, a: float, b: float
     return q, mat, step_base + n_steps
 
 
-def _sub_intervals(field: VectorField, t0: float, t1: float) -> list[tuple[float, float]]:
-    cuts = field.breakpoints_between(t0, t1)
-    if t1 < t0:
-        cuts = sorted(cuts, reverse=True)
-    edges = [t0] + cuts + [t1]
-    return [
-        (a, b) for a, b in zip(edges, edges[1:]) if abs(b - a) > 1e-15
-    ]
-
-
 def _flow_core(fm: FlowMap, q, want_pushforward: bool) -> tuple[np.ndarray, np.ndarray | None]:
     field = fm.field
     point = as_point(q, field.dim)
@@ -152,7 +143,7 @@ def _flow_core(fm: FlowMap, q, want_pushforward: bool) -> tuple[np.ndarray, np.n
     if fm.t1 == fm.t0:
         return point, mat
     step_base = 0
-    for a, b in _sub_intervals(field, fm.t0, fm.t1):
+    for a, b in split_at(fm.t0, fm.t1, field.breakpoints_between(fm.t0, fm.t1)):
         pm = field.piece_for_interval(a, b)
         point, mat, step_base = _advance_piece(pm, point, mat, a, b, fm.solver, step_base)
     return point, mat

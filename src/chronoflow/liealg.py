@@ -16,11 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .chrono import (
-    OrderEstimate,
-    degenerate_estimate,
-    fit_order,
-)
+from .chrono import OrderEstimate, degenerate_estimate, order_probe
 from .errors import DegenerateProbe, DimensionError
 from .fields import (
     PolynomialMap,
@@ -237,16 +233,14 @@ def flow_bracket(expr: BracketExpression, fields, t: float, q,
 # Asymptotic checks
 
 def _probe_flow_residual(residual, t_max: float, levels: int) -> OrderEstimate:
-    if not t_max > 0:  # False also for NaN
-        raise ValueError(f"t_max must be positive, got {t_max!r}")
-    t_grid = t_max * 2.0 ** (-np.arange(levels, dtype=float))
-    norms = np.array([float(residual(t)) for t in t_grid])
-    if np.max(norms) < FLOW_ZERO_CUTOFF:
-        return degenerate_estimate(t_grid, norms)
+    """``order_probe`` of a flow residual; solver noise counts as exact zero."""
     try:
-        return fit_order(t_grid, norms)
-    except DegenerateProbe:
-        return degenerate_estimate(t_grid, norms)
+        estimate = order_probe(residual, t_max, levels)
+    except DegenerateProbe as probe:
+        return degenerate_estimate(probe.t_grid, probe.norms)
+    if np.max(estimate.norms) < FLOW_ZERO_CUTOFF:
+        return degenerate_estimate(estimate.t_grid, estimate.norms)
+    return estimate
 
 
 def bracket_asymptotics_check(expr: BracketExpression, fields, q, t_max: float,

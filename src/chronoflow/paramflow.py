@@ -51,10 +51,8 @@ class PerturbedSystem:
 
 
 def _quad_nodes(sys: PerturbedSystem, nodes: int):
-    cuts = sorted(set(
-        sys.base_field.breakpoints_between(sys.t0, sys.t1)
-        + sys.perturbation_field.breakpoints_between(sys.t0, sys.t1)
-    ))
+    cuts = (sys.base_field.breakpoints_between(sys.t0, sys.t1)
+            + sys.perturbation_field.breakpoints_between(sys.t0, sys.t1))
     xs_all: list[float] = []
     ws_all: list[float] = []
     for a, b in split_at(sys.t0, sys.t1, cuts):

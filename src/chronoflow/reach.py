@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, as_point, eval_field
+from .fields import VectorField, as_int, as_point, eval_field
 from .flow import FlowSolver, flow_map, run_segments  # noqa: F401 (perfbench reads reach.flow_map)
 from .liealg import BracketExpression, FlowBracketProgram, bracket_fields
 
@@ -82,10 +82,9 @@ class ControlSchedule:
 
     @classmethod
     def from_json(cls, doc) -> "ControlSchedule":
-        return cls(tuple(
-            Segment(int(s["field_index"]), int(s["sign"]), float(s["duration"]))
-            for s in doc
-        ))
+        if not isinstance(doc, list):
+            raise ValueError(f"a JSON schedule must be a list, got {type(doc).__name__}")
+        return cls(tuple(_segment(i, row) for i, row in enumerate(doc)))
 
     def to_csv(self) -> str:
         rows = ["segment,field_index,sign,duration"]
@@ -98,10 +97,16 @@ class ControlSchedule:
     @classmethod
     def from_csv(cls, text: str) -> "ControlSchedule":
         reader = csv.DictReader(io.StringIO(text))
-        return cls(tuple(
-            Segment(int(r["field_index"]), int(r["sign"]), float(r["duration"]))
-            for r in reader
-        ))
+        return cls(tuple(_segment(i, row) for i, row in enumerate(reader)))
+
+
+def _segment(i: int, row) -> Segment:
+    """One schedule row, a JSON object or a CSV record, as a Segment."""
+    try:
+        return Segment(as_int(row["field_index"], "field_index"),
+                       as_int(row["sign"], "sign"), float(row["duration"]))
+    except TypeError:  # a row that is not an object, or a null or missing value
+        raise ValueError(f"schedule row {i} is malformed: {row!r}") from None
 
 
 def _validate_segments(sys: AffineControlSystem, sched: ControlSchedule) -> None:

@@ -203,6 +203,19 @@ def test_order_probe_validates_grid():
         order_probe(lambda t: t, 1.0, 3)
 
 
+@pytest.mark.parametrize("sample, t_max", [
+    (lambda t: t, float("nan")),
+    (lambda t: t, float("inf")),
+    (lambda t: float("nan"), 0.5),  # was a degenerate pass
+    (lambda t: float("nan") if t < 0.1 else t, 0.5),  # was quietly excluded
+    (lambda t: float("inf"), 0.5),
+    (lambda t: -t, 0.5),
+])
+def test_order_probe_rejects_non_finite_input(sample, t_max):
+    with pytest.raises(ValueError):
+        order_probe(sample, t_max, 8)
+
+
 def test_order_law_sum_and_product():
     # decay orders combine like min under addition, like sums under products
     k, l = 2, 3

@@ -191,6 +191,8 @@ def test_flow_invalid_time_or_density_exits_2(extra):
      "--t-max", "0.2", "--grid", "0"),
     ("volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0", "--t-max", "0.4",
      "--nodes", "0"),
+    ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04",
+     "--epsilon", "1e-3", "--nodes", "16"),  # plan reads no quadrature nodes
 ])
 def test_invalid_tolerance_grid_or_nodes_exits_2(args):
     result = run_cli(*args)
@@ -234,3 +236,62 @@ def test_usage_error_is_one_line():
     assert result.stderr.splitlines() == [
         "chronoflow plan: error: the following arguments are required: "
         "--q0, --target, --epsilon"]
+
+
+def test_nodes_and_steps_flags_only_on_subcommands_that_read_them():
+    import argparse
+    from chronoflow import cli
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {name: {f for a in p._actions for f in a.option_strings}
+             for name, p in sub.choices.items()}
+    assert {name for name, f in flags.items() if "--nodes" in f} == {
+        "volterra", "order-probe", "param-deriv"}
+    assert {name for name, f in flags.items() if "--steps-per-unit" not in f} == {
+        "bracket", "rank"}
+    for argv in (["volterra", "--k", "1", "--t-max", "0.4"],
+                 ["order-probe", "--residual", "remainder", "--t-max", "0.4"],
+                 ["param-deriv", "--t", "0.5"]):
+        args = parser.parse_args(argv + ["--system", "rotation2d", "--q", "1,0",
+                                         "--nodes", "4"])
+        assert args.nodes == 4
+
+
+SCHEDULE = ("simulate", "--system", "heisenberg", "--q0", "0,0,0", "--schedule")
+FIELD = ("flow", "--t", "0.5", "--q", "0,0", "--system")
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("missing_column.csv", "segment,field_index,sign,duration\n0,1,1\n", SCHEDULE),
+    ("null_duration.json", '[{"field_index": 1, "sign": 1, "duration": null}]', SCHEDULE),
+    ("no_schedule.json", '{"endpoint": [0, 0, 0]}', SCHEDULE),
+    ("number.json", "5", SCHEDULE),
+    ("field_list.json", '[{"dim": 2, "components": [[], []]}]', FIELD),
+    ("null_order.json", '{"dim": 2, "smoothness_order": null, "components": [[], []]}',
+     FIELD),
+])
+def test_malformed_file_exits_2(tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    result = run_cli(*argv, str(path))
+    assert result.returncode == 2
+    assert result.stdout == ""
+    assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    # read as a constant term, flow printed x = 0.5 at t = 0.5
+    ("exps.json", '{"dim": 2, "components": [[{"coef": 1.0, "exps": [0.9, 0]}], []]}',
+     FIELD),
+    ("dim.json", '{"dim": 2.7, "components": [[{"coef": 1.0, "exps": [0, 0]}], []]}',
+     FIELD),
+    ("index.json", '[{"field_index": 1.9, "sign": 1, "duration": 0.1}]', SCHEDULE),
+    ("sign.json", '[{"field_index": 1, "sign": 1.5, "duration": 0.1}]', SCHEDULE),
+])
+def test_non_integral_value_exits_2(tmp_path, name, text, argv):
+    path = tmp_path / name
+    path.write_text(text)
+    result = run_cli(*argv, str(path))
+    assert result.returncode == 2
+    assert "must be an integer" in result.stderr
+    assert len(result.stderr.strip().splitlines()) == 1

@@ -4,14 +4,17 @@ Argv is built from the real subcommands and flags of ``cli.build_parser``
 with small valid values and at most one value from a fixed hostile pool,
 and run in process.  Finite times stay at or below 3 (or at 1e300, which
 the step ceiling rejects at once), so no example integrates for long.
-``--output`` is left out because it writes files.  Examples are
-derandomized.
+``--output`` is left out because it writes files.  ``--schedule`` and
+``--system`` also draw from a pool of readable files (valid schedules,
+malformed schedules and malformed field files), drawn by name and
+resolved in a temporary directory.  Examples are derandomized.
 """
 import argparse
 import io
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronoflow import cli
@@ -26,11 +29,30 @@ POINTS = {
     "brockett": ("0,0,0", "0.1,-0.2,0.05"),
     "unicycle": ("0,0,0", "0.1,-0.2,0.05"),
     "rotation2d": ("1,0", "0.3,-0.4"),
+    # malformed field files from FILES
+    "field_list.json": ("0,0",),
+    "field_null_order.json": ("0,0",),
+    "field_fractional_exps.json": ("0,0", "0.3,-0.4"),
+}
+FILES = {
+    "schedule.csv": "segment,field_index,sign,duration\n0,1,1,0.25\n1,2,-1,0.5\n",
+    "missing_column.csv": "segment,field_index,sign,duration\n0,1,1\n",
+    "null_duration.json": '[{"field_index": 1, "sign": 1, "duration": null}]',
+    "no_schedule.json": '{"endpoint": [0, 0, 0]}',
+    "number.json": "5",
+    "fractional_index.json": '[{"field_index": 1.9, "sign": 1, "duration": 0.1}]',
+    "fractional_sign.json": '[{"field_index": 1, "sign": 1.5, "duration": 0.1}]',
+    "field_list.json": '[{"dim": 2, "components": [[], []]}]',
+    "field_null_order.json": '{"dim": 2, "smoothness_order": null, "components": [[], []]}',
+    "field_fractional_exps.json":
+        '{"dim": 2, "components": [[{"coef": 1.0, "exps": [0.9, 0]}], []]}',
 }
 VALID = {
     "--expr": ("V1", "[V1,V2]", "[[V1,V2],V1]"),
-    "--schedule": ("missing.csv",),
+    "--schedule": ("missing.csv", "plan.json") + tuple(
+        name for name in FILES if not name.startswith("field_")),
     "--levels": ("4", "6"),
+    "--nodes": ("1", "2"),
     "--steps-per-unit": ("3", "50"),
     int: ("1", "2"),
     float: ("-0.5", "0.01", "0.5", "1", "2"),
@@ -79,9 +101,22 @@ def argvs(draw) -> list[str]:
     return argv
 
 
+@pytest.fixture(scope="module")
+def pool(tmp_path_factory):
+    """FILES plus a valid plan document written by ``chronoflow plan``."""
+    root = tmp_path_factory.mktemp("fuzz-files")
+    for name, text in FILES.items():
+        (root / name).write_text(text)
+    assert cli.main(["plan", "--system", "heisenberg", "--q0", "0,0,0",
+                     "--target", "0,0,0.04", "--epsilon", "1e-3",
+                     "--steps-per-unit", "50", "--output", str(root / "plan.json")]) == 0
+    return root
+
+
 @FUZZ
 @given(argvs())
-def test_cli_exits_0_2_or_3_with_one_stderr_line(argv):
+def test_cli_exits_0_2_or_3_with_one_stderr_line(pool, argv):
+    argv = [str(pool / arg) if (pool / arg).is_file() else arg for arg in argv]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err), \
             warnings.catch_warnings(record=True) as caught:

@@ -256,6 +256,21 @@ def test_unicycle_and_brockett_shapes():
     assert_allclose(eval_field(b2, 0.0, [1.0, 2.0, 0.0]), [0.0, 1.0, 1.0])
 
 
+@pytest.mark.parametrize("build, first, second", [
+    (heisenberg_fields, [[(1.0, (0, 0, 0))], [], [(-0.5, (0, 1, 0))]],
+     [[], [(1.0, (0, 0, 0))], [(0.5, (1, 0, 0))]]),
+    (unicycle_fields, [[(1.0, (0, 0, 0))], [], [(1.0, (0, 1, 0))]],
+     [[], [(1.0, (0, 0, 0))], []]),
+    (brockett_fields, [[(1.0, (0, 0, 0))], [], [(-1.0, (0, 1, 0))]],
+     [[], [(1.0, (0, 0, 0))], [(1.0, (1, 0, 0))]]),
+])
+def test_catalog_pairs_equal_their_literal_maps(build, first, second):
+    v1, v2 = build()
+    assert v1.is_autonomous and v2.is_autonomous
+    assert v1.pieces[0][2] == PolynomialMap(3, 3, first)
+    assert v2.pieces[0][2] == PolynomialMap(3, 3, second)
+
+
 def test_sampled_witness_dominates_interior_values():
     phi = Observable.coordinate(2, 0)
     witness = sample_lift_bound(rotation2d(), phi, 2, [1.0, 1.0], 1.0,

@@ -310,7 +310,7 @@ def test_pushforward_invariance_matches_reference_and_shares_solves(monkeypatch,
     assert calls.count(True) == calls.count(False) <= 2 * len(q) + 1
 
 
-@pytest.mark.parametrize("t_max", [-0.4, 0.0, float("nan")])
+@pytest.mark.parametrize("t_max", [-0.4, 0.0, float("nan"), float("inf")])
 def test_flow_residual_probes_reject_non_positive_t_max(t_max):
     with pytest.raises(ValueError, match="t_max"):
         inverse_expansion_check(rotation2d(), [1.0, 0.0], t_max, 8, SOLVER)

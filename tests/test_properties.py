@@ -21,7 +21,7 @@ from chronoflow import (
     remainder_eval,
     vector_field_from_json,
 )
-from chronoflow.fields import lift_map
+from chronoflow.fields import _add_terms, _diff_terms, _mul_terms, lift_map
 from chronoflow.liealg import lie_bracket_map
 
 ALGEBRA = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -55,6 +55,38 @@ def assert_rounding_zero(total, *parts):
     """``total`` is a sum of ``parts`` that cancels exactly in exact arithmetic."""
     scale = 1.0 + sum(float(np.max(np.abs(p), initial=0.0)) for p in parts)
     assert float(np.max(np.abs(total), initial=0.0)) <= 1e-12 * scale
+
+
+def term_tables(dim: int):
+    """Term tables with small dyadic coefficients, so that sums cancel often."""
+    exps = st.tuples(*[st.integers(0, 3)] * dim)
+    values = st.sampled_from((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)) | coefficients.filter(bool)
+    return st.dictionaries(exps, values, max_size=6)
+
+
+def dict_sum(terms) -> dict:
+    """Reference: plain per-key sums in input order, exact zeros dropped at the end."""
+    total: dict = {}
+    for exps, coef in terms:
+        total[exps] = total.get(exps, 0.0) + coef
+    return {exps: coef for exps, coef in total.items() if coef != 0.0}
+
+
+@ALGEBRA
+@given(st.data())
+def test_term_arithmetic_matches_dict_sums(data):
+    dim = data.draw(dims)
+    a, b = data.draw(term_tables(dim)), data.draw(term_tables(dim))
+    sa, sb = data.draw(st.sampled_from((1.0, -1.0, 0.5))), data.draw(coefficients)
+    var = data.draw(st.integers(0, dim - 1))
+    assert _mul_terms(a, b) == dict_sum(
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.items() for eb, cb in b.items())
+    assert _add_terms(a, b, sa, sb) == dict_sum(
+        [(e, sa * c) for e, c in a.items()] + [(e, sb * c) for e, c in b.items()])
+    lowered = [(e[:var] + (e[var] - 1,) + e[var + 1:], c * e[var])
+               for e, c in a.items() if e[var] > 0]
+    assert _diff_terms(a, var) == dict_sum(lowered)
 
 
 @ALGEBRA
