@@ -4,7 +4,19 @@ Exact polynomial fields and observables, deterministic RK4 flow maps with
 pushforwards, truncated Volterra expansions with remainder-order probes,
 iterated Lie and flow brackets with their asymptotics, parameter
 derivatives of flows, and a bracket-generating reachability planner.
+
+Startup: ``import chronoflow`` loads only ``errors``, ``fields``, ``flow``
+and ``quadrature``.  The operation modules ``chrono``, ``liealg``,
+``paramflow`` and ``reach`` load on first access to one of their names
+(``chronoflow.plan_reach`` loads ``reach``, which loads ``liealg`` and
+``chrono``).  On the command line, ``flow`` loads none of them;
+``volterra`` and ``order-probe --residual remainder`` load ``chrono``; the
+other residuals, ``bracket`` and ``flow-bracket`` load ``liealg`` and
+``chrono``; ``param-deriv`` loads ``paramflow``; ``rank``, ``plan`` and
+``simulate`` load ``reach``, ``liealg`` and ``chrono``.
 """
+from importlib import import_module as _import_module
+
 from .errors import (
     BlowUpError,
     ChronoflowError,
@@ -52,49 +64,49 @@ from .flow import (
     inverse_flow,
     pushforward_field,
 )
-from .chrono import (
-    OrderEstimate,
-    RemainderReport,
-    SeriesTerm,
-    integral_equation_residual,
-    order_probe,
-    remainder_eval,
-    simplex_integral_term,
-    simplex_volume,
-    volterra_truncate,
-)
-from .liealg import (
-    BracketExpression,
-    FlowBracketProgram,
-    adjoint_check,
-    bracket_asymptotics_check,
-    commutator_decomposition_residual,
-    eval_bracket_expression,
-    flow_bracket,
-    inverse_expansion_check,
-    lie_bracket,
-    lie_bracket_field,
-    pushforward_invariance_check,
-)
-from .paramflow import (
-    IN_FORMULA,
-    OUT_FORMULA,
-    PerturbedSystem,
-    fd_param_derivative,
-    param_derivative,
-    variation_of_parameters_check,
-)
-from .reach import (
-    AffineControlSystem,
-    ControlSchedule,
-    PlanResult,
-    RankReport,
-    Segment,
-    bracket_motion,
-    bracket_rank,
-    canonical_bracket_basis,
-    plan_reach,
-    simulate_schedule,
-)
+
+# The operation modules load on first attribute access (PEP 562).  Nothing
+# is cached here: every access reads the submodule's current binding.
+_LAZY = {
+    name: module
+    for module, names in {
+        "chrono": (
+            "OrderEstimate", "RemainderReport", "SeriesTerm",
+            "integral_equation_residual", "order_probe", "remainder_eval",
+            "simplex_integral_term", "simplex_volume", "volterra_truncate",
+        ),
+        "liealg": (
+            "BracketExpression", "FlowBracketProgram", "adjoint_check",
+            "bracket_asymptotics_check", "commutator_decomposition_residual",
+            "eval_bracket_expression", "flow_bracket", "inverse_expansion_check",
+            "lie_bracket", "lie_bracket_field", "pushforward_invariance_check",
+        ),
+        "paramflow": (
+            "IN_FORMULA", "OUT_FORMULA", "PerturbedSystem", "fd_param_derivative",
+            "param_derivative", "variation_of_parameters_check",
+        ),
+        "reach": (
+            "AffineControlSystem", "ControlSchedule", "PlanResult", "RankReport",
+            "Segment", "bracket_motion", "bracket_rank", "canonical_bracket_basis",
+            "plan_reach", "simulate_schedule",
+        ),
+    }.items()
+    for name in (module, *names)
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _LAZY[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    loaded = _import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
+__all__ = sorted(name for name in __dir__() if not name.startswith("_"))

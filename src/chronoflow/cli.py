@@ -15,7 +15,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chrono, liealg, paramflow, reach
 from .errors import (
     BlowUpError,
     ChronoflowError,
@@ -117,6 +116,7 @@ def cmd_flow(args) -> str:
 
 
 def cmd_volterra(args) -> str:
+    from . import chrono
     fields = load_system(args.system)
     field = _pick_field(fields, args.field)
     _check_order(args.k, (field,))
@@ -136,6 +136,7 @@ def cmd_volterra(args) -> str:
 
 
 def cmd_order_probe(args) -> str:
+    from . import chrono
     fields = load_system(args.system)
     solver = _solver(args)
     q = _parse_point(args.q)
@@ -156,10 +157,12 @@ def cmd_order_probe(args) -> str:
         except DegenerateProbe as probe:
             estimate = chrono.degenerate_estimate(probe.t_grid, probe.norms)
     elif args.residual == "flow-bracket":
+        from . import liealg
         expr = liealg.BracketExpression.parse(args.expr)
         estimate = liealg.bracket_asymptotics_check(expr, fields, q, args.t_max,
                                                     args.levels, solver)
     else:  # inverse-expansion
+        from . import liealg
         field = _pick_field(fields, args.field)
         estimate = liealg.inverse_expansion_check(field, q, args.t_max,
                                                   args.levels, solver)
@@ -170,6 +173,7 @@ def cmd_order_probe(args) -> str:
 
 
 def cmd_bracket(args) -> str:
+    from . import liealg
     fields = load_system(args.system)
     expr = liealg.BracketExpression.parse(args.expr)
     q = _parse_point(args.q)
@@ -181,6 +185,7 @@ def cmd_bracket(args) -> str:
 
 
 def cmd_flow_bracket(args) -> str:
+    from . import liealg
     fields = load_system(args.system)
     expr = liealg.BracketExpression.parse(args.expr)
     q = _parse_point(args.q)
@@ -203,6 +208,7 @@ def cmd_flow_bracket(args) -> str:
 
 
 def cmd_param_deriv(args) -> str:
+    from . import paramflow
     fields = load_system(args.system)
     base = _pick_field(fields, args.field)
     perturbation = _pick_field(fields, args.perturb)
@@ -227,12 +233,14 @@ def cmd_param_deriv(args) -> str:
 
 
 def cmd_rank(args) -> str:
+    from . import reach
     fields = load_system(args.system)
     system = reach.AffineControlSystem.of(fields)
     q = _parse_point(args.q)
     if not 1 <= args.max_degree <= MAX_ORDER:
         raise ValueError(f"max-degree must be in 1..{MAX_ORDER}")
-    report = reach.bracket_rank(system, q, args.max_degree, args.rel_tol)
+    report = reach.bracket_rank(system, q, args.max_degree,
+                               getattr(args, "rel_tol", reach.DEFAULT_RANK_TOL))
     if args.format == "json":
         return _json_text(report.to_json())
     n = system.dim
@@ -243,6 +251,7 @@ def cmd_rank(args) -> str:
 
 
 def cmd_plan(args) -> str:
+    from . import reach
     fields = load_system(args.system)
     system = reach.AffineControlSystem.of(fields)
     q0 = _parse_point(args.q0)
@@ -251,13 +260,15 @@ def cmd_plan(args) -> str:
         raise ValueError(f"max-degree must be in 1..{MAX_ORDER}")
     result = reach.plan_reach(system, q0, target, args.epsilon, args.max_degree,
                               args.max_iters, _solver(args),
-                              step_fraction=args.step_fraction)
+                              step_fraction=getattr(args, "step_fraction",
+                                                    reach.DEFAULT_STEP_FRACTION))
     if args.format == "json":
         return _json_text(result.to_json())
     return result.schedule.to_csv()
 
 
 def cmd_simulate(args) -> str:
+    from . import reach
     fields = load_system(args.system)
     system = reach.AffineControlSystem.of(fields)
     q0 = _parse_point(args.q0)
@@ -382,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, steps=False)
     p.add_argument("--q", required=True)
     p.add_argument("--max-degree", type=int, default=2)
-    p.add_argument("--rel-tol", type=float, default=reach.DEFAULT_RANK_TOL)
+    p.add_argument("--rel-tol", type=float, default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_rank)
 
     p = sub.add_parser("plan", help="greedy bracket-motion planner")
@@ -392,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, required=True)
     p.add_argument("--max-degree", type=int, default=2)
     p.add_argument("--max-iters", type=int, default=200)
-    p.add_argument("--step-fraction", type=float, default=reach.DEFAULT_STEP_FRACTION)
+    p.add_argument("--step-fraction", type=float, default=argparse.SUPPRESS)
     p.set_defaults(fn=cmd_plan)
 
     p = sub.add_parser("simulate", help="simulate a schedule file from a point")

@@ -254,10 +254,17 @@ class PolynomialMap:
         ]
 
     @classmethod
-    def from_json(cls, components, dim_in: int) -> "PolynomialMap":
-        comps = [
-            [(term["coef"], term["exps"]) for term in comp] for comp in components
-        ]
+    def from_json(cls, components, dim_in: int, path: str = "components") -> "PolynomialMap":
+        """Build from ``to_json`` output; a malformed value's error names its path."""
+        comps = []
+        for i, comp in enumerate(_json_list(components, path)):
+            terms = []
+            for j, term in enumerate(_json_list(comp, f"{path}[{i}]")):
+                where = f"{path}[{i}][{j}]"
+                term = _json_object(term, where)
+                terms.append((_json_float(term["coef"], f"{where}.coef"),
+                              _json_list(term["exps"], f"{where}.exps")))
+            comps.append(terms)
         return cls(dim_in, len(comps), comps)
 
 
@@ -633,25 +640,53 @@ def builtin_system(name: str) -> tuple[VectorField, ...]:
 # ---------------------------------------------------------------------------
 # JSON loading
 
-def vector_field_from_json(doc: dict) -> VectorField:
-    """Build a field from {"dim": n, "components": ...} or {"time_pieces": ...}."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a field document must be a JSON object, got {type(doc).__name__}")
-    dim = as_int(doc["dim"], "dim")
-    order = as_int(doc.get("smoothness_order", DEFAULT_SMOOTHNESS_ORDER), "smoothness_order")
+def _json_list(value, path: str) -> list:
+    if not isinstance(value, list):
+        raise ValueError(f"{path} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
+def _json_object(value, path: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{path} must be a JSON object, got {type(value).__name__}")
+    return value
+
+
+def _json_float(value, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError):
+        raise ValueError(f"{path} must be a number, got {value!r}") from None
+
+
+def vector_field_from_json(doc: dict, path: str = "") -> VectorField:
+    """Build a field from {"dim": n, "components": ...} or {"time_pieces": ...}.
+
+    ``path`` locates ``doc`` in its file; a malformed value's error names
+    its JSON path below it (e.g. ``fields[0].components[1][2].coef``).
+    """
+    doc = _json_object(doc, path or "a field document")
+    at = f"{path}." if path else ""
+    dim = as_int(doc["dim"], f"{at}dim")
+    order = as_int(doc.get("smoothness_order", DEFAULT_SMOOTHNESS_ORDER),
+                   f"{at}smoothness_order")
     if "time_pieces" in doc:
-        pieces = [
-            (float(p["t0"]), float(p["t1"]),
-             PolynomialMap.from_json(p["components"], dim))
-            for p in doc["time_pieces"]
-        ]
+        pieces = []
+        for i, p in enumerate(_json_list(doc["time_pieces"], f"{at}time_pieces")):
+            where = f"{at}time_pieces[{i}]"
+            p = _json_object(p, where)
+            pieces.append((_json_float(p["t0"], f"{where}.t0"),
+                           _json_float(p["t1"], f"{where}.t1"),
+                           PolynomialMap.from_json(p["components"], dim,
+                                                   f"{where}.components")))
         return VectorField.piecewise(pieces, order)
     return VectorField.autonomous(
-        PolynomialMap.from_json(doc["components"], dim), order
+        PolynomialMap.from_json(doc["components"], dim, f"{at}components"), order
     )
 
 
 def observable_from_json(doc: dict) -> Observable:
+    doc = _json_object(doc, "an observable document")
     dim = as_int(doc["dim"], "dim")
     order = as_int(doc.get("max_derivative_order", DEFAULT_OBSERVABLE_ORDER), "max_derivative_order")
     return Observable(PolynomialMap.from_json(doc["components"], dim), order)
@@ -671,7 +706,8 @@ def load_system(source: str) -> tuple[VectorField, ...]:
         )
     doc = json.loads(path.read_text())
     if isinstance(doc, dict) and "fields" in doc:
-        fields = tuple(vector_field_from_json(f) for f in doc["fields"])
+        fields = tuple(vector_field_from_json(f, f"fields[{i}]")
+                       for i, f in enumerate(_json_list(doc["fields"], "fields")))
     else:
         fields = (vector_field_from_json(doc),)
     dims = {f.dim for f in fields}

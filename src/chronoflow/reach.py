@@ -67,10 +67,6 @@ class ControlSchedule:
 
     segments: tuple[Segment, ...]
 
-    @property
-    def total_duration(self) -> float:
-        return sum(s.duration for s in self.segments)
-
     def concat(self, other: "ControlSchedule") -> "ControlSchedule":
         return ControlSchedule(self.segments + other.segments)
 

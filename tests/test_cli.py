@@ -269,6 +269,15 @@ FIELD = ("flow", "--t", "0.5", "--q", "0,0", "--system")
     ("field_list.json", '[{"dim": 2, "components": [[], []]}]', FIELD),
     ("null_order.json", '{"dim": 2, "smoothness_order": null, "components": [[], []]}',
      FIELD),
+    ("components_number.json", '{"dim": 2, "components": 5}', FIELD),
+    ("null_coef.json", '{"dim": 2, "components": [[{"coef": null, "exps": [0, 0]}], []]}',
+     FIELD),
+    ("term_list.json", '{"dim": 2, "components": [[[5]], []]}', FIELD),
+    ("exps_number.json", '{"dim": 2, "components": [[{"coef": 1.0, "exps": 0}], []]}',
+     FIELD),
+    ("null_t0.json", '{"dim": 2, "time_pieces": [{"t0": null, "t1": 1, '
+     '"components": [[], []]}]}', FIELD),
+    ("fields_number.json", '{"fields": 5}', FIELD),
 ])
 def test_malformed_file_exits_2(tmp_path, name, text, argv):
     path = tmp_path / name

@@ -33,6 +33,12 @@ POINTS = {
     "field_list.json": ("0,0",),
     "field_null_order.json": ("0,0",),
     "field_fractional_exps.json": ("0,0", "0.3,-0.4"),
+    "field_components_number.json": ("0,0",),
+    "field_null_coef.json": ("0,0",),
+    "field_term_list.json": ("0,0",),
+    "field_exps_number.json": ("0,0",),
+    "field_null_t0.json": ("0,0",),
+    "field_fields_number.json": ("0,0",),
 }
 FILES = {
     "schedule.csv": "segment,field_index,sign,duration\n0,1,1,0.25\n1,2,-1,0.5\n",
@@ -46,6 +52,13 @@ FILES = {
     "field_null_order.json": '{"dim": 2, "smoothness_order": null, "components": [[], []]}',
     "field_fractional_exps.json":
         '{"dim": 2, "components": [[{"coef": 1.0, "exps": [0.9, 0]}], []]}',
+    "field_components_number.json": '{"dim": 2, "components": 5}',
+    "field_null_coef.json": '{"dim": 2, "components": [[{"coef": null, "exps": [0, 0]}], []]}',
+    "field_term_list.json": '{"dim": 2, "components": [[[5]], []]}',
+    "field_exps_number.json": '{"dim": 2, "components": [[{"coef": 1.0, "exps": 0}], []]}',
+    "field_null_t0.json":
+        '{"dim": 2, "time_pieces": [{"t0": null, "t1": 1, "components": [[], []]}]}',
+    "field_fields_number.json": '{"fields": 5}',
 }
 VALID = {
     "--expr": ("V1", "[V1,V2]", "[[V1,V2],V1]"),

@@ -1,5 +1,6 @@
 """Tests for polynomial fields, observables, and lifts."""
 import json
+import re
 
 import numpy as np
 import pytest
@@ -296,6 +297,30 @@ def test_non_finite_coefficients_are_rejected(coef):
         PolynomialMap(2, 1, [[(coef, (1, 0))]])
     with pytest.raises(ValueError, match="non-finite coefficient"):
         vector_field_from_json({"dim": 1, "components": [[{"coef": coef, "exps": [0]}]]})
+
+
+@pytest.mark.parametrize("doc, path", [
+    ({"fields": [{"dim": 1, "components": [[{"coef": 1.0, "exps": [0]}]]},
+                 {"dim": 1, "components": [[{"coef": 1.0, "exps": [1]},
+                                            {"coef": None, "exps": [0]}]]}]},
+     "fields[1].components[0][1].coef"),
+    ({"dim": 1, "time_pieces": [{"t0": 0, "t1": 1, "components": [[{"coef": 1, "exps": 2}]]}]},
+     "time_pieces[0].components[0][0].exps"),
+    ({"fields": [{"dim": 1, "components": [[]]}, 5]}, "fields[1]"),
+])
+def test_malformed_field_document_error_names_its_path(tmp_path, doc, path):
+    source = tmp_path / "system.json"
+    source.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(path) + " must be"):
+        load_system(str(source))
+
+
+def test_malformed_observable_document_error_names_its_path():
+    from chronoflow import observable_from_json
+    with pytest.raises(ValueError, match=re.escape("components[0][0].coef must be")):
+        observable_from_json({"dim": 1, "components": [[{"coef": "x", "exps": [1]}]]})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        observable_from_json([])
 
 
 def test_overflowing_coefficient_sum_is_rejected():
