@@ -55,9 +55,11 @@ def as_int(value, what: str) -> int:
 def _accumulate(terms: Iterable[tuple[Exps, float]]) -> TermDict:
     """Sum coefficients per exponent tuple, dropping the ones that cancel.
 
-    Every term table is built by this one loop.  A cancelled key is popped
-    and reinserted at the end if it comes back: dict order fixes the
-    summation order of later products, so results depend on it bit for bit.
+    Every term table is built by this one loop, so it alone rejects
+    non-finite coefficients (products and sums of finite ones can overflow).
+    A cancelled key is popped and reinserted at the end if it comes back:
+    dict order fixes the summation order of later products, so results
+    depend on it bit for bit.
     """
     out: TermDict = {}
     for e, c in terms:
@@ -66,6 +68,9 @@ def _accumulate(terms: Iterable[tuple[Exps, float]]) -> TermDict:
             out.pop(e, None)
         else:
             out[e] = c
+    for e, c in out.items():
+        if not math.isfinite(c):
+            raise ValueError(f"non-finite coefficient {c!r} for exponents {e}")
     return out
 
 
@@ -80,11 +85,7 @@ def _normalize_component(terms: Iterable[tuple[float, Sequence[int]]], dim_in: i
         if any(e < 0 for e in exps):
             raise ValueError(f"negative exponent in {exps}")
         checked.append((exps, float(coef)))
-    out = _accumulate(checked)
-    for exps, c in out.items():
-        if not math.isfinite(c):
-            raise ValueError(f"non-finite coefficient {c!r} for exponents {exps}")
-    return out
+    return _accumulate(checked)
 
 
 def _mul_terms(a: TermDict, b: TermDict) -> TermDict:
@@ -98,7 +99,8 @@ def _diff_terms(a: TermDict, var: int) -> TermDict:
 
 
 def _add_terms(a: TermDict, b: TermDict, sa: float = 1.0, sb: float = 1.0) -> TermDict:
-    return _accumulate([(exps, s * coef) for src, s in ((a, sa), (b, sb))
+    # float(): a numpy scale factor must not leak into tables the evaluator reprs
+    return _accumulate([(exps, s * coef) for src, s in ((a, float(sa)), (b, float(sb)))
                         for exps, coef in src.items()])
 
 
@@ -140,9 +142,11 @@ class PolynomialMap:
     """Exact polynomial map R^dim_in -> R^dim_out.
 
     Each output component is a list of (coefficient, exponent-tuple) terms
-    with finite coefficients.  Evaluation is compiled on first use, so maps
-    that are never evaluated are never compiled; the Jacobian is itself a
-    cached PolynomialMap, so derivatives of any order stay exact.
+    with finite coefficients.  The constructor checks the terms it is given;
+    lifts, sums, scalings and Jacobians keep the tables they build from
+    checked ones.  Evaluation is compiled on first use, so maps that are
+    never evaluated are never compiled; the Jacobian is itself a cached
+    PolynomialMap, so derivatives of any order stay exact.
     """
 
     def __init__(self, dim_in: int, dim_out: int, components):
@@ -158,6 +162,13 @@ class PolynomialMap:
         self._components: tuple[TermDict, ...] = tuple(
             _normalize_component(comp, dim_in) for comp in components
         )
+
+    @classmethod
+    def _of(cls, dim_in: int, tables: Sequence[TermDict]) -> "PolynomialMap":
+        """A map over term tables the kernel built; they are stored as they are."""
+        pm = cls.__new__(cls)
+        pm.dim_in, pm.dim_out, pm._components = dim_in, len(tables), tuple(tables)
+        return pm
 
     @cached_property
     def _evaluator(self):
@@ -176,9 +187,9 @@ class PolynomialMap:
     @cached_property
     def jacobian_map(self) -> "PolynomialMap":
         """Polynomial map of all partials, row-major: output r*dim_in + c."""
-        comps = [[(c, e) for e, c in _diff_terms(comp, var).items()]
-                 for comp in self._components for var in range(self.dim_in)]
-        return PolynomialMap(self.dim_in, self.dim_out * self.dim_in, comps)
+        return PolynomialMap._of(self.dim_in, [
+            _diff_terms(comp, var) for comp in self._components for var in range(self.dim_in)
+        ])
 
     def jacobian(self, x: np.ndarray) -> np.ndarray:
         return self.jacobian_map(x).reshape(self.dim_out, self.dim_in)
@@ -187,17 +198,14 @@ class PolynomialMap:
             scale_other: float = 1.0) -> "PolynomialMap":
         if (other.dim_in, other.dim_out) != (self.dim_in, self.dim_out):
             raise DimensionError("polynomial maps have different shapes")
-        comps = [
-            [(c, e) for e, c in _add_terms(a, b, scale_self, scale_other).items()]
+        return PolynomialMap._of(self.dim_in, [
+            _add_terms(a, b, scale_self, scale_other)
             for a, b in zip(self._components, other._components)
-        ]
-        return PolynomialMap(self.dim_in, self.dim_out, comps)
+        ])
 
     def scaled(self, s: float) -> "PolynomialMap":
-        comps = [
-            [(s * c, e) for e, c in comp.items()] for comp in self._components
-        ]
-        return PolynomialMap(self.dim_in, self.dim_out, comps)
+        return PolynomialMap._of(self.dim_in, [_add_terms(comp, {}, s)
+                                               for comp in self._components])
 
     def __eq__(self, other) -> bool:
         return (
@@ -262,8 +270,8 @@ class PolynomialMap:
             for j, term in enumerate(_json_list(comp, f"{path}[{i}]")):
                 where = f"{path}[{i}][{j}]"
                 term = _json_object(term, where)
-                terms.append((_json_float(term["coef"], f"{where}.coef"),
-                              _json_list(term["exps"], f"{where}.exps")))
+                terms.append((_json_float(*_json_entry(term, "coef", where)),
+                              _json_list(*_json_entry(term, "exps", where))))
             comps.append(terms)
         return cls(dim_in, len(comps), comps)
 
@@ -272,7 +280,6 @@ def lift_map(obs_map: PolynomialMap, field_map: PolynomialMap) -> PolynomialMap:
     """The directional derivative x -> obs'(x) . field(x), exact."""
     if obs_map.dim_in != field_map.dim_in or field_map.dim_out != field_map.dim_in:
         raise DimensionError("lift needs a field on the observable's domain")
-    n = obs_map.dim_in
     field_comps = field_map._components
     out = []
     for comp in obs_map._components:
@@ -280,8 +287,8 @@ def lift_map(obs_map: PolynomialMap, field_map: PolynomialMap) -> PolynomialMap:
         for var, field_comp in enumerate(field_comps):
             if field_comp and (d := _diff_terms(comp, var)):
                 products.extend(_mul_terms(d, field_comp).items())
-        out.append([(c, e) for e, c in _accumulate(products).items()])
-    return PolynomialMap(n, obs_map.dim_out, out)
+        out.append(_accumulate(products))
+    return PolynomialMap._of(obs_map.dim_in, out)
 
 
 class VectorField:
@@ -388,7 +395,7 @@ def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
         raise DimensionError("fields have different dimensions")
     order = min(v.smoothness_order, w.smoothness_order)
     if v.is_autonomous and w.is_autonomous:
-        pm = v.pieces[0][2].scaled(coeff_v).add(w.pieces[0][2], 1.0, coeff_w)
+        pm = v.pieces[0][2].add(w.pieces[0][2], coeff_v, coeff_w)
         return VectorField.autonomous(pm, order)
     lo = max(v.window[0], w.window[0])
     hi = min(v.window[1], w.window[1])
@@ -399,7 +406,7 @@ def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
     pieces = []
     for a, b in zip(edges, edges[1:]):
         mid = 0.5 * (a + b)
-        pm = v.piece_at(mid).scaled(coeff_v).add(w.piece_at(mid), 1.0, coeff_w)
+        pm = v.piece_at(mid).add(w.piece_at(mid), coeff_v, coeff_w)
         pieces.append((a, b, pm))
     return VectorField.piecewise(pieces, order)
 
@@ -454,7 +461,7 @@ class Observable:
     @staticmethod
     def linear_combination(a: float, phi: "Observable", b: float, psi: "Observable") -> "Observable":
         order = min(phi.max_derivative_order, psi.max_derivative_order)
-        return Observable(phi.map.scaled(a).add(psi.map, 1.0, b), order)
+        return Observable(phi.map.add(psi.map, a, b), order)
 
     def __repr__(self) -> str:
         return (f"Observable({self.dim_in}->{self.dim_out}, "
@@ -484,8 +491,6 @@ def apply_lift(field: VectorField, t: float, obs: Observable) -> Observable:
         raise DefectExhaustedError(
             "observable has no derivative orders left for a lift"
         )
-    if obs.dim_in != field.dim:
-        raise DimensionError("observable and field dimensions disagree")
     lifted = lift_map(obs.map, field.piece_at(t))
     return Observable(lifted, obs.max_derivative_order - 1)
 
@@ -508,15 +513,14 @@ def iterate_lift(fields_seq: Sequence[tuple[VectorField, float]],
 # ---------------------------------------------------------------------------
 # Finite differences (independent oracle only, never the primary path)
 
-def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray], x,
-                               step: float | None = None) -> np.ndarray:
+def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray], x) -> np.ndarray:
     """Central-difference Jacobian with h = eps^(1/3) * max(1, |x_i|)."""
     x = np.asarray(x, dtype=float)
-    base = step if step is not None else float(np.finfo(float).eps) ** (1.0 / 3.0)
+    base = float(np.finfo(float).eps) ** (1.0 / 3.0)
     f0 = np.atleast_1d(np.asarray(func(x), dtype=float))
     jac = np.zeros((f0.shape[0], x.shape[0]))
     for i in range(x.shape[0]):
-        h = base * max(1.0, abs(x[i])) if step is None else step
+        h = base * max(1.0, abs(x[i]))
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -652,6 +656,14 @@ def _json_object(value, path: str) -> dict:
     return value
 
 
+def _json_entry(doc: dict, key: str, path: str) -> tuple:
+    """``doc[key]`` and its JSON path; a missing key's error names the path."""
+    where = f"{path}.{key}" if path else key
+    if key not in doc:
+        raise ValueError(f"{where} must be given, but the key is missing")
+    return doc[key], where
+
+
 def _json_float(value, path: str) -> float:
     try:
         return float(value)
@@ -667,7 +679,7 @@ def vector_field_from_json(doc: dict, path: str = "") -> VectorField:
     """
     doc = _json_object(doc, path or "a field document")
     at = f"{path}." if path else ""
-    dim = as_int(doc["dim"], f"{at}dim")
+    dim = as_int(*_json_entry(doc, "dim", path))
     order = as_int(doc.get("smoothness_order", DEFAULT_SMOOTHNESS_ORDER),
                    f"{at}smoothness_order")
     if "time_pieces" in doc:
@@ -675,21 +687,20 @@ def vector_field_from_json(doc: dict, path: str = "") -> VectorField:
         for i, p in enumerate(_json_list(doc["time_pieces"], f"{at}time_pieces")):
             where = f"{at}time_pieces[{i}]"
             p = _json_object(p, where)
-            pieces.append((_json_float(p["t0"], f"{where}.t0"),
-                           _json_float(p["t1"], f"{where}.t1"),
-                           PolynomialMap.from_json(p["components"], dim,
-                                                   f"{where}.components")))
+            comps, comps_path = _json_entry(p, "components", where)
+            pieces.append((_json_float(*_json_entry(p, "t0", where)),
+                           _json_float(*_json_entry(p, "t1", where)),
+                           PolynomialMap.from_json(comps, dim, comps_path)))
         return VectorField.piecewise(pieces, order)
-    return VectorField.autonomous(
-        PolynomialMap.from_json(doc["components"], dim, f"{at}components"), order
-    )
+    comps, comps_path = _json_entry(doc, "components", path)
+    return VectorField.autonomous(PolynomialMap.from_json(comps, dim, comps_path), order)
 
 
 def observable_from_json(doc: dict) -> Observable:
     doc = _json_object(doc, "an observable document")
-    dim = as_int(doc["dim"], "dim")
+    dim = as_int(*_json_entry(doc, "dim", ""))
     order = as_int(doc.get("max_derivative_order", DEFAULT_OBSERVABLE_ORDER), "max_derivative_order")
-    return Observable(PolynomialMap.from_json(doc["components"], dim), order)
+    return Observable(PolynomialMap.from_json(_json_entry(doc, "components", "")[0], dim), order)
 
 
 def load_system(source: str) -> tuple[VectorField, ...]:

@@ -123,8 +123,6 @@ def lie_bracket_field(v: VectorField, w: VectorField, t: float = 0.0) -> VectorF
     for f in (v, w):
         if not getattr(f, "exact", False):
             raise TypeError("bracket nesting requires exact polynomial fields")
-    if v.dim != w.dim:
-        raise DimensionError("bracket operands have different dimensions")
     pm = lie_bracket_map(v.piece_at(t), w.piece_at(t))
     return VectorField.autonomous(pm, min(v.smoothness_order, w.smoothness_order))
 
@@ -168,7 +166,6 @@ def eval_bracket_expression(expr: BracketExpression, fields, t: float, q) -> np.
 class ProgramSegment:
     field_index: int
     sign: int
-    time_exponent: int = 1
 
 
 @dataclass(frozen=True)
@@ -183,23 +180,17 @@ class FlowBracketProgram:
     segments: tuple[ProgramSegment, ...]
 
     @classmethod
-    def compile(cls, expr: BracketExpression,
-                leaf_exponents: dict[int, int] | None = None) -> "FlowBracketProgram":
-        """Build the program; ``leaf_exponents`` assigns t-powers per field index."""
-        exponents = leaf_exponents or {}
-
-        def build(e: BracketExpression) -> FlowBracketProgram:
-            if e.is_leaf:
-                return cls((ProgramSegment(e.index, +1, exponents.get(e.index, 1)),))
-            left, right = build(e.left), build(e.right)
-            return cls(left.segments + right.segments
-                       + left.reversed().segments + right.reversed().segments)
-
-        return build(expr)
+    def compile(cls, expr: BracketExpression) -> "FlowBracketProgram":
+        """Build the program; every segment runs for the parameter t."""
+        if expr.is_leaf:
+            return cls((ProgramSegment(expr.index, +1),))
+        left, right = cls.compile(expr.left), cls.compile(expr.right)
+        return cls(left.segments + right.segments
+                   + left.reversed().segments + right.reversed().segments)
 
     def reversed(self) -> "FlowBracketProgram":
         return FlowBracketProgram(tuple(
-            ProgramSegment(s.field_index, -s.sign, s.time_exponent)
+            ProgramSegment(s.field_index, -s.sign)
             for s in reversed(self.segments)
         ))
 
@@ -207,8 +198,7 @@ class FlowBracketProgram:
         """Net signed duration per field index at parameter t."""
         totals: dict[int, float] = {}
         for s in self.segments:
-            totals[s.field_index] = totals.get(s.field_index, 0.0) \
-                + s.sign * t ** s.time_exponent
+            totals[s.field_index] = totals.get(s.field_index, 0.0) + s.sign * t
         return totals
 
 
@@ -219,8 +209,8 @@ def run_program(program: FlowBracketProgram, fields, t: float, q,
     for i, seg in enumerate(program.segments):
         if not 1 <= seg.field_index <= len(fields):
             raise IndexError(f"segment {i} uses V{seg.field_index}, out of range")
-    return run_segments(fields, ((seg.field_index, seg.sign, t ** seg.time_exponent)
-                                 for seg in program.segments), as_point(q), solver)
+    return run_segments(fields, ((seg.field_index, seg.sign, t) for seg in program.segments),
+                        as_point(q), solver)
 
 
 def flow_bracket(expr: BracketExpression, fields, t: float, q,
@@ -319,15 +309,15 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
 
 
 def pushforward_invariance_check(fm: FlowMap, v: VectorField, w: VectorField, q,
-                                 t_eval: float = 0.0,
-                                 fd_step: float | None = None) -> float:
+                                 t_eval: float = 0.0) -> float:
     """Discrepancy of F_*[V, W] against [F_*V, F_*W] at q.
 
     The left side transports the exact bracket field; the right side
     brackets the two numerical pushforward fields with central finite
-    differences (the independent oracle path), step h = eps^(1/3) by
-    default.  The three transported fields (``pushforward_field``'s values)
-    share one inverse and one variational solve per point: 2n + 1 pairs.
+    differences (the independent oracle path), step h = eps^(1/3) *
+    max(1, |x_i|).  The three transported fields (``pushforward_field``'s
+    values) share one inverse and one variational solve per point: 2n + 1
+    pairs.
     """
     point = as_point(q, v.dim)
     inverse = FlowMap(fm.field, fm.t1, fm.t0, fm.solver)
@@ -342,8 +332,8 @@ def pushforward_invariance_check(fm: FlowMap, v: VectorField, w: VectorField, q,
             transported[key] = [mat @ piece(pre) for piece in pieces]
         return transported[key]
 
-    jac_fv = finite_difference_jacobian(lambda r: transport(r)[0], point, step=fd_step)
-    jac_fw = finite_difference_jacobian(lambda r: transport(r)[1], point, step=fd_step)
+    jac_fv = finite_difference_jacobian(lambda r: transport(r)[0], point)
+    jac_fw = finite_difference_jacobian(lambda r: transport(r)[1], point)
     fv, fw, lhs = transport(point)
     rhs = jac_fw @ fv - jac_fv @ fw
     return float(np.linalg.norm(lhs - rhs))

@@ -124,8 +124,6 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     V + W from q equals C first, then the flow of V.  Returns the norm of
     the factorization discrepancy at q.
     """
-    if v.dim != w.dim:
-        raise DimensionError("fields have different dimensions")
     point = as_point(q, v.dim)
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), point)
 

@@ -101,7 +101,7 @@ def _segment(i: int, row) -> Segment:
     try:
         return Segment(as_int(row["field_index"], "field_index"),
                        as_int(row["sign"], "sign"), float(row["duration"]))
-    except TypeError:  # a row that is not an object, or a null or missing value
+    except (KeyError, TypeError):  # not an object, a missing key, or a null or missing value
         raise ValueError(f"schedule row {i} is malformed: {row!r}") from None
 
 
@@ -207,7 +207,7 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
         program = program.reversed()
     t = magnitude ** (1.0 / expr.degree)
     return ControlSchedule(tuple(
-        Segment(seg.field_index, seg.sign, t ** seg.time_exponent)
+        Segment(seg.field_index, seg.sign, t)
         for seg in program.segments
     ))
 

@@ -278,6 +278,8 @@ FIELD = ("flow", "--t", "0.5", "--q", "0,0", "--system")
     ("null_t0.json", '{"dim": 2, "time_pieces": [{"t0": null, "t1": 1, '
      '"components": [[], []]}]}', FIELD),
     ("fields_number.json", '{"fields": 5}', FIELD),
+    ("missing_sign.json", '[{"field_index": 1, "duration": 0.1}]', SCHEDULE),
+    ("missing_coef.json", '{"dim": 2, "components": [[{"exps": [1, 0]}], []]}', FIELD),
 ])
 def test_malformed_file_exits_2(tmp_path, name, text, argv):
     path = tmp_path / name
@@ -286,6 +288,19 @@ def test_malformed_file_exits_2(tmp_path, name, text, argv):
     assert result.returncode == 2
     assert result.stdout == ""
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, text, argv, message", [
+    ("missing_sign.json", '[{"field_index": 1, "duration": 0.1}]', SCHEDULE,
+     "error: schedule row 0 is malformed: {'field_index': 1, 'duration': 0.1}"),
+    ("missing_coef.json", '{"dim": 2, "components": [[{"exps": [1, 0]}], []]}', FIELD,
+     "error: components[0][0].coef must be given, but the key is missing"),
+])
+def test_missing_key_error_names_where_it_is(tmp_path, name, text, argv, message):
+    path = tmp_path / name
+    path.write_text(text)
+    result = run_cli(*argv, str(path))
+    assert (result.returncode, result.stderr.strip()) == (2, message)
 
 
 @pytest.mark.parametrize("name, text, argv", [

@@ -1,4 +1,5 @@
 """Tests for polynomial fields, observables, and lifts."""
+import hashlib
 import json
 import re
 
@@ -30,6 +31,7 @@ from chronoflow import (
     vector_field_from_json,
     zero_field,
 )
+from chronoflow.fields import lift_map
 
 V1, V2 = heisenberg_fields()
 
@@ -307,6 +309,13 @@ def test_non_finite_coefficients_are_rejected(coef):
     ({"dim": 1, "time_pieces": [{"t0": 0, "t1": 1, "components": [[{"coef": 1, "exps": 2}]]}]},
      "time_pieces[0].components[0][0].exps"),
     ({"fields": [{"dim": 1, "components": [[]]}, 5]}, "fields[1]"),
+    ({"components": [[]]}, "dim"),
+    ({"fields": [{"dim": 1}]}, "fields[0].components"),
+    ({"dim": 1, "components": [[{"exps": [1]}]]}, "components[0][0].coef"),
+    ({"dim": 1, "components": [[{"coef": 1.0}]]}, "components[0][0].exps"),
+    ({"dim": 1, "time_pieces": [{"t1": 1, "components": [[]]}]}, "time_pieces[0].t0"),
+    ({"dim": 1, "time_pieces": [{"t0": 0, "components": [[]]}]}, "time_pieces[0].t1"),
+    ({"dim": 1, "time_pieces": [{"t0": 0, "t1": 1}]}, "time_pieces[0].components"),
 ])
 def test_malformed_field_document_error_names_its_path(tmp_path, doc, path):
     source = tmp_path / "system.json"
@@ -321,11 +330,28 @@ def test_malformed_observable_document_error_names_its_path():
         observable_from_json({"dim": 1, "components": [[{"coef": "x", "exps": [1]}]]})
     with pytest.raises(ValueError, match="must be a JSON object"):
         observable_from_json([])
+    with pytest.raises(ValueError, match=r"^dim must be given, but the key is missing$"):
+        observable_from_json({"components": [[]]})
+    with pytest.raises(ValueError, match=r"^components must be given"):
+        observable_from_json({"dim": 1})
+    with pytest.raises(ValueError, match=re.escape("components[0][0].exps must be given")):
+        observable_from_json({"dim": 1, "components": [[{"coef": 1.0}]]})
 
 
-def test_overflowing_coefficient_sum_is_rejected():
+def _big(exps: int, coef: float = 1e308) -> PolynomialMap:
+    return PolynomialMap(1, 1, [[(coef, (exps,))]])
+
+
+@pytest.mark.parametrize("build", [
+    lambda: PolynomialMap(1, 1, [[(1e308, (1,)), (1e308, (1,))]]),
+    lambda: _big(1).scaled(10.0),
+    lambda: lift_map(_big(2, 1e200), _big(2, 1e200)),  # 2e200 x * 1e200 x^2
+    lambda: _big(1).add(_big(1)),
+    lambda: _big(3).jacobian_map,  # 3e308 x^2
+], ids=["constructor", "scaled", "lift_map", "add", "jacobian_map"])
+def test_overflowing_coefficient_sum_is_rejected(build):
     with pytest.raises(ValueError, match="non-finite coefficient"):
-        PolynomialMap(1, 1, [[(1e308, (1,)), (1e308, (1,))]])
+        build()
 
 
 def test_evaluator_is_compiled_on_first_call():
@@ -333,3 +359,43 @@ def test_evaluator_is_compiled_on_first_call():
     assert "_evaluator" not in vars(pm)
     assert_allclose(pm(np.array([3.0, 0.5])), [3.0, 0.5])
     assert "_evaluator" in vars(pm)
+
+
+def _seeded_kernel_results(seed: int = 2024, rounds: int = 40):
+    """Lifts, brackets, sums, scalings and Jacobians of seeded random maps."""
+    import random
+
+    from chronoflow import add_fields
+    from chronoflow.liealg import lie_bracket_map
+
+    rng = random.Random(seed)
+    dyadic = (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)
+
+    def random_map(dim, dim_out):
+        return PolynomialMap(dim, dim_out, [
+            [(rng.choice(dyadic) if rng.random() < 0.5 else rng.uniform(-1.0, 1.0),
+              tuple(rng.randint(0, 2) for _ in range(dim)))
+             for _ in range(rng.randint(0, 4))]
+            for _ in range(dim_out)])
+
+    for _ in range(rounds):
+        dim = rng.randint(1, 3)
+        m = rng.randint(1, 2)
+        v, w = random_map(dim, dim), random_map(dim, dim)
+        phi, psi = random_map(dim, m), random_map(dim, m)
+        a, b = rng.choice(dyadic + (0.0,)), rng.uniform(-2.0, 2.0)
+        yield from (lift_map(phi, v), lie_bracket_map(v, w), v.add(w, a, b), v.add(v, 1.0, -1.0),
+                    v.scaled(a), v.jacobian_map, v.jacobian_map.jacobian_map,
+                    add_fields(VectorField.autonomous(v), VectorField.autonomous(w), a, b)
+                    .pieces[0][2],
+                    Observable.linear_combination(a, Observable(phi), b, Observable(psi)).map)
+
+
+def test_kernel_term_tables_are_pinned():
+    # ordered tables (dict order fixes later summation order), digest recorded
+    # before kernel results stopped passing back through the constructor
+    digest = hashlib.sha256()
+    for pm in _seeded_kernel_results():
+        for table in pm._components:
+            digest.update(repr((pm.dim_in, pm.dim_out, list(table.items()))).encode())
+    assert digest.hexdigest() == "fc2d53a83466a190c596cad0e3e68f9887d3712f5ac41a2dc423ffaa8ec57055"

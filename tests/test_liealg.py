@@ -196,16 +196,6 @@ def test_bracket_asymptotics_respects_smoothness_cap():
                                   [low], [1.0, 0.0], 0.2, 8, SOLVER)
 
 
-def test_mixed_exponent_program_gives_cubic_displacement():
-    # leaf exponents (2, 1) turn the degree-2 commutator into a t^3 motion
-    program = FlowBracketProgram.compile(BracketExpression.parse("[V1,V2]"),
-                                         leaf_exponents={1: 2})
-    from chronoflow.liealg import run_program
-    t = 0.2
-    end = run_program(program, [V1, V2], t, [0.0, 0.0, 0.0], SOLVER)
-    assert np.linalg.norm(end - np.array([0.0, 0.0, t ** 3])) <= 1e-10
-
-
 def test_inverse_expansion_constant_field_degenerate():
     estimate = inverse_expansion_check(constant_field([2.0, 1.0]), [0.1, 0.2],
                                        0.4, 8, SOLVER)

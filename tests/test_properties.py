@@ -89,6 +89,31 @@ def test_term_arithmetic_matches_dict_sums(data):
     assert _diff_terms(a, var) == dict_sum(lowered)
 
 
+def assert_well_formed(pm: PolynomialMap) -> None:
+    """Finite nonzero float coefficients, non-negative int exponents of length dim_in."""
+    assert len(pm._components) == pm.dim_out
+    for table in pm._components:
+        for exps, coef in table.items():
+            assert type(coef) is float and coef != 0.0 and np.isfinite(coef)
+            assert type(exps) is tuple and len(exps) == pm.dim_in
+            assert all(type(e) is int and e >= 0 for e in exps)
+    assert PolynomialMap(pm.dim_in, pm.dim_out, pm.components) == pm
+
+
+@ALGEBRA
+@given(st.data())
+def test_kernel_results_are_well_formed(data):
+    dim = data.draw(dims)
+    v, w = data.draw(polynomial_maps(dim)), data.draw(polynomial_maps(dim))
+    phi = data.draw(polynomial_maps(dim, data.draw(st.integers(1, 2))))
+    # numpy scalars as scale factors too: the tables must hold plain floats
+    a, b = (data.draw(coefficients | st.sampled_from((0.0, 2.0)) | coefficients.map(np.float64))
+            for _ in range(2))
+    for pm in (lift_map(phi, v), lie_bracket_map(v, w), v.add(w, a, b), v.add(v, 1.0, -1.0),
+               v.scaled(a), phi.jacobian_map, v.jacobian_map.jacobian_map):
+        assert_well_formed(pm)
+
+
 @ALGEBRA
 @given(st.data())
 def test_bracket_is_antisymmetric(data):

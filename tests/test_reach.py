@@ -207,6 +207,16 @@ def test_schedule_csv_json_roundtrip():
     assert ControlSchedule.from_json(sched.to_json()) == sched
 
 
+@pytest.mark.parametrize("row", [
+    {"field_index": 1, "duration": 0.1},
+    {"sign": 1, "duration": 0.1},
+    {"field_index": 1, "sign": 1},
+])
+def test_schedule_row_with_a_missing_key_is_malformed(row):
+    with pytest.raises(ValueError, match=r"^schedule row 1 is malformed"):
+        ControlSchedule.from_json([{"field_index": 2, "sign": -1, "duration": 0.5}, row])
+
+
 def test_rank_report_serialization():
     report = bracket_rank(HEIS, [0.0, 0.0, 0.0], 2)
     doc = report.to_json()
