@@ -8,12 +8,13 @@ derivatives of flows, and a bracket-generating reachability planner.
 Startup: ``import chronoflow`` loads only ``errors``, ``fields``, ``flow``
 and ``quadrature``.  The operation modules ``chrono``, ``liealg``,
 ``paramflow`` and ``reach`` load on first access to one of their names
-(``chronoflow.plan_reach`` loads ``reach``, which loads ``liealg`` and
-``chrono``).  On the command line, ``flow`` loads none of them;
-``volterra`` and ``order-probe --residual remainder`` load ``chrono``; the
-other residuals, ``bracket`` and ``flow-bracket`` load ``liealg`` and
-``chrono``; ``param-deriv`` loads ``paramflow``; ``rank``, ``plan`` and
-``simulate`` load ``reach``, ``liealg`` and ``chrono``.
+(``chronoflow.plan_reach`` loads ``reach``, which loads ``liealg`` when a
+bracket is first built, and ``liealg`` loads ``chrono`` for its order
+probes).  On the command line, ``flow`` loads none of them; ``volterra``
+and ``order-probe --residual remainder`` load ``chrono``; the other
+residuals load ``chrono`` and ``liealg``; ``bracket`` and ``flow-bracket``
+load ``liealg``; ``param-deriv`` loads ``paramflow``; ``simulate`` loads
+``reach``; ``rank`` and ``plan`` load ``reach`` and ``liealg``.
 """
 from importlib import import_module as _import_module
 

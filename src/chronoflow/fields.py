@@ -108,15 +108,15 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
     """Generate a specialized evaluation function for the term table.
 
     Flow integration evaluates the same small polynomials millions of
-    times; a compiled expression avoids per-call array bookkeeping.
+    times; a compiled expression avoids per-call array bookkeeping.  It runs
+    on the Python floats of ``x.tolist()``: the same IEEE operations in the
+    same order as on numpy float64 scalars, so the same bits.  Only ``**``
+    differs: Python raises OverflowError where numpy returns inf, so an
+    overflowing power evaluates again on the numpy scalars of ``x``.
     """
-    used = sorted({
-        var for comp in components for exps in comp for var in range(dim_in)
-        if exps[var] > 0
-    })
-    lines = ["def _eval(x, _array=_array):"]
-    for var in used:
-        lines.append(f"    x{var} = x[{var}]")
+    used = {var for comp in components for exps in comp for var in range(dim_in)
+            if exps[var] > 0}
+    powers = any(e > 1 for comp in components for exps in comp for e in exps)
     exprs = []
     for comp in components:
         if not comp:
@@ -132,7 +132,16 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
                     factors.append(f"x{var}**{e}")
             terms.append("*".join(factors))
         exprs.append(" + ".join(terms))
-    lines.append("    return _array([" + ", ".join(exprs) + "])")
+    names = ", ".join(f"x{var}" if var in used else "_" for var in range(dim_in)) + ","
+    value = "_array([" + ", ".join(exprs) + "])"
+    lines = ["def _eval(x, _array=_array):"]
+    if used:
+        lines.append(f"    {names} = x.tolist()")
+    if powers:
+        lines += ["    try:", f"        return {value}", "    except OverflowError:",
+                  f"        {names} = x", f"        return {value}"]
+    else:
+        lines.append(f"    return {value}")
     namespace: dict = {"_array": np.array}
     exec("\n".join(lines), namespace)
     return namespace["_eval"]
@@ -367,10 +376,6 @@ class VectorField:
         for t in times:
             if not (lo <= t <= hi):
                 raise TimeWindowError(f"t={t} outside the field's window [{lo}, {hi}]")
-
-    def scaled(self, s: float) -> "VectorField":
-        pieces = tuple((a, b, pm.scaled(s)) for a, b, pm in self.pieces)
-        return VectorField(pieces, self.smoothness_order, _autonomous=self.is_autonomous)
 
     def __repr__(self) -> str:
         kind = "autonomous" if self.is_autonomous else f"{len(self.pieces)} pieces"

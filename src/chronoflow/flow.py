@@ -30,10 +30,11 @@ class FlowSolver:
     be a positive integer.  The step grid is always cut at every
     time-structure breakpoint; ``breakpoint_splitting`` only accepts True,
     since a step across a breakpoint would integrate the wrong piece.  Any
-    coordinate magnitude beyond ``blowup_threshold`` aborts integration,
-    since local flows need not exist globally.  ``step_count`` raises
-    ValueError before any step beyond ``MAX_STEPS_PER_SOLVE`` steps between
-    two breakpoints, so a finite but huge time fails at once.
+    coordinate magnitude beyond ``blowup_threshold``, which must be finite
+    and positive, aborts integration, since local flows need not exist
+    globally.  ``step_count`` raises ValueError before any step beyond
+    ``MAX_STEPS_PER_SOLVE`` steps between two breakpoints, so a finite but
+    huge time fails at once.
     """
 
     steps_per_unit_time: int = 1000
@@ -45,6 +46,12 @@ class FlowSolver:
         if not isinstance(steps, numbers.Integral) or steps < 1:
             raise ValueError(
                 f"steps_per_unit_time must be a positive integer, got {steps!r}"
+            )
+        threshold = self.blowup_threshold
+        if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold)
+                and threshold > 0):
+            raise ValueError(
+                f"blowup_threshold must be finite and positive, got {threshold!r}"
             )
         if not self.breakpoint_splitting:
             raise ValueError("breakpoint_splitting=False is not supported: a step "
@@ -129,7 +136,7 @@ def _advance_piece(pm, q: np.ndarray, mat: np.ndarray | None, a: float, b: float
             m4 = jac(q4) @ (mat + h * m3)
             mat = mat + sixth * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
         q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        peak = np.max(np.abs(q))
+        peak = abs(q).max()
         if not (peak <= threshold):  # False also for NaN
             _check_state(q, threshold, step_base + i + 1, a + (i + 1) * h)
     return q, mat, step_base + n_steps

@@ -13,10 +13,10 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .chrono import OrderEstimate, degenerate_estimate, order_probe
 from .errors import DegenerateProbe, DimensionError
 from .fields import (
     PolynomialMap,
@@ -37,6 +37,9 @@ from .flow import (
     run_segments,
 )
 from .quadrature import gauss_legendre
+
+if TYPE_CHECKING:  # chrono loads in the order probes, the only code that uses it
+    from .chrono import OrderEstimate
 
 FLOW_ZERO_CUTOFF = 1e-12  # solver-noise threshold for exact cancellation
 
@@ -224,6 +227,7 @@ def flow_bracket(expr: BracketExpression, fields, t: float, q,
 
 def _probe_flow_residual(residual, t_max: float, levels: int) -> OrderEstimate:
     """``order_probe`` of a flow residual; solver noise counts as exact zero."""
+    from .chrono import degenerate_estimate, order_probe
     try:
         estimate = order_probe(residual, t_max, levels)
     except DegenerateProbe as probe:

@@ -16,13 +16,16 @@ import csv
 import io
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
 from .fields import VectorField, as_int, as_point, eval_field
 from .flow import FlowSolver, flow_map, run_segments  # noqa: F401 (perfbench reads reach.flow_map)
-from .liealg import BracketExpression, FlowBracketProgram, bracket_fields
+
+if TYPE_CHECKING:  # liealg loads in the functions that use it; simulate needs none of it
+    from .liealg import BracketExpression
 
 DEFAULT_RANK_TOL = 1e-8
 DEFAULT_STEP_FRACTION = 0.5
@@ -150,6 +153,7 @@ def canonical_bracket_basis(num_fields: int, max_degree: int) -> list[BracketExp
     lexicographically smaller than the right's, which also drops the
     identically-zero [A, A] shapes.
     """
+    from .liealg import BracketExpression
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     by_degree: dict[int, list[BracketExpression]] = {
@@ -181,6 +185,7 @@ def _rank_report(basis, fields, point: np.ndarray, rel_tol: float) -> RankReport
 def bracket_rank(sys: AffineControlSystem, q, max_degree: int,
                  rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Numerical rank of the iterated-bracket span at q via singular values."""
+    from .liealg import bracket_fields
     if not (math.isfinite(rel_tol) and rel_tol >= 0):
         raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
     point = as_point(q, sys.dim)
@@ -196,6 +201,7 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
     duration t = magnitude^(1/k) for degree k; ``sign=-1`` runs the
     reversed program, inverting the motion.
     """
+    from .liealg import FlowBracketProgram
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     if sign not in (-1, 1):
@@ -243,6 +249,7 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
     discarded and the fraction halves (resetting on success); twenty
     consecutive halvings raise StalledError with the best result so far.
     """
+    from .liealg import bracket_fields
     point = as_point(q0, sys.dim)
     goal = as_point(target, sys.dim)
     if not (math.isfinite(epsilon) and epsilon > 0):

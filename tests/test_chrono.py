@@ -279,12 +279,14 @@ def _distinct_innermost_times(t0, t, k, cut, nodes=16):
     return len(set(uppers))
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, "integral_equation_residual"])
 @pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.3, 0.2)])
 def test_direct_remainder_is_one_pass(monkeypatch, k, t0, t):
     # Every RK4 step goes through _advance_piece.  One chained pass through
     # the distinct innermost times adds at most one partial step per segment
-    # and per breakpoint crossed to the step count of the whole window.
+    # and per breakpoint crossed to the step count of the whole window.  The
+    # integral equation residual (an order-1 direct remainder) walks the same
+    # pass on to t for its flowed point.
     steps = []
     advance = chronoflow.flow._advance_piece
 
@@ -293,10 +295,14 @@ def test_direct_remainder_is_one_pass(monkeypatch, k, t0, t):
         return advance(pm, q, mat, a, b, solver, step_base)
 
     monkeypatch.setattr(chronoflow.flow, "_advance_piece", counting)
-    remainder_eval(_rotation_then_drift(), Observable.identity(2), [0.6, -0.8], t0, t,
-                   k, SOLVER, method="direct")
-    bound = SOLVER.step_count(t0, t) + _distinct_innermost_times(t0, t, k, 0.5) + 1
-    assert 0 < sum(steps) <= bound
+    field, phi, q = _rotation_then_drift(), Observable.identity(2), [0.6, -0.8]
+    if k == "integral_equation_residual":
+        assert integral_equation_residual(field, phi, q, t0, t, SOLVER) <= 1e-7
+        segments = _distinct_innermost_times(t0, t, 1, 0.5) + 1  # the last one ends at t
+    else:
+        remainder_eval(field, phi, q, t0, t, k, SOLVER, method="direct")
+        segments = _distinct_innermost_times(t0, t, k, 0.5)
+    assert 0 < sum(steps) <= SOLVER.step_count(t0, t) + segments + 1
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

@@ -158,13 +158,18 @@ def test_order4_convergence():
     assert errs[16] / errs[32] >= 8.0
 
 
-def test_blow_up_detection():
-    # quadratic growth escapes in finite time
-    pm = PolynomialMap(1, 1, [[(1.0, (2,))]])
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar power:RuntimeWarning")
+@pytest.mark.parametrize("degree, step", [(2, 101), (3, 51), (4, 35), (6, 21), (9, 14)])
+def test_blow_up_detection(degree, step):
+    # x' = x^d from x = 1 escapes at t = 1/(d-1); the step that first crosses
+    # the threshold is pinned.  For d = 4 and 9 an RK4 stage of that step
+    # overflows float64, which must still end in BlowUpError.
+    pm = PolynomialMap(1, 1, [[(1.0, (degree,))]])
     field = VectorField.autonomous(pm)
-    with pytest.raises(BlowUpError) as info:
-        flow_map(FlowMap(field, 0.0, 3.0, FlowSolver(100)), [1.0])
-    assert info.value.step > 0
+    for solve in (flow_map, flow_with_pushforward):
+        with pytest.raises(BlowUpError) as info:
+            solve(FlowMap(field, 0.0, 3.0, FlowSolver(100)), [1.0])
+        assert info.value.step == step
 
 
 def test_flow_operator_apply_rotation():
@@ -230,6 +235,14 @@ def test_breakpoint_splitting_handles_backward_flow():
 def test_solver_rejects_non_positive_integer_density(steps):
     with pytest.raises(ValueError, match="positive integer"):
         FlowSolver(steps)
+
+
+@pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0, "1e12", None])
+def test_solver_rejects_a_threshold_that_is_not_finite_and_positive(threshold):
+    # inf would return [inf] for x' = x^2 over [0, 3], nan would switch the
+    # threshold off, and 0 or less would report a blow-up at the first step
+    with pytest.raises(ValueError, match="blowup_threshold must be finite and positive"):
+        FlowSolver(100, blowup_threshold=threshold)
 
 
 def test_solver_rejects_disabled_breakpoint_splitting():

@@ -107,10 +107,11 @@ import contextlib, io, json, sys
 from chronoflow import cli
 with contextlib.redirect_stdout(io.StringIO()):
     try:
-        cli.main(sys.argv[1:])
-    except SystemExit:
-        pass
+        code = cli.main(sys.argv[1:])
+    except SystemExit as exc:  # --help
+        code = exc.code
 print(json.dumps(sorted(m for m in {ops} if "chronoflow." + m in sys.modules)))
+sys.exit(code)
 """.format(ops=OPERATION_MODULES)
 
 
@@ -125,8 +126,19 @@ print(json.dumps(sorted(m for m in {ops} if "chronoflow." + m in sys.modules)))
       "--q", "1,0", "--t-max", "0.2", "--levels", "4", "--nodes", "4"], ["chrono"]),
     (["param-deriv", "--system", "heisenberg", "--t", "0.2", "--q", "0,0,0",
       "--steps-per-unit", "100", "--nodes", "4"], ["paramflow"]),
+    (["simulate", "--system", "heisenberg", "--q0", "0,0,0", "--schedule", "SCHEDULE",
+      "--steps-per-unit", "100"], ["reach"]),
+    (["rank", "--system", "heisenberg", "--q", "0,0,0", "--max-degree", "2"],
+     ["liealg", "reach"]),
+    (["plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04",
+      "--epsilon", "1e-3", "--steps-per-unit", "50"], ["liealg", "reach"]),
+    (["bracket", "--system", "heisenberg", "--expr", "[V1,V2]", "--q", "0,0,0"],
+     ["liealg"]),
 ])
-def test_subcommand_loads_only_the_operation_modules_it_runs(argv, loaded):
+def test_subcommand_loads_only_the_operation_modules_it_runs(tmp_path, argv, loaded):
+    schedule = tmp_path / "schedule.csv"
+    schedule.write_text("field_index,sign,duration\n1,1,0.1\n2,-1,0.1\n")
+    argv = [str(schedule) if arg == "SCHEDULE" else arg for arg in argv]
     result = run_python(LOADED, *argv)
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == loaded

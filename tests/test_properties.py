@@ -4,9 +4,13 @@ The exact algebra (bracket antisymmetry, the Jacobi identity, linearity of
 lifts, JSON round trips) must hold for every field, not only the catalog
 systems, up to float rounding in the polynomial arithmetic; the direct and
 difference remainders must agree on random piecewise fields in either time
-direction.  Examples are derandomized so the suite is repeatable.
+direction; the compiled evaluator must give the bits of a term-by-term
+numpy evaluation (dimension <= 8, exponents <= 11, overflow included).
+Examples are derandomized so the suite is repeatable.
 """
+import functools
 import json
+import operator
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
@@ -87,6 +91,39 @@ def test_term_arithmetic_matches_dict_sums(data):
     lowered = [(e[:var] + (e[var] - 1,) + e[var + 1:], c * e[var])
                for e, c in a.items() if e[var] > 0]
     assert _diff_terms(a, var) == dict_sum(lowered)
+
+
+def numpy_reference(pm: PolynomialMap, x: np.ndarray) -> np.ndarray:
+    """Term by term on numpy float64 scalars, in the order the evaluator sums."""
+    out = []
+    for table in pm._components:
+        terms = []
+        for exps in sorted(table):
+            term = np.float64(table[exps])
+            for var, e in enumerate(exps):
+                if e:
+                    term = term * (x[var] if e == 1 else x[var] ** e)
+            terms.append(term)
+        out.append(functools.reduce(operator.add, terms) if terms else 0.0)
+    return np.array(out, dtype=float)
+
+
+magnitudes = (st.floats(-2.0, 2.0) | st.floats(-1e300, 1e300)
+              | st.sampled_from((np.inf, -np.inf, np.nan, -0.0)))
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_compiled_evaluator_matches_numpy_bit_for_bit(data):
+    dim = data.draw(st.integers(1, 8))
+    pm = data.draw(polynomial_maps(dim, degree=11, max_terms=4))
+    for pm in (pm, pm.jacobian_map):
+        for _ in range(4):
+            x = np.array(data.draw(st.lists(magnitudes, min_size=dim, max_size=dim)))
+            with np.errstate(all="ignore"):
+                want = numpy_reference(pm, x)
+                got = pm(x)
+            assert got.tobytes() == want.tobytes(), (x, got, want)
 
 
 def assert_well_formed(pm: PolynomialMap) -> None:
