@@ -12,7 +12,6 @@ least-squares fit of log(norm) against log(t); samples at numerical zero
 """
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
@@ -64,22 +63,6 @@ class OrderEstimate:
         """True when the decay is strictly faster than t^k (or exactly zero)."""
         return self.degenerate or self.fitted_slope > k + margin
 
-    def to_csv_rows(self) -> list[str]:
-        rows = ["t,norm"]
-        rows += [
-            f"{format(t, '.17g')},{format(v, '.17g')}"
-            for t, v in zip(self.t_grid, self.norms)
-        ]
-        return rows
-
-    def to_json_summary(self) -> dict:
-        return {
-            "slope": None if self.degenerate else self.fitted_slope,
-            "r_squared": None if self.degenerate else self.r_squared,
-            "degenerate": self.degenerate,
-            "excluded": self.excluded,
-        }
-
 
 @dataclass(eq=False)
 class RemainderReport:
@@ -89,18 +72,6 @@ class RemainderReport:
     t: float
     remainder_norm: float
     bound: float | None = None
-
-    def to_csv_row(self) -> str:
-        bound = "" if self.bound is None else format(self.bound, ".17g")
-        return f"{format(self.t, '.17g')},{format(self.remainder_norm, '.17g')},{bound}"
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "t": self.t,
-            "remainder_norm": self.remainder_norm,
-            "bound": self.bound,
-        }
 
 
 def _simplex_leaves(fields: Sequence[VectorField], obs: Observable | None,
@@ -303,21 +274,8 @@ def remainder_table(field: VectorField, obs: Observable, q, t0: float, k: int,
                     t_values: Sequence[float], solver: FlowSolver,
                     nodes: int = DEFAULT_NODES,
                     witness: LocallyBoundedWitness | None = None) -> list[RemainderReport]:
-    """Remainder reports over a grid of end times (CSV/JSON-ready)."""
+    """Remainder reports over a grid of end times."""
     return [
         remainder_eval(field, obs, q, t0, tv, k, solver, nodes, witness)
         for tv in t_values
     ]
-
-
-def reports_to_csv(reports: Sequence[RemainderReport]) -> str:
-    return "\n".join(["t,norm,bound"] + [r.to_csv_row() for r in reports]) + "\n"
-
-
-def estimate_to_json(estimate: OrderEstimate) -> str:
-    doc = estimate.to_json_summary()
-    doc["rows"] = [
-        {"t": float(t), "norm": float(v)}
-        for t, v in zip(estimate.t_grid, estimate.norms)
-    ]
-    return json.dumps(doc, indent=2)

@@ -29,8 +29,12 @@ MAX_ORDER = 4
 MAX_LEVELS = 16
 
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
+def _fmt(cell) -> str:
+    if cell is None:
+        return ""
+    if isinstance(cell, float):  # numpy float64 included
+        return format(cell, ".17g")
+    return str(cell)
 
 
 def _parse_point(text: str) -> np.ndarray:
@@ -86,8 +90,11 @@ def _write_output(text: str, args) -> None:
     path.write_text(text)
 
 
-def _json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+def _render(args, doc, header: str, rows) -> str:
+    """The text of every output: ``doc`` as JSON, or ``header`` and ``rows`` as CSV."""
+    if args.format == "json":
+        return json.dumps(doc, indent=2) + "\n"
+    return "".join([header + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows])
 
 
 # ---------------------------------------------------------------------------
@@ -99,20 +106,10 @@ def cmd_flow(args) -> str:
     q = _parse_point(args.q)
     fm = FlowMap(field, args.t0, args.t, _solver(args))
     endpoint, pushforward = flow_with_pushforward(fm, q)
-    if args.format == "json":
-        return _json_text({
-            "endpoint": [float(x) for x in endpoint],
-            "pushforward": [[float(x) for x in row] for row in pushforward],
-        })
-    n = len(endpoint)
-    header = "i,endpoint," + ",".join(f"pf_{j + 1}" for j in range(n))
-    rows = [header]
-    for i in range(n):
-        rows.append(
-            f"{i + 1},{_fmt(endpoint[i])},"
-            + ",".join(_fmt(v) for v in pushforward[i])
-        )
-    return "\n".join(rows) + "\n"
+    endpoint, pushforward = endpoint.tolist(), pushforward.tolist()
+    header = "i,endpoint," + ",".join(f"pf_{j}" for j in range(1, len(endpoint) + 1))
+    rows = [(i, x, *row) for i, (x, row) in enumerate(zip(endpoint, pushforward), 1)]
+    return _render(args, {"endpoint": endpoint, "pushforward": pushforward}, header, rows)
 
 
 def cmd_volterra(args) -> str:
@@ -130,9 +127,12 @@ def cmd_volterra(args) -> str:
     t_values = _t_grid(args)
     reports = chrono.remainder_table(field, obs, q, args.t0, args.k, t_values,
                                      solver, args.nodes, witness)
-    if args.format == "csv":
-        return chrono.reports_to_csv(reports)
-    return _json_text({"k": args.k, "rows": [r.to_json() for r in reports]})
+    rows = [(r.t, r.remainder_norm, r.bound) for r in reports]
+    doc = {"k": args.k, "rows": [
+        {"k": args.k, "t": t, "remainder_norm": norm, "bound": bound}
+        for t, norm, bound in rows
+    ]}
+    return _render(args, doc, "t,norm,bound", rows)
 
 
 def cmd_order_probe(args) -> str:
@@ -167,9 +167,16 @@ def cmd_order_probe(args) -> str:
         estimate = liealg.inverse_expansion_check(field, q, args.t_max,
                                                   args.levels, solver)
 
-    if args.format == "csv":
-        return "\n".join(estimate.to_csv_rows()) + "\n"
-    return chrono.estimate_to_json(estimate) + "\n"
+    rows = list(zip(estimate.t_grid.tolist(), estimate.norms.tolist()))
+    degenerate = estimate.degenerate
+    doc = {
+        "slope": None if degenerate else estimate.fitted_slope,
+        "r_squared": None if degenerate else estimate.r_squared,
+        "degenerate": degenerate,
+        "excluded": estimate.excluded,
+        "rows": [{"t": t, "norm": norm} for t, norm in rows],
+    }
+    return _render(args, doc, "t,norm", rows)
 
 
 def cmd_bracket(args) -> str:
@@ -177,11 +184,9 @@ def cmd_bracket(args) -> str:
     fields = load_system(args.system)
     expr = liealg.BracketExpression.parse(args.expr)
     q = _parse_point(args.q)
-    value = liealg.eval_bracket_expression(expr, fields, args.t, q)
-    if args.format == "json":
-        return _json_text({"expr": str(expr), "value": [float(x) for x in value]})
-    rows = ["i,value"] + [f"{i + 1},{_fmt(v)}" for i, v in enumerate(value)]
-    return "\n".join(rows) + "\n"
+    value = liealg.eval_bracket_expression(expr, fields, args.t, q).tolist()
+    return _render(args, {"expr": str(expr), "value": value}, "i,value",
+                   enumerate(value, 1))
 
 
 def cmd_flow_bracket(args) -> str:
@@ -191,20 +196,13 @@ def cmd_flow_bracket(args) -> str:
     q = _parse_point(args.q)
     solver = _solver(args)
     t_values = _t_grid(args)
-    endpoints = [liealg.flow_bracket(expr, fields, t, q, solver) for t in t_values]
-    if args.format == "json":
-        return _json_text({
-            "expr": str(expr),
-            "rows": [
-                {"t": t, "endpoint": [float(x) for x in p]}
-                for t, p in zip(t_values, endpoints)
-            ],
-        })
-    n = fields[0].dim
-    rows = ["t," + ",".join(f"q_{j + 1}" for j in range(n))]
-    for t, p in zip(t_values, endpoints):
-        rows.append(_fmt(t) + "," + ",".join(_fmt(v) for v in p))
-    return "\n".join(rows) + "\n"
+    endpoints = [liealg.flow_bracket(expr, fields, t, q, solver).tolist()
+                 for t in t_values]
+    doc = {"expr": str(expr), "rows": [
+        {"t": t, "endpoint": p} for t, p in zip(t_values, endpoints)
+    ]}
+    header = "t," + ",".join(f"q_{j}" for j in range(1, fields[0].dim + 1))
+    return _render(args, doc, header, [(t, *p) for t, p in zip(t_values, endpoints)])
 
 
 def cmd_param_deriv(args) -> str:
@@ -220,16 +218,10 @@ def cmd_param_deriv(args) -> str:
     outer = paramflow.param_derivative(system, q, paramflow.OUT_FORMULA, solver,
                                        args.nodes)
     oracle = paramflow.fd_param_derivative(system, q, args.epsilon, solver)
-    if args.format == "json":
-        return _json_text({
-            "in_formula": [float(x) for x in inner],
-            "out_formula": [float(x) for x in outer],
-            "finite_difference": [float(x) for x in oracle],
-        })
-    rows = ["i,in_formula,out_formula,finite_difference"]
-    for i in range(len(inner)):
-        rows.append(f"{i + 1},{_fmt(inner[i])},{_fmt(outer[i])},{_fmt(oracle[i])}")
-    return "\n".join(rows) + "\n"
+    columns = {"in_formula": inner.tolist(), "out_formula": outer.tolist(),
+               "finite_difference": oracle.tolist()}
+    return _render(args, columns, "i," + ",".join(columns),
+                   [(i, *row) for i, row in enumerate(zip(*columns.values()), 1)])
 
 
 def cmd_rank(args) -> str:
@@ -241,13 +233,9 @@ def cmd_rank(args) -> str:
         raise ValueError(f"max-degree must be in 1..{MAX_ORDER}")
     report = reach.bracket_rank(system, q, args.max_degree,
                                getattr(args, "rel_tol", reach.DEFAULT_RANK_TOL))
-    if args.format == "json":
-        return _json_text(report.to_json())
-    n = system.dim
-    rows = ["expr," + ",".join(f"v_{j + 1}" for j in range(n))]
-    for expr, value in report.brackets:
-        rows.append(f"\"{expr}\"," + ",".join(_fmt(v) for v in value))
-    return "\n".join(rows) + "\n"
+    header = "expr," + ",".join(f"v_{j}" for j in range(1, system.dim + 1))
+    return _render(args, report.to_json(), header,
+                   [(f'"{expr}"', *value.tolist()) for expr, value in report.brackets])
 
 
 def cmd_plan(args) -> str:
@@ -262,9 +250,9 @@ def cmd_plan(args) -> str:
                               args.max_iters, _solver(args),
                               step_fraction=getattr(args, "step_fraction",
                                                     reach.DEFAULT_STEP_FRACTION))
-    if args.format == "json":
-        return _json_text(result.to_json())
-    return result.schedule.to_csv()
+    if args.format == "csv":  # the schedule file that simulate reads back
+        return result.schedule.to_csv()
+    return _render(args, result.to_json(), "", ())
 
 
 def cmd_simulate(args) -> str:
@@ -280,11 +268,8 @@ def cmd_simulate(args) -> str:
         if isinstance(doc, dict) and "schedule" in doc:
             doc = doc["schedule"]
         schedule = reach.ControlSchedule.from_json(doc)
-    endpoint = reach.simulate_schedule(system, q0, schedule, _solver(args))
-    if args.format == "json":
-        return _json_text({"endpoint": [float(x) for x in endpoint]})
-    rows = ["i,endpoint"] + [f"{i + 1},{_fmt(v)}" for i, v in enumerate(endpoint)]
-    return "\n".join(rows) + "\n"
+    endpoint = reach.simulate_schedule(system, q0, schedule, _solver(args)).tolist()
+    return _render(args, {"endpoint": endpoint}, "i,endpoint", enumerate(endpoint, 1))
 
 
 # ---------------------------------------------------------------------------

@@ -21,8 +21,8 @@ class DefectExhaustedError(ChronoflowError):
 class BlowUpError(ChronoflowError):
     """Integration diverged (non-finite state or coordinate beyond threshold)."""
 
-    def __init__(self, message: str, step: int, t: float):
-        super().__init__(message)
+    def __init__(self, step: int, t: float):
+        super().__init__(f"integration diverged at step {step} (t={t:.6g})")
         self.step = step
         self.t = t
 

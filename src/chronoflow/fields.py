@@ -112,7 +112,8 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
     on the Python floats of ``x.tolist()``: the same IEEE operations in the
     same order as on numpy float64 scalars, so the same bits.  Only ``**``
     differs: Python raises OverflowError where numpy returns inf, so an
-    overflowing power evaluates again on the numpy scalars of ``x``.
+    overflowing power evaluates again on the numpy scalars of ``x``, with
+    numpy's overflow warning silenced: the flow's blow-up test reports it.
     """
     used = {var for comp in components for exps in comp for var in range(dim_in)
             if exps[var] > 0}
@@ -139,10 +140,11 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
         lines.append(f"    {names} = x.tolist()")
     if powers:
         lines += ["    try:", f"        return {value}", "    except OverflowError:",
-                  f"        {names} = x", f"        return {value}"]
+                  "        with _errstate(over='ignore'):",
+                  f"            {names} = x", f"            return {value}"]
     else:
         lines.append(f"    return {value}")
-    namespace: dict = {"_array": np.array}
+    namespace: dict = {"_array": np.array, "_errstate": np.errstate}
     exec("\n".join(lines), namespace)
     return namespace["_eval"]
 

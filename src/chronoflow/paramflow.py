@@ -115,8 +115,7 @@ def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,
 
 
 def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
-                                  solver: FlowSolver,
-                                  nodes: int = DEFAULT_NODES) -> float:
+                                  solver: FlowSolver) -> float:
     """Factorize the flow of V + W through the pulled-back perturbation.
 
     The correction flow C solves z' = G(tau, z) where G is W transported by

@@ -247,21 +247,6 @@ def test_integral_equation_residual_piecewise_constants():
     assert residual <= 1e-9
 
 
-def test_series_report_serialization():
-    phi = Observable.coordinate(2, 0)
-    report = remainder_eval(rotation2d(), phi, [1.0, 0.0], 0.0, 0.1, 1, SOLVER)
-    row = report.to_csv_row()
-    assert row.startswith("0.1")
-    assert report.to_json()["k"] == 1
-
-    estimate = order_probe(lambda t: t ** 2, 0.5, 8)
-    rows = estimate.to_csv_rows()
-    assert rows[0] == "t,norm"
-    assert len(rows) == 9
-    summary = estimate.to_json_summary()
-    assert abs(summary["slope"] - 2.0) <= 1e-9
-
-
 def _rotation_then_drift(b=0.5):
     """Rotation on [0, b), constant drift on [b, 1.5]: a field with one breakpoint."""
     return VectorField.piecewise([

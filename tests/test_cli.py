@@ -1,10 +1,13 @@
 """Tests for the command-line interface."""
+import csv
 import json
 import subprocess
 import sys
 
 import numpy as np
 import pytest
+
+from chronoflow import cli
 
 
 def run_cli(*args, env=None):
@@ -240,7 +243,6 @@ def test_usage_error_is_one_line():
 
 def test_nodes_and_steps_flags_only_on_subcommands_that_read_them():
     import argparse
-    from chronoflow import cli
     parser = cli.build_parser()
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {name: {f for a in p._actions for f in a.option_strings}
@@ -319,3 +321,134 @@ def test_non_integral_value_exits_2(tmp_path, name, text, argv):
     assert result.returncode == 2
     assert "must be an integer" in result.stderr
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("degree, step", [(4, 35), (9, 14)])
+def test_blow_up_prints_one_line(tmp_path, degree, step):
+    # an RK4 stage of the failing step overflows float64 for these degrees
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"dim": 1, "components": [[{"coef": 1.0, "exps": [degree]}]]}))
+    result = run_cli("flow", "--system", str(path), "--t", "3", "--q", "1",
+                     "--steps-per-unit", "100")
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        f"numerical failure: integration diverged at step {step} (t={step / 100:.6g})"]
+
+
+# Each case: argv, CSV header, and the CSV rows read off the JSON document.
+SAME_NUMBERS = {
+    "flow": (
+        ["flow", "--system", "heisenberg", "--t", "0.5", "--q", "0.3,1,-0.2",
+         "--steps-per-unit", "200"],
+        "i,endpoint,pf_1,pf_2,pf_3",
+        lambda d: [[i, x, *pf] for i, (x, pf)
+                   in enumerate(zip(d["endpoint"], d["pushforward"]), 1)]),
+    "volterra": (
+        ["volterra", "--system", "rotation2d", "--k", "2", "--q", "1,0.5",
+         "--t-max", "0.4", "--grid", "3", "--steps-per-unit", "200"],
+        "t,norm,bound",
+        lambda d: [[r["t"], r["remainder_norm"], r["bound"]] for r in d["rows"]]),
+    "volterra-witness": (
+        ["volterra", "--system", "rotation2d", "--k", "2", "--obs-coord", "1",
+         "--q", "1,0", "--t-max", "0.4", "--grid", "3", "--steps-per-unit", "200",
+         "--witness-radius", "1.2"],
+        "t,norm,bound",
+        lambda d: [[r["t"], r["remainder_norm"], r["bound"]] for r in d["rows"]]),
+    "order-probe-remainder": (
+        ["order-probe", "--system", "rotation2d", "--residual", "remainder", "--k", "2",
+         "--obs-coord", "1", "--q", "1,0", "--t-max", "0.4", "--levels", "5",
+         "--steps-per-unit", "200"],
+        "t,norm",
+        lambda d: [[r["t"], r["norm"]] for r in d["rows"]]),
+    "order-probe-flow-bracket": (
+        ["order-probe", "--system", "heisenberg", "--residual", "flow-bracket",
+         "--q", "0.1,0.2,0", "--t-max", "0.2", "--levels", "5", "--steps-per-unit", "200"],
+        "t,norm",
+        lambda d: [[r["t"], r["norm"]] for r in d["rows"]]),
+    "order-probe-inverse-expansion": (
+        ["order-probe", "--system", "unicycle", "--residual", "inverse-expansion",
+         "--q", "0.1,0.2,0.3", "--t-max", "0.4", "--levels", "5",
+         "--steps-per-unit", "200"],
+        "t,norm",
+        lambda d: [[r["t"], r["norm"]] for r in d["rows"]]),
+    "bracket": (
+        ["bracket", "--system", "brockett", "--expr", "[V1,V2]", "--q", "0.3,-0.2,0.1"],
+        "i,value",
+        lambda d: [[i, v] for i, v in enumerate(d["value"], 1)]),
+    "flow-bracket": (
+        ["flow-bracket", "--system", "heisenberg", "--expr", "[V1,V2]",
+         "--q", "0.1,0,0", "--t-max", "0.2", "--grid", "3", "--steps-per-unit", "200"],
+        "t,q_1,q_2,q_3",
+        lambda d: [[r["t"], *r["endpoint"]] for r in d["rows"]]),
+    "param-deriv": (
+        ["param-deriv", "--system", "heisenberg", "--t", "0.5", "--q", "0.1,0.2,0",
+         "--steps-per-unit", "200", "--nodes", "8"],
+        "i,in_formula,out_formula,finite_difference",
+        lambda d: [[i, *row] for i, row in enumerate(
+            zip(d["in_formula"], d["out_formula"], d["finite_difference"]), 1)]),
+    "rank": (
+        ["rank", "--system", "brockett", "--q", "0.1,0.2,0.3", "--max-degree", "3"],
+        "expr,v_1,v_2,v_3",
+        lambda d: [[b["expr"], *b["value"]] for b in d["brackets"]]),
+    "simulate": (
+        ["simulate", "--system", "heisenberg", "--q0", "0.1,0,0", "--schedule",
+         "{schedule}", "--steps-per-unit", "200"],
+        "i,endpoint",
+        lambda d: [[i, v] for i, v in enumerate(d["endpoint"], 1)]),
+    "plan": (
+        ["plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04",
+         "--epsilon", "1e-3", "--steps-per-unit", "200"],
+        "segment,field_index,sign,duration",
+        lambda d: [[i, s["field_index"], s["sign"], s["duration"]]
+                   for i, s in enumerate(d["schedule"])]),
+}
+
+
+def _main_output(capsys, argv):
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    return captured.out
+
+
+@pytest.mark.parametrize("name", SAME_NUMBERS)
+def test_csv_and_json_carry_the_same_numbers(tmp_path, capsys, name):
+    argv, header, expected_rows = SAME_NUMBERS[name]
+    schedule = tmp_path / "schedule.json"
+    schedule.write_text('[{"field_index": 1, "sign": 1, "duration": 0.2}, '
+                        '{"field_index": 2, "sign": -1, "duration": 0.3}]')
+    argv = [str(schedule) if a == "{schedule}" else a for a in argv]
+    doc = json.loads(_main_output(capsys, argv))
+    text = _main_output(capsys, argv + ["--format", "csv"])
+    lines = text.splitlines()
+    assert text.endswith("\n") and lines[0] == header
+    rows = list(csv.reader(lines[1:]))
+    expected = expected_rows(doc)
+    assert len(rows) == len(expected) > 0
+    for cells, values in zip(rows, expected):
+        assert len(cells) == len(values)
+        for cell, value in zip(cells, values):
+            if value is None:
+                assert cell == ""
+            elif isinstance(value, float):  # 17 digits give back every bit
+                assert float(cell).hex() == value.hex()
+            else:
+                assert cell == str(value)
+
+
+def test_csv_row_counts_follow_grid_and_levels(capsys):
+    volterra = ["volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0",
+                "--t-max", "0.4", "--grid", "3", "--steps-per-unit", "100",
+                "--format", "csv"]
+    lines = _main_output(capsys, volterra).splitlines()
+    assert lines[0] == "t,norm,bound" and len(lines) == 4
+    doc = json.loads(_main_output(capsys, volterra[:-2]))
+    assert [row["k"] for row in doc["rows"]] == [1, 1, 1] and doc["k"] == 1
+    probe = ["order-probe", "--system", "rotation2d", "--residual", "remainder",
+             "--k", "2", "--obs-coord", "1", "--q", "1,0", "--t-max", "0.4",
+             "--levels", "6", "--steps-per-unit", "200"]
+    lines = _main_output(capsys, probe + ["--format", "csv"]).splitlines()
+    assert lines[0] == "t,norm" and len(lines) == 7
+    doc = json.loads(_main_output(capsys, probe))
+    assert abs(doc["slope"] - 2.0) <= 0.2
+    assert list(doc) == ["slope", "r_squared", "degenerate", "excluded", "rows"]

@@ -1,5 +1,6 @@
 """Tests for flow maps, pushforwards, and inverse flows."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from chronoflow import (
     flow_map,
     flow_operator_apply,
     flow_pushforward,
+    flow_time_dependent,
     flow_with_pushforward,
     heisenberg_fields,
     inverse_flow,
@@ -158,18 +160,39 @@ def test_order4_convergence():
     assert errs[16] / errs[32] >= 8.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in scalar power:RuntimeWarning")
 @pytest.mark.parametrize("degree, step", [(2, 101), (3, 51), (4, 35), (6, 21), (9, 14)])
 def test_blow_up_detection(degree, step):
     # x' = x^d from x = 1 escapes at t = 1/(d-1); the step that first crosses
     # the threshold is pinned.  For d = 4 and 9 an RK4 stage of that step
-    # overflows float64, which must still end in BlowUpError.
+    # overflows float64, which must still end in BlowUpError, and quietly:
+    # the error is the one report of the blow-up.
     pm = PolynomialMap(1, 1, [[(1.0, (degree,))]])
     field = VectorField.autonomous(pm)
-    for solve in (flow_map, flow_with_pushforward):
-        with pytest.raises(BlowUpError) as info:
-            solve(FlowMap(field, 0.0, 3.0, FlowSolver(100)), [1.0])
-        assert info.value.step == step
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for solve in (flow_map, flow_with_pushforward):
+            with pytest.raises(BlowUpError) as info:
+                solve(FlowMap(field, 0.0, 3.0, FlowSolver(100)), [1.0])
+            assert info.value.step == step
+    assert caught == []
+
+
+def test_time_dependent_flow_blows_up_at_the_same_step():
+    pm = PolynomialMap(1, 1, [[(1.0, (2,))]])
+    with pytest.raises(BlowUpError) as plain:
+        flow_map(FlowMap(VectorField.autonomous(pm), 0.0, 3.0, FlowSolver(100)), [1.0])
+    with pytest.raises(BlowUpError) as timed:
+        flow_time_dependent(lambda t, x: pm(x), 0.0, 3.0, [1.0], FlowSolver(100))
+    assert (timed.value.step, timed.value.t) == (plain.value.step, plain.value.t)
+    assert timed.value.step == 101
+    assert str(timed.value) == str(plain.value)
+
+
+def test_time_dependent_flow_rejects_nan_state():
+    with pytest.raises(BlowUpError) as info:
+        flow_time_dependent(lambda t, x: np.array([np.nan]), 0.0, 1.0, [1.0],
+                            FlowSolver(10))
+    assert info.value.step == 1
 
 
 def test_flow_operator_apply_rotation():
