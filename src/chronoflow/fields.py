@@ -21,7 +21,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .errors import DefectExhaustedError, DimensionError, TimeWindowError
+from .errors import BlowUpError, DefectExhaustedError, DimensionError, TimeWindowError
 
 Exps = tuple[int, ...]
 TermDict = dict[Exps, float]
@@ -104,49 +104,152 @@ def _add_terms(a: TermDict, b: TermDict, sa: float = 1.0, sb: float = 1.0) -> Te
                         for exps, coef in src.items()])
 
 
+def _term_source(table: TermDict, names: Sequence[str]) -> str:
+    """Python source of one term table over the variables ``names``.
+
+    Terms go in sorted exponent order, each coefficient first and its
+    factors left to right; ``_eval_overflowing`` repeats that order.
+    """
+    terms = []
+    for exps in sorted(table):
+        factors = [repr(table[exps])]
+        for var, e in enumerate(exps):
+            if e == 1:
+                factors.append(names[var])
+            elif e > 1:
+                factors.append(f"{names[var]}**{e}")
+        terms.append("*".join(factors))
+    return " + ".join(terms) or "0.0"
+
+
+def _eval_overflowing(components: tuple[TermDict, ...], x: Sequence[float]) -> list[float]:
+    """The evaluator's expressions on numpy float64 scalars.
+
+    Python's ``float ** int`` raises OverflowError where numpy returns inf;
+    the evaluator lands here then, so an overflowing power gives numpy's
+    inf, with numpy's overflow warning silenced: the flow's blow-up test
+    reports it.
+    """
+    x = [np.float64(v) for v in x]
+    out = []
+    with np.errstate(over="ignore"):
+        for table in components:
+            total = None
+            for exps in sorted(table):
+                term = table[exps]
+                for var, e in enumerate(exps):
+                    if e:
+                        term = term * (x[var] if e == 1 else x[var] ** e)
+                total = term if total is None else total + term
+            out.append(0.0 if total is None else float(total))
+    return out
+
+
 def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
     """Generate a specialized evaluation function for the term table.
 
     Flow integration evaluates the same small polynomials millions of
-    times; a compiled expression avoids per-call array bookkeeping.  It runs
-    on the Python floats of ``x.tolist()``: the same IEEE operations in the
-    same order as on numpy float64 scalars, so the same bits.  Only ``**``
-    differs: Python raises OverflowError where numpy returns inf, so an
-    overflowing power evaluates again on the numpy scalars of ``x``, with
-    numpy's overflow warning silenced: the flow's blow-up test reports it.
+    times; a compiled expression avoids per-call array bookkeeping.  The
+    function maps a list of Python floats to a list of floats: the same
+    IEEE operations in the same order as on numpy float64 scalars, so the
+    same bits.  Only ``**`` differs, and an overflowing power is evaluated
+    again by ``_eval_overflowing``.
     """
+    names = [f"x{var}" for var in range(dim_in)]
     used = {var for comp in components for exps in comp for var in range(dim_in)
             if exps[var] > 0}
     powers = any(e > 1 for comp in components for exps in comp for e in exps)
-    exprs = []
-    for comp in components:
-        if not comp:
-            exprs.append("0.0")
-            continue
-        terms = []
-        for exps in sorted(comp):
-            factors = [repr(comp[exps])]
-            for var, e in enumerate(exps):
-                if e == 1:
-                    factors.append(f"x{var}")
-                elif e > 1:
-                    factors.append(f"x{var}**{e}")
-            terms.append("*".join(factors))
-        exprs.append(" + ".join(terms))
-    names = ", ".join(f"x{var}" if var in used else "_" for var in range(dim_in)) + ","
-    value = "_array([" + ", ".join(exprs) + "])"
-    lines = ["def _eval(x, _array=_array):"]
+    value = "[" + ", ".join(_term_source(comp, names) for comp in components) + "]"
+    lines = ["def _eval(x):"]
     if used:
-        lines.append(f"    {names} = x.tolist()")
+        unpack = ", ".join(names[var] if var in used else "_" for var in range(dim_in))
+        lines.append(f"    {unpack}, = x")
     if powers:
         lines += ["    try:", f"        return {value}", "    except OverflowError:",
-                  "        with _errstate(over='ignore'):",
-                  f"            {names} = x", f"            return {value}"]
+                  "        return _eval_overflowing(_components, x)"]
     else:
         lines.append(f"    return {value}")
-    namespace: dict = {"_array": np.array, "_errstate": np.errstate}
+    namespace: dict = {"_eval_overflowing": _eval_overflowing, "_components": components}
     exec("\n".join(lines), namespace)
     return namespace["_eval"]
+
+
+def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
+    """Source of a fixed-step RK4 loop over the state and its n x n pushforward.
+
+    ``jac_tables`` is the row-major Jacobian (entry r*n + c is dV_r/dx_c).
+    The generated ``_rk4(f, q, m, a, h, n_steps, threshold, step_base)``
+    runs on Python floats: ``q`` the state and ``m`` the row-major matrix
+    as lists, ``f`` the piece's evaluator, called once per stage.  The
+    state takes the numpy stepper's operations in its order, so endpoints
+    are the bits of the plain flow.  The matrix solves M' = J(x) M with the
+    Jacobian inlined term by term: zero entries are skipped, and a row whose
+    Jacobian row is zero is never touched.  A step raises BlowUpError when
+    the state leaves the threshold or an updated matrix entry is not
+    finite; an overflowing power of the inlined Jacobian raises it at the
+    same step.
+    """
+    state = [f"y{k}" for k in range(n)]
+    rows = [r for r in range(n) if any(jac_tables[r * n + c] for c in range(n))]
+    # rows of m that some Jacobian entry reads and that the loop updates: only
+    # they differ between m and the matrix m + scale * d<s> a stage multiplies
+    moving = sorted({k for r in rows for k in rows if jac_tables[r * n + k]})
+    matrix = [f"m{r}_{c}" for r in range(n) for c in range(n)]
+    lines = [
+        "def _rk4(f, q, m, a, h, n_steps, threshold, step_base):",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {', '.join(state)}, = q",
+        f"    {', '.join(matrix)}, = m",
+        "    i = 0",
+        "    try:",
+        "        for i in range(n_steps):",
+    ]
+    body = []
+    # stage s + 1: point p<s+1>_k (y_k at s = 0), slopes k<s+1>_k, matrix slopes d<s+1>_r_c
+    for s, scale in enumerate((None, "half", "half", "h")):
+        point = state
+        if s:
+            point = [f"p{s + 1}_{k}" for k in range(n)]
+            body += [f"{point[k]} = y{k} + {scale} * k{s}_{k}" for k in range(n)]
+        body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = f([{', '.join(point)}])")
+        if not rows:
+            continue
+        if s:
+            body += [f"n{k}_{c} = m{k}_{c} + {scale} * d{s}_{k}_{c}" for k in moving
+                     for c in range(n)]
+        factor = {}
+        for r in rows:
+            for k in range(n):
+                table = jac_tables[r * n + k]
+                if not table:
+                    continue
+                factor[r, k] = _term_source(table, point)
+                if len(table) > 1 or any(next(iter(table))):  # not a constant
+                    body.append(f"j{r}_{k} = {factor[r, k]}")
+                    factor[r, k] = f"j{r}_{k}"
+        for r in rows:
+            for c in range(n):
+                products = [f"{factor[r, k]} * {'n' if s and k in moving else 'm'}{k}_{c}"
+                            for k in range(n) if (r, k) in factor]
+                body.append(f"d{s + 1}_{r}_{c} = {' + '.join(products)}")
+    body += [f"m{r}_{c} = m{r}_{c} + sixth * (d1_{r}_{c} + 2.0 * d2_{r}_{c} + 2.0 * d3_{r}_{c}"
+             f" + d4_{r}_{c})" for r in rows for c in range(n)]
+    body += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})"
+             for k in range(n)]
+    checks = [f"abs(y{k}) <= threshold" for k in range(n)]
+    if rows:  # x - x is 0.0 for every finite x and NaN otherwise
+        checks.append(" + ".join(f"(m{r}_{c} - m{r}_{c})" for r in rows for c in range(n))
+                      + " == 0.0")
+    body += [f"if not ({' and '.join(checks)}):",
+             "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h)"]
+    lines += ["            " + line for line in body]
+    lines += [
+        "    except OverflowError:",
+        "        raise BlowUpError(step_base + i + 1, a + (i + 1) * h) from None",
+        f"    return [{', '.join(state)}], [{', '.join(matrix)}]",
+    ]
+    return "\n".join(lines)
 
 
 class PolynomialMap:
@@ -185,6 +288,13 @@ class PolynomialMap:
     def _evaluator(self):
         return _compile_evaluator(self._components, self.dim_in)
 
+    @cached_property
+    def _variational_rk4(self):
+        """The generated RK4 loop with pushforward (``_variational_source``)."""
+        namespace: dict = {"BlowUpError": BlowUpError}
+        exec(_variational_source(self.jacobian_map._components, self.dim_in), namespace)
+        return namespace["_rk4"]
+
     @property
     def components(self) -> tuple[tuple[tuple[float, Exps], ...], ...]:
         return tuple(
@@ -193,7 +303,7 @@ class PolynomialMap:
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self._evaluator(np.asarray(x, dtype=float))
+        return np.array(self._evaluator(np.asarray(x, dtype=float).tolist()))
 
     @cached_property
     def jacobian_map(self) -> "PolynomialMap":

@@ -103,35 +103,34 @@ class NumericalField:
 
 def _advance_piece(pm, q: np.ndarray, mat: np.ndarray | None, a: float, b: float,
                    solver: FlowSolver, step_base: int) -> tuple[np.ndarray, np.ndarray | None, int]:
-    """RK4 over [a, b] on one autonomous piece, optionally with variational state."""
+    """RK4 over [a, b] on one autonomous piece, optionally with variational state.
+
+    With ``mat`` the piece's generated loop (``PolynomialMap._variational_rk4``)
+    carries the state and the matrix on Python floats.
+    """
     n_steps = solver.step_count(a, b)
     h = (b - a) / n_steps
+    f = pm._evaluator
+    threshold = solver.blowup_threshold
+    if mat is not None:
+        q, m = pm._variational_rk4(f, q.tolist(), mat.ravel().tolist(), a, h, n_steps,
+                                   threshold, step_base)
+        return np.array(q), np.array(m).reshape(mat.shape), step_base + n_steps
     half = 0.5 * h
     sixth = h / 6.0
-    f = pm._evaluator
-    if mat is not None:
-        n = pm.dim_out
-        jac_flat = pm.jacobian_map._evaluator
-        jac = lambda x: jac_flat(x).reshape(n, n)
-    threshold = solver.blowup_threshold
+    array = np.array
     for i in range(n_steps):
-        k1 = f(q)
+        k1 = array(f(q.tolist()))
         q2 = q + half * k1
-        k2 = f(q2)
+        k2 = array(f(q2.tolist()))
         q3 = q + half * k2
-        k3 = f(q3)
+        k3 = array(f(q3.tolist()))
         q4 = q + h * k3
-        k4 = f(q4)
-        if mat is not None:
-            m1 = jac(q) @ mat
-            m2 = jac(q2) @ (mat + half * m1)
-            m3 = jac(q3) @ (mat + half * m2)
-            m4 = jac(q4) @ (mat + h * m3)
-            mat = mat + sixth * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+        k4 = array(f(q4.tolist()))
         q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (abs(q).max() <= threshold):  # true also for NaN
             raise BlowUpError(step_base + i + 1, a + (i + 1) * h)
-    return q, mat, step_base + n_steps
+    return q, None, step_base + n_steps
 
 
 def _flow_core(fm: FlowMap, q, want_pushforward: bool) -> tuple[np.ndarray, np.ndarray | None]:

@@ -23,7 +23,7 @@ from .flow import (
     chained_trajectory,
     flow_map,
     flow_time_dependent,
-    pushforward_field,
+    flow_with_pushforward,
 )
 from .quadrature import gauss_legendre, split_at
 
@@ -114,6 +114,18 @@ def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,
     return (end_plus - end_minus) / (2.0 * epsilon)
 
 
+def _pull_back(v: VectorField, w: VectorField, tau: float, z: np.ndarray,
+               solver: FlowSolver) -> np.ndarray:
+    """W(tau) transported to z by the backward flow of V from tau to 0.
+
+    One forward variational solve from z over [0, tau] gives its end x and
+    differential M; the backward pushforward at x is the inverse of M, so
+    the value is M^{-1} W(tau, x).
+    """
+    end, mat = flow_with_pushforward(FlowMap(v, 0.0, tau, solver), z)
+    return np.linalg.solve(mat, eval_field(w, tau, end))
+
+
 def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
                                   solver: FlowSolver) -> float:
     """Factorize the flow of V + W through the pulled-back perturbation.
@@ -121,15 +133,12 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     The correction flow C solves z' = G(tau, z) where G is W transported by
     the backward flow of V at time tau; executed as point maps, the flow of
     V + W from q equals C first, then the flow of V.  Returns the norm of
-    the factorization discrepancy at q.
+    the factorization discrepancy at q.  Each value of G takes one forward
+    variational solve (``_pull_back``).
     """
     point = as_point(q, v.dim)
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), point)
-
-    def pulled_back(tau: float, z: np.ndarray) -> np.ndarray:
-        transported = pushforward_field(FlowMap(v, tau, 0.0, solver), w, tau)
-        return transported(tau, z)
-
-    corrected = flow_time_dependent(pulled_back, 0.0, t, point, solver, dim=v.dim)
+    corrected = flow_time_dependent(lambda tau, z: _pull_back(v, w, tau, z, solver),
+                                    0.0, t, point, solver, dim=v.dim)
     factored = flow_map(FlowMap(v, 0.0, t, solver), corrected)
     return float(np.linalg.norm(direct - factored))

@@ -335,6 +335,19 @@ def test_blow_up_prints_one_line(tmp_path, degree, step):
         f"numerical failure: integration diverged at step {step} (t={step / 100:.6g})"]
 
 
+def test_non_finite_pushforward_exits_3(tmp_path):
+    # x' = 60 y, y' = 60 x from the origin: the state stays at 0 while the
+    # pushforward grows like e^(60 t) until it overflows
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps({"dim": 2, "components": [
+        [{"coef": 60.0, "exps": [0, 1]}], [{"coef": 60.0, "exps": [1, 0]}]]}))
+    result = run_cli("flow", "--system", str(path), "--t", "13", "--q", "0,0")
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == [
+        "numerical failure: integration diverged at step 11744 (t=11.744)"]
+
+
 # Each case: argv, CSV header, and the CSV rows read off the JSON document.
 SAME_NUMBERS = {
     "flow": (

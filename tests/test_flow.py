@@ -177,6 +177,20 @@ def test_blow_up_detection(degree, step):
     assert caught == []
 
 
+def test_non_finite_pushforward_raises():
+    # x' = 60 y, y' = 60 x from the origin: the state stays at 0, so only the
+    # pushforward, growing like e^(60 t), can report the blow-up
+    pm = PolynomialMap(2, 2, [[(60.0, (0, 1))], [(60.0, (1, 0))]])
+    fm = FlowMap(VectorField.autonomous(pm), 0.0, 13.0, SOLVER)
+    assert flow_map(fm, [0.0, 0.0]).tolist() == [0.0, 0.0]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(BlowUpError) as info:
+            flow_with_pushforward(fm, [0.0, 0.0])
+    assert (info.value.step, info.value.t) == (11744, pytest.approx(11.744))
+    assert caught == []
+
+
 def test_time_dependent_flow_blows_up_at_the_same_step():
     pm = PolynomialMap(1, 1, [[(1.0, (2,))]])
     with pytest.raises(BlowUpError) as plain:

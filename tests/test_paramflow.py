@@ -5,6 +5,7 @@ from numpy.testing import assert_allclose
 
 import chronoflow.flow
 from chronoflow import (
+    FlowMap,
     FlowSolver,
     IN_FORMULA,
     OUT_FORMULA,
@@ -12,16 +13,19 @@ from chronoflow import (
     PolynomialMap,
     VectorField,
     add_fields,
+    brockett_fields,
     constant_field,
     fd_param_derivative,
     heisenberg_fields,
     linear_field,
     param_derivative,
+    pushforward_field,
     rotation2d,
     unicycle_fields,
     variation_of_parameters_check,
     zero_field,
 )
+from chronoflow.paramflow import _pull_back
 
 SOLVER = FlowSolver(1000)
 V1, V2 = heisenberg_fields()
@@ -189,3 +193,19 @@ def test_variation_of_parameters_heisenberg():
     solver = FlowSolver(200)
     assert variation_of_parameters_check(V1, V2, [0.0, 0.0, 0.0], 0.4,
                                          solver) <= 1e-5
+
+
+@pytest.mark.parametrize("pair", ["heisenberg", "brockett", "random"])
+def test_pull_back_is_the_backward_pushforward_field(pair, random_field):
+    # the value vop integrates, one forward variational solve per call, is
+    # the definition's transported field: W(tau) pushed forward by the
+    # backward flow tau -> 0 of V, evaluated at z
+    v, w = {"heisenberg": (V1, V2), "brockett": brockett_fields(),
+            "random": (random_field(11, 4, 2), random_field(12, 4, 2))}[pair]
+    solver = FlowSolver(200)
+    rng = np.random.default_rng(5)
+    for tau in (0.0, 0.05, 0.2, 0.4):
+        z = rng.uniform(-0.3, 0.3, v.dim)
+        want = pushforward_field(FlowMap(v, tau, 0.0, solver), w, tau)(tau, z)
+        got = _pull_back(v, w, tau, z, solver)
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))

@@ -5,8 +5,10 @@ lifts, JSON round trips) must hold for every field, not only the catalog
 systems, up to float rounding in the polynomial arithmetic; the direct and
 difference remainders must agree on random piecewise fields in either time
 direction; the compiled evaluator must give the bits of a term-by-term
-numpy evaluation (dimension <= 8, exponents <= 11, overflow included).
-Examples are derandomized so the suite is repeatable.
+numpy evaluation (dimension <= 8, exponents <= 11, overflow included), and
+the generated variational RK4 loop the plain flow's endpoint bits and a
+numpy stepper's pushforward (dimension <= 8).  Examples are derandomized
+so the suite is repeatable.
 """
 import functools
 import json
@@ -17,15 +19,18 @@ from hypothesis import given, settings, strategies as st
 
 from chronoflow import (
     ControlSchedule,
+    FlowMap,
     FlowSolver,
     Observable,
     PolynomialMap,
     Segment,
     VectorField,
+    flow_map,
+    flow_with_pushforward,
     remainder_eval,
     vector_field_from_json,
 )
-from chronoflow.fields import _add_terms, _diff_terms, _mul_terms, lift_map
+from chronoflow.fields import _add_terms, _diff_terms, _mul_terms, _variational_source, lift_map
 from chronoflow.liealg import lie_bracket_map
 
 ALGEBRA = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -124,6 +129,54 @@ def test_compiled_evaluator_matches_numpy_bit_for_bit(data):
                 want = numpy_reference(pm, x)
                 got = pm(x)
             assert got.tobytes() == want.tobytes(), (x, got, want)
+
+
+def numpy_variational_rk4(pm: PolynomialMap, q: np.ndarray, t: float, solver: FlowSolver):
+    """Reference: RK4 with the variational matrix on numpy arrays, stage by stage."""
+    n_steps = solver.step_count(0.0, t)
+    h = t / n_steps
+    half, sixth = 0.5 * h, h / 6.0
+    mat = np.eye(pm.dim_in)
+    for _ in range(n_steps):
+        k1 = pm(q)
+        q2 = q + half * k1
+        k2 = pm(q2)
+        q3 = q + half * k2
+        k3 = pm(q3)
+        q4 = q + h * k3
+        k4 = pm(q4)
+        m1 = pm.jacobian(q) @ mat
+        m2 = pm.jacobian(q2) @ (mat + half * m1)
+        m3 = pm.jacobian(q3) @ (mat + half * m2)
+        m4 = pm.jacobian(q4) @ (mat + h * m3)
+        mat = mat + sixth * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+        q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    return q, mat
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_generated_variational_loop_matches_numpy_stepper(data):
+    dim = data.draw(st.integers(1, 8))
+    pm = data.draw(polynomial_maps(dim, max_terms=4))
+    q = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim).map(np.array))
+    t = data.draw(st.sampled_from((0.1, -0.1, 0.25)))
+    solver = FlowSolver(40)
+    fm = FlowMap(VectorField.autonomous(pm), 0.0, t, solver)
+    end, mat = flow_with_pushforward(fm, q)
+    want_end, want_mat = numpy_variational_rk4(pm, q, t, solver)
+    assert end.tobytes() == flow_map(fm, q).tobytes() == want_end.tobytes()
+    assert np.max(np.abs(mat - want_mat)) <= 1e-12 * np.max(np.abs(want_mat))
+
+
+@settings(max_examples=20, deadline=None, database=None, derandomize=True)
+@given(polynomial_maps(8, max_terms=4))
+def test_generated_variational_source_stays_small_at_dimension_8(pm):
+    # per stage: 8 stage points, one evaluation, and at most 64 Jacobian
+    # entries, 64 matrix products and 64 intermediate matrix entries
+    source = _variational_source(pm.jacobian_map._components, 8)
+    assert len(source.splitlines()) <= 4 * (8 + 1 + 3 * 64) + 64 + 8 + 12
+    assert len(source) <= 80_000
 
 
 def assert_well_formed(pm: PolynomialMap) -> None:
