@@ -28,6 +28,8 @@ TermDict = dict[Exps, float]
 
 DEFAULT_SMOOTHNESS_ORDER = 8
 DEFAULT_OBSERVABLE_ORDER = 8
+# longest + chain in generated source; CPython 3.11 fails to compile ~3,000
+SUM_CHUNK = 256
 
 
 def as_point(q, dim: int | None = None) -> np.ndarray:
@@ -37,7 +39,7 @@ def as_point(q, dim: int | None = None) -> np.ndarray:
         raise DimensionError(f"chart point must be a 1-d vector, got shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionError(f"chart point has length {arr.shape[0]}, expected {dim}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("chart point has non-finite entries")
     return arr
 
@@ -104,8 +106,8 @@ def _add_terms(a: TermDict, b: TermDict, sa: float = 1.0, sb: float = 1.0) -> Te
                         for exps, coef in src.items()])
 
 
-def _term_source(table: TermDict, names: Sequence[str]) -> str:
-    """Python source of one term table over the variables ``names``.
+def _terms(table: TermDict, names: Sequence[str]) -> list[str]:
+    """Python source of each term of one term table over the variables ``names``.
 
     Terms go in sorted exponent order, each coefficient first and its
     factors left to right; ``_eval_overflowing`` repeats that order.
@@ -119,7 +121,21 @@ def _term_source(table: TermDict, names: Sequence[str]) -> str:
             elif e > 1:
                 factors.append(f"{names[var]}**{e}")
         terms.append("*".join(factors))
-    return " + ".join(terms) or "0.0"
+    return terms
+
+
+def _sum_lines(target: str, operands: Sequence[str]) -> list[str]:
+    """Statements that set ``target`` to the left-to-right sum of ``operands``.
+
+    CPython's compiler recurses once per operand of a ``+`` chain and gives
+    up near 3,000 of them, so a sum longer than ``SUM_CHUNK`` goes on in
+    statements ``target = target + ...``: the additions keep their order,
+    so the result keeps its bits, and a shorter sum is one statement.
+    """
+    lines = [f"{target} = {' + '.join(operands[:SUM_CHUNK])}"]
+    for i in range(SUM_CHUNK, len(operands), SUM_CHUNK):
+        lines.append(f"{target} = {target} + {' + '.join(operands[i:i + SUM_CHUNK])}")
+    return lines
 
 
 def _eval_overflowing(components: tuple[TermDict, ...], x: Sequence[float]) -> list[float]:
@@ -159,16 +175,23 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
     used = {var for comp in components for exps in comp for var in range(dim_in)
             if exps[var] > 0}
     powers = any(e > 1 for comp in components for exps in comp for e in exps)
-    value = "[" + ", ".join(_term_source(comp, names) for comp in components) + "]"
+    sums, values = [], []
+    for i, comp in enumerate(components):
+        terms = _terms(comp, names)
+        if len(terms) > SUM_CHUNK:
+            sums += _sum_lines(f"s{i}", terms)
+            terms = [f"s{i}"]
+        values.append(" + ".join(terms) or "0.0")
+    body = sums + [f"return [{', '.join(values)}]"]
     lines = ["def _eval(x):"]
     if used:
         unpack = ", ".join(names[var] if var in used else "_" for var in range(dim_in))
         lines.append(f"    {unpack}, = x")
     if powers:
-        lines += ["    try:", f"        return {value}", "    except OverflowError:",
+        lines += ["    try:", *("        " + line for line in body), "    except OverflowError:",
                   "        return _eval_overflowing(_components, x)"]
     else:
-        lines.append(f"    return {value}")
+        lines += ["    " + line for line in body]
     namespace: dict = {"_eval_overflowing": _eval_overflowing, "_components": components}
     exec("\n".join(lines), namespace)
     return namespace["_eval"]
@@ -224,23 +247,28 @@ def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
                 table = jac_tables[r * n + k]
                 if not table:
                     continue
-                factor[r, k] = _term_source(table, point)
+                terms = _terms(table, point)
                 if len(table) > 1 or any(next(iter(table))):  # not a constant
-                    body.append(f"j{r}_{k} = {factor[r, k]}")
+                    body += _sum_lines(f"j{r}_{k}", terms)
                     factor[r, k] = f"j{r}_{k}"
+                else:
+                    factor[r, k] = terms[0]
         for r in rows:
             for c in range(n):
                 products = [f"{factor[r, k]} * {'n' if s and k in moving else 'm'}{k}_{c}"
                             for k in range(n) if (r, k) in factor]
-                body.append(f"d{s + 1}_{r}_{c} = {' + '.join(products)}")
+                body += _sum_lines(f"d{s + 1}_{r}_{c}", products)
     body += [f"m{r}_{c} = m{r}_{c} + sixth * (d1_{r}_{c} + 2.0 * d2_{r}_{c} + 2.0 * d3_{r}_{c}"
              f" + d4_{r}_{c})" for r in rows for c in range(n)]
     body += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})"
              for k in range(n)]
     checks = [f"abs(y{k}) <= threshold" for k in range(n)]
     if rows:  # x - x is 0.0 for every finite x and NaN otherwise
-        checks.append(" + ".join(f"(m{r}_{c} - m{r}_{c})" for r in rows for c in range(n))
-                      + " == 0.0")
+        zeros = [f"(m{r}_{c} - m{r}_{c})" for r in rows for c in range(n)]
+        if len(zeros) > SUM_CHUNK:
+            body += _sum_lines("zero", zeros)
+            zeros = ["zero"]
+        checks.append(" + ".join(zeros) + " == 0.0")
     body += [f"if not ({' and '.join(checks)}):",
              "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h)"]
     lines += ["            " + line for line in body]
@@ -476,12 +504,16 @@ class VectorField:
         return self.piece_at(0.5 * (a + b))
 
     def breakpoints_between(self, a: float, b: float) -> list[float]:
-        """Interior piece boundaries strictly between a and b (any order)."""
+        """Interior piece boundaries strictly between a and b (any order).
+
+        They are Python floats even where the pieces were given numpy
+        scalars, since the solver steps from them.
+        """
         if self.is_autonomous:
             return []
         lo, hi = min(a, b), max(a, b)
         cuts = [p[0] for p in self.pieces[1:]]
-        return [c for c in cuts if lo < c < hi]
+        return [float(c) for c in cuts if lo < c < hi]
 
     def check_window(self, *times: float) -> None:
         lo, hi = self.window

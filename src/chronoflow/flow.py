@@ -101,24 +101,28 @@ class NumericalField:
         return f"NumericalField(dim={self.dim}, {self.description})"
 
 
-def _advance_piece(pm, q: np.ndarray, mat: np.ndarray | None, a: float, b: float,
-                   solver: FlowSolver, step_base: int) -> tuple[np.ndarray, np.ndarray | None, int]:
+def _advance_piece(pm, q: list[float], mat: list[float] | None, a: float, b: float,
+                   solver: FlowSolver, step_base: int) -> tuple[list[float], list[float] | None, int]:
     """RK4 over [a, b] on one autonomous piece, optionally with variational state.
 
-    With ``mat`` the piece's generated loop (``PolynomialMap._variational_rk4``)
-    carries the state and the matrix on Python floats.
+    ``q``, the row-major ``mat``, ``a`` and ``b`` are Python floats, as
+    ``_flow_core`` hands them over: an ``np.float64`` time would turn every
+    multiply-add of the generated loop into numpy scalar arithmetic, with
+    the same bits at about three times the cost.  With ``mat`` the piece's
+    generated loop (``PolynomialMap._variational_rk4``) carries the state
+    and the matrix; without it a numpy loop carries the state.
     """
     n_steps = solver.step_count(a, b)
     h = (b - a) / n_steps
     f = pm._evaluator
     threshold = solver.blowup_threshold
     if mat is not None:
-        q, m = pm._variational_rk4(f, q.tolist(), mat.ravel().tolist(), a, h, n_steps,
-                                   threshold, step_base)
-        return np.array(q), np.array(m).reshape(mat.shape), step_base + n_steps
+        q, mat = pm._variational_rk4(f, q, mat, a, h, n_steps, threshold, step_base)
+        return q, mat, step_base + n_steps
     half = 0.5 * h
     sixth = h / 6.0
     array = np.array
+    q = array(q)
     for i in range(n_steps):
         k1 = array(f(q.tolist()))
         q2 = q + half * k1
@@ -130,39 +134,63 @@ def _advance_piece(pm, q: np.ndarray, mat: np.ndarray | None, a: float, b: float
         q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         if not (abs(q).max() <= threshold):  # true also for NaN
             raise BlowUpError(step_base + i + 1, a + (i + 1) * h)
-    return q, None, step_base + n_steps
+    return q.tolist(), None, step_base + n_steps
 
 
-def _flow_core(fm: FlowMap, q, want_pushforward: bool) -> tuple[np.ndarray, np.ndarray | None]:
-    field = fm.field
-    point = as_point(q, field.dim)
-    field.check_window(fm.t0, fm.t1)
-    mat = np.eye(field.dim) if want_pushforward else None
-    if fm.t1 == fm.t0:
-        return point, mat
-    step_base = 0
-    for a, b in split_at(fm.t0, fm.t1, field.breakpoints_between(fm.t0, fm.t1)):
-        pm = field.piece_for_interval(a, b)
-        point, mat, step_base = _advance_piece(pm, point, mat, a, b, fm.solver, step_base)
-    return point, mat
+def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
+               want_pushforward: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Walk one trajectory of ``field`` from (t0, q) through ``times`` in one pass.
+
+    The point, the times and the window are checked once, and the times
+    become Python floats here, whatever their type.  Node i's interval
+    [times[i-1], times[i]] (t0 for the first) is split at breakpoints as a
+    single solve would split it, and the state passes from node to node as
+    a list of floats.  With ``want_pushforward`` each node's matrix restarts
+    at the identity, giving the segment pushforward of its interval, and
+    its step count restarts at 0.  Returns the states at ``times`` and the
+    segment pushforwards (an empty list without ``want_pushforward``).
+    """
+    point = as_point(q, field.dim).tolist()
+    t0, times = float(t0), [float(t) for t in times]
+    if not (math.isfinite(t0) and all(map(math.isfinite, times))):
+        raise ValueError(f"flow times must be finite, got {[t0] + times}")
+    field.check_window(t0, *times)
+    n = field.dim
+    identity = None
+    if want_pushforward:
+        identity = [0.0] * (n * n)
+        identity[::n + 1] = [1.0] * n
+    states: list[np.ndarray] = []
+    segments: list[np.ndarray] = []
+    start = t0
+    for t in times:
+        mat, step_base = identity, 0
+        for a, b in split_at(start, t, field.breakpoints_between(start, t)):
+            pm = field.piece_for_interval(a, b)
+            point, mat, step_base = _advance_piece(pm, point, mat, a, b, solver, step_base)
+        states.append(np.array(point))
+        if want_pushforward:
+            segments.append(np.array(mat).reshape(n, n))
+        start = t
+    return states, segments
 
 
 def flow_map(fm: FlowMap, q) -> np.ndarray:
     """Endpoint of the trajectory q' = V_t(q) from (t0, q) to t1."""
-    point, _ = _flow_core(fm, q, want_pushforward=False)
-    return point
+    states, _ = _flow_core(fm.field, fm.t0, [fm.t1], q, fm.solver, False)
+    return states[0]
 
 
 def flow_with_pushforward(fm: FlowMap, q) -> tuple[np.ndarray, np.ndarray]:
     """Endpoint and differential of the flow map in one pass."""
-    point, mat = _flow_core(fm, q, want_pushforward=True)
-    return point, mat
+    states, segments = _flow_core(fm.field, fm.t0, [fm.t1], q, fm.solver, True)
+    return states[0], segments[0]
 
 
 def flow_pushforward(fm: FlowMap, q) -> np.ndarray:
     """Differential of the flow map at q, via the variational equation."""
-    _, mat = _flow_core(fm, q, want_pushforward=True)
-    return mat
+    _, segments = _flow_core(fm.field, fm.t0, [fm.t1], q, fm.solver, True)
+    return segments[0]
 
 
 def inverse_flow(fm: FlowMap, q) -> np.ndarray:
@@ -207,28 +235,19 @@ def chained_trajectory(field: VectorField, t0: float, times, q, solver: FlowSolv
     """One trajectory from (t0, q), solved segment by segment through ``times``.
 
     Segment i runs from times[i-1] (t0 for the first) to times[i] and starts
-    where segment i-1 ended, so the call costs one pass along the trajectory
-    instead of one solve per time; ``times`` must be monotone in the
-    integration direction.  Returns the states at ``times`` and, with
+    where segment i-1 ended; with ``times`` monotone in the integration
+    direction that is one pass along the trajectory.  The walk is one call
+    of the executor that single solves use (``_flow_core``): it checks the
+    point and the window once, takes every time as a Python float
+    (``np.float64`` quadrature nodes too) and passes the state between
+    nodes as floats, so each state is the bits of a single solve from the
+    previous one.  Returns the states at ``times`` and, with
     ``pushforward``, the segment pushforwards S_i, the differential of the
     flow times[i-1] -> times[i] at the previous state (an empty list
     otherwise).  The pushforward between two nodes is the product of the
     segments in between, S_j ... S_{i+1}.
     """
-    states: list[np.ndarray] = []
-    segments: list[np.ndarray] = []
-    current_t = t0
-    point = as_point(q, field.dim)
-    for t in times:
-        fm = FlowMap(field, current_t, t, solver)
-        if pushforward:
-            point, mat = flow_with_pushforward(fm, point)
-            segments.append(mat)
-        else:
-            point = flow_map(fm, point)
-        current_t = t
-        states.append(point)
-    return states, segments
+    return _flow_core(field, t0, times, q, solver, pushforward)
 
 
 def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float,

@@ -1,5 +1,6 @@
 """Tests for the command-line interface."""
 import csv
+import itertools
 import json
 import subprocess
 import sys
@@ -346,6 +347,51 @@ def test_non_finite_pushforward_exits_3(tmp_path):
     assert result.stdout == ""
     assert result.stderr.splitlines() == [
         "numerical failure: integration diverged at step 11744 (t=11.744)"]
+
+
+def test_blow_up_in_param_deriv_prints_one_line(tmp_path):
+    # x' = x^40 from 1.2: x**40 overflows in the first step, which must end in
+    # the one-line report, with no numpy overflow warning before it
+    path = tmp_path / "x40.json"
+    path.write_text(json.dumps({"fields": [
+        {"dim": 1, "components": [[{"coef": 1.0, "exps": [40]}]]},
+        {"dim": 1, "components": [[{"coef": 1.0, "exps": [0]}]]}]}))
+    result = run_cli("param-deriv", "--system", str(path), "--t", "1", "--q", "1.2")
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "numerical failure: integration diverged at step 1 (t=0.000684035)"]
+
+
+@pytest.mark.parametrize("dim", [56, 64])
+def test_flow_compiles_at_high_dimension(tmp_path, dim):
+    # component i is -x_i + 0.5 x_i x_{i-1}; the generated loop's finiteness
+    # test sums dim^2 matrix entries, over CPython's limit for one + chain
+    def unit(*vars_):
+        return [int(v in vars_) for v in range(dim)]
+
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps({"dim": dim, "components": [
+        [{"coef": -1.0, "exps": unit(i)}]
+        + ([{"coef": 0.5, "exps": unit(i, i - 1)}] if i else []) for i in range(dim)]}))
+    result = run_cli("flow", "--system", str(path), "--t", "0.1", "--q", ",".join(["0.1"] * dim))
+    assert result.returncode in (0, 3), result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_volterra_witness_on_a_dense_cubic_field(tmp_path):
+    # every monomial of degree <= 3 in six variables: the 4-fold lift of x_1
+    # that the witness samples has 5,005 terms in one component
+    monomials = [e for e in itertools.product(range(4), repeat=6) if sum(e) <= 3]
+    path = tmp_path / "dense6.json"
+    path.write_text(json.dumps({"dim": 6, "components": [
+        [{"coef": 0.1 * ((i + j) % 5 - 2) or 0.05, "exps": list(e)}
+         for j, e in enumerate(monomials)] for i in range(6)]}))
+    result = run_cli("volterra", "--system", str(path), "--k", "4", "--obs-coord", "1",
+                     "--q", "0.1,0.1,0.1,0.1,0.1,0.1", "--t-max", "0.1", "--grid", "1",
+                     "--witness-radius", "0.5")
+    assert result.returncode == 0, result.stderr
+    rows = json.loads(result.stdout)["rows"]
+    assert len(rows) == 1 and rows[0]["bound"] >= rows[0]["remainder_norm"]
 
 
 # Each case: argv, CSV header, and the CSV rows read off the JSON document.

@@ -1,5 +1,6 @@
 """Tests for polynomial fields, observables, and lifts."""
 import hashlib
+import itertools
 import json
 import re
 
@@ -10,6 +11,8 @@ from numpy.testing import assert_allclose
 from chronoflow import (
     DefectExhaustedError,
     DimensionError,
+    FlowMap,
+    FlowSolver,
     Observable,
     PolynomialMap,
     TimeWindowError,
@@ -21,6 +24,8 @@ from chronoflow import (
     eval_field,
     field_jacobian,
     finite_difference_jacobian,
+    flow_map,
+    flow_with_pushforward,
     heisenberg_fields,
     iterate_lift,
     linear_field,
@@ -31,7 +36,7 @@ from chronoflow import (
     vector_field_from_json,
     zero_field,
 )
-from chronoflow.fields import lift_map
+from chronoflow.fields import SUM_CHUNK, _eval_overflowing, lift_map
 
 V1, V2 = heisenberg_fields()
 
@@ -359,6 +364,30 @@ def test_evaluator_is_compiled_on_first_call():
     assert "_evaluator" not in vars(pm)
     assert_allclose(pm(np.array([3.0, 0.5])), [3.0, 0.5])
     assert "_evaluator" in vars(pm)
+
+
+def test_long_sums_keep_the_term_order():
+    # 5,000 terms in one component are over CPython's compiler limit for one
+    # + chain, so the evaluator sums them in chunks, left to right: the bits
+    # of _eval_overflowing's term-by-term sum, Jacobian included
+    rng = np.random.default_rng(5)
+    exps = list(itertools.product(range(9), repeat=4))[:5000]
+    pm = PolynomialMap(4, 2, [[(float(c), e) for c, e in zip(rng.uniform(-1, 1, 5000), exps)],
+                              [(1.0, (0, 0, 0, 1))]])
+    assert len(pm.jacobian_map._components[0]) > SUM_CHUNK
+    for x in rng.uniform(-1.0, 1.0, (3, 4)):
+        for m in (pm, pm.jacobian_map):
+            want = np.array(_eval_overflowing(m._components, x.tolist()))
+            assert m(x).tobytes() == want.tobytes()
+
+
+def test_sources_of_a_20000_term_map_compile():
+    rng = np.random.default_rng(6)
+    pm = PolynomialMap(1, 1, [[(float(c), (e,)) for e, c in enumerate(rng.uniform(-1, 1, 20_000))]])
+    fm = FlowMap(VectorField.autonomous(pm), 0.0, 0.002, FlowSolver(1000))
+    end, mat = flow_with_pushforward(fm, [0.5])
+    assert end.tobytes() == flow_map(fm, [0.5]).tobytes()
+    assert np.all(np.isfinite(mat))
 
 
 def _seeded_kernel_results(seed: int = 2024, rounds: int = 40):

@@ -11,8 +11,10 @@ from chronoflow import (
     FlowMap,
     FlowSolver,
     Observable,
+    PerturbedSystem,
     PolynomialMap,
     VectorField,
+    adjoint_check,
     constant_field,
     eval_field,
     flow_map,
@@ -24,6 +26,7 @@ from chronoflow import (
     inverse_flow,
     linear_field,
     order_probe,
+    param_derivative,
     pushforward_field,
     rotation2d,
     zero_field,
@@ -308,6 +311,74 @@ def test_chained_trajectory_matches_direct_solves():
     plain, none = chained_trajectory(field, 0.0, times, q, SOLVER)
     assert none == []
     assert_allclose(plain, states, rtol=0, atol=1e-14)
+
+
+def _bits(value) -> bytes:
+    """The bytes of every float in a nest of lists, tuples and arrays."""
+    if isinstance(value, (list, tuple)):
+        return b"".join(_bits(v) for v in value)
+    return np.asarray(value, dtype=float).tobytes()
+
+
+def test_float64_times_run_the_generated_loop_on_floats(monkeypatch):
+    # Quadrature nodes arrive as np.float64, and a field's breakpoints may be
+    # numpy scalars too.  The executor takes every time as a Python float, so
+    # the generated loop never does numpy scalar arithmetic, and np.float64
+    # times give the bits of Python float times.
+    seen = []
+    generated = PolynomialMap._variational_rk4
+
+    def checked(pm):
+        rk4 = generated.__get__(pm, PolynomialMap)
+
+        def run(f, q, m, a, h, *rest):
+            seen.append((type(a), type(h), {type(x) for x in q + m}))
+            return rk4(f, q, m, a, h, *rest)
+
+        return run
+
+    monkeypatch.setattr(PolynomialMap, "_variational_rk4", property(checked))
+    solver = FlowSolver(200)
+    q = np.array([0.5, -0.2])
+    times = [0.3, 0.3, 0.7, 1.2]
+    for cast in (float, np.float64):
+        field = VectorField.piecewise([(cast(a), cast(b), pm)
+                                       for a, b, pm in piecewise_benchmark().pieces])
+        fm = FlowMap(field, cast(1.3), cast(0.1), solver)
+        results = [
+            flow_with_pushforward(fm, q),
+            chained_trajectory(field, cast(0.0), [cast(t) for t in times], q, solver,
+                               pushforward=True),
+            [param_derivative(PerturbedSystem(V1, V2, cast(0.0), cast(0.5)),
+                              [0.1, 0.2, 0.3], mode, solver) for mode in ("in", "out")],
+            adjoint_check(V1, V2, [0.1, 0.2, 0.3], cast(0.3), solver),
+        ]
+        if cast is float:
+            expected = _bits(results)
+        else:
+            assert _bits(results) == expected
+    assert seen
+    assert all(kinds == (float, float, {float}) for kinds in seen)
+
+
+def _chain(dim):
+    """Component i is -x_i + 0.5 x_i x_{i-1}: one Jacobian band below the diagonal."""
+    def unit(*vars_):
+        return tuple(int(v in vars_) for v in range(dim))
+
+    return VectorField.autonomous(PolynomialMap(dim, dim, [
+        [(-1.0, unit(i))] + ([(0.5, unit(i, i - 1))] if i else []) for i in range(dim)]))
+
+
+def test_pushforward_compiles_at_dimension_64():
+    # The finiteness test of the generated loop sums 64 x 64 matrix entries,
+    # over CPython's compiler limit for one + chain, so it is emitted in chunks.
+    fm = FlowMap(_chain(64), 0.0, 0.1, FlowSolver(100))
+    q = np.full(64, 0.1)
+    end, mat = flow_with_pushforward(fm, q)
+    assert end.tobytes() == flow_map(fm, q).tobytes()
+    assert np.all(np.isfinite(mat))
+    assert abs(mat[0, 0] - math.exp(-0.1)) <= 1e-8
 
 
 def test_zero_field_flow_is_identity():

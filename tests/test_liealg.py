@@ -290,9 +290,9 @@ def test_pushforward_invariance_matches_reference_and_shares_solves(monkeypatch,
     calls = []
     core = chronoflow.flow._flow_core
 
-    def counting(fm_, q_, want_pushforward):
+    def counting(field, t0, times, q_, solver, want_pushforward):
         calls.append(want_pushforward)
-        return core(fm_, q_, want_pushforward)
+        return core(field, t0, times, q_, solver, want_pushforward)
 
     monkeypatch.setattr(chronoflow.flow, "_flow_core", counting)
     assert pushforward_invariance_check(fm, v, w, q) == expected

@@ -7,8 +7,9 @@ difference remainders must agree on random piecewise fields in either time
 direction; the compiled evaluator must give the bits of a term-by-term
 numpy evaluation (dimension <= 8, exponents <= 11, overflow included), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
-numpy stepper's pushforward (dimension <= 8).  Examples are derandomized
-so the suite is repeatable.
+numpy stepper's pushforward (dimension <= 8); a chained trajectory must
+give the bits of one single solve per node on random piecewise fields.
+Examples are derandomized so the suite is repeatable.
 """
 import functools
 import json
@@ -18,6 +19,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from chronoflow import (
+    BlowUpError,
     ControlSchedule,
     FlowMap,
     FlowSolver,
@@ -31,6 +33,7 @@ from chronoflow import (
     vector_field_from_json,
 )
 from chronoflow.fields import _add_terms, _diff_terms, _mul_terms, _variational_source, lift_map
+from chronoflow.flow import chained_trajectory
 from chronoflow.liealg import lie_bracket_map
 
 ALGEBRA = settings(max_examples=30, deadline=None, database=None, derandomize=True)
@@ -303,3 +306,68 @@ def test_direct_and_difference_remainders_agree(field_and_cut, data):
         diff = remainder_eval(field, phi, q, t0, t, k, solver, nodes=8)
         direct = remainder_eval(field, phi, q, t0, t, k, solver, nodes=8, method="direct")
         assert abs(diff.remainder_norm - direct.remainder_norm) <= 1e-8
+
+
+@st.composite
+def node_walks(draw):
+    """A random field of one to three pieces on [0, 1.5] and a walk through it.
+
+    The walk starts at t0, runs forward or backward through nodes that fall
+    on either side of the breakpoints, and repeats some nodes.
+    """
+    dim = draw(st.integers(1, 3))
+    cuts = sorted(draw(st.lists(st.sampled_from((0.25, 0.5, 0.75, 1.0, 1.25)),
+                                max_size=2, unique=True)))
+    edges = [0.0, *cuts, 1.5]
+    pieces = [(a, b, draw(polynomial_maps(dim))) for a, b in zip(edges, edges[1:])]
+    field = (VectorField.piecewise(pieces) if cuts
+             else VectorField.autonomous(pieces[0][2]))
+    times = draw(st.lists(st.floats(0.0, 1.5) | st.sampled_from(edges), min_size=2,
+                          max_size=7))
+    times += draw(st.lists(st.sampled_from(times), max_size=2))
+    times.sort(reverse=draw(st.booleans()))
+    q = draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim))
+    return field, times[0], times[1:], q
+
+
+def walk_outcome(walk):
+    """The bytes of a walk's states and segment pushforwards, or where it blew up."""
+    try:
+        states, segments = walk()
+    except BlowUpError as err:
+        return err.step, err.t
+    return [s.tobytes() for s in states], [m.tobytes() for m in segments]
+
+
+def per_node_solves(field, t0, times, q, solver, pushforward):
+    """Reference: one single solve per node, each from the previous endpoint."""
+    states, segments = [], []
+    for start, t in zip([t0] + times, times):
+        fm = FlowMap(field, start, t, solver)
+        if pushforward:
+            q, mat = flow_with_pushforward(fm, q)
+            segments.append(mat)
+        else:
+            q = flow_map(fm, q)
+        states.append(q)
+    return states, segments
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(node_walks(), st.sampled_from((float, np.float64)))
+def test_chained_trajectory_is_one_solve_per_node(walk, cast):
+    field, t0, times, q = walk
+    solver = FlowSolver(40)
+    for pushforward in (False, True):
+        chained = walk_outcome(lambda: chained_trajectory(
+            field, cast(t0), [cast(t) for t in times], q, solver, pushforward))
+        assert chained == walk_outcome(
+            lambda: per_node_solves(field, t0, times, q, solver, pushforward))
+    if isinstance(chained[0], int):
+        return
+    states, segments = chained
+    # a repeated node stays put and its segment pushforward is the identity
+    for i, (start, t) in enumerate(zip([t0] + times, times)):
+        if start == t:
+            assert states[i] == (states[i - 1] if i else np.array(q).tobytes())
+            assert segments[i] == np.eye(field.dim).tobytes()

@@ -255,9 +255,9 @@ def test_plan_solves_each_tried_motion_once(monkeypatch, system, degree, target)
     make_motion = chronoflow.reach.bracket_motion
     bracket = chronoflow.liealg.lie_bracket_map
 
-    def counting_core(fm, q, want_pushforward):
-        solves.append(fm)
-        return core(fm, q, want_pushforward)
+    def counting_core(field, t0, times, q, solver, want_pushforward):
+        solves.append(times)
+        return core(field, t0, times, q, solver, want_pushforward)
 
     def recording_motion(*args, **kwargs):
         motions.append(make_motion(*args, **kwargs))
