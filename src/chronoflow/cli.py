@@ -3,7 +3,7 @@
 Output is deterministic: identical argv and inputs produce byte-identical
 text (CSV values carry 17 significant digits, JSON uses shortest-repr
 floats and stable key order).  Exit codes: 0 success, 2 validation error,
-3 numerical failure (blow-up or planner stall).
+3 numerical failure (blow-up, planner stall or a singular pushforward).
 """
 from __future__ import annotations
 
@@ -406,7 +406,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.fn(args)
-    except (BlowUpError, StalledError) as exc:
+    except (BlowUpError, StalledError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ChronoflowError, KeyError, IndexError, ValueError, OSError,

@@ -211,22 +211,31 @@ def flow_operator_apply(fm: FlowMap, obs: Observable, q) -> np.ndarray:
     return obs(flow_map(fm, q))
 
 
+def _solve_columns(mats: np.ndarray, vectors) -> np.ndarray:
+    """Row i is mats^-1 vectors[i] (mats[i]^-1 for a stack), in one call whose
+    single-column right-hand sides give the bits of one solve per vector."""
+    return np.linalg.solve(mats, np.asarray(vectors)[..., None])[..., 0]
+
+
+def _transport(fm: FlowMap, pieces, r) -> np.ndarray:
+    """Row i is F_*V_i(r) = N^-1 V_i(F^-1(r)) for the flow map F of ``fm``.
+
+    One variational solve of the inverse flow from r gives F^-1(r) and its
+    differential N = D(F^-1)(r); one stacked solve applies N^-1 to all pieces.
+    """
+    states, segments = _flow_core(fm.field, fm.t1, [fm.t0], r, fm.solver, True)
+    return _solve_columns(segments[0], [piece(states[0]) for piece in pieces])
+
+
 def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> NumericalField:
     """The transported field F_*V: r -> F_*(F^{-1}(r)) V(t_eval, F^{-1}(r)).
 
-    F is the flow map ``fm``.  The result is numerical (each evaluation
-    solves an inverse flow and a variational equation), so it carries no
-    exact derivatives.
+    F is the flow map ``fm``.  The result is numerical (each evaluation is
+    one variational solve of the inverse flow from r and one linear solve,
+    ``_transport``), so it carries no exact derivatives.
     """
-    inverse = FlowMap(fm.field, fm.t1, fm.t0, fm.solver)
     piece = field.piece_at(t_eval)
-
-    def evaluate(_t: float, r: np.ndarray) -> np.ndarray:
-        pre = flow_map(inverse, r)
-        mat = flow_pushforward(fm, pre)
-        return mat @ piece(pre)
-
-    return NumericalField(field.dim, evaluate,
+    return NumericalField(field.dim, lambda _t, r: _transport(fm, [piece], r)[0],
                           f"pushforward by flow [{fm.t0}, {fm.t1}]")
 
 
@@ -234,18 +243,11 @@ def chained_trajectory(field: VectorField, t0: float, times, q, solver: FlowSolv
                        pushforward: bool = False) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """One trajectory from (t0, q), solved segment by segment through ``times``.
 
-    Segment i runs from times[i-1] (t0 for the first) to times[i] and starts
-    where segment i-1 ended; with ``times`` monotone in the integration
-    direction that is one pass along the trajectory.  The walk is one call
-    of the executor that single solves use (``_flow_core``): it checks the
-    point and the window once, takes every time as a Python float
-    (``np.float64`` quadrature nodes too) and passes the state between
-    nodes as floats, so each state is the bits of a single solve from the
-    previous one.  Returns the states at ``times`` and, with
-    ``pushforward``, the segment pushforwards S_i, the differential of the
-    flow times[i-1] -> times[i] at the previous state (an empty list
-    otherwise).  The pushforward between two nodes is the product of the
-    segments in between, S_j ... S_{i+1}.
+    One pass of the executor single solves use (``_flow_core``), so each
+    state has the bits of a single solve from the previous one.  Returns the
+    states at ``times`` and, with ``pushforward``, the segment pushforwards
+    S_i of the flow times[i-1] -> times[i] (t0 for the first); the
+    pushforward between two nodes is the product S_j ... S_{i+1}.
     """
     return _flow_core(field, t0, times, q, solver, pushforward)
 
@@ -254,8 +256,8 @@ def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float
                         t1: float, q, solver: FlowSolver, dim: int | None = None) -> np.ndarray:
     """RK4 endpoint for a genuinely time-dependent evaluator (t, q) -> vector.
 
-    Used for flows of numerical fields, where no piecewise structure is
-    available to split on.
+    One fixed grid over [t0, t1], with no breakpoint splitting: a caller
+    whose evaluator is piecewise in time solves each interval in turn.
     """
     point = as_point(q, dim)
     if t1 == t0:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -30,9 +31,10 @@ from .fields import (
 from .flow import (
     FlowMap,
     FlowSolver,
+    _solve_columns,
+    _transport,
     chained_trajectory,
     flow_map,
-    flow_pushforward,
     inverse_flow,
     run_segments,
 )
@@ -291,8 +293,8 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
     from q, where the backward pushforward (P_{tau,0})_* is the inverse of
     the forward one, P_{0,tau}'s differential at q.  One variational pass
     from q through the quadrature nodes to t supplies all of them as
-    products of segment pushforwards; the bracket is the exact coordinate
-    bracket.
+    products of segment pushforwards, and one stacked linear solve applies
+    their inverses; the bracket is the exact coordinate bracket.
     """
     if not (v.is_autonomous and w.is_autonomous):
         raise ValueError("the adjoint identity check expects autonomous fields")
@@ -302,14 +304,14 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
     states, segments = chained_trajectory(v, 0.0, list(xs) + [t], point, solver,
                                           pushforward=True)
 
+    forwards = list(accumulate(segments, lambda f, m: m @ f, initial=np.eye(v.dim)))
+    values = [eval_field(bracket, 0.0, x_tau) for x_tau in states[:-1]]
+    pulled = _solve_columns(np.array(forwards[1:]),
+                            values + [eval_field(w, 0.0, states[-1])])
     total = eval_field(w, 0.0, point).astype(float)
-    forward = np.eye(v.dim)
-    for weight, x_tau, mat in zip(ws, states, segments):
-        forward = mat @ forward
-        total += weight * np.linalg.solve(forward, eval_field(bracket, 0.0, x_tau))
-    forward = segments[-1] @ forward
-    lhs = np.linalg.solve(forward, eval_field(w, 0.0, states[-1]))
-    return float(np.linalg.norm(lhs - total))
+    for weight, value in zip(ws, pulled):
+        total += weight * value
+    return float(np.linalg.norm(pulled[-1] - total))
 
 
 def pushforward_invariance_check(fm: FlowMap, v: VectorField, w: VectorField, q,
@@ -320,20 +322,17 @@ def pushforward_invariance_check(fm: FlowMap, v: VectorField, w: VectorField, q,
     brackets the two numerical pushforward fields with central finite
     differences (the independent oracle path), step h = eps^(1/3) *
     max(1, |x_i|).  The three transported fields (``pushforward_field``'s
-    values) share one inverse and one variational solve per point: 2n + 1
-    pairs.
+    values) share one variational solve of the inverse flow and one stacked
+    linear solve per point (``_transport``), at 2n + 1 distinct points.
     """
     point = as_point(q, v.dim)
-    inverse = FlowMap(fm.field, fm.t1, fm.t0, fm.solver)
     pieces = [f.piece_at(t_eval) for f in (v, w, lie_bracket_field(v, w, t_eval))]
-    transported: dict[bytes, list[np.ndarray]] = {}
+    transported: dict[bytes, np.ndarray] = {}
 
-    def transport(r: np.ndarray) -> list[np.ndarray]:
+    def transport(r: np.ndarray) -> np.ndarray:
         key = r.tobytes()
         if key not in transported:
-            pre = flow_map(inverse, r)
-            mat = flow_pushforward(fm, pre)
-            transported[key] = [mat @ piece(pre) for piece in pieces]
+            transported[key] = _transport(fm, pieces, r)
         return transported[key]
 
     jac_fv = finite_difference_jacobian(lambda r: transport(r)[0], point)

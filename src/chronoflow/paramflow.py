@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -20,10 +21,11 @@ from .fields import VectorField, add_fields, as_point, eval_field
 from .flow import (
     FlowMap,
     FlowSolver,
+    _solve_columns,
+    _transport,
     chained_trajectory,
     flow_map,
     flow_time_dependent,
-    flow_with_pushforward,
 )
 from .quadrature import gauss_legendre, split_at
 
@@ -72,7 +74,8 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     integrates pushforward(tau_i -> t1) = S_{n+1} ... S_{i+1} applied to W
     along the trajectory; ``mode="out"`` pulls each contribution back to
     the start through the inverse of pushforward(t0 -> tau_i) = S_i ... S_1
-    and applies the full product once outside the integral.  Because both
+    and applies the full product once outside the integral; one stacked
+    linear solve pulls back every contribution.  Because both
     modes share the same S_i they agree to rounding: they are two
     evaluations of one numerical route, not independent checks of each
     other.  ``fd_param_derivative`` is the independent oracle.
@@ -94,11 +97,10 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
         for mat, c in zip(segments, contributions):
             total = mat @ total + c
         return segments[-1] @ total
-    forward = np.eye(sys.base_field.dim)
-    for mat, c in zip(segments, contributions):
-        forward = mat @ forward
-        total += np.linalg.solve(forward, c)
-    return (segments[-1] @ forward) @ total
+    forwards = list(accumulate(segments, lambda f, m: m @ f, initial=np.eye(len(total))))
+    for value in _solve_columns(np.array(forwards[1:-1]), contributions):
+        total += value
+    return forwards[-1] @ total
 
 
 def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,
@@ -114,18 +116,6 @@ def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,
     return (end_plus - end_minus) / (2.0 * epsilon)
 
 
-def _pull_back(v: VectorField, w: VectorField, tau: float, z: np.ndarray,
-               solver: FlowSolver) -> np.ndarray:
-    """W(tau) transported to z by the backward flow of V from tau to 0.
-
-    One forward variational solve from z over [0, tau] gives its end x and
-    differential M; the backward pushforward at x is the inverse of M, so
-    the value is M^{-1} W(tau, x).
-    """
-    end, mat = flow_with_pushforward(FlowMap(v, 0.0, tau, solver), z)
-    return np.linalg.solve(mat, eval_field(w, tau, end))
-
-
 def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
                                   solver: FlowSolver) -> float:
     """Factorize the flow of V + W through the pulled-back perturbation.
@@ -133,12 +123,19 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     The correction flow C solves z' = G(tau, z) where G is W transported by
     the backward flow of V at time tau; executed as point maps, the flow of
     V + W from q equals C first, then the flow of V.  Returns the norm of
-    the factorization discrepancy at q.  Each value of G takes one forward
-    variational solve (``_pull_back``).
+    the factorization discrepancy at q.  C is integrated interval by
+    interval between the breakpoints of V and W, with W's piece for the
+    interval.  Each value of G is ``_transport`` by the flow tau -> 0: one
+    forward variational solve over [0, tau] from z and one linear solve.
     """
     point = as_point(q, v.dim)
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), point)
-    corrected = flow_time_dependent(lambda tau, z: _pull_back(v, w, tau, z, solver),
-                                    0.0, t, point, solver, dim=v.dim)
+    corrected = point
+    cuts = v.breakpoints_between(0.0, t) + w.breakpoints_between(0.0, t)
+    for a, b in split_at(0.0, t, cuts):
+        pieces = [w.piece_for_interval(a, b)]
+        corrected = flow_time_dependent(
+            lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
+            a, b, corrected, solver, dim=v.dim)
     factored = flow_map(FlowMap(v, 0.0, t, solver), corrected)
     return float(np.linalg.norm(direct - factored))

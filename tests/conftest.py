@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from chronoflow import PolynomialMap, VectorField
+from chronoflow import FlowMap, PolynomialMap, VectorField, flow_map, flow_pushforward
 
 
 def _random_field(seed: int, dim: int, degree: int, terms: int = 3,
@@ -24,3 +24,14 @@ def _random_field(seed: int, dim: int, degree: int, terms: int = 3,
 @pytest.fixture
 def random_field():
     return _random_field
+
+
+def _two_solve_pushforward(fm: FlowMap, piece, r) -> np.ndarray:
+    """Reference F_*V(r): a plain inverse solve, then F's differential there."""
+    pre = flow_map(FlowMap(fm.field, fm.t1, fm.t0, fm.solver), r)
+    return flow_pushforward(fm, pre) @ piece(pre)
+
+
+@pytest.fixture(scope="session")
+def two_solve_pushforward():
+    return _two_solve_pushforward

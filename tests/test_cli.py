@@ -362,6 +362,21 @@ def test_blow_up_in_param_deriv_prints_one_line(tmp_path):
         "numerical failure: integration diverged at step 1 (t=0.000684035)"]
 
 
+def test_singular_pushforward_in_param_deriv_exits_3(tmp_path):
+    # x' = -800 x over t = 1: the forward pushforward 0.4517^1000 underflows
+    # to 0, so pulling a contribution back through it has no solution
+    path = tmp_path / "contract.json"
+    path.write_text(json.dumps({"fields": [
+        {"dim": 1, "components": [[{"coef": -800.0, "exps": [1]}]]},
+        {"dim": 1, "components": [[{"coef": 1.0, "exps": [0]}]]}]}))
+    result = run_cli("param-deriv", "--system", str(path), "--t", "1", "--q", "1")
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["numerical failure: Singular matrix"]
+    assert run_cli("param-deriv", "--system", str(path), "--t", "0.5",
+                   "--q", "1").returncode == 0
+
+
 @pytest.mark.parametrize("dim", [56, 64])
 def test_flow_compiles_at_high_dimension(tmp_path, dim):
     # component i is -x_i + 0.5 x_i x_{i-1}; the generated loop's finiteness

@@ -263,15 +263,15 @@ def test_commutator_decomposition_residual(t):
                                              solver) <= 1e-8
 
 
-def _invariance_reference(fm, v, w, q, t_eval=0.0):
-    """The check through three independent pushforward_field evaluators."""
+def _invariance_reference(transport, fm, v, w, q, t_eval=0.0):
+    """The check with every transported value from ``transport(fm, piece, r)``."""
     point = np.asarray(q, dtype=float)
-    lhs = pushforward_field(fm, lie_bracket_field(v, w, t_eval), t_eval)(t_eval, point)
-    fv = lambda p: pushforward_field(fm, v, t_eval)(t_eval, p)
-    fw = lambda p: pushforward_field(fm, w, t_eval)(t_eval, p)
+    pieces = [f.piece_at(t_eval) for f in (v, w, lie_bracket_field(v, w, t_eval))]
+    fv = lambda p: transport(fm, pieces[0], p)
+    fw = lambda p: transport(fm, pieces[1], p)
     rhs = (finite_difference_jacobian(fw, point) @ fv(point)
            - finite_difference_jacobian(fv, point) @ fw(point))
-    return float(np.linalg.norm(lhs - rhs))
+    return float(np.linalg.norm(transport(fm, pieces[2], point) - rhs))
 
 
 @pytest.mark.parametrize("fields,q", [
@@ -283,10 +283,10 @@ def _invariance_reference(fm, v, w, q, t_eval=0.0):
     (brockett_fields(), [0.5, 0.5, 0.5]),
 ])
 def test_pushforward_invariance_matches_reference_and_shares_solves(monkeypatch, fields,
-                                                                    q):
+                                                                    q, two_solve_pushforward):
     v, w = fields
     fm = FlowMap(v, 0.0, 0.3, SOLVER)
-    expected = _invariance_reference(fm, v, w, q)
+    expected = _invariance_reference(two_solve_pushforward, fm, v, w, q)
     calls = []
     core = chronoflow.flow._flow_core
 
@@ -295,9 +295,22 @@ def test_pushforward_invariance_matches_reference_and_shares_solves(monkeypatch,
         return core(field, t0, times, q_, solver, want_pushforward)
 
     monkeypatch.setattr(chronoflow.flow, "_flow_core", counting)
-    assert pushforward_invariance_check(fm, v, w, q) == expected
-    # one inverse solve and one variational solve per distinct point
-    assert calls.count(True) == calls.count(False) <= 2 * len(q) + 1
+    assert abs(pushforward_invariance_check(fm, v, w, q) - expected) <= 1e-12
+    # one variational solve of the inverse flow per distinct point, no plain one
+    assert calls.count(False) == 0
+    assert len(calls) <= 2 * len(q) + 1
+
+
+@pytest.mark.parametrize("t", [0.3, -0.7])
+def test_pushforward_of_heisenberg_v2_is_exact(t):
+    # the flow of V1 = (1, 0, -y/2) is (x + t, y, z - t y / 2); its
+    # differential maps V2 = (0, 1, x/2) at F^-1(r) to (0, 1, x/2 - t) at r;
+    # the rounding of the z sum over the solve's steps grows with the x of
+    # F^-1(r), x - t, so the points keep |x - t| <= 1 (x - t = 1.2 reads 1.0e-14)
+    field = pushforward_field(FlowMap(V1, 0.0, t, SOLVER), V2, 0.0)
+    for r in ([0.1, 0.2, 0.0], [-0.4, 0.3, 0.7], [0.25, -0.5, 0.2]):
+        want = [0.0, 1.0, r[0] / 2 - t]
+        assert np.max(np.abs(field(0.0, r) - want)) <= 1e-14
 
 
 @pytest.mark.parametrize("t_max", [-0.4, 0.0, float("nan"), float("inf")])

@@ -19,13 +19,12 @@ from chronoflow import (
     heisenberg_fields,
     linear_field,
     param_derivative,
-    pushforward_field,
     rotation2d,
     unicycle_fields,
     variation_of_parameters_check,
     zero_field,
 )
-from chronoflow.paramflow import _pull_back
+from chronoflow.flow import _transport
 
 SOLVER = FlowSolver(1000)
 V1, V2 = heisenberg_fields()
@@ -196,16 +195,32 @@ def test_variation_of_parameters_heisenberg():
 
 
 @pytest.mark.parametrize("pair", ["heisenberg", "brockett", "random"])
-def test_pull_back_is_the_backward_pushforward_field(pair, random_field):
-    # the value vop integrates, one forward variational solve per call, is
-    # the definition's transported field: W(tau) pushed forward by the
-    # backward flow tau -> 0 of V, evaluated at z
+def test_pull_back_is_the_backward_pushforward_field(pair, random_field,
+                                                     two_solve_pushforward):
+    # the value vop integrates, one forward variational solve and one linear
+    # solve per call, is the definition's transported field: W(tau) pushed
+    # forward by the backward flow tau -> 0 of V, evaluated at z
     v, w = {"heisenberg": (V1, V2), "brockett": brockett_fields(),
             "random": (random_field(11, 4, 2), random_field(12, 4, 2))}[pair]
     solver = FlowSolver(200)
     rng = np.random.default_rng(5)
     for tau in (0.0, 0.05, 0.2, 0.4):
         z = rng.uniform(-0.3, 0.3, v.dim)
-        want = pushforward_field(FlowMap(v, tau, 0.0, solver), w, tau)(tau, z)
-        got = _pull_back(v, w, tau, z, solver)
+        backward = FlowMap(v, tau, 0.0, solver)
+        want = two_solve_pushforward(backward, w.piece_at(tau), z)
+        got = _transport(backward, [w.piece_at(tau)], z)[0]
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("breakpoint", [0.25, 0.2513])
+def test_variation_of_parameters_piecewise_perturbation(breakpoint):
+    # the correction flow is split at W's breakpoint and integrates each
+    # interval with that interval's piece, wherever the breakpoint falls on
+    # the step grid
+    v, _ = brockett_fields()
+    w = VectorField.piecewise([
+        (0.0, breakpoint, PolynomialMap.constants([1.0, 0.0, 0.0], 3)),
+        (breakpoint, 1.0, PolynomialMap.linear([[0, 0, 0], [0, 0, 1], [0.5, 0, 0]]))])
+    for t in (0.5, 1.0):
+        assert variation_of_parameters_check(v, w, [0.1, -0.2, 0.3], t,
+                                             FlowSolver(200)) <= 1e-10

@@ -8,7 +8,10 @@ direction; the compiled evaluator must give the bits of a term-by-term
 numpy evaluation (dimension <= 8, exponents <= 11, overflow included), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
 numpy stepper's pushforward (dimension <= 8); a chained trajectory must
-give the bits of one single solve per node on random piecewise fields.
+give the bits of one single solve per node on random piecewise fields;
+transported fields must match the two-solve route, and the stacked
+pull-backs of param_derivative, adjoint_check and the variation-of-
+parameters check the bits of one linear solve per node (dimension <= 6).
 Examples are derandomized so the suite is repeatable.
 """
 import functools
@@ -25,16 +28,34 @@ from chronoflow import (
     FlowSolver,
     Observable,
     PolynomialMap,
+    PerturbedSystem,
     Segment,
     VectorField,
+    adjoint_check,
+    brockett_fields,
     flow_map,
     flow_with_pushforward,
+    heisenberg_fields,
+    param_derivative,
+    pushforward_field,
     remainder_eval,
+    unicycle_fields,
+    variation_of_parameters_check,
     vector_field_from_json,
 )
-from chronoflow.fields import _add_terms, _diff_terms, _mul_terms, _variational_source, lift_map
-from chronoflow.flow import chained_trajectory
-from chronoflow.liealg import lie_bracket_map
+from chronoflow.fields import (
+    _add_terms,
+    _diff_terms,
+    _mul_terms,
+    _variational_source,
+    add_fields,
+    eval_field,
+    lift_map,
+)
+from chronoflow.flow import chained_trajectory, flow_time_dependent
+from chronoflow.liealg import lie_bracket_field, lie_bracket_map
+from chronoflow.paramflow import _quad_nodes
+from chronoflow.quadrature import gauss_legendre
 
 ALGEBRA = settings(max_examples=30, deadline=None, database=None, derandomize=True)
 REMAINDER = settings(max_examples=8, deadline=None, database=None, derandomize=True)
@@ -371,3 +392,97 @@ def test_chained_trajectory_is_one_solve_per_node(walk, cast):
         if start == t:
             assert states[i] == (states[i - 1] if i else np.array(q).tobytes())
             assert segments[i] == np.eye(field.dim).tobytes()
+
+
+@settings(max_examples=30, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_pushforward_field_matches_two_solve_route(two_solve_pushforward, data):
+    # one variational solve of the inverse flow and N^-1 against a plain
+    # inverse solve and the forward differential: the same map up to rounding
+    dim = data.draw(dims)
+    v, w = (VectorField.autonomous(data.draw(polynomial_maps(dim))) for _ in "vw")
+    fm = FlowMap(v, 0.0, data.draw(st.sampled_from((0.3, -0.3, 0.7))), FlowSolver(200))
+    r = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim).map(np.array))
+    want = two_solve_pushforward(fm, w.piece_at(0.0), r)
+    got = pushforward_field(fm, w, 0.0)(0.0, r)
+    assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
+def per_node_out_formula(sys: PerturbedSystem, q, solver: FlowSolver, nodes: int):
+    """Reference: param_derivative's "out" mode with one solve per node."""
+    dim = sys.base_field.dim
+    xs, ws = _quad_nodes(sys, nodes)
+    states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], q,
+                                          solver, pushforward=True)
+    total, forward = np.zeros(dim), np.eye(dim)
+    for mat, w, tau, p in zip(segments, ws, xs, states):
+        forward = mat @ forward
+        total += np.linalg.solve(forward, w * eval_field(sys.perturbation_field, tau, p))
+    return (segments[-1] @ forward) @ total
+
+
+def per_node_adjoint_check(v, w, q, t, solver: FlowSolver, nodes: int = 16) -> float:
+    """Reference: adjoint_check with one solve per node and one for the left side."""
+    bracket = lie_bracket_field(v, w)
+    xs, ws = gauss_legendre(0.0, t, nodes)
+    states, segments = chained_trajectory(v, 0.0, list(xs) + [t], q, solver,
+                                          pushforward=True)
+    total = eval_field(w, 0.0, q).astype(float)
+    forward = np.eye(v.dim)
+    for weight, x_tau, mat in zip(ws, states, segments):
+        forward = mat @ forward
+        total += weight * np.linalg.solve(forward, eval_field(bracket, 0.0, x_tau))
+    forward = segments[-1] @ forward
+    lhs = np.linalg.solve(forward, eval_field(w, 0.0, states[-1]))
+    return float(np.linalg.norm(lhs - total))
+
+
+def per_evaluation_vop(v, w, q, t, solver: FlowSolver) -> float:
+    """Reference: the variation-of-parameters check on one grid over [0, t]
+    (autonomous fields), each pulled-back value a forward solve and a solve."""
+    def pull_back(tau, z):
+        end, mat = flow_with_pushforward(FlowMap(v, 0.0, tau, solver), z)
+        return np.linalg.solve(mat, eval_field(w, tau, end))
+
+    direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), q)
+    corrected = flow_time_dependent(pull_back, 0.0, t, q, solver, dim=v.dim)
+    return float(np.linalg.norm(direct - flow_map(FlowMap(v, 0.0, t, solver), corrected)))
+
+
+def outcome(fn):
+    """The bytes of a result, or the type of the error it raised."""
+    try:
+        return np.asarray(fn()).tobytes()
+    except (BlowUpError, np.linalg.LinAlgError) as err:
+        return type(err).__name__
+
+
+CATALOG_PAIRS = (heisenberg_fields(), brockett_fields(), unicycle_fields())
+
+
+@st.composite
+def field_pairs(draw):
+    """A catalog pair, or two random autonomous fields of dimension 1 to 6."""
+    if draw(st.booleans()):
+        return draw(st.sampled_from(CATALOG_PAIRS))
+    dim = draw(st.integers(1, 6))
+    return tuple(VectorField.autonomous(draw(polynomial_maps(dim))) for _ in "vw")
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(field_pairs(), st.data())
+def test_stacked_pull_backs_match_per_node_solves(pair, data):
+    v, w = pair
+    q = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=v.dim, max_size=v.dim)
+                  .map(np.array))
+    t = data.draw(st.sampled_from((0.4, -0.4, 0.15)))
+    t0, t1 = (0.0, t) if data.draw(st.booleans()) else (t, 0.0)
+    sys = PerturbedSystem(v, w, t0, t1)
+    solver = FlowSolver(40)
+    assert outcome(lambda: param_derivative(sys, q, "out", solver, nodes=8)) == outcome(
+        lambda: per_node_out_formula(sys, q, solver, 8))
+    assert outcome(lambda: adjoint_check(v, w, q, t, solver, nodes=8)) == outcome(
+        lambda: per_node_adjoint_check(v, w, q, t, solver, nodes=8))
+    coarse = FlowSolver(20)
+    assert outcome(lambda: variation_of_parameters_check(v, w, q, t, coarse)) == outcome(
+        lambda: per_evaluation_vop(v, w, q, t, coarse))
