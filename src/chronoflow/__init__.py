@@ -22,7 +22,6 @@ from .errors import (
     BlowUpError,
     ChronoflowError,
     DefectExhaustedError,
-    DegenerateProbe,
     DimensionError,
     PlannerPreconditionError,
     StalledError,
@@ -72,9 +71,8 @@ _LAZY = {
     name: module
     for module, names in {
         "chrono": (
-            "OrderEstimate", "RemainderReport", "SeriesTerm",
-            "integral_equation_residual", "order_probe", "remainder_eval",
-            "simplex_integral_term", "simplex_volume", "volterra_truncate",
+            "OrderEstimate", "RemainderReport", "integral_equation_residual", "order_probe",
+            "remainder_eval", "simplex_integral_term", "simplex_volume", "volterra_truncate",
         ),
         "liealg": (
             "BracketExpression", "FlowBracketProgram", "adjoint_check",

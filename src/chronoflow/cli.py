@@ -3,7 +3,8 @@
 Output is deterministic: identical argv and inputs produce byte-identical
 text (CSV values carry 17 significant digits, JSON uses shortest-repr
 floats and stable key order).  Exit codes: 0 success, 2 validation error,
-3 numerical failure (blow-up, planner stall or a singular pushforward).
+3 numerical failure (blow-up, planner stall, a singular pushforward or a
+non-finite number in the output).
 """
 from __future__ import annotations
 
@@ -15,12 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    BlowUpError,
-    ChronoflowError,
-    DegenerateProbe,
-    StalledError,
-)
+from .errors import BlowUpError, ChronoflowError, StalledError
 from .fields import Observable, as_point, load_system
 from .flow import FlowMap, FlowSolver, flow_with_pushforward
 
@@ -33,6 +29,8 @@ def _fmt(cell) -> str:
     if cell is None:
         return ""
     if isinstance(cell, float):  # numpy float64 included
+        if not np.isfinite(cell):
+            raise FloatingPointError("non-finite value in the output")
         return format(cell, ".17g")
     return str(cell)
 
@@ -91,9 +89,13 @@ def _write_output(text: str, args) -> None:
 
 
 def _render(args, doc, header: str, rows) -> str:
-    """The text of every output: ``doc`` as JSON, or ``header`` and ``rows`` as CSV."""
+    """The text of every output: ``doc`` as JSON, or ``header`` and ``rows`` as CSV;
+    a non-finite number in them is a numerical failure, not an answer."""
     if args.format == "json":
-        return json.dumps(doc, indent=2) + "\n"
+        try:
+            return json.dumps(doc, indent=2, allow_nan=False) + "\n"
+        except ValueError:  # raised for NaN or infinity
+            raise FloatingPointError("non-finite value in the output") from None
     return "".join([header + "\n"] + [",".join(map(_fmt, row)) + "\n" for row in rows])
 
 
@@ -152,10 +154,7 @@ def cmd_order_probe(args) -> str:
             return chrono.remainder_eval(field, obs, q, 0.0, t, args.k, solver,
                                          args.nodes).remainder_norm
 
-        try:
-            estimate = chrono.order_probe(sample, args.t_max, args.levels)
-        except DegenerateProbe as probe:
-            estimate = chrono.degenerate_estimate(probe.t_grid, probe.norms)
+        estimate = chrono.order_probe(sample, args.t_max, args.levels)
     elif args.residual == "flow-bracket":
         from . import liealg
         expr = liealg.BracketExpression.parse(args.expr)
@@ -406,7 +405,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         text = args.fn(args)
-    except (BlowUpError, StalledError, np.linalg.LinAlgError) as exc:
+    except (BlowUpError, StalledError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ChronoflowError, KeyError, IndexError, ValueError, OSError,

@@ -27,22 +27,6 @@ class BlowUpError(ChronoflowError):
         self.t = t
 
 
-class DegenerateProbe(ChronoflowError):
-    """All probe samples sit at numerical zero, so no slope can be fitted.
-
-    Exact cancellation counts as success for a decay-order claim; callers
-    that treat it as a pass catch this and report a degenerate estimate.
-    """
-
-    def __init__(self, t_grid, norms):
-        super().__init__(
-            "all %d probe samples below the zero cutoff; no usable slope fit"
-            % len(norms)
-        )
-        self.t_grid = t_grid
-        self.norms = norms
-
-
 class PlannerPreconditionError(ChronoflowError):
     """The bracket span is rank-deficient at the start point."""
 

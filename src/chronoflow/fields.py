@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -42,6 +43,17 @@ def as_point(q, dim: int | None = None) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError("chart point has non-finite entries")
     return arr
+
+
+def vector_norm(v) -> float:
+    """Euclidean norm, finite wherever the true norm is: only where the squares of
+    ``np.linalg.norm`` overflow is ``v`` scaled by its largest entry first."""
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if norm == math.inf and np.isfinite(v).all():
+        scale = float(np.max(np.abs(v)))
+        norm = scale * float(np.linalg.norm(v / scale))
+    return norm
 
 
 def as_int(value, what: str) -> int:
@@ -84,8 +96,8 @@ def _normalize_component(terms: Iterable[tuple[float, Sequence[int]]], dim_in: i
             raise DimensionError(
                 f"exponent tuple {exps} has length {len(exps)}, expected {dim_in}"
             )
-        if any(e < 0 for e in exps):
-            raise ValueError(f"negative exponent in {exps}")
+        if any(not 0 <= e <= sys.float_info.max for e in exps):  # numpy's ** takes e as a float
+            raise ValueError(f"exponent out of range in {exps}")
         checked.append((exps, float(coef)))
     return _accumulate(checked)
 
@@ -110,7 +122,7 @@ def _terms(table: TermDict, names: Sequence[str]) -> list[str]:
     """Python source of each term of one term table over the variables ``names``.
 
     Terms go in sorted exponent order, each coefficient first and its
-    factors left to right; ``_eval_overflowing`` repeats that order.
+    factors left to right.
     """
     terms = []
     for exps in sorted(table):
@@ -138,27 +150,17 @@ def _sum_lines(target: str, operands: Sequence[str]) -> list[str]:
     return lines
 
 
-def _eval_overflowing(components: tuple[TermDict, ...], x: Sequence[float]) -> list[float]:
-    """The evaluator's expressions on numpy float64 scalars.
+def _rerun_overflowing(evaluate, x: Sequence[float]) -> list[float]:
+    """``evaluate`` again on numpy float64 scalars, with numpy's warnings silenced.
 
-    Python's ``float ** int`` raises OverflowError where numpy returns inf;
-    the evaluator lands here then, so an overflowing power gives numpy's
-    inf, with numpy's overflow warning silenced: the flow's blow-up test
-    reports it.
+    Python's ``float ** int`` raises OverflowError where numpy's ``**`` returns
+    inf, which the flow's blow-up test reports; numpy's raises only for an
+    exponent beyond the float range, which a lift of huge exponents can build.
     """
-    x = [np.float64(v) for v in x]
-    out = []
-    with np.errstate(over="ignore"):
-        for table in components:
-            total = None
-            for exps in sorted(table):
-                term = table[exps]
-                for var, e in enumerate(exps):
-                    if e:
-                        term = term * (x[var] if e == 1 else x[var] ** e)
-                total = term if total is None else total + term
-            out.append(0.0 if total is None else float(total))
-    return out
+    if all(type(v) is np.float64 for v in x):  # this is the rerun: do not recurse
+        raise ValueError("an exponent is beyond the float range")
+    with np.errstate(over="ignore", invalid="ignore"):
+        return [float(v) for v in evaluate([np.float64(v) for v in x])]
 
 
 def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
@@ -168,8 +170,8 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
     times; a compiled expression avoids per-call array bookkeeping.  The
     function maps a list of Python floats to a list of floats: the same
     IEEE operations in the same order as on numpy float64 scalars, so the
-    same bits.  Only ``**`` differs, and an overflowing power is evaluated
-    again by ``_eval_overflowing``.
+    same bits.  Only ``**`` differs, and an overflowing power reruns the
+    function on numpy scalars (``_rerun_overflowing``).
     """
     names = [f"x{var}" for var in range(dim_in)]
     used = {var for comp in components for exps in comp for var in range(dim_in)
@@ -189,10 +191,10 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
         lines.append(f"    {unpack}, = x")
     if powers:
         lines += ["    try:", *("        " + line for line in body), "    except OverflowError:",
-                  "        return _eval_overflowing(_components, x)"]
+                  "        return _rerun_overflowing(_eval, x)"]
     else:
         lines += ["    " + line for line in body]
-    namespace: dict = {"_eval_overflowing": _eval_overflowing, "_components": components}
+    namespace: dict = {"_rerun_overflowing": _rerun_overflowing}
     exec("\n".join(lines), namespace)
     return namespace["_eval"]
 
@@ -700,8 +702,8 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
                       num_time_tuples: int = 8, seed: int = 0) -> LocallyBoundedWitness:
     """Estimate the lift-composition bound by sampling the ball."""
     center = as_point(center, field.dim)
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    if not (math.isfinite(radius) and radius > 0):
+        raise ValueError(f"witness radius must be finite and positive, got {radius!r}")
     rng = np.random.default_rng(seed)
     n = field.dim
     direction = rng.normal(size=(num_points, n))
@@ -711,14 +713,14 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
 
     if field.is_autonomous:
         lifted = iterate_lift([(field, 0.0)] * order, obs)
-        bound = max(float(np.linalg.norm(lifted(p))) for p in points)
+        bound = max(vector_norm(lifted(p)) for p in points)
     else:
         lo, hi = field.window
         bound = 0.0
         for _ in range(num_time_tuples):
             taus = np.sort(rng.uniform(lo, hi, size=order))[::-1]
             lifted = iterate_lift([(field, t) for t in taus], obs)
-            bound = max(bound, max(float(np.linalg.norm(lifted(p))) for p in points))
+            bound = max(bound, max(vector_norm(lifted(p)) for p in points))
     return LocallyBoundedWitness(center=center, radius=float(radius),
                                  bound_C=bound, order=int(order))
 

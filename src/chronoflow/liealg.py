@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DegenerateProbe, DimensionError
+from .errors import DimensionError
 from .fields import (
     PolynomialMap,
     VectorField,
@@ -230,10 +230,7 @@ def flow_bracket(expr: BracketExpression, fields, t: float, q,
 def _probe_flow_residual(residual, t_max: float, levels: int) -> OrderEstimate:
     """``order_probe`` of a flow residual; solver noise counts as exact zero."""
     from .chrono import degenerate_estimate, order_probe
-    try:
-        estimate = order_probe(residual, t_max, levels)
-    except DegenerateProbe as probe:
-        return degenerate_estimate(probe.t_grid, probe.norms)
+    estimate = order_probe(residual, t_max, levels)
     if np.max(estimate.norms) < FLOW_ZERO_CUTOFF:
         return degenerate_estimate(estimate.t_grid, estimate.norms)
     return estimate

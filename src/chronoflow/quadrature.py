@@ -5,11 +5,14 @@ from functools import lru_cache
 
 import numpy as np
 
+# leggauss builds an n x n matrix: 1,024 nodes take 16 MB, 100,000 would take 75 GiB
+MAX_NODES = 1024
+
 
 @lru_cache(maxsize=None)
 def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    if n < 1:
-        raise ValueError("quadrature needs at least one node")
+    if not 1 <= n <= MAX_NODES:
+        raise ValueError(f"quadrature needs 1 to {MAX_NODES} nodes, got {n}")
     x, w = np.polynomial.legendre.leggauss(n)
     return x, w
 

@@ -21,7 +21,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, as_int, as_point, eval_field
+from .fields import VectorField, as_int, as_point, eval_field, vector_norm
 from .flow import FlowSolver, flow_map, run_segments  # noqa: F401 (perfbench reads reach.flow_map)
 
 if TYPE_CHECKING:  # liealg loads in the functions that use it; simulate needs none of it
@@ -275,12 +275,12 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
 
     def result() -> PlanResult:
         return PlanResult(schedule=schedule, endpoint=point,
-                          residual=float(np.linalg.norm(point - goal)),
+                          residual=vector_norm(point - goal),
                           iterations=iterations)
 
     while iterations < max_iters:
         residual = goal - point
-        residual_norm = float(np.linalg.norm(residual))
+        residual_norm = vector_norm(residual)
         if residual_norm <= epsilon:
             break
         directions = np.array([eval_field(f, 0.0, point) for f in fields])
@@ -294,7 +294,7 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
             motion = bracket_motion(sys, basis[pick], magnitude,
                                     sign=1 if coeffs[pick] > 0 else -1)
             candidate = simulate_schedule(sys, point, motion, solver)
-            if float(np.linalg.norm(goal - candidate)) < residual_norm:
+            if vector_norm(goal - candidate) < residual_norm:
                 point = candidate
                 schedule = schedule.concat(motion)
                 fraction = step_fraction

@@ -8,7 +8,6 @@ from numpy.testing import assert_allclose
 import chronoflow.chrono
 import chronoflow.flow
 from chronoflow import (
-    DegenerateProbe,
     FlowSolver,
     Observable,
     PolynomialMap,
@@ -25,7 +24,7 @@ from chronoflow import (
     simplex_volume,
     volterra_truncate,
 )
-from chronoflow.quadrature import gauss_legendre, split_at
+from chronoflow.quadrature import MAX_NODES, gauss_legendre, split_at
 
 SOLVER = FlowSolver(1000)
 NILPOTENT = linear_field([[0.0, 1.0], [0.0, 0.0]])
@@ -192,8 +191,10 @@ def test_order_probe_remainder_k2_slope():
 
 
 def test_order_probe_degenerate_on_zeros():
-    with pytest.raises(DegenerateProbe):
-        order_probe(lambda t: 0.0, 0.5, 8)
+    estimate = order_probe(lambda t: 0.0, 0.5, 8)
+    assert estimate.degenerate and estimate.passes_order(4)
+    assert estimate.t_grid.tolist() == (0.5 * 2.0 ** -np.arange(8)).tolist()
+    assert estimate.norms.tolist() == [0.0] * 8
 
 
 def test_order_probe_validates_grid():
@@ -245,6 +246,12 @@ def test_integral_equation_residual_piecewise_constants():
     phi = Observable.identity(2)
     residual = integral_equation_residual(field, phi, [0.0, 0.0], 0.0, 1.0, SOLVER)
     assert residual <= 1e-9
+
+
+def test_quadrature_rejects_node_counts_above_the_cap():
+    assert len(gauss_legendre(0.0, 1.0, MAX_NODES)[0]) == MAX_NODES
+    with pytest.raises(ValueError, match=f"1 to {MAX_NODES} nodes, got 100000"):
+        gauss_legendre(0.0, 1.0, 100_000)
 
 
 def _rotation_then_drift(b=0.5):

@@ -197,6 +197,8 @@ def test_flow_invalid_time_or_density_exits_2(extra):
      "--nodes", "0"),
     ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04",
      "--epsilon", "1e-3", "--nodes", "16"),  # plan reads no quadrature nodes
+    ("param-deriv", "--system", "heisenberg", "--t", "0.5", "--q", "0,0,0",
+     "--nodes", "100000"),  # over the node cap: no 75 GiB companion matrix
 ])
 def test_invalid_tolerance_grid_or_nodes_exits_2(args):
     result = run_cli(*args)
@@ -223,6 +225,66 @@ def test_non_finite_or_negative_inputs_exit_2(args):
     assert result.returncode == 2
     assert result.stdout == ""
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+WITNESS = ("volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0", "--t-max", "0.1",
+           "--grid", "1", "--format", "csv", "--witness-radius")
+
+
+@pytest.mark.parametrize("radius", ["nan", "inf"])
+def test_non_finite_witness_radius_is_named(radius):
+    result = run_cli(*WITNESS, radius)
+    assert result.returncode == 2
+    assert result.stderr.splitlines() == [
+        f"error: witness radius must be finite and positive, got {float(radius)!r}"]
+
+
+def test_witness_bound_on_a_huge_ball_is_finite():
+    # the sampled lift norms are just under 1e200, whose squares overflow;
+    # the bound at t = 0.1 is their max times 0.1
+    result = run_cli(*WITNESS, "1e200")
+    assert result.returncode == 0
+    assert result.stderr == ""
+    bound = float(result.stdout.splitlines()[1].split(",")[2])
+    assert 0.9e199 <= bound <= 1e199
+
+
+def test_plan_toward_a_huge_target_prints_one_line():
+    result = run_cli("plan", "--system", "heisenberg", "--q0", "0,0,0",
+                     "--target", "0,0,1e160", "--epsilon", "1e-3")
+    assert result.returncode == 2
+    assert len(result.stderr.splitlines()) == 1
+    assert "RK4 steps" in result.stderr
+
+
+# x^400 - y^400 at (10, 10) is inf - inf
+OVERFLOWING = {"dim": 2, "components": [
+    [{"coef": 1.0, "exps": [400, 0]}, {"coef": -1.0, "exps": [0, 400]}],
+    [{"coef": 1.0, "exps": [1, 0]}]]}
+
+
+def test_overflowing_field_blows_up_without_a_warning(tmp_path):
+    path = tmp_path / "ovf.json"
+    path.write_text(json.dumps(OVERFLOWING))
+    result = run_cli("flow", "--system", str(path), "--t", "0.1", "--q", "10,10")
+    assert result.returncode == 3
+    assert result.stderr.splitlines() == [
+        "numerical failure: integration diverged at step 1 (t=0.001)"]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("doc, q", [
+    (OVERFLOWING, "10,10"),  # NaN
+    ({"dim": 1, "components": [[{"coef": 1.0, "exps": [10 ** 30]}]]}, "2"),  # inf
+])
+def test_non_finite_output_exits_3(tmp_path, doc, q, fmt):
+    path = tmp_path / "field.json"
+    path.write_text(json.dumps(doc))
+    result = run_cli("bracket", "--system", str(path), "--expr", "V1", "--q", q,
+                     "--format", fmt)
+    assert result.returncode == 3
+    assert result.stdout == ""
+    assert result.stderr.splitlines() == ["numerical failure: non-finite value in the output"]
 
 
 def test_field_file_with_nan_coefficient_exits_2(tmp_path):

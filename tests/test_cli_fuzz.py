@@ -6,8 +6,9 @@ and run in process.  Finite times stay at or below 3 (or at 1e300, which
 the step ceiling rejects at once), so no example integrates for long.
 ``--output`` is left out because it writes files.  ``--schedule`` and
 ``--system`` also draw from a pool of readable files (valid schedules,
-malformed schedules and malformed field files), drawn by name and
-resolved in a temporary directory.  Examples are derandomized.
+malformed schedules, malformed field files and a field whose value
+overflows), drawn by name and resolved in a temporary directory.
+Examples are derandomized.
 """
 import argparse
 import io
@@ -39,6 +40,8 @@ POINTS = {
     "field_exps_number.json": ("0,0",),
     "field_null_t0.json": ("0,0",),
     "field_fields_number.json": ("0,0",),
+    # a valid field whose value overflows: x^400 - y^400 is inf - inf at (10, 10)
+    "field_ovf.json": ("10,10", "0.3,-0.4"),
 }
 FILES = {
     "schedule.csv": "segment,field_index,sign,duration\n0,1,1,0.25\n1,2,-1,0.5\n",
@@ -59,6 +62,8 @@ FILES = {
     "field_null_t0.json":
         '{"dim": 2, "time_pieces": [{"t0": null, "t1": 1, "components": [[], []]}]}',
     "field_fields_number.json": '{"fields": 5}',
+    "field_ovf.json": '{"dim": 2, "components": [[{"coef": 1.0, "exps": [400, 0]}, '
+                      '{"coef": -1.0, "exps": [0, 400]}], [{"coef": 1.0, "exps": [1, 0]}]]}',
 }
 VALID = {
     "--expr": ("V1", "[V1,V2]", "[[V1,V2],V1]"),

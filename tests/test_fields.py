@@ -36,7 +36,8 @@ from chronoflow import (
     vector_field_from_json,
     zero_field,
 )
-from chronoflow.fields import SUM_CHUNK, _eval_overflowing, lift_map
+from chronoflow.fields import SUM_CHUNK, lift_map, vector_norm
+from test_properties import numpy_reference
 
 V1, V2 = heisenberg_fields()
 
@@ -306,6 +307,33 @@ def test_non_finite_coefficients_are_rejected(coef):
         vector_field_from_json({"dim": 1, "components": [[{"coef": coef, "exps": [0]}]]})
 
 
+@pytest.mark.parametrize("exponent", [-1, 10 ** 400])
+def test_exponent_out_of_range_is_rejected(exponent):
+    # numpy's ** takes the exponent as a float, so above the float range the
+    # overflow fallback of the evaluator could not run
+    with pytest.raises(ValueError, match="exponent out of range"):
+        PolynomialMap(1, 1, [[(1.0, (exponent,))]])
+
+
+def test_lift_beyond_the_float_range_is_rejected_without_recursion():
+    # x' = x^(2^1023): the second lift of x has the exponent 2^1024 - 1, which
+    # neither Python's nor numpy's ** can take
+    field = VectorField.autonomous(PolynomialMap(1, 1, [[(1.0, (2 ** 1023,))]]))
+    lifted = iterate_lift([(field, 0.0)] * 2, Observable.coordinate(1, 0))
+    with pytest.raises(ValueError, match="beyond the float range"):
+        lifted([0.5])
+
+
+def test_vector_norm_keeps_its_bits_and_stays_finite_past_squared_overflow():
+    rng = np.random.default_rng(8)
+    for v in rng.normal(size=(50, 4)) * 10.0 ** rng.integers(-150, 150, (50, 1)):
+        assert vector_norm(v) == float(np.linalg.norm(v))
+    assert vector_norm(np.array([3e200, -4e200])) == pytest.approx(5e200, rel=1e-15)
+    assert vector_norm(np.array([1.5e308, 1.5e308])) == np.inf
+    assert vector_norm(np.array([1e200, np.inf])) == np.inf
+    assert np.isnan(vector_norm(np.array([1e200, np.nan])))
+
+
 @pytest.mark.parametrize("doc, path", [
     ({"fields": [{"dim": 1, "components": [[{"coef": 1.0, "exps": [0]}]]},
                  {"dim": 1, "components": [[{"coef": 1.0, "exps": [1]},
@@ -369,7 +397,7 @@ def test_evaluator_is_compiled_on_first_call():
 def test_long_sums_keep_the_term_order():
     # 5,000 terms in one component are over CPython's compiler limit for one
     # + chain, so the evaluator sums them in chunks, left to right: the bits
-    # of _eval_overflowing's term-by-term sum, Jacobian included
+    # of the term-by-term numpy reference, Jacobian included
     rng = np.random.default_rng(5)
     exps = list(itertools.product(range(9), repeat=4))[:5000]
     pm = PolynomialMap(4, 2, [[(float(c), e) for c, e in zip(rng.uniform(-1, 1, 5000), exps)],
@@ -377,8 +405,7 @@ def test_long_sums_keep_the_term_order():
     assert len(pm.jacobian_map._components[0]) > SUM_CHUNK
     for x in rng.uniform(-1.0, 1.0, (3, 4)):
         for m in (pm, pm.jacobian_map):
-            want = np.array(_eval_overflowing(m._components, x.tolist()))
-            assert m(x).tobytes() == want.tobytes()
+            assert m(x).tobytes() == numpy_reference(m, x).tobytes()
 
 
 def test_sources_of_a_20000_term_map_compile():

@@ -22,8 +22,8 @@ OPERATION_MODULES = ("chrono", "liealg", "paramflow", "reach")
 # by the module that defines it.
 EXPORTS = {
     "errors": (
-        "BlowUpError", "ChronoflowError", "DefectExhaustedError", "DegenerateProbe",
-        "DimensionError", "PlannerPreconditionError", "StalledError", "TimeWindowError",
+        "BlowUpError", "ChronoflowError", "DefectExhaustedError", "DimensionError",
+        "PlannerPreconditionError", "StalledError", "TimeWindowError",
     ),
     "fields": (
         "LocallyBoundedWitness", "Observable", "PolynomialMap", "VectorField",
@@ -39,9 +39,8 @@ EXPORTS = {
         "inverse_flow", "pushforward_field",
     ),
     "chrono": (
-        "OrderEstimate", "RemainderReport", "SeriesTerm", "integral_equation_residual",
-        "order_probe", "remainder_eval", "simplex_integral_term", "simplex_volume",
-        "volterra_truncate",
+        "OrderEstimate", "RemainderReport", "integral_equation_residual", "order_probe",
+        "remainder_eval", "simplex_integral_term", "simplex_volume", "volterra_truncate",
     ),
     "liealg": (
         "BracketExpression", "FlowBracketProgram", "adjoint_check",

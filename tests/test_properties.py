@@ -7,7 +7,9 @@ difference remainders must agree on random piecewise fields in either time
 direction; the compiled evaluator must give the bits of a term-by-term
 numpy evaluation (dimension <= 8, exponents <= 11, overflow included), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
-numpy stepper's pushforward (dimension <= 8); a chained trajectory must
+numpy stepper's pushforward (dimension <= 8); flows, pushforwards and
+inverse flows of strictly triangular fields must converge at order 4 to
+the exact, terminating Lie series of the field; a chained trajectory must
 give the bits of one single solve per node on random piecewise fields;
 transported fields must match the two-solve route, and the stacked
 pull-backs of param_derivative, adjoint_check and the variation-of-
@@ -16,6 +18,7 @@ Examples are derandomized so the suite is repeatable.
 """
 import functools
 import json
+import math
 import operator
 
 import numpy as np
@@ -32,10 +35,12 @@ from chronoflow import (
     Segment,
     VectorField,
     adjoint_check,
+    apply_lift,
     brockett_fields,
     flow_map,
     flow_with_pushforward,
     heisenberg_fields,
+    inverse_flow,
     param_derivative,
     pushforward_field,
     remainder_eval,
@@ -201,6 +206,76 @@ def test_generated_variational_source_stays_small_at_dimension_8(pm):
     source = _variational_source(pm.jacobian_map._components, 8)
     assert len(source.splitlines()) <= 4 * (8 + 1 + 3 * 64) + 64 + 8 + 12
     assert len(source) <= 80_000
+
+
+moderate = st.floats(0.25, 1.0) | st.floats(-1.0, -0.25)
+
+
+@st.composite
+def triangular_fields(draw) -> VectorField:
+    """Strictly triangular fields of degree <= 2: component i reads only x_1..x_{i-1}.
+
+    Each component after the first moves with the one before it, so that in
+    dimensions 3 and 4 RK4 is usually not exact; in dimensions 1 and 2 it is.
+    """
+    dim = draw(st.integers(1, 4))
+    comps = []
+    for i in range(dim):
+        exps = [0] * dim
+        if i:
+            exps[i - 1] = draw(st.integers(1, 2))
+        comp = [(draw(moderate), tuple(exps))]
+        for _ in range(draw(st.integers(0, 2))):
+            exps = [0] * dim
+            for var in draw(st.lists(st.integers(0, i - 1), max_size=2)) if i else ():
+                exps[var] += 1
+            comp.append((draw(moderate), tuple(exps)))
+        comps.append(comp)
+    return VectorField.autonomous(PolynomialMap(dim, dim, comps))
+
+
+def lie_series(field: VectorField) -> list[Observable]:
+    """V^k x for k = 0..K, where V^(K+1) x = 0: the flow is sum_k t^k/k! V^k x."""
+    lifts = [Observable.identity(field.dim, 2 ** field.dim)]  # K <= 2^dim - 1
+    while any(lifts[-1].map._components):
+        lifts.append(apply_lift(field, 0.0, lifts[-1]))
+    return lifts[:-1]
+
+
+def assert_fourth_order(errors, floor: float) -> None:
+    """RK4's errors over successive step halvings: each falls by at least
+    2^3.7, and the last above the rounding floor by 2^(4 +- 0.3), the
+    asymptotic h^4.  Errors at the floor mean RK4 is exact for the field."""
+    above = [(coarse, fine) for coarse, fine in zip(errors, errors[1:]) if fine > floor]
+    for coarse, fine in above:
+        assert coarse / fine >= 2 ** 3.7, errors
+    if above:
+        coarse, fine = above[-1]
+        assert coarse / fine <= 2 ** 4.3, errors
+    else:
+        assert errors[0] <= 2 ** 4.3 * floor, errors
+
+
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(triangular_fields(), st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+       st.sampled_from((0.5, -0.5)))
+def test_flows_converge_to_the_exact_lie_series_at_order_4(field, q, t):
+    # the oracle is exact polynomial algebra and shares no code with RK4
+    q = np.array(q[:field.dim])
+    series = [(t ** k / math.factorial(k), lifted) for k, lifted in enumerate(lie_series(field))]
+    exact = sum(c * lifted(q) for c, lifted in series)
+    jacobian = sum(c * lifted.derivative(q) for c, lifted in series)
+    scale = 1.0 + max(abs(c) * float(np.max(np.abs(lifted.derivative(q)), initial=0.0))
+                      for c, lifted in series)
+    errors = []
+    for steps in (16, 32, 64, 128):
+        fm = FlowMap(field, 0.0, t, FlowSolver(steps))
+        end, pushforward = flow_with_pushforward(fm, q)
+        assert end.tobytes() == flow_map(fm, q).tobytes()
+        errors.append((np.max(np.abs(end - exact)), np.max(np.abs(pushforward - jacobian)),
+                       np.max(np.abs(inverse_flow(fm, exact) - q))))
+    for errs in zip(*errors):
+        assert_fourth_order(errs, 1e-13 * scale)
 
 
 def assert_well_formed(pm: PolynomialMap) -> None:
