@@ -57,13 +57,24 @@ def vector_norm(v) -> float:
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; ValueError when it is not integral (never truncates)."""
+    """``value`` as an int; ValueError when it is not integral (never truncates)
+    or is a bool, which would otherwise pass as 1 or 0."""
     try:
-        if isinstance(value, str) or int(value) == value:
+        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
     raise ValueError(f"{what} must be an integer, got {value!r}")
+
+
+def as_float(value, what: str) -> float:
+    """``value`` as a float; ValueError when it is no number or is a bool."""
+    try:
+        if not isinstance(value, bool):
+            return float(value)
+    except (TypeError, ValueError):
+        pass
+    raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def _accumulate(terms: Iterable[tuple[Exps, float]]) -> TermDict:
@@ -421,8 +432,10 @@ class PolynomialMap:
             for j, term in enumerate(_json_list(comp, f"{path}[{i}]")):
                 where = f"{path}[{i}][{j}]"
                 term = _json_object(term, where)
-                terms.append((_json_float(*_json_entry(term, "coef", where)),
-                              _json_list(*_json_entry(term, "exps", where))))
+                exps, exps_path = _json_entry(term, "exps", where)
+                terms.append((as_float(*_json_entry(term, "coef", where)),
+                              [as_int(e, f"{exps_path}[{k}]")
+                               for k, e in enumerate(_json_list(exps, exps_path))]))
             comps.append(terms)
         return cls(dim_in, len(comps), comps)
 
@@ -815,13 +828,6 @@ def _json_entry(doc: dict, key: str, path: str) -> tuple:
     return doc[key], where
 
 
-def _json_float(value, path: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError):
-        raise ValueError(f"{path} must be a number, got {value!r}") from None
-
-
 def vector_field_from_json(doc: dict, path: str = "") -> VectorField:
     """Build a field from {"dim": n, "components": ...} or {"time_pieces": ...}.
 
@@ -839,8 +845,8 @@ def vector_field_from_json(doc: dict, path: str = "") -> VectorField:
             where = f"{at}time_pieces[{i}]"
             p = _json_object(p, where)
             comps, comps_path = _json_entry(p, "components", where)
-            pieces.append((_json_float(*_json_entry(p, "t0", where)),
-                           _json_float(*_json_entry(p, "t1", where)),
+            pieces.append((as_float(*_json_entry(p, "t0", where)),
+                           as_float(*_json_entry(p, "t1", where)),
                            PolynomialMap.from_json(comps, dim, comps_path)))
         return VectorField.piecewise(pieces, order)
     comps, comps_path = _json_entry(doc, "components", path)
@@ -872,7 +878,8 @@ def load_system(source: str) -> tuple[VectorField, ...]:
                        for i, f in enumerate(_json_list(doc["fields"], "fields")))
     else:
         fields = (vector_field_from_json(doc),)
-    dims = {f.dim for f in fields}
-    if len(dims) != 1:
+    if not fields:
+        raise ValueError("a system needs at least one field")
+    if len({f.dim for f in fields}) != 1:
         raise DimensionError("system fields have mixed dimensions")
     return fields

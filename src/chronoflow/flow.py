@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -28,18 +28,17 @@ class FlowSolver:
 
     ``steps_per_unit_time`` sets the substep density (h = 1/steps) and must
     be a positive integer.  The step grid is always cut at every
-    time-structure breakpoint; ``breakpoint_splitting`` only accepts True,
-    since a step across a breakpoint would integrate the wrong piece.  Any
-    coordinate magnitude beyond ``blowup_threshold``, which must be finite
-    and positive, aborts integration, since local flows need not exist
-    globally.  ``step_count`` raises ValueError before any step beyond
-    ``MAX_STEPS_PER_SOLVE`` steps between two breakpoints, so a finite but
-    huge time fails at once.
+    time-structure breakpoint.  Any coordinate magnitude beyond
+    ``blowup_threshold``, which must be finite and positive, aborts
+    integration, since local flows need not exist globally.  ``step_count``
+    raises ValueError before any step beyond ``MAX_STEPS_PER_SOLVE`` steps
+    between two breakpoints, so a finite but huge time fails at once.
     """
 
     steps_per_unit_time: int = 1000
-    breakpoint_splitting: bool = True
     blowup_threshold: float = 1e12
+    # Not an option, since a step may never straddle a breakpoint; perfbench reads it.
+    breakpoint_splitting: ClassVar[bool] = True
 
     def __post_init__(self):
         steps = self.steps_per_unit_time
@@ -53,9 +52,6 @@ class FlowSolver:
             raise ValueError(
                 f"blowup_threshold must be finite and positive, got {threshold!r}"
             )
-        if not self.breakpoint_splitting:
-            raise ValueError("breakpoint_splitting=False is not supported: a step "
-                             "across a time breakpoint integrates the wrong piece")
 
     def step_count(self, a: float, b: float) -> int:
         steps = abs(b - a) * self.steps_per_unit_time
@@ -198,11 +194,24 @@ def inverse_flow(fm: FlowMap, q) -> np.ndarray:
     return flow_map(FlowMap(fm.field, fm.t1, fm.t0, fm.solver), q)
 
 
+@dataclass(frozen=True)
+class Segment:
+    """One signed flow segment: field index (1-based), sign, duration."""
+
+    field_index: int
+    sign: int
+    duration: float
+
+
 def run_segments(fields, segments, q, solver: FlowSolver) -> np.ndarray:
-    """Follow (1-based field index, sign, duration) flow segments in turn from q."""
-    for index, sign, duration in segments:
-        fm = FlowMap(fields[index - 1], 0.0, duration, solver)
-        q = flow_map(fm, q) if sign > 0 else inverse_flow(fm, q)
+    """Follow the flow segments in turn from q, once every field index is checked."""
+    fields, segments = list(fields), list(segments)
+    for i, seg in enumerate(segments):
+        if not 1 <= seg.field_index <= len(fields):
+            raise IndexError(f"segment {i} uses V{seg.field_index}, out of range")
+    for seg in segments:
+        fm = FlowMap(fields[seg.field_index - 1], 0.0, seg.duration, solver)
+        q = flow_map(fm, q) if seg.sign > 0 else inverse_flow(fm, q)
     return q
 
 

@@ -31,6 +31,7 @@ from .fields import (
 from .flow import (
     FlowMap,
     FlowSolver,
+    Segment,
     _solve_columns,
     _transport,
     chained_trajectory,
@@ -168,12 +169,6 @@ def eval_bracket_expression(expr: BracketExpression, fields, t: float, q) -> np.
 # Flow-bracket programs
 
 @dataclass(frozen=True)
-class ProgramSegment:
-    field_index: int
-    sign: int
-
-
-@dataclass(frozen=True)
 class FlowBracketProgram:
     """Signed flow segments realizing a bracket expression as a point map.
 
@@ -182,46 +177,40 @@ class FlowBracketProgram:
     and signed durations cancel per field for degree >= 2.
     """
 
-    segments: tuple[ProgramSegment, ...]
+    segments: tuple[Segment, ...]
 
     @classmethod
-    def compile(cls, expr: BracketExpression) -> "FlowBracketProgram":
+    def compile(cls, expr: BracketExpression, t: float) -> "FlowBracketProgram":
         """Build the program; every segment runs for the parameter t."""
         if expr.is_leaf:
-            return cls((ProgramSegment(expr.index, +1),))
-        left, right = cls.compile(expr.left), cls.compile(expr.right)
+            return cls((Segment(expr.index, +1, t),))
+        left, right = cls.compile(expr.left, t), cls.compile(expr.right, t)
         return cls(left.segments + right.segments
                    + left.reversed().segments + right.reversed().segments)
 
     def reversed(self) -> "FlowBracketProgram":
         return FlowBracketProgram(tuple(
-            ProgramSegment(s.field_index, -s.sign)
+            Segment(s.field_index, -s.sign, s.duration)
             for s in reversed(self.segments)
         ))
 
-    def signed_durations(self, t: float) -> dict[int, float]:
-        """Net signed duration per field index at parameter t."""
+    def signed_durations(self) -> dict[int, float]:
+        """Net signed duration per field index."""
         totals: dict[int, float] = {}
         for s in self.segments:
-            totals[s.field_index] = totals.get(s.field_index, 0.0) + s.sign * t
+            totals[s.field_index] = totals.get(s.field_index, 0.0) + s.sign * s.duration
         return totals
 
 
-def run_program(program: FlowBracketProgram, fields, t: float, q,
-                solver: FlowSolver) -> np.ndarray:
+def run_program(program: FlowBracketProgram, fields, q, solver: FlowSolver) -> np.ndarray:
     """Execute the flow segments left to right from q."""
-    fields = list(fields)
-    for i, seg in enumerate(program.segments):
-        if not 1 <= seg.field_index <= len(fields):
-            raise IndexError(f"segment {i} uses V{seg.field_index}, out of range")
-    return run_segments(fields, ((seg.field_index, seg.sign, t) for seg in program.segments),
-                        as_point(q), solver)
+    return run_segments(fields, program.segments, as_point(q), solver)
 
 
 def flow_bracket(expr: BracketExpression, fields, t: float, q,
                  solver: FlowSolver) -> np.ndarray:
     """Endpoint of the iterated commutator of flows at parameter t."""
-    return run_program(FlowBracketProgram.compile(expr), fields, t, q, solver)
+    return run_program(FlowBracketProgram.compile(expr, t), fields, q, solver)
 
 
 # ---------------------------------------------------------------------------

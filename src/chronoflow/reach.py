@@ -21,8 +21,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, as_int, as_point, eval_field, vector_norm
-from .flow import FlowSolver, flow_map, run_segments  # noqa: F401 (perfbench reads reach.flow_map)
+from .fields import VectorField, as_float, as_int, as_point, eval_field, vector_norm
+from .flow import (  # noqa: F401 (perfbench reads reach.flow_map)
+    FlowSolver, Segment, flow_map, run_segments)
 
 if TYPE_CHECKING:  # liealg loads in the functions that use it; simulate needs none of it
     from .liealg import BracketExpression
@@ -53,15 +54,6 @@ class AffineControlSystem:
             if not getattr(f, "exact", False):
                 raise TypeError("control fields must be exact polynomial fields")
         return cls(fields=fields, dim=dim)
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One control segment: field index (1-based), sign, positive duration."""
-
-    field_index: int
-    sign: int
-    duration: float
 
 
 @dataclass(frozen=True)
@@ -101,30 +93,24 @@ class ControlSchedule:
 
 def _segment(i: int, row) -> Segment:
     """One schedule row, a JSON object or a CSV record, as a Segment."""
+    where = f"schedule row {i}"
     try:
-        return Segment(as_int(row["field_index"], "field_index"),
-                       as_int(row["sign"], "sign"), float(row["duration"]))
-    except (KeyError, TypeError):  # not an object, a missing key, or a null or missing value
-        raise ValueError(f"schedule row {i} is malformed: {row!r}") from None
-
-
-def _validate_segments(sys: AffineControlSystem, sched: ControlSchedule) -> None:
-    for i, seg in enumerate(sched.segments):
-        if not 1 <= seg.field_index <= len(sys.fields):
-            raise IndexError(f"segment {i} field index {seg.field_index} out of range")
-        if seg.sign not in (-1, 1):
-            raise ValueError(f"segment {i} sign must be +1 or -1")
-        if seg.duration <= 0:
-            raise ValueError(f"segment {i} duration must be positive")
+        return Segment(as_int(row["field_index"], f"{where} field_index"),
+                       as_int(row["sign"], f"{where} sign"),
+                       as_float(row["duration"], f"{where} duration"))
+    except (KeyError, TypeError):  # not an object, or a missing key
+        raise ValueError(f"{where} is malformed: {row!r}") from None
 
 
 def simulate_schedule(sys: AffineControlSystem, q0, sched: ControlSchedule,
                       solver: FlowSolver) -> np.ndarray:
     """Endpoint of the trajectory following each signed segment in turn."""
-    _validate_segments(sys, sched)
-    return run_segments(sys.fields, ((s.field_index, s.sign, s.duration)
-                                     for s in sched.segments),
-                        as_point(q0, sys.dim), solver)
+    for i, seg in enumerate(sched.segments):
+        if seg.sign not in (-1, 1):
+            raise ValueError(f"segment {i} sign must be +1 or -1")
+        if seg.duration <= 0:
+            raise ValueError(f"segment {i} duration must be positive")
+    return run_segments(sys.fields, sched.segments, as_point(q0, sys.dim), solver)
 
 
 @dataclass(eq=False)
@@ -208,14 +194,8 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
         raise ValueError("sign must be +1 or -1")
     if expr.max_index() > len(sys.fields):
         raise IndexError(f"expression leaf V{expr.max_index()} out of range")
-    program = FlowBracketProgram.compile(expr)
-    if sign < 0:
-        program = program.reversed()
-    t = magnitude ** (1.0 / expr.degree)
-    return ControlSchedule(tuple(
-        Segment(seg.field_index, seg.sign, t)
-        for seg in program.segments
-    ))
+    program = FlowBracketProgram.compile(expr, magnitude ** (1 / expr.degree))
+    return ControlSchedule((program if sign > 0 else program.reversed()).segments)
 
 
 @dataclass(eq=False)

@@ -588,3 +588,76 @@ def test_csv_row_counts_follow_grid_and_levels(capsys):
     doc = json.loads(_main_output(capsys, probe))
     assert abs(doc["slope"] - 2.0) <= 0.2
     assert list(doc) == ["slope", "r_squared", "degenerate", "excluded", "rows"]
+
+
+def _main_error(capsys, argv) -> str:
+    """The one stderr line of an invocation that must exit 2 and print nothing."""
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1, lines
+    return lines[0]
+
+
+def test_failed_output_write_exits_2(tmp_path, capsys):
+    # the parent of the output path is a file, so the write raises FileExistsError
+    blocker = tmp_path / "taken"
+    blocker.write_text("")
+    line = _main_error(capsys, ["flow", "--system", "heisenberg", "--t", "1", "--q", "0,0,0",
+                                "--output", str(blocker / "x.json")])
+    assert line.startswith("error: ")
+    assert str(blocker) in line
+
+
+def test_system_without_fields_exits_2(tmp_path, capsys):
+    path = tmp_path / "empty.json"
+    path.write_text('{"fields": []}')
+    line = _main_error(capsys, ["flow", "--system", str(path), "--t", "1", "--q", "0"])
+    assert line == "error: a system needs at least one field"
+
+
+FIELD_1D = ("flow", "--t", "0.5", "--q", "0", "--system")
+BOOLEAN_DOCUMENTS = {  # file name: (text, argv, message)
+    "coef.json": ('{"dim": 1, "components": [[{"coef": true, "exps": [0]}]]}', FIELD_1D,
+                  "components[0][0].coef must be a number, got True"),
+    "dim.json": ('{"dim": true, "components": [[{"coef": 1.0, "exps": [0]}]]}', FIELD_1D,
+                 "dim must be an integer, got True"),
+    "exps.json": ('{"fields": [{"dim": 1, "components": [[{"coef": 1.0, "exps": [false]}]]}]}',
+                  FIELD_1D, "fields[0].components[0][0].exps[0] must be an integer, got False"),
+    "order.json": ('{"dim": 1, "smoothness_order": true, "components": [[]]}', FIELD_1D,
+                   "smoothness_order must be an integer, got True"),
+    "t0.json": ('{"dim": 1, "time_pieces": [{"t0": false, "t1": 1, "components": [[]]}]}',
+                FIELD_1D, "time_pieces[0].t0 must be a number, got False"),
+    "t1.json": ('{"dim": 1, "time_pieces": [{"t0": 0, "t1": true, "components": [[]]}]}',
+                FIELD_1D, "time_pieces[0].t1 must be a number, got True"),
+    "index.json": ('[{"field_index": true, "sign": 1, "duration": 0.1}]', SCHEDULE,
+                   "schedule row 0 field_index must be an integer, got True"),
+    "sign.json": ('[{"field_index": 1, "sign": 1, "duration": 0.1}, '
+                  '{"field_index": 1, "sign": true, "duration": 0.1}]', SCHEDULE,
+                  "schedule row 1 sign must be an integer, got True"),
+    "duration.json": ('[{"field_index": 1, "sign": 1, "duration": true}]', SCHEDULE,
+                      "schedule row 0 duration must be a number, got True"),
+}
+
+
+@pytest.mark.parametrize("name", BOOLEAN_DOCUMENTS)
+def test_json_boolean_is_not_a_number(tmp_path, capsys, name):
+    # JSON true and false would otherwise pass as 1 and 0
+    text, argv, message = BOOLEAN_DOCUMENTS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    assert _main_error(capsys, [*argv, str(path)]) == f"error: {message}"
+
+
+@pytest.mark.parametrize("name, text, message", [
+    ("abc.json", '[{"field_index": 1, "sign": 1, "duration": "abc"}]',
+     "schedule row 0 duration must be a number, got 'abc'"),
+    ("empty.csv", "segment,field_index,sign,duration\n0,1,1,0.1\n1,2,-1,\n",
+     "schedule row 1 duration must be a number, got ''"),
+], ids=["json", "csv"])
+def test_schedule_duration_that_is_no_number_names_its_row(tmp_path, capsys, name, text,
+                                                           message):
+    path = tmp_path / name
+    path.write_text(text)
+    assert _main_error(capsys, [*SCHEDULE, str(path)]) == f"error: {message}"

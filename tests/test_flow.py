@@ -286,9 +286,11 @@ def test_solver_rejects_a_threshold_that_is_not_finite_and_positive(threshold):
 
 
 def test_solver_rejects_disabled_breakpoint_splitting():
-    # Without splitting, +1 on [0, 1] then -1 on [1, 2] would flow 0 to -2.
-    with pytest.raises(ValueError, match="breakpoint_splitting"):
-        FlowSolver(100, breakpoint_splitting=False)
+    # Splitting is not an option: without it, +1 on [0, 1] then -1 on [1, 2]
+    # would flow 0 to -2.
+    for splitting in (True, False):
+        with pytest.raises(TypeError, match="breakpoint_splitting"):
+            FlowSolver(100, breakpoint_splitting=splitting)
 
 
 @pytest.mark.parametrize("t0,t1", [(0.0, math.inf), (-math.inf, 0.0), (0.0, math.nan)])

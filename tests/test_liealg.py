@@ -131,16 +131,16 @@ def test_parse_and_canonical_string():
 
 
 def test_program_structure_and_net_time():
-    leaf = FlowBracketProgram.compile(BracketExpression.parse("V1"))
+    leaf = FlowBracketProgram.compile(BracketExpression.parse("V1"), 0.37)
     assert len(leaf.segments) == 1
-    deg2 = FlowBracketProgram.compile(BracketExpression.parse("[V1,V2]"))
+    deg2 = FlowBracketProgram.compile(BracketExpression.parse("[V1,V2]"), 0.37)
     assert [(s.field_index, s.sign) for s in deg2.segments] == [
         (1, 1), (2, 1), (1, -1), (2, -1)
     ]
-    deg3 = FlowBracketProgram.compile(BracketExpression.parse("[[V1,V2],V1]"))
+    deg3 = FlowBracketProgram.compile(BracketExpression.parse("[[V1,V2],V1]"), 0.37)
     assert len(deg3.segments) == 2 * (4 + 1)
     for program in (deg2, deg3):
-        for net in program.signed_durations(0.37).values():
+        for net in program.signed_durations().values():
             assert abs(net) <= 1e-15
 
 

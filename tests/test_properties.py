@@ -9,7 +9,10 @@ numpy evaluation (dimension <= 8, exponents <= 11, overflow included), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
 numpy stepper's pushforward (dimension <= 8); flows, pushforwards and
 inverse flows of strictly triangular fields must converge at order 4 to
-the exact, terminating Lie series of the field; a chained trajectory must
+the exact, terminating Lie series of the field, and so must schedules,
+flow brackets and the remainder past the last Lie term on pairs of such
+fields (dimension <= 6); on the catalog systems and the chained form up to
+n = 6 all of these sit at the rounding floor; a chained trajectory must
 give the bits of one single solve per node on random piecewise fields;
 transported fields must match the two-solve route, and the stacked
 pull-backs of param_derivative, adjoint_check and the variation-of-
@@ -22,10 +25,13 @@ import math
 import operator
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from chronoflow import (
+    AffineControlSystem,
     BlowUpError,
+    BracketExpression,
     ControlSchedule,
     FlowMap,
     FlowSolver,
@@ -37,6 +43,8 @@ from chronoflow import (
     adjoint_check,
     apply_lift,
     brockett_fields,
+    builtin_system,
+    flow_bracket,
     flow_map,
     flow_with_pushforward,
     heisenberg_fields,
@@ -44,6 +52,7 @@ from chronoflow import (
     param_derivative,
     pushforward_field,
     remainder_eval,
+    simulate_schedule,
     unicycle_fields,
     variation_of_parameters_check,
     vector_field_from_json,
@@ -212,13 +221,13 @@ moderate = st.floats(0.25, 1.0) | st.floats(-1.0, -0.25)
 
 
 @st.composite
-def triangular_fields(draw) -> VectorField:
+def triangular_fields(draw, dims=st.integers(1, 4)) -> VectorField:
     """Strictly triangular fields of degree <= 2: component i reads only x_1..x_{i-1}.
 
-    Each component after the first moves with the one before it, so that in
-    dimensions 3 and 4 RK4 is usually not exact; in dimensions 1 and 2 it is.
+    Each component after the first moves with the one before it, so that from
+    dimension 3 on RK4 is usually not exact; in dimensions 1 and 2 it is.
     """
-    dim = draw(st.integers(1, 4))
+    dim = draw(dims)
     comps = []
     for i in range(dim):
         exps = [0] * dim
@@ -242,18 +251,19 @@ def lie_series(field: VectorField) -> list[Observable]:
     return lifts[:-1]
 
 
-def assert_fourth_order(errors, floor: float) -> None:
+def assert_fourth_order(errors, floor: float, max_slope: float = 4.3) -> None:
     """RK4's errors over successive step halvings: each falls by at least
-    2^3.7, and the last above the rounding floor by 2^(4 +- 0.3), the
-    asymptotic h^4.  Errors at the floor mean RK4 is exact for the field."""
+    2^3.7, and the last above the rounding floor by at most 2^max_slope; by
+    default that is 2^(4 +- 0.3), the asymptotic h^4.  Errors at the floor
+    mean RK4 is exact for the field."""
     above = [(coarse, fine) for coarse, fine in zip(errors, errors[1:]) if fine > floor]
     for coarse, fine in above:
         assert coarse / fine >= 2 ** 3.7, errors
     if above:
         coarse, fine = above[-1]
-        assert coarse / fine <= 2 ** 4.3, errors
+        assert coarse / fine <= 2 ** max_slope, errors
     else:
-        assert errors[0] <= 2 ** 4.3 * floor, errors
+        assert errors[0] <= 2 ** max_slope * floor, errors
 
 
 @settings(max_examples=100, deadline=None, database=None, derandomize=True)
@@ -276,6 +286,117 @@ def test_flows_converge_to_the_exact_lie_series_at_order_4(field, q, t):
                        np.max(np.abs(inverse_flow(fm, exact) - q))))
     for errs in zip(*errors):
         assert_fourth_order(errs, 1e-13 * scale)
+
+
+@st.composite
+def triangular_systems(draw) -> AffineControlSystem:
+    """Two strictly triangular fields of degree <= 2 on one space of dimension 2 to 6."""
+    dim = draw(st.integers(2, 6))
+    return AffineControlSystem.of([draw(triangular_fields(st.just(dim))) for _ in "12"])
+
+
+def chained_form(n: int) -> AffineControlSystem:
+    """x_1' = u_1, x_2' = u_2, x_{k+1}' = x_k u_1 for k = 2..n-1 (Murray & Sastry)."""
+    def unit(var):
+        return tuple(int(v == var) for v in range(n))
+
+    first = [[(1.0, unit(None))], []] + [[(1.0, unit(k - 1))] for k in range(2, n)]
+    second = [[], [(1.0, unit(None))]] + [[] for _ in range(2, n)]
+    return AffineControlSystem.of([VectorField.autonomous(PolynomialMap(n, n, comps))
+                                   for comps in (first, second)])
+
+
+# The point-map words of the two flow brackets: [P, Q] runs P, Q, P^-1, Q^-1.
+BRACKET_WORDS = {
+    "[V1,V2]": ((1, 1), (2, 1), (1, -1), (2, -1)),
+    "[[V1,V2],V1]": ((1, 1), (2, 1), (1, -1), (2, -1), (1, 1),
+                     (2, 1), (1, 1), (2, -1), (1, -1), (1, -1)),
+}
+# Multiples of 1/16, so that every solver density below takes whole steps and
+# each density halves h exactly.
+durations = st.integers(2, 8).map(lambda m: m / 16)
+DENSITIES = (64, 128, 256, 512)
+
+
+def exact_segments(series, rows, q):
+    """The composition of exact flows exp(s d V_i) for rows (i, s, d) from q, where
+    ``series[i - 1]`` is the Lie series of V_i, and the rounding scale of the
+    sums: 1 plus each step's largest Jacobian term."""
+    scale = 1.0
+    for i, sign, duration in rows:
+        terms = [((sign * duration) ** k / math.factorial(k), lifted)
+                 for k, lifted in enumerate(series[i - 1])]
+        scale += max(abs(c) * float(np.max(np.abs(lifted.derivative(q)), initial=0.0))
+                     for c, lifted in terms)
+        q = sum(c * lifted(q) for c, lifted in terms)
+    return q, scale
+
+
+def executor_errors(sys: AffineControlSystem, q, rows, t: float):
+    """Errors of ``simulate_schedule`` on ``rows`` and of ``flow_bracket`` at t
+    against the exact Lie series over the solver densities, each with its
+    rounding floor: ten times a single flow's, for up to 2,560 steps."""
+    q = np.asarray(q, dtype=float)
+    series = [lie_series(field) for field in sys.fields]
+    schedule = ControlSchedule(tuple(Segment(i, s, d) for i, s, d in rows))
+    cases = {"schedule": (rows, lambda solver: simulate_schedule(sys, q, schedule, solver))}
+    for text, word in BRACKET_WORDS.items():
+        expr = BracketExpression.parse(text)
+        cases[text] = ([(i, s, t) for i, s in word],
+                       lambda solver, expr=expr: flow_bracket(expr, sys.fields, t, q, solver))
+    out = {}
+    for name, (exact_rows, run) in cases.items():
+        exact, scale = exact_segments(series, exact_rows, q)
+        out[name] = ([float(np.max(np.abs(run(FlowSolver(steps)) - exact)))
+                      for steps in DENSITIES], 1e-12 * scale)
+    return out
+
+
+def remainder_past_the_series(field: VectorField, q, t: float):
+    """``remainder_eval`` at k = K + 1 over the solver densities, with its
+    rounding floor.  V^(K+1) x = 0 makes the order-(K+1) truncation the exact
+    flow, so the remainder it reports is solver error alone."""
+    q = np.asarray(q, dtype=float)
+    series = lie_series(field)
+    k = len(series)
+    _, scale = exact_segments([series], [(1, 1, t)], q)
+    obs = Observable.identity(field.dim, k)
+    return [remainder_eval(field, obs, q, 0.0, t, k, FlowSolver(steps)).remainder_norm
+            for steps in DENSITIES], 1e-13 * scale
+
+
+@settings(max_examples=15, deadline=None, database=None, derandomize=True)
+@given(triangular_systems(), st.data())
+def test_segment_executor_converges_to_the_exact_lie_series_at_order_4(sys, data):
+    # simulate_schedule and flow_bracket both run through run_segments; the
+    # oracle composes exact polynomial flows and shares no code with RK4
+    q = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sys.dim, max_size=sys.dim))
+    rows = data.draw(st.lists(st.tuples(st.integers(1, 2), st.sampled_from((1, -1)),
+                                        durations), min_size=2, max_size=5))
+    t = data.draw(st.sampled_from((0.25, 0.5)))
+    for errors, floor in executor_errors(sys, q, rows, t).values():
+        # both signs of a field share RK4's h^4 error term, so it can cancel
+        # along a word (a bracket word is the identity when V1 = V2) and leave
+        # an error that falls at order 5
+        assert_fourth_order(errors, floor, max_slope=5.3)
+    assert_fourth_order(*remainder_past_the_series(sys.fields[0], q, t))
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "brockett", "unicycle",
+                                  *(f"chained{n}" for n in range(3, 7))])
+def test_segment_executor_is_exact_on_affine_nilpotent_systems(name):
+    # every field is affine with a linear part A where A^4 = 0, so each RK4
+    # step is its exact flow and every density sits at the rounding floor
+    sys = (chained_form(int(name.removeprefix("chained"))) if name.startswith("chained")
+           else AffineControlSystem.of(builtin_system(name)))
+    rng = np.random.default_rng(sys.dim)
+    q = rng.uniform(-1.0, 1.0, sys.dim)
+    rows = [(int(rng.integers(1, 3)), int(rng.choice((-1, 1))), int(rng.integers(2, 9)) / 16)
+            for _ in range(5)]
+    results = list(executor_errors(sys, q, rows, 0.5).values())
+    results += [remainder_past_the_series(field, q, 0.5) for field in sys.fields]
+    for errors, floor in results:
+        assert max(errors) <= floor, (name, errors, floor)
 
 
 def assert_well_formed(pm: PolynomialMap) -> None:

@@ -27,7 +27,7 @@ from chronoflow import (
     simulate_schedule,
     unicycle_fields,
 )
-from chronoflow.liealg import FlowBracketProgram, ProgramSegment, run_program
+from chronoflow.liealg import FlowBracketProgram, run_program
 
 SOLVER = FlowSolver(400)
 HEIS = AffineControlSystem.of(heisenberg_fields())
@@ -300,10 +300,19 @@ def test_simulate_and_run_program_match_the_segment_loop():
         expected = flow_map(fm, expected) if seg.sign > 0 else inverse_flow(fm, expected)
     assert np.array_equal(simulate_schedule(HEIS, q0, ControlSchedule(segs), SOLVER),
                           expected)
-    program = FlowBracketProgram(tuple(ProgramSegment(s.field_index, s.sign) for s in segs))
-    assert np.array_equal(run_program(program, HEIS.fields, 0.2, q0, SOLVER),
-                          simulate_schedule(HEIS, q0, ControlSchedule(tuple(
-                              Segment(s.field_index, s.sign, 0.2) for s in segs)), SOLVER))
+    program = FlowBracketProgram(tuple(Segment(s.field_index, s.sign, 0.2) for s in segs))
+    assert np.array_equal(run_program(program, HEIS.fields, q0, SOLVER),
+                          simulate_schedule(HEIS, q0, ControlSchedule(program.segments), SOLVER))
+
+
+def test_every_segment_index_is_checked_before_any_flow_runs(monkeypatch):
+    # run_segments is the one home of the index rule, for schedules and programs
+    assert chronoflow.reach.Segment is chronoflow.flow.Segment
+    for name in ("flow_map", "inverse_flow"):
+        monkeypatch.setattr(chronoflow.flow, name, lambda *args: pytest.fail("a flow ran"))
+    sched = ControlSchedule((Segment(1, 1, 0.1), Segment(2, -1, 0.1), Segment(3, 1, 0.1)))
+    with pytest.raises(IndexError, match=r"^segment 2 uses V3, out of range$"):
+        simulate_schedule(HEIS, [0.0, 0.0, 0.0], sched, SOLVER)
 
 
 def test_run_program_zero_time_and_out_of_range_index():
