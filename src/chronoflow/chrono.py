@@ -19,12 +19,11 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .fields import (
+    LiftTable,
     LocallyBoundedWitness,
     Observable,
     VectorField,
-    apply_lift,
     as_point,
-    iterate_lift,
     zero_field,
 )
 from .flow import (
@@ -65,58 +64,56 @@ class RemainderReport:
     bound: float | None = None
 
 
-def _simplex_leaves(fields: Sequence[VectorField], obs: Observable | None,
-                    t0: float, t: float,
-                    nodes: int) -> list[tuple[float, float, Observable | None]]:
-    """Leaves (tau_k, product of the k weights, lifted observable) of the
-    nested quadrature: depth i integrates tau_{i+1} over [t0, tau_i] split at
-    the breakpoints of ``fields[i]`` and lifts by its piece there, one lift
-    per distinct piece sequence (none when ``obs`` is None).
-    """
-    frontier = [(t, 1.0, obs, ())]
-    lifts: dict[tuple[int, ...], Observable | None] = {}
-    for field in fields:
+def _simplex_leaves(field: VectorField, t0: float, t: float, k: int,
+                    nodes: int) -> list[list[tuple[float, float, tuple[int, ...]]]]:
+    """Leaves (tau_i, product of the i weights, piece indices innermost first) of the
+    nested quadrature at each depth i = 0..k, from one walk split at breakpoints."""
+    levels = [[(t, 1.0, ())]]
+    for _ in range(k):
         deeper = []
-        for upper, weight, lifted, key in frontier:
+        for upper, weight, key in levels[-1]:
             for a, b in split_at(t0, upper, field.breakpoints_between(t0, upper)):
-                piece_key = key + (id(field.piece_for_interval(a, b)),)
-                if piece_key not in lifts:
-                    lifts[piece_key] = (None if lifted is None
-                                        else apply_lift(field, 0.5 * (a + b), lifted))
-                nxt = lifts[piece_key]
+                piece_key = key + (field.piece_index(0.5 * (a + b)),)
                 xs, ws = gauss_legendre(a, b, nodes)
-                deeper.extend((x, weight * w, nxt, piece_key) for x, w in zip(xs, ws))
-        frontier = deeper
-    return [(x, w, lifted) for x, w, lifted, _ in frontier]
+                deeper.extend((x, weight * w, piece_key) for x, w in zip(xs, ws))
+        levels.append(deeper)
+    return levels
+
+
+def _summed_weights(pairs) -> dict:
+    """Sum of the weights of (group, weight) pairs per group, in order of first appearance."""
+    weights: dict = {}
+    for group, w in pairs:
+        weights[group] = weights.get(group, 0.0) + w
+    return weights
 
 
 def simplex_volume(t0: float, t: float, k: int, nodes: int = DEFAULT_NODES) -> float:
     """Nested-quadrature volume of the order-k simplex (closed form t^k/k!)."""
-    leaves = _simplex_leaves([zero_field(1)] * k, None, t0, t, nodes)  # no breakpoints
-    return float(sum(w for _, w, _ in leaves))
+    return float(sum(w for _, w, _ in _simplex_leaves(zero_field(1), t0, t, k, nodes)[k]))
 
 
-def simplex_integral_term(fields: Sequence[VectorField], obs: Observable, q,
-                          t0: float, t: float, nodes: int = DEFAULT_NODES) -> np.ndarray:
-    """Iterated integral of the lift composition over the order-k simplex.
+def _series_terms(field: VectorField, obs: Observable, point: np.ndarray,
+                  t0: float, t: float, k: int, nodes: int) -> list[np.ndarray]:
+    """Volterra terms of orders 0..k at ``point``: (t - t0)^i / i! times the i-fold lift
+    if autonomous, else each piece sequence's summed weight times its lift."""
+    lifts = LiftTable(field, obs, k)
+    field.check_window(t0, t)
+    if field.is_autonomous:
+        return [((t - t0) ** i / math.factorial(i)) * lifts[(0,) * i](point)
+                for i in range(k + 1)]
+    return [sum((w * lifts[seq](point)
+                 for seq, w in _summed_weights((seq, w) for _, w, seq in leaves).items()),
+                np.zeros(obs.dim_out))
+            for leaves in _simplex_leaves(field, t0, t, k, nodes)]
 
-    ``fields[i]`` is composed at the i-th simplex time tau_{i+1} (position
-    1 innermost).  All-autonomous inputs use the closed form
-    (t - t0)^k / k! times the k-fold lift at q.
-    """
-    k = len(fields)
-    point = as_point(q)
-    if obs.max_derivative_order < k:
-        iterate_lift([(f, t0) for f in fields], obs)  # raises DefectExhaustedError
-    for f in fields:
-        f.check_window(t0, t)
 
-    if all(f.is_autonomous for f in fields):
-        lifted = iterate_lift([(f, 0.0) for f in fields], obs)
-        return ((t - t0) ** k / math.factorial(k)) * lifted(point)
-
-    leaves = _simplex_leaves(fields, obs, t0, t, nodes)
-    return sum((w * lifted(point) for _, w, lifted in leaves), np.zeros(obs.dim_out))
+def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
+                          t: float, k: int, nodes: int = DEFAULT_NODES) -> np.ndarray:
+    """Iterated integral of the k-fold lift composition over the order-k simplex."""
+    if k < 0:
+        raise ValueError(f"simplex order k must be >= 0, got {k}")
+    return _series_terms(field, obs, as_point(q, field.dim), t0, t, k, nodes)[k]
 
 
 def volterra_truncate(field: VectorField, obs: Observable, q, t0: float, t: float,
@@ -124,11 +121,8 @@ def volterra_truncate(field: VectorField, obs: Observable, q, t0: float, t: floa
     """Order-k truncation: phi(q) plus the simplex terms of orders 1..k-1."""
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
-    point = as_point(q, field.dim)
-    total = obs(point)
-    for i in range(1, k):
-        total = total + simplex_integral_term([field] * i, obs, q, t0, t, nodes)
-    return total
+    terms = _series_terms(field, obs, as_point(q, field.dim), t0, t, k - 1, nodes)
+    return sum(terms[1:], terms[0])
 
 
 def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
@@ -143,6 +137,8 @@ def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
     chained trajectory through the distinct innermost quadrature times (about
     one solve's steps plus one per time, of which there are about nodes^k).
     """
+    if k < 1:
+        raise ValueError("truncation order k must be >= 1")
     point = as_point(q, field.dim)
     if method == "difference":
         true_value = flow_operator_apply(FlowMap(field, t0, t, solver), obs, point)
@@ -171,18 +167,16 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     Returns the integral and the last state of its chained trajectory, which
     with ``to_end`` walks on past the innermost times to the flowed point at t.
     """
-    if obs.max_derivative_order < k:
-        iterate_lift([(field, t0)] * k, obs)
+    lifts = LiftTable(field, obs, k)
     field.check_window(t0, t)
-    # leaves sharing an innermost time and a lift share one evaluation
-    weights: dict[tuple[float, int], list] = {}
-    for x, w, lifted in _simplex_leaves([field] * k, obs, t0, t, nodes):
-        weights.setdefault((x, id(lifted)), [0.0, lifted])[0] += w
+    # leaves sharing an innermost time and a piece sequence share one evaluation
+    weights = _summed_weights(((x, seq), w)
+                              for x, w, seq in _simplex_leaves(field, t0, t, k, nodes)[k])
     times = sorted({x for x, _ in weights}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
                                    point, solver)
     moved = dict(zip(times, states))
-    integral = sum((w * lifted(moved[x]) for (x, _), (w, lifted) in weights.items()),
+    integral = sum((w * lifts[seq](moved[x]) for (x, seq), w in weights.items()),
                    np.zeros(obs.dim_out))
     return integral, states[-1] if states else point
 

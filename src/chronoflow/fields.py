@@ -17,6 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -57,10 +58,10 @@ def vector_norm(v) -> float:
 
 
 def as_int(value, what: str) -> int:
-    """``value`` as an int; ValueError when it is not integral (never truncates)
-    or is a bool, which would otherwise pass as 1 or 0."""
+    """``value`` as an int; ValueError when it is not integral (never truncates),
+    a string or a bool, which would otherwise pass as 1 or 0."""
     try:
-        if not isinstance(value, bool) and (isinstance(value, str) or int(value) == value):
+        if not isinstance(value, bool) and int(value) == value:
             return int(value)
     except (TypeError, ValueError, OverflowError):
         pass
@@ -68,9 +69,9 @@ def as_int(value, what: str) -> int:
 
 
 def as_float(value, what: str) -> float:
-    """``value`` as a float; ValueError when it is no number or is a bool."""
+    """``value`` as a float; ValueError when it is no number, a string or a bool."""
     try:
-        if not isinstance(value, bool):
+        if not isinstance(value, (bool, str)):
             return float(value)
     except (TypeError, ValueError):
         pass
@@ -503,20 +504,19 @@ class VectorField:
     def window(self) -> tuple[float, float]:
         return (self.pieces[0][0], self.pieces[-1][1])
 
-    def piece_at(self, t: float) -> PolynomialMap:
-        """Active polynomial piece at time t (right-continuous at breakpoints)."""
+    def piece_index(self, t: float) -> int:
+        """Index of the active piece at time t (right-continuous at breakpoints)."""
         if self.is_autonomous:
-            return self.pieces[0][2]
-        lo, hi = self.window
-        if not (lo <= t <= hi):
-            raise TimeWindowError(f"t={t} outside the field's window [{lo}, {hi}]")
-        for a, b, pm in self.pieces:
+            return 0
+        self.check_window(t)
+        for i, (a, b, _) in enumerate(self.pieces):
             if a <= t < b:
-                return pm
-        return self.pieces[-1][2]  # t == hi
+                return i
+        return len(self.pieces) - 1  # t == hi
 
-    def piece_for_interval(self, a: float, b: float) -> PolynomialMap:
-        return self.piece_at(0.5 * (a + b))
+    def piece_at(self, t: float) -> PolynomialMap:
+        """Active polynomial piece at time t."""
+        return self.pieces[self.piece_index(t)][2]
 
     def breakpoints_between(self, a: float, b: float) -> list[float]:
         """Interior piece boundaries strictly between a and b (any order).
@@ -674,6 +674,22 @@ def iterate_lift(fields_seq: Sequence[tuple[VectorField, float]],
     return out
 
 
+class LiftTable(dict):
+    """Iterated lifts of ``obs`` by ``field`` (at most ``order``), keyed by the piece
+    indices of their times, innermost first; each is built from its prefix once."""
+
+    def __init__(self, field: VectorField, obs: Observable, order: int):
+        if obs.max_derivative_order < order:
+            raise DefectExhaustedError(f"sequence of {order} lifts exceeds the available "
+                                       f"derivative order {obs.max_derivative_order}")
+        super().__init__({(): obs})
+        self.field = field
+
+    def __missing__(self, key: tuple[int, ...]) -> Observable:
+        self[key] = apply_lift(self.field, self.field.pieces[key[-1]][0], self[key[:-1]])
+        return self[key]
+
+
 # ---------------------------------------------------------------------------
 # Finite differences (independent oracle only, never the primary path)
 
@@ -699,9 +715,9 @@ def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray], x) -> n
 class LocallyBoundedWitness:
     """Sampled bound on k-fold lift compositions over a ball.
 
-    ``bound_C`` is the max over sampled ball points (and, for piecewise
-    fields, sampled decreasing time tuples) of the norm of the order-fold
-    lift of the observable.  It is a sampled estimate, not a certificate.
+    ``bound_C`` is the max, over sampled ball points and every piece
+    sequence of decreasing times, of the norm of the order-fold lift of the
+    observable.  It is a sampled estimate in space, not a certificate.
     """
 
     center: np.ndarray
@@ -712,8 +728,10 @@ class LocallyBoundedWitness:
 
 def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
                       radius: float, num_points: int = 128,
-                      num_time_tuples: int = 8, seed: int = 0) -> LocallyBoundedWitness:
+                      seed: int = 0) -> LocallyBoundedWitness:
     """Estimate the lift-composition bound by sampling the ball."""
+    if order < 1:
+        raise ValueError(f"witness order must be >= 1, got {order!r}")
     center = as_point(center, field.dim)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"witness radius must be finite and positive, got {radius!r}")
@@ -724,16 +742,10 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     radii = radius * rng.uniform(size=(num_points, 1)) ** (1.0 / n)
     points = center + direction * radii
 
-    if field.is_autonomous:
-        lifted = iterate_lift([(field, 0.0)] * order, obs)
-        bound = max(vector_norm(lifted(p)) for p in points)
-    else:
-        lo, hi = field.window
-        bound = 0.0
-        for _ in range(num_time_tuples):
-            taus = np.sort(rng.uniform(lo, hi, size=order))[::-1]
-            lifted = iterate_lift([(field, t) for t in taus], obs)
-            bound = max(bound, max(vector_norm(lifted(p)) for p in points))
+    lifts = LiftTable(field, obs, order)
+    # decreasing times tau_1 >= ... >= tau_k fall in non-increasing pieces
+    sequences = combinations_with_replacement(range(len(field.pieces) - 1, -1, -1), order)
+    bound = max(vector_norm(lifts[seq](p)) for seq in sequences for p in points)
     return LocallyBoundedWitness(center=center, radius=float(radius),
                                  bound_C=bound, order=int(order))
 

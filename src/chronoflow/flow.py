@@ -162,7 +162,7 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     for t in times:
         mat, step_base = identity, 0
         for a, b in split_at(start, t, field.breakpoints_between(start, t)):
-            pm = field.piece_for_interval(a, b)
+            pm = field.piece_at(0.5 * (a + b))
             point, mat, step_base = _advance_piece(pm, point, mat, a, b, solver, step_base)
         states.append(np.array(point))
         if want_pushforward:

@@ -133,7 +133,7 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     corrected = point
     cuts = v.breakpoints_between(0.0, t) + w.breakpoints_between(0.0, t)
     for a, b in split_at(0.0, t, cuts):
-        pieces = [w.piece_for_interval(a, b)]
+        pieces = [w.piece_at(0.5 * (a + b))]
         corrected = flow_time_dependent(
             lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
             a, b, corrected, solver, dim=v.dim)

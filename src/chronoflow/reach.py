@@ -88,7 +88,18 @@ class ControlSchedule:
     @classmethod
     def from_csv(cls, text: str) -> "ControlSchedule":
         reader = csv.DictReader(io.StringIO(text))
-        return cls(tuple(_segment(i, row) for i, row in enumerate(reader)))
+        return cls(tuple(_segment(i, {key: _csv_number(cell) for key, cell in row.items()})
+                         for i, row in enumerate(reader)))
+
+
+def _csv_number(cell):
+    """A CSV cell as the int or float it spells, else as it is for ``_segment`` to name."""
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except (TypeError, ValueError):
+            pass
+    return cell
 
 
 def _segment(i: int, row) -> Segment:

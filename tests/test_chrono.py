@@ -39,7 +39,7 @@ def one_piece_twin(field, window=(0.0, 2.0)):
 def test_simplex_term_constant_field_order1():
     c = constant_field([1.0, 0.0])
     phi = Observable.coordinate(2, 0)
-    value = simplex_integral_term([c], phi, [0.0, 0.0], 0.0, 0.5)
+    value = simplex_integral_term(c, phi, [0.0, 0.0], 0.0, 0.5, 1)
     assert_allclose(value, [0.5])
 
 
@@ -47,16 +47,16 @@ def test_simplex_term_constant_observable_vanishes():
     phi = Observable.constant([7.0], 3)
     v1, _ = heisenberg_fields()
     for k in (1, 2, 3):
-        value = simplex_integral_term([v1] * k, phi, [0.1, 0.2, 0.3], 0.0, 1.0)
+        value = simplex_integral_term(v1, phi, [0.1, 0.2, 0.3], 0.0, 1.0, k)
         assert_allclose(value, [0.0])
 
 
 def test_simplex_term_nilpotent_orders():
     phi = Observable.identity(2)
     q = np.array([0.0, 1.0])
-    first = simplex_integral_term([NILPOTENT], phi, q, 0.0, 1.0)
+    first = simplex_integral_term(NILPOTENT, phi, q, 0.0, 1.0, 1)
     assert_allclose(first, [1.0, 0.0])
-    second = simplex_integral_term([NILPOTENT] * 2, phi, q, 0.0, 1.0)
+    second = simplex_integral_term(NILPOTENT, phi, q, 0.0, 1.0, 2)
     assert_allclose(second, [0.0, 0.0], atol=1e-15)
 
 
@@ -66,8 +66,8 @@ def test_autonomous_fast_path_agrees_with_quadrature():
     twin = one_piece_twin(rot)
     q = np.array([1.0, 1.0])
     for k in (1, 2, 3):
-        fast = simplex_integral_term([rot] * k, phi, q, 0.0, 0.8, nodes=16)
-        quad = simplex_integral_term([twin] * k, phi, q, 0.0, 0.8, nodes=16)
+        fast = simplex_integral_term(rot, phi, q, 0.0, 0.8, k, nodes=16)
+        quad = simplex_integral_term(twin, phi, q, 0.0, 0.8, k, nodes=16)
         assert np.linalg.norm(fast - quad) <= 1e-9
 
 
@@ -89,10 +89,10 @@ def test_piecewise_simplex_term_against_region_enumeration():
     oracle = (0.125 * double_lift(0.25, 0.2)
               + 0.125 * double_lift(0.75, 0.7)
               + 0.25 * double_lift(0.75, 0.25))
-    value = simplex_integral_term([field, field], phi, q, 0.0, 1.0, nodes=16)
+    value = simplex_integral_term(field, phi, q, 0.0, 1.0, 2, nodes=16)
     assert np.linalg.norm(value - oracle) <= 1e-9
 
-    first = simplex_integral_term([field], Observable.identity(2), q, 0.0, 1.0)
+    first = simplex_integral_term(field, Observable.identity(2), q, 0.0, 1.0, 1)
     assert_allclose(first, [0.5, 0.5], atol=1e-12)
 
 
@@ -320,8 +320,8 @@ def test_simplex_volume_backward_and_split_orders():
 @pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.3, 0.2)])
 def test_direct_remainder_evaluates_each_time_and_lift_once(monkeypatch, t0, t):
     field, phi = _rotation_then_drift(), Observable.identity(2)
-    leaves = chronoflow.chrono._simplex_leaves([field] * 3, phi, t0, t, 8)
-    pairs = len({(x, id(lifted)) for x, _, lifted in leaves})
+    leaves = chronoflow.chrono._simplex_leaves(field, t0, t, 3, 8)[3]
+    pairs = len({(x, pieces) for x, _, pieces in leaves})
     assert pairs < len(leaves)
     calls = []
     evaluate = Observable.__call__
@@ -333,3 +333,46 @@ def test_direct_remainder_evaluates_each_time_and_lift_once(monkeypatch, t0, t):
     monkeypatch.setattr(Observable, "__call__", counting)
     remainder_eval(field, phi, [0.6, -0.8], t0, t, 3, SOLVER, nodes=8, method="direct")
     assert len(calls) == pairs
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("field, lifts, evaluations", [
+    (rotation2d(), 3, 4),             # one lift per order
+    (_rotation_then_drift(), 9, 10),  # 2 + 3 + 4 non-increasing piece sequences
+])
+def test_truncation_builds_and_evaluates_each_lift_once(monkeypatch, field, lifts,
+                                                        evaluations):
+    lift_calls = _count_calls(monkeypatch, chronoflow.fields, "lift_map")
+    obs_calls = _count_calls(monkeypatch, Observable, "__call__")
+    volterra_truncate(field, Observable.identity(2), [0.6, -0.8], 0.0, 1.0, 4)
+    assert (len(lift_calls), len(obs_calls)) == (lifts, evaluations)
+
+
+@pytest.mark.parametrize("method", ["difference", "direct"])
+def test_remainder_order_below_one_is_rejected(method):
+    with pytest.raises(ValueError, match="truncation order k must be >= 1"):
+        remainder_eval(rotation2d(), Observable.identity(2), [1.0, 0.0], 0.0, 0.5, 0,
+                       SOLVER, method=method)
+
+
+def test_negative_simplex_order_is_rejected():
+    with pytest.raises(ValueError, match=r"simplex order k must be >= 0, got -1"):
+        simplex_integral_term(_rotation_then_drift(), Observable.identity(2), [1.0, 0.0],
+                              0.0, 0.5, -1)
+
+
+def test_witness_order_below_one_is_rejected():
+    with pytest.raises(ValueError, match=r"witness order must be >= 1, got 0"):
+        sample_lift_bound(rotation2d(), Observable.identity(2), 0, [1.0, 0.0], 0.5)
+

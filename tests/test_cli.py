@@ -239,6 +239,26 @@ def test_non_finite_witness_radius_is_named(radius):
         f"error: witness radius must be finite and positive, got {float(radius)!r}"]
 
 
+def test_witness_bounds_a_piecewise_remainder(tmp_path):
+    # only the double lift by the rotation on [0, 0.3) is nonzero; sampled
+    # time tuples missed that piece sequence and printed bounds of 0
+    path = tmp_path / "pw.json"
+    path.write_text(json.dumps({"dim": 2, "time_pieces": [
+        {"t0": 0.0, "t1": 0.3, "components": [[{"coef": -5.0, "exps": [0, 1]}],
+                                              [{"coef": 5.0, "exps": [1, 0]}]]},
+        {"t0": 0.3, "t1": 1.5, "components": [[{"coef": 0.7, "exps": [0, 0]}],
+                                              [{"coef": -0.6, "exps": [0, 0]}]]}]}))
+    result = run_cli("volterra", "--system", str(path), "--k", "2", "--q", "0.5,0.5",
+                     "--t-max", "0.2", "--grid", "2", "--witness-radius", "0.5",
+                     "--format", "csv")
+    assert result.returncode == 0
+    rows = list(csv.DictReader(result.stdout.splitlines()))
+    assert len(rows) == 2
+    for row in rows:
+        assert float(row["norm"]) > 0.05
+        assert float(row["bound"]) >= float(row["norm"])
+
+
 def test_witness_bound_on_a_huge_ball_is_finite():
     # the sampled lift norms are just under 1e200, whose squares overflow;
     # the bound at t = 0.1 is their max times 0.1
@@ -650,12 +670,47 @@ def test_json_boolean_is_not_a_number(tmp_path, capsys, name):
     assert _main_error(capsys, [*argv, str(path)]) == f"error: {message}"
 
 
+STRING_DOCUMENTS = {  # file name: (text, argv, message)
+    "dim.json": ('{"dim": "1", "components": [[{"coef": 0.5, "exps": [0]}]]}', FIELD_1D,
+                 "dim must be an integer, got '1'"),
+    "exps.json": ('{"dim": 1, "components": [[{"coef": 0.5, "exps": ["0"]}]]}', FIELD_1D,
+                  "components[0][0].exps[0] must be an integer, got '0'"),
+    "coef.json": ('{"dim": 1, "components": [[{"coef": "0.5", "exps": [0]}]]}', FIELD_1D,
+                  "components[0][0].coef must be a number, got '0.5'"),
+    "t0.json": ('{"dim": 1, "time_pieces": [{"t0": "0", "t1": 1, "components": [[]]}]}',
+                FIELD_1D, "time_pieces[0].t0 must be a number, got '0'"),
+    "t1.json": ('{"fields": [{"dim": 1, "time_pieces": [{"t0": 0, "t1": "1", '
+                '"components": [[]]}]}]}',
+                FIELD_1D, "fields[0].time_pieces[0].t1 must be a number, got '1'"),
+    "order.json": ('{"dim": 1, "smoothness_order": "8", "components": [[]]}', FIELD_1D,
+                   "smoothness_order must be an integer, got '8'"),
+    "index.json": ('[{"field_index": "1", "sign": 1, "duration": 0.1}]', SCHEDULE,
+                   "schedule row 0 field_index must be an integer, got '1'"),
+    "sign.json": ('[{"field_index": 1, "sign": "1", "duration": 0.1}]', SCHEDULE,
+                  "schedule row 0 sign must be an integer, got '1'"),
+    "duration.json": ('{"schedule": [{"field_index": 1, "sign": 1, "duration": 0.1}, '
+                      '{"field_index": 1, "sign": 1, "duration": "0.1"}]}', SCHEDULE,
+                      "schedule row 1 duration must be a number, got '0.1'"),
+}
+
+
+@pytest.mark.parametrize("name", STRING_DOCUMENTS)
+def test_json_string_is_not_a_number(tmp_path, capsys, name):
+    # numeric strings are numbers only in CSV cells
+    text, argv, message = STRING_DOCUMENTS[name]
+    path = tmp_path / name
+    path.write_text(text)
+    assert _main_error(capsys, [*argv, str(path)]) == f"error: {message}"
+
+
 @pytest.mark.parametrize("name, text, message", [
     ("abc.json", '[{"field_index": 1, "sign": 1, "duration": "abc"}]',
      "schedule row 0 duration must be a number, got 'abc'"),
     ("empty.csv", "segment,field_index,sign,duration\n0,1,1,0.1\n1,2,-1,\n",
      "schedule row 1 duration must be a number, got ''"),
-], ids=["json", "csv"])
+    ("abc.csv", "segment,field_index,sign,duration\n0,1,1,abc\n",
+     "schedule row 0 duration must be a number, got 'abc'"),
+], ids=["json", "csv", "csv-text"])
 def test_schedule_duration_that_is_no_number_names_its_row(tmp_path, capsys, name, text,
                                                            message):
     path = tmp_path / name

@@ -371,6 +371,17 @@ def test_malformed_observable_document_error_names_its_path():
         observable_from_json({"dim": 1, "components": [[{"coef": 1.0}]]})
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"dim": "1", "components": [[]]}, "dim must be an integer, got '1'"),
+    ({"dim": 1, "max_derivative_order": "3", "components": [[]]},
+     "max_derivative_order must be an integer, got '3'"),
+])
+def test_observable_json_string_is_not_a_number(doc, message):
+    from chronoflow import observable_from_json
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        observable_from_json(doc)
+
+
 def _big(exps: int, coef: float = 1e308) -> PolynomialMap:
     return PolynomialMap(1, 1, [[(coef, (exps,))]])
 

@@ -16,10 +16,14 @@ n = 6 all of these sit at the rounding floor; a chained trajectory must
 give the bits of one single solve per node on random piecewise fields;
 transported fields must match the two-solve route, and the stacked
 pull-backs of param_derivative, adjoint_check and the variation-of-
-parameters check the bits of one linear solve per node (dimension <= 6).
+parameters check the bits of one linear solve per node (dimension <= 6);
+a Volterra truncation must be phi(q) plus its simplex terms, bit for bit
+on autonomous fields, and the lift witness must dominate the lift of every
+piece sequence (dimension <= 3, two or three pieces, k <= 4).
 Examples are derandomized so the suite is repeatable.
 """
 import functools
+import itertools
 import json
 import math
 import operator
@@ -49,13 +53,17 @@ from chronoflow import (
     flow_with_pushforward,
     heisenberg_fields,
     inverse_flow,
+    iterate_lift,
     param_derivative,
     pushforward_field,
     remainder_eval,
+    sample_lift_bound,
+    simplex_integral_term,
     simulate_schedule,
     unicycle_fields,
     variation_of_parameters_check,
     vector_field_from_json,
+    volterra_truncate,
 )
 from chronoflow.fields import (
     _add_terms,
@@ -523,6 +531,47 @@ def test_direct_and_difference_remainders_agree(field_and_cut, data):
         diff = remainder_eval(field, phi, q, t0, t, k, solver, nodes=8)
         direct = remainder_eval(field, phi, q, t0, t, k, solver, nodes=8, method="direct")
         assert abs(diff.remainder_norm - direct.remainder_norm) <= 1e-8
+
+
+@st.composite
+def series_fields(draw):
+    """An autonomous field, or two or three polynomial pieces on [0, 1.5]."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        return VectorField.autonomous(draw(polynomial_maps(dim, degree=2)))
+    cuts = [draw(st.floats(0.2, 0.6)), draw(st.floats(0.8, 1.2))][:draw(st.integers(1, 2))]
+    edges = [0.0, *cuts, 1.5]
+    return VectorField.piecewise([(a, b, draw(polynomial_maps(dim, degree=2)))
+                                  for a, b in zip(edges, edges[1:])])
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(series_fields(), st.integers(1, 4), st.data())
+def test_truncation_is_the_sum_of_its_simplex_terms(field, k, data):
+    q = data.draw(points(field.dim))
+    t0, t = data.draw(st.sampled_from([(0.0, 1.3), (1.4, 0.2)]))
+    phi = Observable.identity(field.dim)
+    total = volterra_truncate(field, phi, q, t0, t, k, nodes=4)
+    terms = [simplex_integral_term(field, phi, q, t0, t, i, nodes=4) for i in range(1, k)]
+    summed = functools.reduce(operator.add, terms, phi(q))
+    if field.is_autonomous:
+        assert np.array_equal(total, summed)
+    else:
+        assert np.linalg.norm(total - summed) <= 1e-12 * np.linalg.norm(summed)
+
+
+@settings(max_examples=50, deadline=None, database=None, derandomize=True)
+@given(series_fields(), st.integers(1, 4), st.data())
+def test_witness_dominates_every_piece_sequence(field, k, data):
+    center = data.draw(points(field.dim))
+    phi = Observable.identity(field.dim)
+    # a tiny ball: its sampled points sit at the centre up to rounding
+    bound = sample_lift_bound(field, phi, k, center, 1e-12, num_points=4).bound_C
+    times = [0.0] if field.is_autonomous else [0.5 * (a + b) for a, b, _ in field.pieces]
+    # decreasing times, so later pieces first
+    for seq in itertools.combinations_with_replacement(reversed(times), k):
+        norm = np.linalg.norm(iterate_lift([(field, s) for s in seq], phi)(center))
+        assert bound >= norm * (1.0 - 1e-9) - 1e-9
 
 
 @st.composite
