@@ -1,10 +1,10 @@
 """Truncated Volterra series of flow operators and decay-order probes.
 
 The flow operator expands into iterated integrals of lift compositions
-over simplices t0 <= tau_k <= ... <= tau_1 <= t.  For autonomous fields
-the integrand is constant over the simplex and each term collapses to
-(t - t0)^k / k! times the k-fold lift; otherwise the simplex is integrated
-by one nested Gauss-Legendre quadrature, split at time breakpoints.
+over simplices t0 <= tau_k <= ... <= tau_1 <= t.  Pieces are autonomous, so
+a term is the sum over piece sequences of exact region volumes times lifts;
+the direct remainder integrates only its innermost time, by Gauss-Legendre
+per piece, with its outer integrals in closed form.
 
 Decay orders are measured on dyadic grids t_j = t_max * 2^-j by a
 least-squares fit of log(norm) against log(t); samples at numerical zero
@@ -13,7 +13,9 @@ least-squares fit of log(norm) against log(t); samples at numerical zero
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
+from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,7 +26,6 @@ from .fields import (
     Observable,
     VectorField,
     as_point,
-    zero_field,
 )
 from .flow import (
     FlowMap,
@@ -32,7 +33,7 @@ from .flow import (
     chained_trajectory,
     flow_operator_apply,
 )
-from .quadrature import gauss_legendre, split_at
+from .quadrature import gauss_legendre
 
 DEFAULT_NODES = 16
 ZERO_NORM_CUTOFF = 1e-14
@@ -64,64 +65,61 @@ class RemainderReport:
     bound: float | None = None
 
 
-def _simplex_leaves(field: VectorField, t0: float, t: float, k: int,
-                    nodes: int) -> list[list[tuple[float, float, tuple[int, ...]]]]:
-    """Leaves (tau_i, product of the i weights, piece indices innermost first) of the
-    nested quadrature at each depth i = 0..k, from one walk split at breakpoints."""
-    levels = [[(t, 1.0, ())]]
-    for _ in range(k):
-        deeper = []
-        for upper, weight, key in levels[-1]:
-            for a, b in split_at(t0, upper, field.breakpoints_between(t0, upper)):
-                piece_key = key + (field.piece_index(0.5 * (a + b)),)
-                xs, ws = gauss_legendre(a, b, nodes)
-                deeper.extend((x, weight * w, piece_key) for x, w in zip(xs, ws))
-        levels.append(deeper)
-    return levels
+def _parts(field: VectorField, t0: float, t: float) -> list[tuple[float, float, int]]:
+    """The parts (a, b, piece) of [t0, t] in one piece each, from the t end back to t0
+    as piece sequences list their times; a is the t0-side end, b - a the signed length.
+    Exact volumes need no cutoff, so t = t0 is one part of length 0."""
+    if not (math.isfinite(t0) and math.isfinite(t)):
+        raise ValueError(f"flow times must be finite, got [{t0}, {t}]")
+    field.check_window(t0, t)
+    cuts = field.breakpoints_between(t0, t)
+    ends = [t0, *(cuts if t0 <= t else cuts[::-1]), t]
+    return [(a, b, field.piece_index(0.5 * (a + b))) for a, b in zip(ends, ends[1:])][::-1]
 
 
-def _summed_weights(pairs) -> dict:
-    """Sum of the weights of (group, weight) pairs per group, in order of first appearance."""
-    weights: dict = {}
-    for group, w in pairs:
-        weights[group] = weights.get(group, 0.0) + w
-    return weights
+def _regions(lengths: Sequence[float], pieces: Sequence[int], i: int):
+    """(volume, piece sequence) of each region where i ordered times fall in fixed parts,
+    listed from the t end: prod_j lengths[j]^m_j / m_j!, with m_j the count of part j."""
+    for seq in combinations_with_replacement(range(len(lengths)), i):
+        yield (math.prod(lengths[j] ** m / math.factorial(m) for j, m in Counter(seq).items()),
+               tuple(pieces[j] for j in seq))
 
 
-def simplex_volume(t0: float, t: float, k: int, nodes: int = DEFAULT_NODES) -> float:
-    """Nested-quadrature volume of the order-k simplex (closed form t^k/k!)."""
-    return float(sum(w for _, w, _ in _simplex_leaves(zero_field(1), t0, t, k, nodes)[k]))
+def simplex_volume(t0: float, t: float, k: int) -> float:
+    """Signed volume (t - t0)^k / k! of the order-k simplex."""
+    if k < 0:
+        raise ValueError(f"simplex order k must be >= 0, got {k}")
+    if not (math.isfinite(t0) and math.isfinite(t)):
+        raise ValueError(f"flow times must be finite, got [{t0}, {t}]")
+    return (t - t0) ** k / math.factorial(k)
 
 
 def _series_terms(field: VectorField, obs: Observable, point: np.ndarray,
-                  t0: float, t: float, k: int, nodes: int) -> list[np.ndarray]:
-    """Volterra terms of orders 0..k at ``point``: (t - t0)^i / i! times the i-fold lift
-    if autonomous, else each piece sequence's summed weight times its lift."""
+                  t0: float, t: float, k: int) -> list[np.ndarray]:
+    """Volterra terms of orders 0..k at ``point``: over the piece sequences of the
+    times, listed from the t end, each region's volume times its lift."""
     lifts = LiftTable(field, obs, k)
-    field.check_window(t0, t)
-    if field.is_autonomous:
-        return [((t - t0) ** i / math.factorial(i)) * lifts[(0,) * i](point)
-                for i in range(k + 1)]
-    return [sum((w * lifts[seq](point)
-                 for seq, w in _summed_weights((seq, w) for _, w, seq in leaves).items()),
+    parts = _parts(field, t0, t)
+    lengths, pieces = [b - a for a, b, _ in parts], [piece for _, _, piece in parts]
+    return [sum((volume * lifts[seq](point) for volume, seq in _regions(lengths, pieces, i)),
                 np.zeros(obs.dim_out))
-            for leaves in _simplex_leaves(field, t0, t, k, nodes)]
+            for i in range(k + 1)]
 
 
 def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
-                          t: float, k: int, nodes: int = DEFAULT_NODES) -> np.ndarray:
+                          t: float, k: int) -> np.ndarray:
     """Iterated integral of the k-fold lift composition over the order-k simplex."""
     if k < 0:
         raise ValueError(f"simplex order k must be >= 0, got {k}")
-    return _series_terms(field, obs, as_point(q, field.dim), t0, t, k, nodes)[k]
+    return _series_terms(field, obs, as_point(q, field.dim), t0, t, k)[k]
 
 
 def volterra_truncate(field: VectorField, obs: Observable, q, t0: float, t: float,
-                      k: int, nodes: int = DEFAULT_NODES) -> np.ndarray:
+                      k: int) -> np.ndarray:
     """Order-k truncation: phi(q) plus the simplex terms of orders 1..k-1."""
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
-    terms = _series_terms(field, obs, as_point(q, field.dim), t0, t, k - 1, nodes)
+    terms = _series_terms(field, obs, as_point(q, field.dim), t0, t, k - 1)
     return sum(terms[1:], terms[0])
 
 
@@ -134,15 +132,15 @@ def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
     ``method="difference"`` (default) computes flow value minus truncation;
     ``method="direct"`` evaluates the nested remainder integral whose
     integrand composes the flow operator with the k lifts, evaluated on one
-    chained trajectory through the distinct innermost quadrature times (about
-    one solve's steps plus one per time, of which there are about nodes^k).
+    chained trajectory through the innermost quadrature times (about one
+    solve's steps plus one per time: ``nodes`` per piece met).
     """
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
     point = as_point(q, field.dim)
     if method == "difference":
         true_value = flow_operator_apply(FlowMap(field, t0, t, solver), obs, point)
-        truncated = volterra_truncate(field, obs, point, t0, t, k, nodes)
+        truncated = volterra_truncate(field, obs, point, t0, t, k)
         remainder = float(np.linalg.norm(true_value - truncated))
     elif method == "direct":
         integral, _ = _direct_remainder(field, obs, point, t0, t, k, solver, nodes)
@@ -164,19 +162,30 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
                       nodes: int, to_end: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Nested integral of the remainder with the flow inside the integrand.
 
+    Given the innermost time x in part j, the outer k - 1 integrals of a piece
+    sequence are its region volume with part j cut down to [x, b] (Cauchy's
+    repeated integration), so one Gauss-Legendre rule per part integrates x.
     Returns the integral and the last state of its chained trajectory, which
     with ``to_end`` walks on past the innermost times to the flowed point at t.
     """
     lifts = LiftTable(field, obs, k)
-    field.check_window(t0, t)
-    # leaves sharing an innermost time and a piece sequence share one evaluation
-    weights = _summed_weights(((x, seq), w)
-                              for x, w, seq in _simplex_leaves(field, t0, t, k, nodes)[k])
-    times = sorted({x for x, _ in weights}, reverse=t < t0)
+    parts = _parts(field, t0, t)
+    lengths, pieces = [b - a for a, b, _ in parts], [piece for _, _, piece in parts]
+    leaves = []  # (x, weight, piece sequence): one evaluation each
+    for j in reversed(range(len(parts))):  # from the t0 end, as the trajectory runs
+        a, b, piece = parts[j]
+        xs, ws = gauss_legendre(a, b, nodes)
+        # volumes with part j of length 1: cut down to [x, b], part j scales them by (b - x)^c
+        outers = [(volume, outer, outer.count(piece))
+                  for volume, outer in _regions(lengths[:j] + [1.0], pieces, k - 1)]
+        for x, w in zip(xs, ws):
+            leaves.extend((x, w * volume * (b - x) ** c, outer + (piece,))
+                          for volume, outer, c in outers)
+    times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
                                    point, solver)
     moved = dict(zip(times, states))
-    integral = sum((w * lifts[seq](moved[x]) for (x, seq), w in weights.items()),
+    integral = sum((w * lifts[seq](moved[x]) for x, w, seq in leaves),
                    np.zeros(obs.dim_out))
     return integral, states[-1] if states else point
 
@@ -249,10 +258,7 @@ def integral_equation_residual(field: VectorField, obs: Observable, q, t0: float
 
 def remainder_table(field: VectorField, obs: Observable, q, t0: float, k: int,
                     t_values: Sequence[float], solver: FlowSolver,
-                    nodes: int = DEFAULT_NODES,
                     witness: LocallyBoundedWitness | None = None) -> list[RemainderReport]:
     """Remainder reports over a grid of end times."""
-    return [
-        remainder_eval(field, obs, q, t0, tv, k, solver, nodes, witness)
-        for tv in t_values
-    ]
+    return [remainder_eval(field, obs, q, t0, tv, k, solver, witness=witness)
+            for tv in t_values]

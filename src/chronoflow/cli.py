@@ -128,7 +128,7 @@ def cmd_volterra(args) -> str:
         witness = sample_lift_bound(field, obs, args.k, q, args.witness_radius)
     t_values = _t_grid(args)
     reports = chrono.remainder_table(field, obs, q, args.t0, args.k, t_values,
-                                     solver, args.nodes, witness)
+                                     solver, witness)
     rows = [(r.t, r.remainder_norm, r.bound) for r in reports]
     doc = {"k": args.k, "rows": [
         {"k": args.k, "t": t, "remainder_norm": norm, "bound": bound}
@@ -151,8 +151,8 @@ def cmd_order_probe(args) -> str:
         obs = _observable((field,), args.obs_coord)
 
         def sample(t: float) -> float:
-            return chrono.remainder_eval(field, obs, q, 0.0, t, args.k, solver,
-                                         args.nodes).remainder_norm
+            return chrono.remainder_eval(field, obs, q, 0.0, t, args.k,
+                                         solver).remainder_norm
 
         estimate = chrono.order_probe(sample, args.t_max, args.levels)
     elif args.residual == "flow-bracket":
@@ -296,15 +296,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, steps=True, nodes=None):
+    def common(p, steps=True):
         p.add_argument("--system", required=True,
                        help="builtin system name or path to a JSON system file")
         if steps:
             p.add_argument("--steps-per-unit", type=int, default=1000,
                            help="RK4 substeps per unit time (default 1000)")
-        if nodes:
-            p.add_argument("--nodes", type=_node_count, default=nodes,
-                           help=f"Gauss-Legendre nodes per level (default {nodes})")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--output", default="-",
                        help="output path ('-' for stdout); relative paths are "
@@ -319,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_flow)
 
     p = sub.add_parser("volterra", help="truncation remainder table over a t-grid")
-    common(p, nodes=16)
+    common(p)
     p.add_argument("--field", type=int, default=1)
     p.add_argument("--obs-coord", type=int, default=None,
                    help="1-based coordinate observable (default: identity)")
@@ -333,7 +330,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_volterra)
 
     p = sub.add_parser("order-probe", help="fit the decay order of a residual")
-    common(p, nodes=16)
+    common(p)
     p.add_argument("--residual", required=True,
                    choices=("remainder", "flow-bracket", "inverse-expansion"))
     p.add_argument("--field", type=int, default=1)
@@ -363,7 +360,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param-deriv",
                        help="flow derivative in a perturbation direction")
-    common(p, nodes=32)
+    common(p)
+    p.add_argument("--nodes", type=_node_count, default=32,
+                   help="Gauss-Legendre nodes per piece (default 32)")
     p.add_argument("--field", type=int, default=1, help="base field index")
     p.add_argument("--perturb", type=int, default=2, help="perturbation field index")
     p.add_argument("--t0", type=float, default=0.0)

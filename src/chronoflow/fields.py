@@ -17,7 +17,7 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations_with_replacement
+from itertools import chain, combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
@@ -716,14 +716,27 @@ class LocallyBoundedWitness:
     """Sampled bound on k-fold lift compositions over a ball.
 
     ``bound_C`` is the max, over sampled ball points and every piece
-    sequence of decreasing times, of the norm of the order-fold lift of the
-    observable.  It is a sampled estimate in space, not a certificate.
+    sequence of monotone times, decreasing (t > t0) or increasing (t < t0),
+    of the norm of the order-fold lift of the observable.  It is a sampled
+    estimate in space, not a certificate.
     """
 
     center: np.ndarray
     radius: float
     bound_C: float
     order: int
+
+
+def _max_norm(vectors: Iterable[list[float]]) -> float:
+    """``max(vector_norm(v) for v in vectors)`` with its bits.  ``math.hypot`` is within
+    an ulp of a norm, ``vector_norm`` within n ulps plus the root of the least normal
+    float, so ``vector_norm`` runs only where hypot cannot rule ``v`` out."""
+    slack, best = math.sqrt(sys.float_info.min), None
+    for v in vectors:
+        if best is None or math.hypot(*v) * (1.0 + 1e-12) + slack > best:
+            norm = vector_norm(np.array(v))
+            best = norm if best is None or norm > best else best
+    return best
 
 
 def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
@@ -743,9 +756,12 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     points = center + direction * radii
 
     lifts = LiftTable(field, obs, order)
-    # decreasing times tau_1 >= ... >= tau_k fall in non-increasing pieces
-    sequences = combinations_with_replacement(range(len(field.pieces) - 1, -1, -1), order)
-    bound = max(vector_norm(lifts[seq](p)) for seq in sequences for p in points)
+    # the pieces of times run non-increasing forward (t > t0), non-decreasing backward
+    pieces = range(len(field.pieces))
+    sequences = dict.fromkeys(chain(combinations_with_replacement(pieces[::-1], order),
+                                    combinations_with_replacement(pieces, order)))
+    rows = as_point(points.ravel()).reshape(points.shape).tolist()  # checked once
+    bound = _max_norm(lifts[seq].map._evaluator(row) for seq in sequences for row in rows)
     return LocallyBoundedWitness(center=center, radius=float(radius),
                                  bound_C=bound, order=int(order))
 

@@ -5,14 +5,15 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import chronoflow.chrono
 import chronoflow.flow
 from chronoflow import (
+    FlowMap,
     FlowSolver,
     Observable,
     PolynomialMap,
     VectorField,
     constant_field,
+    flow_map,
     heisenberg_fields,
     integral_equation_residual,
     linear_field,
@@ -31,7 +32,7 @@ NILPOTENT = linear_field([[0.0, 1.0], [0.0, 0.0]])
 
 
 def one_piece_twin(field, window=(0.0, 2.0)):
-    """Wrap an autonomous field to force the nested-quadrature path."""
+    """Wrap an autonomous field as a piecewise field of one piece."""
     return VectorField.piecewise([(window[0], window[1], field.pieces[0][2])],
                                  field.smoothness_order)
 
@@ -66,8 +67,8 @@ def test_autonomous_fast_path_agrees_with_quadrature():
     twin = one_piece_twin(rot)
     q = np.array([1.0, 1.0])
     for k in (1, 2, 3):
-        fast = simplex_integral_term(rot, phi, q, 0.0, 0.8, k, nodes=16)
-        quad = simplex_integral_term(twin, phi, q, 0.0, 0.8, k, nodes=16)
+        fast = simplex_integral_term(rot, phi, q, 0.0, 0.8, k)
+        quad = simplex_integral_term(twin, phi, q, 0.0, 0.8, k)
         assert np.linalg.norm(fast - quad) <= 1e-9
 
 
@@ -89,7 +90,7 @@ def test_piecewise_simplex_term_against_region_enumeration():
     oracle = (0.125 * double_lift(0.25, 0.2)
               + 0.125 * double_lift(0.75, 0.7)
               + 0.25 * double_lift(0.75, 0.25))
-    value = simplex_integral_term(field, phi, q, 0.0, 1.0, 2, nodes=16)
+    value = simplex_integral_term(field, phi, q, 0.0, 1.0, 2)
     assert np.linalg.norm(value - oracle) <= 1e-9
 
     first = simplex_integral_term(field, Observable.identity(2), q, 0.0, 1.0, 1)
@@ -319,20 +320,18 @@ def test_simplex_volume_backward_and_split_orders():
 
 @pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.3, 0.2)])
 def test_direct_remainder_evaluates_each_time_and_lift_once(monkeypatch, t0, t):
+    # each piece sequence has one innermost piece, whose rule has 8 nodes
     field, phi = _rotation_then_drift(), Observable.identity(2)
-    leaves = chronoflow.chrono._simplex_leaves(field, t0, t, 3, 8)[3]
-    pairs = len({(x, pieces) for x, _, pieces in leaves})
-    assert pairs < len(leaves)
     calls = []
     evaluate = Observable.__call__
 
     def counting(self, q):
-        calls.append(q)
+        calls.append((id(self), tuple(q)))
         return evaluate(self, q)
 
     monkeypatch.setattr(Observable, "__call__", counting)
     remainder_eval(field, phi, [0.6, -0.8], t0, t, 3, SOLVER, nodes=8, method="direct")
-    assert len(calls) == pairs
+    assert len(calls) == len(set(calls)) == 8 * math.comb(2 + 3 - 1, 3)
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -376,3 +375,77 @@ def test_witness_order_below_one_is_rejected():
     with pytest.raises(ValueError, match=r"witness order must be >= 1, got 0"):
         sample_lift_bound(rotation2d(), Observable.identity(2), 0, [1.0, 0.0], 0.5)
 
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simplex_volume(0.0, 0.7, -1), "simplex order k must be >= 0, got -1"),
+    (lambda: simplex_volume(0.0, 0.7, -3), "simplex order k must be >= 0, got -3"),
+    (lambda: simplex_volume(0.0, math.nan, 2), "flow times must be finite"),
+    (lambda: simplex_integral_term(rotation2d(), Observable.identity(2), [1.0, 0.0],
+                                   0.0, math.inf, 1), "flow times must be finite"),
+], ids=["volume_order_-1", "volume_order_-3", "volume_nan_time", "term_inf_time"])
+def test_series_entry_points_reject_orders_and_times_they_cannot_honour(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
+def test_witness_bounds_a_backward_remainder():
+    # from t0 = 1 back to 0 the order-2 remainder of x2 lives on increasing
+    # piece sequences only, which a forward-only witness never sampled
+    field = VectorField.piecewise([
+        (0.0, 0.5, PolynomialMap(2, 2, [[], [(1.0, (1, 0))]])),
+        (0.5, 1.0, PolynomialMap.constants([1.0, 0.0], 2)),
+    ])
+    phi = Observable.coordinate(2, 1)
+    witness = sample_lift_bound(field, phi, 2, [0.3, 0.2], 0.5)
+    report = remainder_eval(field, phi, [0.3, 0.2], 1.0, 0.0, 2, SOLVER, witness=witness)
+    assert abs(report.remainder_norm - 0.25) <= 1e-12
+    assert report.remainder_norm <= report.bound
+
+
+def _bang_bang(pieces: int):
+    """x' = u(t) J x, J the rotation generator, u = +-1 (seeded) on equal pieces of
+    [0, 1]; returns the field and the integral of u from t0 to t."""
+    u = np.random.default_rng(pieces).choice([-1.0, 1.0], size=pieces)
+    edges = np.linspace(0.0, 1.0, pieces + 1).tolist()
+    field = VectorField.piecewise([(a, b, PolynomialMap.linear([[0.0, -s], [s, 0.0]]))
+                                   for a, b, s in zip(edges, edges[1:], u)])
+
+    def integral(t0, t):
+        lo, hi = min(t0, t), max(t0, t)
+        total = sum(s * max(0.0, min(b, hi) - max(a, lo))
+                    for a, b, s in zip(edges, edges[1:], u))
+        return total if t >= t0 else -total
+
+    return field, integral
+
+
+@pytest.mark.parametrize("pieces", [1, 5, 20])
+@pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.0, 0.0), (0.13, 0.91), (0.91, 0.13)])
+def test_many_piece_terms_are_powers_of_the_rotation_angle(pieces, t0, t):
+    field, integral = _bang_bang(pieces)
+    q = np.array([0.6, -0.8])
+    generator = np.array([[0.0, -1.0], [1.0, 0.0]])
+    angle = integral(t0, t)
+    for i in range(4):
+        term = simplex_integral_term(field, Observable.identity(2), q, t0, t, i)
+        exact = angle ** i / math.factorial(i) * np.linalg.matrix_power(generator, i) @ q
+        assert np.linalg.norm(term - exact) <= 1e-13 * np.linalg.norm(exact)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_many_piece_direct_remainder_matches_difference(k):
+    field, _ = _bang_bang(10)
+    phi, q = Observable.identity(2), [0.6, -0.8]
+    for t0, t in [(0.0, 1.0), (1.0, 0.0)]:
+        direct = remainder_eval(field, phi, q, t0, t, k, SOLVER, method="direct")
+        diff = remainder_eval(field, phi, q, t0, t, k, SOLVER)
+        assert diff.remainder_norm > 1e-3
+        assert abs(direct.remainder_norm - diff.remainder_norm) <= 1e-12
+
+
+def test_thousand_piece_flow_is_the_rotation_by_the_integral():
+    field, integral = _bang_bang(1000)
+    angle = integral(0.0, 1.0)
+    c, s = math.cos(angle), math.sin(angle)
+    end = flow_map(FlowMap(field, 0.0, 1.0, SOLVER), [0.6, -0.8])
+    assert np.linalg.norm(end - np.array([[c, -s], [s, c]]) @ [0.6, -0.8]) <= 1e-9

@@ -2,8 +2,10 @@
 import csv
 import itertools
 import json
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -193,7 +195,7 @@ def test_flow_invalid_time_or_density_exits_2(extra):
      "--grid", "0"),
     ("flow-bracket", "--system", "heisenberg", "--expr", "[V1,V2]", "--q", "0,0,0",
      "--t-max", "0.2", "--grid", "0"),
-    ("volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0", "--t-max", "0.4",
+    ("param-deriv", "--system", "heisenberg", "--t", "0.5", "--q", "0,0,0",
      "--nodes", "0"),
     ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04",
      "--epsilon", "1e-3", "--nodes", "16"),  # plan reads no quadrature nodes
@@ -330,16 +332,12 @@ def test_nodes_and_steps_flags_only_on_subcommands_that_read_them():
     sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     flags = {name: {f for a in p._actions for f in a.option_strings}
              for name, p in sub.choices.items()}
-    assert {name for name, f in flags.items() if "--nodes" in f} == {
-        "volterra", "order-probe", "param-deriv"}
+    assert {name for name, f in flags.items() if "--nodes" in f} == {"param-deriv"}
     assert {name for name, f in flags.items() if "--steps-per-unit" not in f} == {
         "bracket", "rank"}
-    for argv in (["volterra", "--k", "1", "--t-max", "0.4"],
-                 ["order-probe", "--residual", "remainder", "--t-max", "0.4"],
-                 ["param-deriv", "--t", "0.5"]):
-        args = parser.parse_args(argv + ["--system", "rotation2d", "--q", "1,0",
-                                         "--nodes", "4"])
-        assert args.nodes == 4
+    args = parser.parse_args(["param-deriv", "--t", "0.5", "--system", "rotation2d",
+                              "--q", "1,0", "--nodes", "4"])
+    assert args.nodes == 4
 
 
 SCHEDULE = ("simulate", "--system", "heisenberg", "--q0", "0,0,0", "--schedule")
@@ -716,3 +714,37 @@ def test_schedule_duration_that_is_no_number_names_its_row(tmp_path, capsys, nam
     path = tmp_path / name
     path.write_text(text)
     assert _main_error(capsys, [*SCHEDULE, str(path)]) == f"error: {message}"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The ``chronoflow ...`` lines of README's Command line block, joined at ``\\``."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```bash\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line)[1:] for line in block.replace("\\\n", " ").splitlines()
+            if line.startswith("chronoflow ")]
+
+
+def test_readme_command_line_examples_run(tmp_path, monkeypatch, capsys):
+    # in order, so that simulate replays the plan.json that plan writes
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.OUTPUT_DIR_ENV, raising=False)
+    commands = _readme_commands()
+    assert len(commands) == 9
+    for argv in commands:
+        assert cli.main(argv) == 0, (argv, capsys.readouterr().err)
+    assert (tmp_path / "plan.json").exists()
+
+
+def test_witness_bounds_a_backward_remainder(tmp_path, capsys):
+    # x' = (0, x1) on [0, 0.5), x' = (1, 0) on [0.5, 1]: from t0 = 1 back to 0 the
+    # order-2 remainder of x2 lives on increasing piece sequences only
+    path = tmp_path / "bw.json"
+    path.write_text(json.dumps({"fields": [{"dim": 2, "time_pieces": [
+        {"t0": 0.0, "t1": 0.5, "components": [[], [{"coef": 1.0, "exps": [1, 0]}]]},
+        {"t0": 0.5, "t1": 1.0, "components": [[{"coef": 1.0, "exps": [0, 0]}], []]}]}]}))
+    assert cli.main(["volterra", "--system", str(path), "--k", "2", "--obs-coord", "2",
+                     "--q", "0.3,0.2", "--t0", "1", "--t-max", "0", "--grid", "1",
+                     "--witness-radius", "0.5"]) == 0
+    [row] = json.loads(capsys.readouterr().out)["rows"]
+    assert abs(row["remainder_norm"] - 0.25) <= 1e-12
+    assert row["remainder_norm"] <= row["bound"]

@@ -122,7 +122,7 @@ sys.exit(code)
     (["volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0",
       "--t-max", "0.2", "--grid", "2"], ["chrono"]),
     (["order-probe", "--system", "rotation2d", "--residual", "remainder", "--k", "1",
-      "--q", "1,0", "--t-max", "0.2", "--levels", "4", "--nodes", "4"], ["chrono"]),
+      "--q", "1,0", "--t-max", "0.2", "--levels", "4"], ["chrono"]),
     (["param-deriv", "--system", "heisenberg", "--t", "0.2", "--q", "0,0,0",
       "--steps-per-unit", "100", "--nodes", "4"], ["paramflow"]),
     (["simulate", "--system", "heisenberg", "--q0", "0,0,0", "--schedule", "SCHEDULE",

@@ -551,8 +551,8 @@ def test_truncation_is_the_sum_of_its_simplex_terms(field, k, data):
     q = data.draw(points(field.dim))
     t0, t = data.draw(st.sampled_from([(0.0, 1.3), (1.4, 0.2)]))
     phi = Observable.identity(field.dim)
-    total = volterra_truncate(field, phi, q, t0, t, k, nodes=4)
-    terms = [simplex_integral_term(field, phi, q, t0, t, i, nodes=4) for i in range(1, k)]
+    total = volterra_truncate(field, phi, q, t0, t, k)
+    terms = [simplex_integral_term(field, phi, q, t0, t, i) for i in range(1, k)]
     summed = functools.reduce(operator.add, terms, phi(q))
     if field.is_autonomous:
         assert np.array_equal(total, summed)
