@@ -5,9 +5,10 @@ pushforwards, truncated Volterra expansions with remainder-order probes,
 iterated Lie and flow brackets with their asymptotics, parameter
 derivatives of flows, and a bracket-generating reachability planner.
 
-Startup: ``import chronoflow`` loads only ``errors``, ``fields``, ``flow``
-and ``quadrature``.  The operation modules ``chrono``, ``liealg``,
-``paramflow`` and ``reach`` load on first access to one of their names
+Startup: ``import chronoflow`` loads only ``errors``, ``fields`` and
+``flow``; ``quadrature`` loads on first access or with the first operation
+module that integrates.  The operation modules ``chrono``, ``liealg``, ``paramflow``
+and ``reach`` load on first access to one of their names
 (``chronoflow.plan_reach`` loads ``reach``, which loads ``liealg`` when a
 bracket is first built, and ``liealg`` loads ``chrono`` for its order
 probes).  On the command line, ``flow`` loads none of them; ``volterra``
@@ -80,6 +81,7 @@ _LAZY = {
             "eval_bracket_expression", "flow_bracket", "inverse_expansion_check",
             "lie_bracket", "lie_bracket_field", "pushforward_invariance_check",
         ),
+        "quadrature": (),
         "paramflow": (
             "IN_FORMULA", "OUT_FORMULA", "PerturbedSystem", "fd_param_derivative",
             "param_derivative", "variation_of_parameters_check",

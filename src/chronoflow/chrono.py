@@ -66,15 +66,11 @@ class RemainderReport:
 
 
 def _parts(field: VectorField, t0: float, t: float) -> list[tuple[float, float, int]]:
-    """The parts (a, b, piece) of [t0, t] in one piece each, from the t end back to t0
-    as piece sequences list their times; a is the t0-side end, b - a the signed length.
-    Exact volumes need no cutoff, so t = t0 is one part of length 0."""
+    """``field.parts(t0, t)`` from the t end back to t0, as piece sequences list
+    their times, once both times are checked to be finite."""
     if not (math.isfinite(t0) and math.isfinite(t)):
         raise ValueError(f"flow times must be finite, got [{t0}, {t}]")
-    field.check_window(t0, t)
-    cuts = field.breakpoints_between(t0, t)
-    ends = [t0, *(cuts if t0 <= t else cuts[::-1]), t]
-    return [(a, b, field.piece_index(0.5 * (a + b))) for a, b in zip(ends, ends[1:])][::-1]
+    return field.parts(t0, t)[::-1]
 
 
 def _regions(lengths: Sequence[float], pieces: Sequence[int], i: int):

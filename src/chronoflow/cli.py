@@ -23,6 +23,9 @@ from .flow import FlowMap, FlowSolver, flow_with_pushforward
 OUTPUT_DIR_ENV = "CHRONOFLOW_OUTPUT_DIR"
 MAX_ORDER = 4
 MAX_LEVELS = 16
+# one output row per grid point; checked before the times are listed, so a huge
+# --grid exits 2 instead of filling memory
+MAX_GRID = 10_000
 
 
 def _fmt(cell) -> str:
@@ -47,8 +50,8 @@ def _solver(args) -> FlowSolver:
 
 
 def _t_grid(args) -> list[float]:
-    if args.grid < 1:
-        raise ValueError(f"--grid must be >= 1, got {args.grid}")
+    if not 1 <= args.grid <= MAX_GRID:
+        raise ValueError(f"--grid must be in 1..{MAX_GRID}, got {args.grid}")
     return [args.t_max * (j + 1) / args.grid for j in range(args.grid)]
 
 
@@ -323,7 +326,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, required=True, help="truncation order (1..4)")
     p.add_argument("--t0", type=float, default=0.0)
     p.add_argument("--t-max", type=float, required=True)
-    p.add_argument("--grid", type=int, default=8, help="number of grid points")
+    p.add_argument("--grid", type=int, default=8,
+                   help=f"number of grid points (1..{MAX_GRID})")
     p.add_argument("--q", required=True)
     p.add_argument("--witness-radius", type=float, default=None,
                    help="sample a boundedness witness on this ball to emit bounds")

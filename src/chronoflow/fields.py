@@ -3,9 +3,9 @@
 Everything here is exact: fields and observables are stored as polynomial
 maps whose evaluations and derivatives of every order are closed-form, so
 downstream asymptotic checks carry no differentiation error.  Time
-dependence is piecewise: a field is either a single polynomial map
-(autonomous) or a finite list of polynomial pieces over contiguous time
-intervals.
+dependence is piecewise: a field is a finite list of polynomial pieces over
+contiguous time intervals, and an autonomous field is the one piece over
+(-inf, inf).
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.
@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 import math
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations_with_replacement
@@ -459,8 +460,9 @@ def lift_map(obs_map: PolynomialMap, field_map: PolynomialMap) -> PolynomialMap:
 class VectorField:
     """A time-structured polynomial vector field on an n-dimensional chart.
 
-    Either autonomous (one polynomial map, defined for all t) or piecewise
-    in time (contiguous intervals, one polynomial map each).  The
+    Piecewise in time (contiguous intervals, one polynomial map each); an
+    autonomous field is the one piece over (-inf, inf).  ``parts`` is the one
+    rule for cutting an interval at the breakpoints.  The
     ``smoothness_order`` is bookkeeping for how many derivative orders
     downstream lifts may consume.
     """
@@ -468,8 +470,7 @@ class VectorField:
     exact = True
 
     def __init__(self, pieces: Sequence[tuple[float, float, PolynomialMap]],
-                 smoothness_order: int = DEFAULT_SMOOTHNESS_ORDER,
-                 _autonomous: bool = False):
+                 smoothness_order: int = DEFAULT_SMOOTHNESS_ORDER):
         if smoothness_order < 1:
             raise ValueError("smoothness_order must be >= 1")
         pieces = tuple(pieces)
@@ -479,56 +480,63 @@ class VectorField:
         for _, _, pm in pieces:
             if pm.dim_in != dim or pm.dim_out != dim:
                 raise DimensionError("every piece must map R^n -> R^n for one n")
-        if not _autonomous:
-            for (a, b, _) in pieces:
-                if not (a < b):
-                    raise ValueError(f"empty time piece [{a}, {b}]")
-            for (_, b, _), (a2, _, _) in zip(pieces, pieces[1:]):
-                if b != a2:
-                    raise ValueError("time pieces must be contiguous and ordered")
+        for (a, b, _) in pieces:
+            if not (a < b):
+                raise ValueError(f"empty time piece [{a}, {b}]")
+        for (_, b, _), (a2, _, _) in zip(pieces, pieces[1:]):
+            if b != a2:
+                raise ValueError("time pieces must be contiguous and ordered")
         self.dim = dim
         self.smoothness_order = int(smoothness_order)
         self.pieces = pieces
-        self.is_autonomous = _autonomous
+        # the interior piece starts, as Python floats since the solver steps from them
+        self._cuts = [float(a) for a, _, _ in pieces[1:]]
 
     @classmethod
     def autonomous(cls, pm: PolynomialMap,
                    smoothness_order: int = DEFAULT_SMOOTHNESS_ORDER) -> "VectorField":
-        return cls(((-math.inf, math.inf, pm),), smoothness_order, _autonomous=True)
+        return cls(((-math.inf, math.inf, pm),), smoothness_order)
 
     @classmethod
     def piecewise(cls, pieces, smoothness_order: int = DEFAULT_SMOOTHNESS_ORDER) -> "VectorField":
-        return cls(tuple(pieces), smoothness_order, _autonomous=False)
+        return cls(pieces, smoothness_order)
 
     @property
     def window(self) -> tuple[float, float]:
         return (self.pieces[0][0], self.pieces[-1][1])
 
+    @property
+    def is_autonomous(self) -> bool:
+        """One piece over all of time."""
+        return self.window == (-math.inf, math.inf)
+
     def piece_index(self, t: float) -> int:
         """Index of the active piece at time t (right-continuous at breakpoints)."""
-        if self.is_autonomous:
-            return 0
         self.check_window(t)
-        for i, (a, b, _) in enumerate(self.pieces):
-            if a <= t < b:
-                return i
-        return len(self.pieces) - 1  # t == hi
+        return bisect_right(self._cuts, t)
 
     def piece_at(self, t: float) -> PolynomialMap:
         """Active polynomial piece at time t."""
         return self.pieces[self.piece_index(t)][2]
 
     def breakpoints_between(self, a: float, b: float) -> list[float]:
-        """Interior piece boundaries strictly between a and b (any order).
-
-        They are Python floats even where the pieces were given numpy
-        scalars, since the solver steps from them.
-        """
-        if self.is_autonomous:
-            return []
+        """Interior piece boundaries strictly between a and b (any order), ascending."""
         lo, hi = min(a, b), max(a, b)
-        cuts = [p[0] for p in self.pieces[1:]]
-        return [float(c) for c in cuts if lo < c < hi]
+        return self._cuts[bisect_right(self._cuts, lo):bisect_left(self._cuts, hi)]
+
+    def parts(self, a: float, b: float) -> list[tuple[float, float, int]]:
+        """The parts (start, end, piece) of [a, b] in one piece each, in the direction
+        a -> b: start is the a-side end, end - start the signed length, and the pieces
+        are consecutive indices.  This is the one rule for cutting time: a part no
+        longer than the cutoff below takes no step and carries no volume, so a = b
+        has none.  Both lookups are bisections over the cuts."""
+        self.check_window(a, b)
+        lo, hi = (a, b) if a <= b else (b, a)
+        first = bisect_right(self._cuts, lo)
+        ends = [lo, *self._cuts[first:bisect_left(self._cuts, hi)], hi]
+        parts = [(s, e, first + i) for i, (s, e) in enumerate(zip(ends, ends[1:]))
+                 if e - s > 1e-15]
+        return parts if a <= b else [(e, s, piece) for s, e, piece in reversed(parts)]
 
     def check_window(self, *times: float) -> None:
         lo, hi = self.window
@@ -558,21 +566,18 @@ def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
     if v.dim != w.dim:
         raise DimensionError("fields have different dimensions")
     order = min(v.smoothness_order, w.smoothness_order)
-    if v.is_autonomous and w.is_autonomous:
-        pm = v.pieces[0][2].add(w.pieces[0][2], coeff_v, coeff_w)
-        return VectorField.autonomous(pm, order)
     lo = max(v.window[0], w.window[0])
     hi = min(v.window[1], w.window[1])
     if not (lo < hi):
         raise ValueError("fields have disjoint time windows")
-    cuts = sorted(set(v.breakpoints_between(lo, hi) + w.breakpoints_between(lo, hi)))
-    edges = [lo] + cuts + [hi]
-    pieces = []
-    for a, b in zip(edges, edges[1:]):
-        mid = 0.5 * (a + b)
-        pm = v.piece_at(mid).add(w.piece_at(mid), coeff_v, coeff_w)
-        pieces.append((a, b, pm))
-    return VectorField.piecewise(pieces, order)
+    # each piece starts where the last ended, so a dropped part joins its successor
+    edges, maps = [lo], []
+    for a, b, i in v.parts(lo, hi):
+        for _, end, j in w.parts(a, b):
+            edges.append(end)
+            maps.append(v.pieces[i][2].add(w.pieces[j][2], coeff_v, coeff_w))
+    edges[-1] = hi
+    return VectorField(zip(edges, edges[1:], maps), order)
 
 
 class Observable:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import BlowUpError
 from .fields import Observable, VectorField, as_point
-from .quadrature import split_at
 
 MAX_STEPS_PER_SOLVE = 10 ** 8
 
@@ -139,7 +138,7 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
 
     The point, the times and the window are checked once, and the times
     become Python floats here, whatever their type.  Node i's interval
-    [times[i-1], times[i]] (t0 for the first) is split at breakpoints as a
+    [times[i-1], times[i]] (t0 for the first) is split by ``field.parts`` as a
     single solve would split it, and the state passes from node to node as
     a list of floats.  With ``want_pushforward`` each node's matrix restarts
     at the identity, giving the segment pushforward of its interval, and
@@ -161,9 +160,9 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     start = t0
     for t in times:
         mat, step_base = identity, 0
-        for a, b in split_at(start, t, field.breakpoints_between(start, t)):
-            pm = field.piece_at(0.5 * (a + b))
-            point, mat, step_base = _advance_piece(pm, point, mat, a, b, solver, step_base)
+        for a, b, piece in field.parts(start, t):
+            point, mat, step_base = _advance_piece(field.pieces[piece][2], point, mat,
+                                                   a, b, solver, step_base)
         states.append(np.array(point))
         if want_pushforward:
             segments.append(np.array(mat).reshape(n, n))

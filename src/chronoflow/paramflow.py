@@ -27,7 +27,7 @@ from .flow import (
     flow_map,
     flow_time_dependent,
 )
-from .quadrature import gauss_legendre, split_at
+from .quadrature import gauss_legendre
 
 IN_FORMULA = "in"
 OUT_FORMULA = "out"
@@ -53,14 +53,14 @@ class PerturbedSystem:
 
 
 def _quad_nodes(sys: PerturbedSystem, nodes: int):
-    cuts = (sys.base_field.breakpoints_between(sys.t0, sys.t1)
-            + sys.perturbation_field.breakpoints_between(sys.t0, sys.t1))
+    """Gauss-Legendre nodes and weights over [t0, t1], per part of V and W alike."""
     xs_all: list[float] = []
     ws_all: list[float] = []
-    for a, b in split_at(sys.t0, sys.t1, cuts):
-        xs, ws = gauss_legendre(a, b, nodes)
-        xs_all.extend(xs)
-        ws_all.extend(ws)
+    for a, b, _ in sys.base_field.parts(sys.t0, sys.t1):
+        for s, e, _ in sys.perturbation_field.parts(a, b):
+            xs, ws = gauss_legendre(s, e, nodes)
+            xs_all.extend(xs)
+            ws_all.extend(ws)
     return xs_all, ws_all
 
 
@@ -131,11 +131,11 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     point = as_point(q, v.dim)
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), point)
     corrected = point
-    cuts = v.breakpoints_between(0.0, t) + w.breakpoints_between(0.0, t)
-    for a, b in split_at(0.0, t, cuts):
-        pieces = [w.piece_at(0.5 * (a + b))]
-        corrected = flow_time_dependent(
-            lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
-            a, b, corrected, solver, dim=v.dim)
+    for a, b, _ in v.parts(0.0, t):
+        for s, e, j in w.parts(a, b):
+            pieces = [w.pieces[j][2]]
+            corrected = flow_time_dependent(
+                lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
+                s, e, corrected, solver, dim=v.dim)
     factored = flow_map(FlowMap(v, 0.0, t, solver), corrected)
     return float(np.linalg.norm(direct - factored))

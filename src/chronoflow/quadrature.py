@@ -22,15 +22,3 @@ def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     x, w = _reference_rule(n)
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w
-
-
-def split_at(a: float, b: float, cuts) -> list[tuple[float, float]]:
-    """Split [a, b] (either orientation) at the given interior cut points."""
-    lo, hi = min(a, b), max(a, b)
-    inner = sorted(c for c in cuts if lo < c < hi)
-    points = [a] + (inner if a <= b else inner[::-1]) + [b]
-    return [
-        (points[i], points[i + 1])
-        for i in range(len(points) - 1)
-        if abs(points[i + 1] - points[i]) > 1e-15
-    ]

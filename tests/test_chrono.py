@@ -14,8 +14,10 @@ from chronoflow import (
     VectorField,
     constant_field,
     flow_map,
+    flow_with_pushforward,
     heisenberg_fields,
     integral_equation_residual,
+    inverse_flow,
     linear_field,
     order_probe,
     remainder_eval,
@@ -25,7 +27,7 @@ from chronoflow import (
     simplex_volume,
     volterra_truncate,
 )
-from chronoflow.quadrature import MAX_NODES, gauss_legendre, split_at
+from chronoflow.quadrature import MAX_NODES, gauss_legendre
 
 SOLVER = FlowSolver(1000)
 NILPOTENT = linear_field([[0.0, 1.0], [0.0, 0.0]])
@@ -267,7 +269,8 @@ def _distinct_innermost_times(t0, t, k, cut, nodes=16):
     """Distinct innermost nodes of the order-k quadrature split at ``cut``."""
     uppers = [t]
     for _ in range(k):
-        uppers = [x for upper in uppers for a, b in split_at(t0, upper, [cut])
+        uppers = [x for upper in uppers
+                  for a, b, _ in _rotation_then_drift(cut).parts(t0, upper)
                   for x in gauss_legendre(a, b, nodes)[0]]
     return len(set(uppers))
 
@@ -404,11 +407,12 @@ def test_witness_bounds_a_backward_remainder():
 
 def _bang_bang(pieces: int):
     """x' = u(t) J x, J the rotation generator, u = +-1 (seeded) on equal pieces of
-    [0, 1]; returns the field and the integral of u from t0 to t."""
+    [0, 1], each piece one of two shared maps (two compiles, whatever the count);
+    returns the field and the integral of u from t0 to t."""
     u = np.random.default_rng(pieces).choice([-1.0, 1.0], size=pieces)
     edges = np.linspace(0.0, 1.0, pieces + 1).tolist()
-    field = VectorField.piecewise([(a, b, PolynomialMap.linear([[0.0, -s], [s, 0.0]]))
-                                   for a, b, s in zip(edges, edges[1:], u)])
+    maps = {s: PolynomialMap.linear([[0.0, -s], [s, 0.0]]) for s in (-1.0, 1.0)}
+    field = VectorField.piecewise([(a, b, maps[s]) for a, b, s in zip(edges, edges[1:], u)])
 
     def integral(t0, t):
         lo, hi = min(t0, t), max(t0, t)
@@ -419,7 +423,7 @@ def _bang_bang(pieces: int):
     return field, integral
 
 
-@pytest.mark.parametrize("pieces", [1, 5, 20])
+@pytest.mark.parametrize("pieces", [1, 5, 10, 20])
 @pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.0, 0.0), (0.13, 0.91), (0.91, 0.13)])
 def test_many_piece_terms_are_powers_of_the_rotation_angle(pieces, t0, t):
     field, integral = _bang_bang(pieces)
@@ -443,9 +447,22 @@ def test_many_piece_direct_remainder_matches_difference(k):
         assert abs(direct.remainder_norm - diff.remainder_norm) <= 1e-12
 
 
-def test_thousand_piece_flow_is_the_rotation_by_the_integral():
-    field, integral = _bang_bang(1000)
+@pytest.mark.parametrize("pieces", [1, 10, 100, 1000, 4000])
+def test_many_piece_flows_are_the_rotation_by_the_integral(pieces):
+    # An RK4 step of x' = s J x is a contraction within h^5/120 (1 + h) of the
+    # rotation exp(s h J), so with |q| = 1 the error is at most the sum of that
+    # over the steps, plus rounding
+    field, integral = _bang_bang(pieces)
+    solver = FlowSolver(20)
+    steps = pieces * solver.step_count(0.0, 1.0 / pieces)
+    h = 1.0 / steps
+    bound = steps * (h ** 5 / 120 * (1 + h) + 16 * np.finfo(float).eps)
     angle = integral(0.0, 1.0)
     c, s = math.cos(angle), math.sin(angle)
-    end = flow_map(FlowMap(field, 0.0, 1.0, SOLVER), [0.6, -0.8])
-    assert np.linalg.norm(end - np.array([[c, -s], [s, c]]) @ [0.6, -0.8]) <= 1e-9
+    rotation, q = np.array([[c, -s], [s, c]]), np.array([0.6, -0.8])
+    fm = FlowMap(field, 0.0, 1.0, solver)
+    end, pushforward = flow_with_pushforward(fm, q)
+    assert np.array_equal(end, flow_map(fm, q))
+    assert np.linalg.norm(end - rotation @ q) <= bound
+    assert np.linalg.norm(pushforward - rotation) <= 2 * bound  # two unit columns
+    assert np.linalg.norm(inverse_flow(fm, q) - rotation.T @ q) <= bound

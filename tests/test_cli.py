@@ -209,6 +209,19 @@ def test_invalid_tolerance_grid_or_nodes_exits_2(args):
     assert len(result.stderr.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["volterra", "--system", "rotation2d", "--k", "1", "--q", "1,0", "--t-max", "0.4"],
+    ["flow-bracket", "--system", "heisenberg", "--expr", "[V1,V2]", "--q", "0,0,0",
+     "--t-max", "0.2"],
+])
+def test_grid_over_the_cap_exits_2_before_any_grid_point(argv, capsys):
+    # the cap is checked before the times are listed, so a huge grid allocates nothing
+    assert cli.main(argv + ["--grid", str(cli.MAX_GRID + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --grid must be in 1..{cli.MAX_GRID}, got {cli.MAX_GRID + 1}\n"
+
+
 PLAN = ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04")
 
 

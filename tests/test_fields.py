@@ -2,6 +2,7 @@
 import hashlib
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -17,6 +18,7 @@ from chronoflow import (
     PolynomialMap,
     TimeWindowError,
     VectorField,
+    add_fields,
     apply_lift,
     brockett_fields,
     builtin_system,
@@ -201,6 +203,40 @@ def test_piecewise_selects_active_piece():
     assert_allclose(eval_field(field, 0.25, [0, 0]), [1.0, 0.0])
     assert_allclose(eval_field(field, 0.5, [0, 0]), [0.0, 1.0])
     assert_allclose(eval_field(field, 1.0, [0, 0]), [0.0, 1.0])
+
+
+def test_parts_cut_at_breakpoints_in_the_direction_of_time():
+    c = PolynomialMap.constants([1.0], 1)
+    field = VectorField.piecewise([(0.0, 0.25, c), (0.25, 0.5, c), (0.5, 1.0, c)])
+    assert field.parts(0.1, 0.9) == [(0.1, 0.25, 0), (0.25, 0.5, 1), (0.5, 0.9, 2)]
+    assert field.parts(0.9, 0.1) == [(0.9, 0.5, 2), (0.5, 0.25, 1), (0.25, 0.1, 0)]
+    assert field.parts(0.25, 0.5) == [(0.25, 0.5, 1)]  # ends on breakpoints
+    assert field.parts(0.5, 0.25) == [(0.5, 0.25, 1)]
+    assert field.parts(1.0, 0.5) == [(1.0, 0.5, 2)]
+    assert field.parts(0.3, 0.3) == []
+    assert field.parts(0.25 - 1e-16, 0.3) == [(0.25, 0.3, 1)]  # a sliver takes no step
+    assert field.parts(0.0, 0.0) == field.parts(1.0, 1.0) == []
+    assert [field.piece_index(t) for t in (0.0, 0.2, 0.25, 0.5, 1.0)] == [0, 0, 1, 2, 2]
+    assert field.breakpoints_between(0.9, 0.25) == [0.5]
+    with pytest.raises(TimeWindowError):
+        field.parts(0.5, 1.5)
+    auto = VectorField.autonomous(c)
+    assert auto.is_autonomous and not field.is_autonomous
+    assert auto.parts(2.0, -3.0) == [(2.0, -3.0, 0)]
+    assert auto.breakpoints_between(-1.0, 1.0) == []
+
+
+def test_sum_of_fields_with_near_coincident_breakpoints_keeps_its_window():
+    # W's cut one ulp after V's and W's last piece one ulp long are spans that take
+    # no step: each joins the piece after it, so the sum stays contiguous on [0, 1]
+    a, b, c, d, e = (PolynomialMap.constants([x], 1) for x in (1.0, 2.0, 4.0, 8.0, 16.0))
+    cut, last = math.nextafter(0.5, 1.0), math.nextafter(1.0, 0.0)
+    v = VectorField.piecewise([(0.0, 0.5, a), (0.5, 1.0, b)])
+    w = VectorField.piecewise([(0.0, cut, c), (cut, last, d), (last, 1.0, e)])
+    total = add_fields(v, w)
+    assert [(lo, hi) for lo, hi, _ in total.pieces] == [(0.0, 0.5), (0.5, 1.0)]
+    assert [pm(np.zeros(1))[0] for _, _, pm in total.pieces] == [5.0, 10.0]
+    assert flow_map(FlowMap(total, 0.0, 1.0, FlowSolver(10)), [0.0])[0] == 7.5
 
 
 def test_piecewise_pieces_must_be_contiguous():
@@ -432,7 +468,6 @@ def _seeded_kernel_results(seed: int = 2024, rounds: int = 40):
     """Lifts, brackets, sums, scalings and Jacobians of seeded random maps."""
     import random
 
-    from chronoflow import add_fields
     from chronoflow.liealg import lie_bracket_map
 
     rng = random.Random(seed)

@@ -1,8 +1,8 @@
 """The lazy-import contract of the package and of the command line.
 
-``import chronoflow`` loads the core (``errors``, ``fields``, ``flow``,
-``quadrature``); the operation modules load on first attribute access, and
-each subcommand loads only the operation modules it runs.
+``import chronoflow`` loads the core (``errors``, ``fields``, ``flow``); the
+operation modules load on first attribute access, and each subcommand loads
+only the operation modules it runs.
 """
 import importlib
 import json
@@ -148,7 +148,7 @@ def test_import_chronoflow_loads_only_the_core():
                         "m for m in sys.modules if m.startswith('chronoflow.'))))")
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [
-        "chronoflow.errors", "chronoflow.fields", "chronoflow.flow", "chronoflow.quadrature"]
+        "chronoflow.errors", "chronoflow.fields", "chronoflow.flow"]
 
 
 @pytest.mark.parametrize("module", [
