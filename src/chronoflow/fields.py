@@ -508,7 +508,7 @@ class VectorField:
     @property
     def is_autonomous(self) -> bool:
         """One piece over all of time."""
-        return self.window == (-math.inf, math.inf)
+        return not self._cuts and self.window == (-math.inf, math.inf)
 
     def piece_index(self, t: float) -> int:
         """Index of the active piece at time t (right-continuous at breakpoints)."""
@@ -570,13 +570,12 @@ def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
     hi = min(v.window[1], w.window[1])
     if not (lo < hi):
         raise ValueError("fields have disjoint time windows")
-    # each piece starts where the last ended, so a dropped part joins its successor
-    edges, maps = [lo], []
-    for a, b, i in v.parts(lo, hi):
-        for _, end, j in w.parts(a, b):
-            edges.append(end)
-            maps.append(v.pieces[i][2].add(w.pieces[j][2], coeff_v, coeff_w))
-    edges[-1] = hi
+    # each piece starts where the last ended, so a dropped part joins its successor;
+    # an overlap with no part at all is the one piece of the pieces active at lo
+    ends = [(end, i, j) for a, b, i in v.parts(lo, hi) for _, end, j in w.parts(a, b)]
+    ends = ends or [(hi, v.piece_index(lo), w.piece_index(lo))]
+    edges = [lo, *(end for end, _, _ in ends[:-1]), hi]
+    maps = [v.pieces[i][2].add(w.pieces[j][2], coeff_v, coeff_w) for _, i, j in ends]
     return VectorField(zip(edges, edges[1:], maps), order)
 
 

@@ -10,6 +10,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chronoflow import (
+    AffineControlSystem,
     DefectExhaustedError,
     DimensionError,
     FlowMap,
@@ -19,6 +20,7 @@ from chronoflow import (
     TimeWindowError,
     VectorField,
     add_fields,
+    adjoint_check,
     apply_lift,
     brockett_fields,
     builtin_system,
@@ -237,6 +239,32 @@ def test_sum_of_fields_with_near_coincident_breakpoints_keeps_its_window():
     assert [(lo, hi) for lo, hi, _ in total.pieces] == [(0.0, 0.5), (0.5, 1.0)]
     assert [pm(np.zeros(1))[0] for _, _, pm in total.pieces] == [5.0, 10.0]
     assert flow_map(FlowMap(total, 0.0, 1.0, FlowSolver(10)), [0.0])[0] == 7.5
+
+
+def test_sum_of_fields_whose_windows_overlap_by_a_sliver_is_one_piece():
+    # an overlap no longer than the cutoff has no part: the sum is the one piece
+    # of the pieces active at its start
+    a, b, c = (PolynomialMap.constants([x], 1) for x in (1.0, 2.0, 4.0))
+    v = VectorField.piecewise([(0.0, 1.0, a)])
+    w = VectorField.piecewise([(1.0 - 1e-16, 1.0, b), (1.0, 2.0, c)])
+    total = add_fields(v, w)
+    assert [(lo, hi) for lo, hi, _ in total.pieces] == [(1.0 - 1e-16, 1.0)]
+    assert total.pieces[0][2](np.zeros(1))[0] == 3.0
+
+
+def test_several_pieces_over_all_of_time_are_not_autonomous():
+    comps = [PolynomialMap.constants([x], 1).to_json() for x in (1.0, 2.0)]
+    doc = json.loads(json.dumps({"dim": 1, "time_pieces": [
+        {"t0": -math.inf, "t1": 0.0, "components": comps[0]},
+        {"t0": 0.0, "t1": math.inf, "components": comps[1]}]}))
+    field = vector_field_from_json(doc)
+    assert not field.is_autonomous and "2 pieces" in repr(field)
+    assert field.to_json()["time_pieces"] == doc["time_pieces"]
+    assert vector_field_from_json(field.to_json()).to_json() == field.to_json()
+    with pytest.raises(ValueError, match="autonomous"):
+        AffineControlSystem.of([field])
+    with pytest.raises(ValueError, match="autonomous"):
+        adjoint_check(field, field, [0.0], 1.0, FlowSolver(4))
 
 
 def test_piecewise_pieces_must_be_contiguous():
