@@ -76,8 +76,8 @@ _LAZY = {
             "remainder_eval", "simplex_integral_term", "simplex_volume", "volterra_truncate",
         ),
         "liealg": (
-            "BracketExpression", "FlowBracketProgram", "adjoint_check",
-            "bracket_asymptotics_check", "commutator_decomposition_residual",
+            "BracketExpression", "adjoint_check", "bracket_asymptotics_check",
+            "bracket_program", "commutator_decomposition_residual",
             "eval_bracket_expression", "flow_bracket", "inverse_expansion_check",
             "lie_bracket", "lie_bracket_field", "pushforward_invariance_check",
         ),

@@ -97,8 +97,9 @@ def _series_terms(field: VectorField, obs: Observable, point: np.ndarray,
     lifts = LiftTable(field, obs, k)
     parts = _parts(field, t0, t)
     lengths, pieces = [b - a for a, b, _ in parts], [piece for _, _, piece in parts]
-    return [sum((volume * lifts[seq](point) for volume, seq in _regions(lengths, pieces, i)),
-                np.zeros(obs.dim_out))
+    row = point.tolist()  # checked once; each lift's compiled map runs on the floats
+    return [sum((volume * np.array(lifts[seq].map._evaluator(row))
+                 for volume, seq in _regions(lengths, pieces, i)), np.zeros(obs.dim_out))
             for i in range(k + 1)]
 
 
@@ -120,26 +121,29 @@ def volterra_truncate(field: VectorField, obs: Observable, q, t0: float, t: floa
 
 
 def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
-                   k: int, solver: FlowSolver, nodes: int = DEFAULT_NODES,
+                   k: int, solver: FlowSolver, nodes: int | None = None,
                    witness: LocallyBoundedWitness | None = None,
                    method: str = "difference") -> RemainderReport:
     """Remainder of the order-k truncation against the true flow.
 
-    ``method="difference"`` (default) computes flow value minus truncation;
-    ``method="direct"`` evaluates the nested remainder integral whose
-    integrand composes the flow operator with the k lifts, evaluated on one
-    chained trajectory through the innermost quadrature times (about one
-    solve's steps plus one per time: ``nodes`` per piece met).
+    ``method="difference"`` (default) computes flow value minus truncation
+    and takes no ``nodes``; ``method="direct"`` evaluates the nested
+    remainder integral whose integrand composes the flow operator with the
+    k lifts, on one chained trajectory through the innermost quadrature
+    times (``nodes`` per piece met, ``DEFAULT_NODES`` unless given).
     """
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
     point = as_point(q, field.dim)
     if method == "difference":
+        if nodes is not None:
+            raise ValueError("the difference remainder takes no quadrature nodes")
         true_value = flow_operator_apply(FlowMap(field, t0, t, solver), obs, point)
         truncated = volterra_truncate(field, obs, point, t0, t, k)
         remainder = float(np.linalg.norm(true_value - truncated))
     elif method == "direct":
-        integral, _ = _direct_remainder(field, obs, point, t0, t, k, solver, nodes)
+        integral, _ = _direct_remainder(field, obs, point, t0, t, k, solver,
+                                        DEFAULT_NODES if nodes is None else nodes)
         remainder = float(np.linalg.norm(integral))
     else:
         raise ValueError(f"unknown remainder method {method!r}")
@@ -180,8 +184,8 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
                                    point, solver)
-    moved = dict(zip(times, states))
-    integral = sum((w * lifts[seq](moved[x]) for x, w, seq in leaves),
+    moved = dict(zip(times, (state.tolist() for state in states)))
+    integral = sum((w * np.array(lifts[seq].map._evaluator(moved[x])) for x, w, seq in leaves),
                    np.zeros(obs.dim_out))
     return integral, states[-1] if states else point
 

@@ -26,6 +26,10 @@ MAX_LEVELS = 16
 # one output row per grid point; checked before the times are listed, so a huge
 # --grid exits 2 instead of filling memory
 MAX_GRID = 10_000
+# order-probe's residual flags, with their defaults, and the residuals that read them
+PROBE_DEFAULTS = {"field": 1, "obs_coord": None, "k": 1, "expr": "[V1,V2]"}
+PROBE_READS = {"remainder": {"field", "obs_coord", "k"}, "flow-bracket": {"expr"},
+               "inverse-expansion": {"field"}}
 
 
 def _fmt(cell) -> str:
@@ -141,6 +145,11 @@ def cmd_volterra(args) -> str:
 
 
 def cmd_order_probe(args) -> str:
+    for name, default in PROBE_DEFAULTS.items():
+        if hasattr(args, name) and name not in PROBE_READS[args.residual]:
+            flag = "--" + name.replace("_", "-")
+            raise ValueError(f"--residual {args.residual} does not read {flag}")
+        setattr(args, name, getattr(args, name, default))
     from . import chrono
     fields = load_system(args.system)
     solver = _solver(args)
@@ -337,10 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--residual", required=True,
                    choices=("remainder", "flow-bracket", "inverse-expansion"))
-    p.add_argument("--field", type=int, default=1)
-    p.add_argument("--obs-coord", type=int, default=None)
-    p.add_argument("--k", type=int, default=1)
-    p.add_argument("--expr", default="[V1,V2]",
+    p.add_argument("--field", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--obs-coord", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--expr", default=argparse.SUPPRESS,
                    help="bracket expression for the flow-bracket residual")
     p.add_argument("--q", required=True)
     p.add_argument("--t-max", type=float, required=True)

@@ -752,6 +752,9 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     center = as_point(center, field.dim)
     if not (math.isfinite(radius) and radius > 0):
         raise ValueError(f"witness radius must be finite and positive, got {radius!r}")
+    num_points = as_int(num_points, "witness num_points")
+    if num_points < 1:  # no points would leave no bound to report
+        raise ValueError(f"witness num_points must be >= 1, got {num_points}")
     rng = np.random.default_rng(seed)
     n = field.dim
     direction = rng.normal(size=(num_points, n))

@@ -16,7 +16,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import BlowUpError
-from .fields import Observable, VectorField, as_point
+from .fields import Observable, VectorField, as_float, as_int, as_point
 
 MAX_STEPS_PER_SOLVE = 10 ** 8
 
@@ -40,14 +40,15 @@ class FlowSolver:
     breakpoint_splitting: ClassVar[bool] = True
 
     def __post_init__(self):
+        # a bool is an Integral, but True would pass as 1 step or a threshold of 1.0
         steps = self.steps_per_unit_time
-        if not isinstance(steps, numbers.Integral) or steps < 1:
+        if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ValueError(
                 f"steps_per_unit_time must be a positive integer, got {steps!r}"
             )
         threshold = self.blowup_threshold
-        if not (isinstance(threshold, numbers.Real) and math.isfinite(threshold)
-                and threshold > 0):
+        if not (isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
+                and math.isfinite(threshold) and threshold > 0):
             raise ValueError(
                 f"blowup_threshold must be finite and positive, got {threshold!r}"
             )
@@ -200,6 +201,66 @@ class Segment:
     field_index: int
     sign: int
     duration: float
+
+
+@dataclass(frozen=True)
+class ControlSchedule:
+    """Signed flow segments run in turn: an admissible control (one component
+    active per segment, values +/-1) and the compiled form of a bracket program."""
+
+    segments: tuple[Segment, ...]
+
+    def concat(self, other: "ControlSchedule") -> "ControlSchedule":
+        return ControlSchedule(self.segments + other.segments)
+
+    def reversed(self) -> "ControlSchedule":
+        """The inverse point map: the segments in reverse order, each sign flipped."""
+        return ControlSchedule(tuple(Segment(s.field_index, -s.sign, s.duration)
+                                     for s in reversed(self.segments)))
+
+    def to_json(self) -> list[dict]:
+        return [{"field_index": s.field_index, "sign": s.sign, "duration": s.duration}
+                for s in self.segments]
+
+    @classmethod
+    def from_json(cls, doc) -> "ControlSchedule":
+        if not isinstance(doc, list):
+            raise ValueError(f"a JSON schedule must be a list, got {type(doc).__name__}")
+        return cls(tuple(_segment(i, row) for i, row in enumerate(doc)))
+
+    def to_csv(self) -> str:
+        return "".join(["segment,field_index,sign,duration\n"] + [
+            f"{i},{s.field_index},{s.sign},{s.duration:.17g}\n"
+            for i, s in enumerate(self.segments)])
+
+    @classmethod
+    def from_csv(cls, text: str) -> "ControlSchedule":
+        import csv  # here, so that `import chronoflow` loads no csv module
+        import io
+        reader = csv.DictReader(io.StringIO(text))
+        return cls(tuple(_segment(i, {key: _csv_number(cell) for key, cell in row.items()})
+                         for i, row in enumerate(reader)))
+
+
+def _csv_number(cell):
+    """A CSV cell as the int or float it spells, else as it is for ``_segment`` to name."""
+    for parse in (int, float):
+        try:
+            return parse(cell)
+        except (TypeError, ValueError):
+            pass
+    return cell
+
+
+def _segment(i: int, row) -> Segment:
+    """One schedule row, a JSON object or a CSV record, as a Segment."""
+    where = f"schedule row {i}"
+    try:
+        return Segment(as_int(row["field_index"], f"{where} field_index"),
+                       as_int(row["sign"], f"{where} sign"),
+                       as_float(row["duration"], f"{where} duration"))
+    except (KeyError, TypeError):  # not an object, or a missing key
+        raise ValueError(f"{where} is malformed: {row!r}") from None
 
 
 def run_segments(fields, segments, q, solver: FlowSolver) -> np.ndarray:

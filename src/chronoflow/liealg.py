@@ -29,6 +29,7 @@ from .fields import (
     lift_map,
 )
 from .flow import (
+    ControlSchedule,
     FlowMap,
     FlowSolver,
     Segment,
@@ -166,43 +167,23 @@ def eval_bracket_expression(expr: BracketExpression, fields, t: float, q) -> np.
 
 
 # ---------------------------------------------------------------------------
-# Flow-bracket programs
+# Bracket programs
 
-@dataclass(frozen=True)
-class FlowBracketProgram:
+def bracket_program(expr: BracketExpression, t: float) -> ControlSchedule:
     """Signed flow segments realizing a bracket expression as a point map.
 
-    A leaf runs its field forward; a pair runs left, right, then both
-    reversed, so the program length satisfies L(pair) = 2(L(left)+L(right))
-    and signed durations cancel per field for degree >= 2.
+    Every segment runs for the parameter t.  A leaf runs its field forward;
+    a pair runs left, right, then both reversed, so the program length
+    satisfies L(pair) = 2(L(left)+L(right)) and signed durations cancel per
+    field for degree >= 2.
     """
-
-    segments: tuple[Segment, ...]
-
-    @classmethod
-    def compile(cls, expr: BracketExpression, t: float) -> "FlowBracketProgram":
-        """Build the program; every segment runs for the parameter t."""
-        if expr.is_leaf:
-            return cls((Segment(expr.index, +1, t),))
-        left, right = cls.compile(expr.left, t), cls.compile(expr.right, t)
-        return cls(left.segments + right.segments
-                   + left.reversed().segments + right.reversed().segments)
-
-    def reversed(self) -> "FlowBracketProgram":
-        return FlowBracketProgram(tuple(
-            Segment(s.field_index, -s.sign, s.duration)
-            for s in reversed(self.segments)
-        ))
-
-    def signed_durations(self) -> dict[int, float]:
-        """Net signed duration per field index."""
-        totals: dict[int, float] = {}
-        for s in self.segments:
-            totals[s.field_index] = totals.get(s.field_index, 0.0) + s.sign * s.duration
-        return totals
+    if expr.is_leaf:
+        return ControlSchedule((Segment(expr.index, +1, t),))
+    left, right = bracket_program(expr.left, t), bracket_program(expr.right, t)
+    return left.concat(right).concat(left.reversed()).concat(right.reversed())
 
 
-def run_program(program: FlowBracketProgram, fields, q, solver: FlowSolver) -> np.ndarray:
+def run_program(program: ControlSchedule, fields, q, solver: FlowSolver) -> np.ndarray:
     """Execute the flow segments left to right from q."""
     return run_segments(fields, program.segments, as_point(q), solver)
 
@@ -210,7 +191,7 @@ def run_program(program: FlowBracketProgram, fields, q, solver: FlowSolver) -> n
 def flow_bracket(expr: BracketExpression, fields, t: float, q,
                  solver: FlowSolver) -> np.ndarray:
     """Endpoint of the iterated commutator of flows at parameter t."""
-    return run_program(FlowBracketProgram.compile(expr, t), fields, q, solver)
+    return run_program(bracket_program(expr, t), fields, q, solver)
 
 
 # ---------------------------------------------------------------------------

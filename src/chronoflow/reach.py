@@ -12,8 +12,6 @@ start point.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -21,9 +19,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, as_float, as_int, as_point, eval_field, vector_norm
-from .flow import (  # noqa: F401 (perfbench reads reach.flow_map)
-    FlowSolver, Segment, flow_map, run_segments)
+from .fields import VectorField, as_point, eval_field, vector_norm
+from .flow import (  # noqa: F401 (re-exports Segment; perfbench reads reach.flow_map)
+    ControlSchedule, FlowSolver, Segment, flow_map, run_segments)
 
 if TYPE_CHECKING:  # liealg loads in the functions that use it; simulate needs none of it
     from .liealg import BracketExpression
@@ -54,63 +52,6 @@ class AffineControlSystem:
             if not getattr(f, "exact", False):
                 raise TypeError("control fields must be exact polynomial fields")
         return cls(fields=fields, dim=dim)
-
-
-@dataclass(frozen=True)
-class ControlSchedule:
-    """An admissible control: one component active per segment, values +/-1."""
-
-    segments: tuple[Segment, ...]
-
-    def concat(self, other: "ControlSchedule") -> "ControlSchedule":
-        return ControlSchedule(self.segments + other.segments)
-
-    def to_json(self) -> list[dict]:
-        return [
-            {"field_index": s.field_index, "sign": s.sign, "duration": s.duration}
-            for s in self.segments
-        ]
-
-    @classmethod
-    def from_json(cls, doc) -> "ControlSchedule":
-        if not isinstance(doc, list):
-            raise ValueError(f"a JSON schedule must be a list, got {type(doc).__name__}")
-        return cls(tuple(_segment(i, row) for i, row in enumerate(doc)))
-
-    def to_csv(self) -> str:
-        rows = ["segment,field_index,sign,duration"]
-        rows += [
-            f"{i},{s.field_index},{s.sign},{format(s.duration, '.17g')}"
-            for i, s in enumerate(self.segments)
-        ]
-        return "\n".join(rows) + "\n"
-
-    @classmethod
-    def from_csv(cls, text: str) -> "ControlSchedule":
-        reader = csv.DictReader(io.StringIO(text))
-        return cls(tuple(_segment(i, {key: _csv_number(cell) for key, cell in row.items()})
-                         for i, row in enumerate(reader)))
-
-
-def _csv_number(cell):
-    """A CSV cell as the int or float it spells, else as it is for ``_segment`` to name."""
-    for parse in (int, float):
-        try:
-            return parse(cell)
-        except (TypeError, ValueError):
-            pass
-    return cell
-
-
-def _segment(i: int, row) -> Segment:
-    """One schedule row, a JSON object or a CSV record, as a Segment."""
-    where = f"schedule row {i}"
-    try:
-        return Segment(as_int(row["field_index"], f"{where} field_index"),
-                       as_int(row["sign"], f"{where} sign"),
-                       as_float(row["duration"], f"{where} duration"))
-    except (KeyError, TypeError):  # not an object, or a missing key
-        raise ValueError(f"{where} is malformed: {row!r}") from None
 
 
 def simulate_schedule(sys: AffineControlSystem, q0, sched: ControlSchedule,
@@ -194,19 +135,19 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
                    magnitude: float, sign: int = 1) -> ControlSchedule:
     """Schedule whose net displacement is about magnitude * B(q).
 
-    The flow-bracket program of the expression runs with per-segment
-    duration t = magnitude^(1/k) for degree k; ``sign=-1`` runs the
-    reversed program, inverting the motion.
+    The bracket program of the expression runs with per-segment duration
+    t = magnitude^(1/k) for degree k; ``sign=-1`` runs the reversed
+    program, inverting the motion.
     """
-    from .liealg import FlowBracketProgram
+    from .liealg import bracket_program
     if magnitude <= 0:
         raise ValueError("magnitude must be positive")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     if expr.max_index() > len(sys.fields):
         raise IndexError(f"expression leaf V{expr.max_index()} out of range")
-    program = FlowBracketProgram.compile(expr, magnitude ** (1 / expr.degree))
-    return ControlSchedule((program if sign > 0 else program.reversed()).segments)
+    program = bracket_program(expr, magnitude ** (1 / expr.degree))
+    return program if sign > 0 else program.reversed()
 
 
 @dataclass(eq=False)

@@ -325,16 +325,33 @@ def test_simplex_volume_backward_and_split_orders():
 def test_direct_remainder_evaluates_each_time_and_lift_once(monkeypatch, t0, t):
     # each piece sequence has one innermost piece, whose rule has 8 nodes
     field, phi = _rotation_then_drift(), Observable.identity(2)
-    calls = []
-    evaluate = Observable.__call__
-
-    def counting(self, q):
-        calls.append((id(self), tuple(q)))
-        return evaluate(self, q)
-
-    monkeypatch.setattr(Observable, "__call__", counting)
+    calls = _count_lift_evaluations(monkeypatch, field)
     remainder_eval(field, phi, [0.6, -0.8], t0, t, 3, SOLVER, nodes=8, method="direct")
     assert len(calls) == len(set(calls)) == 8 * math.comb(2 + 3 - 1, 3)
+
+
+def _count_lift_evaluations(monkeypatch, field):
+    """Record (map id, point) of each call of a compiled evaluator that is not one of
+    ``field``'s pieces (the RK4 steps): the observable's and its lifts' evaluations.
+    None may go through ``Observable.__call__``, which would check the point again."""
+    monkeypatch.setattr(Observable, "__call__",
+                        lambda *args: pytest.fail("a lift was evaluated via __call__"))
+    calls = []
+    compiled = PolynomialMap._evaluator
+    pieces = {id(pm) for _, _, pm in field.pieces}
+
+    def hooked(pm):
+        evaluate = compiled.__get__(pm, PolynomialMap)
+        if id(pm) in pieces:
+            return evaluate
+
+        def counting(x):
+            calls.append((id(pm), tuple(x)))
+            return evaluate(x)
+        return counting
+
+    monkeypatch.setattr(PolynomialMap, "_evaluator", property(hooked))
+    return calls
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -356,7 +373,7 @@ def _count_calls(monkeypatch, owner, name):
 def test_truncation_builds_and_evaluates_each_lift_once(monkeypatch, field, lifts,
                                                         evaluations):
     lift_calls = _count_calls(monkeypatch, chronoflow.fields, "lift_map")
-    obs_calls = _count_calls(monkeypatch, Observable, "__call__")
+    obs_calls = _count_lift_evaluations(monkeypatch, field)
     volterra_truncate(field, Observable.identity(2), [0.6, -0.8], 0.0, 1.0, 4)
     assert (len(lift_calls), len(obs_calls)) == (lifts, evaluations)
 
@@ -385,7 +402,20 @@ def test_witness_order_below_one_is_rejected():
     (lambda: simplex_volume(0.0, math.nan, 2), "flow times must be finite"),
     (lambda: simplex_integral_term(rotation2d(), Observable.identity(2), [1.0, 0.0],
                                    0.0, math.inf, 1), "flow times must be finite"),
-], ids=["volume_order_-1", "volume_order_-3", "volume_nan_time", "term_inf_time"])
+    # no points would leave bound_C None, and True would pass as one point
+    (lambda: sample_lift_bound(rotation2d(), Observable.identity(2), 1, [1.0, 0.0], 0.5,
+                               num_points=0), r"witness num_points must be >= 1, got 0"),
+    (lambda: sample_lift_bound(rotation2d(), Observable.identity(2), 1, [1.0, 0.0], 0.5,
+                               num_points=True),
+     "witness num_points must be an integer, got True"),
+    (lambda: remainder_eval(rotation2d(), Observable.identity(2), [1.0, 0.0], 0.0, 0.5, 1,
+                            SOLVER, nodes=8), "difference remainder takes no quadrature nodes"),
+    # True would pass as a one-node rule
+    (lambda: remainder_eval(rotation2d(), Observable.identity(2), [1.0, 0.0], 0.0, 0.5, 1,
+                            SOLVER, nodes=True, method="direct"),
+     f"quadrature needs 1 to {MAX_NODES} nodes, got True"),
+], ids=["volume_order_-1", "volume_order_-3", "volume_nan_time", "term_inf_time",
+        "witness_no_points", "witness_bool_points", "difference_nodes", "direct_bool_nodes"])
 def test_series_entry_points_reject_orders_and_times_they_cannot_honour(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -96,6 +96,37 @@ def test_order_probe_degenerate_is_success():
     assert doc["slope"] is None
 
 
+PROBE = ("order-probe", "--system", "heisenberg", "--q", "0.1,0.2,0", "--t-max", "0.2",
+         "--levels", "4", "--steps-per-unit", "100", "--residual")
+
+
+@pytest.mark.parametrize("residual, flag, value", [
+    ("remainder", "--expr", "[V1,V2]"),
+    ("flow-bracket", "--field", "1"),
+    ("flow-bracket", "--obs-coord", "1"),
+    ("flow-bracket", "--k", "3"),
+    ("inverse-expansion", "--obs-coord", "2"),
+    ("inverse-expansion", "--k", "3"),
+    ("inverse-expansion", "--expr", "[V1,V2]"),
+])
+def test_order_probe_rejects_a_flag_its_residual_does_not_read(capsys, residual, flag,
+                                                                 value):
+    assert cli.main([*PROBE, residual, flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --residual {residual} does not read {flag}\n"
+
+
+@pytest.mark.parametrize("residual, defaults", [
+    ("remainder", ("--field", "1", "--k", "1")),
+    ("flow-bracket", ("--expr", "[V1,V2]")),
+    ("inverse-expansion", ("--field", "1")),
+])
+def test_order_probe_defaults_are_the_flags_spelled_out(capsys, residual, defaults):
+    implicit = _main_output(capsys, [*PROBE, residual])
+    assert implicit == _main_output(capsys, [*PROBE, residual, *defaults])
+
+
 def test_plan_determinism():
     args = ("plan", "--system", "heisenberg", "--q0", "0,0,0",
             "--target", "0.05,-0.03,0.04", "--epsilon", "1e-2",

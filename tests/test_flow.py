@@ -271,16 +271,17 @@ def test_breakpoint_splitting_handles_backward_flow():
     assert np.linalg.norm(again - q) <= 1e-8
 
 
-@pytest.mark.parametrize("steps", [0, -5, 2.5])
+@pytest.mark.parametrize("steps", [0, -5, 2.5, True])
 def test_solver_rejects_non_positive_integer_density(steps):
     with pytest.raises(ValueError, match="positive integer"):
         FlowSolver(steps)
 
 
-@pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0, "1e12", None])
+@pytest.mark.parametrize("threshold", [math.inf, math.nan, 0.0, -1.0, "1e12", None, True])
 def test_solver_rejects_a_threshold_that_is_not_finite_and_positive(threshold):
     # inf would return [inf] for x' = x^2 over [0, 3], nan would switch the
-    # threshold off, and 0 or less would report a blow-up at the first step
+    # threshold off, 0 or less would report a blow-up at the first step, and
+    # True would pass as a threshold of 1.0
     with pytest.raises(ValueError, match="blowup_threshold must be finite and positive"):
         FlowSolver(100, blowup_threshold=threshold)
 

@@ -43,8 +43,8 @@ EXPORTS = {
         "remainder_eval", "simplex_integral_term", "simplex_volume", "volterra_truncate",
     ),
     "liealg": (
-        "BracketExpression", "FlowBracketProgram", "adjoint_check",
-        "bracket_asymptotics_check", "commutator_decomposition_residual",
+        "BracketExpression", "adjoint_check", "bracket_asymptotics_check",
+        "bracket_program", "commutator_decomposition_residual",
         "eval_bracket_expression", "flow_bracket", "inverse_expansion_check",
         "lie_bracket", "lie_bracket_field", "pushforward_invariance_check",
     ),
@@ -149,6 +149,13 @@ def test_import_chronoflow_loads_only_the_core():
     assert result.returncode == 0, result.stderr
     assert json.loads(result.stdout) == [
         "chronoflow.errors", "chronoflow.fields", "chronoflow.flow"]
+
+
+def test_import_chronoflow_loads_no_csv_module():
+    # only ControlSchedule.from_csv reads CSV, and it imports csv when it runs
+    result = run_python("import sys, chronoflow; print('csv' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 @pytest.mark.parametrize("module", [

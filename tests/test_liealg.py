@@ -8,13 +8,15 @@ from numpy.testing import assert_allclose
 import chronoflow.flow
 from chronoflow import (
     BracketExpression,
-    FlowBracketProgram,
+    ControlSchedule,
     FlowMap,
     FlowSolver,
     PolynomialMap,
+    Segment,
     VectorField,
     adjoint_check,
     bracket_asymptotics_check,
+    bracket_program,
     brockett_fields,
     commutator_decomposition_residual,
     constant_field,
@@ -131,16 +133,17 @@ def test_parse_and_canonical_string():
 
 
 def test_program_structure_and_net_time():
-    leaf = FlowBracketProgram.compile(BracketExpression.parse("V1"), 0.37)
-    assert len(leaf.segments) == 1
-    deg2 = FlowBracketProgram.compile(BracketExpression.parse("[V1,V2]"), 0.37)
+    leaf = bracket_program(BracketExpression.parse("V1"), 0.37)
+    assert leaf == ControlSchedule((Segment(1, 1, 0.37),))
+    deg2 = bracket_program(BracketExpression.parse("[V1,V2]"), 0.37)
     assert [(s.field_index, s.sign) for s in deg2.segments] == [
         (1, 1), (2, 1), (1, -1), (2, -1)
     ]
-    deg3 = FlowBracketProgram.compile(BracketExpression.parse("[[V1,V2],V1]"), 0.37)
+    deg3 = bracket_program(BracketExpression.parse("[[V1,V2],V1]"), 0.37)
     assert len(deg3.segments) == 2 * (4 + 1)
     for program in (deg2, deg3):
-        for net in program.signed_durations().values():
+        for index in (1, 2):
+            net = sum(s.sign * s.duration for s in program.segments if s.field_index == index)
             assert abs(net) <= 1e-15
 
 

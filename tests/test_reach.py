@@ -27,7 +27,7 @@ from chronoflow import (
     simulate_schedule,
     unicycle_fields,
 )
-from chronoflow.liealg import FlowBracketProgram, run_program
+from chronoflow.liealg import run_program
 
 SOLVER = FlowSolver(400)
 HEIS = AffineControlSystem.of(heisenberg_fields())
@@ -130,6 +130,8 @@ def test_bracket_motion_leaf_and_reversal():
     assert leaf.segments == (Segment(1, 1, 0.7),)
     reverse = bracket_motion(HEIS, BracketExpression.parse("[V1,V2]"), 0.04,
                              sign=-1)
+    assert reverse == bracket_motion(HEIS, BracketExpression.parse("[V1,V2]"),
+                                     0.04).reversed()
     end = simulate_schedule(HEIS, [0.0, 0.0, 0.0], reverse, SOLVER)
     assert np.linalg.norm(end - np.array([0.0, 0.0, -0.04])) <= 1e-9
 
@@ -300,19 +302,32 @@ def test_simulate_and_run_program_match_the_segment_loop():
         expected = flow_map(fm, expected) if seg.sign > 0 else inverse_flow(fm, expected)
     assert np.array_equal(simulate_schedule(HEIS, q0, ControlSchedule(segs), SOLVER),
                           expected)
-    program = FlowBracketProgram(tuple(Segment(s.field_index, s.sign, 0.2) for s in segs))
+    program = ControlSchedule(tuple(Segment(s.field_index, s.sign, 0.2) for s in segs))
     assert np.array_equal(run_program(program, HEIS.fields, q0, SOLVER),
-                          simulate_schedule(HEIS, q0, ControlSchedule(program.segments), SOLVER))
+                          simulate_schedule(HEIS, q0, program, SOLVER))
 
 
 def test_every_segment_index_is_checked_before_any_flow_runs(monkeypatch):
     # run_segments is the one home of the index rule, for schedules and programs
     assert chronoflow.reach.Segment is chronoflow.flow.Segment
+    assert chronoflow.reach.ControlSchedule is chronoflow.flow.ControlSchedule
     for name in ("flow_map", "inverse_flow"):
         monkeypatch.setattr(chronoflow.flow, name, lambda *args: pytest.fail("a flow ran"))
     sched = ControlSchedule((Segment(1, 1, 0.1), Segment(2, -1, 0.1), Segment(3, 1, 0.1)))
     with pytest.raises(IndexError, match=r"^segment 2 uses V3, out of range$"):
         simulate_schedule(HEIS, [0.0, 0.0, 0.0], sched, SOLVER)
+
+
+def test_reversed_schedule_is_the_inverse_point_map():
+    sched = ControlSchedule((Segment(1, 1, 0.25), Segment(2, -1, 0.125), Segment(1, 1, 0.5)))
+    assert sched.reversed() == ControlSchedule(
+        (Segment(1, -1, 0.5), Segment(2, 1, 0.125), Segment(1, -1, 0.25)))
+    assert sched.reversed().reversed() == sched
+    assert ControlSchedule(()).reversed() == ControlSchedule(())
+    q0 = np.array([0.1, -0.2, 0.05])
+    there = simulate_schedule(HEIS, q0, sched, SOLVER)
+    assert_allclose(simulate_schedule(HEIS, there, sched.reversed(), SOLVER), q0,
+                    atol=1e-12)
 
 
 def test_run_program_zero_time_and_out_of_range_index():
