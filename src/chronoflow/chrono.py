@@ -179,15 +179,17 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
         outers = [(volume, outer, outer.count(piece))
                   for volume, outer in _regions(lengths[:j] + [1.0], pieces, k - 1)]
         for x, w in zip(xs, ws):
-            leaves.extend((x, w * volume * (b - x) ** c, outer + (piece,))
+            leaves.extend((x, float(w * volume * (b - x) ** c), outer + (piece,))
                           for volume, outer, c in outers)
     times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
                                    point, solver)
     moved = dict(zip(times, (state.tolist() for state in states)))
-    integral = sum((w * np.array(lifts[seq].map._evaluator(moved[x])) for x, w, seq in leaves),
-                   np.zeros(obs.dim_out))
-    return integral, states[-1] if states else point
+    # per component, in leaf order from 0.0: the float operations of a numpy sum
+    integral = [0.0] * obs.dim_out
+    for x, w, seq in leaves:
+        integral = [s + w * v for s, v in zip(integral, lifts[seq].map._evaluator(moved[x]))]
+    return np.array(integral), states[-1] if states else point
 
 
 def fit_order(t_grid: np.ndarray, norms: np.ndarray,

@@ -8,7 +8,10 @@ contiguous time intervals, and an autonomous field is the one piece over
 (-inf, inf).
 
 All values are immutable after construction and every operation is a pure
-function of its inputs, so concurrent use needs no synchronization.
+function of its inputs, so concurrent use needs no synchronization.  Equal
+term tables share one compiled evaluator and one RK4 loop per process
+(``_compiled``, up to ``COMPILE_MEMO_SIZE`` tables); the memo is thread-safe,
+and a race compiles a table twice.
 """
 from __future__ import annotations
 
@@ -17,7 +20,7 @@ import math
 import sys
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import chain, combinations_with_replacement
 from pathlib import Path
 from typing import Callable, Iterable, Sequence
@@ -33,6 +36,9 @@ DEFAULT_SMOOTHNESS_ORDER = 8
 DEFAULT_OBSERVABLE_ORDER = 8
 # longest + chain in generated source; CPython 3.11 fails to compile ~3,000
 SUM_CHUNK = 256
+# distinct term tables whose compiled code a process keeps; a benchmark workload
+# meets 10 to about 320 of them in 1,000 operations
+COMPILE_MEMO_SIZE = 1024
 
 
 def as_point(q, dim: int | None = None) -> np.ndarray:
@@ -295,6 +301,24 @@ def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
     return "\n".join(lines)
 
 
+@lru_cache(maxsize=COMPILE_MEMO_SIZE)
+def _compiled(kind: str, dim: int, tables: tuple[tuple[tuple[Exps, float], ...], ...]):
+    """The compiled ``kind`` of the term tables, given as tuples of sorted items: the
+    evaluator (``_compile_evaluator``) of a map, or the RK4 loop with pushforward
+    (``_variational_source``) of its Jacobian.  Equal tables generate identical
+    source, so every map with equal tables shares one function with its bits."""
+    components = tuple(dict(table) for table in tables)
+    if kind == "evaluator":
+        return _compile_evaluator(components, dim)
+    namespace: dict = {"BlowUpError": BlowUpError}
+    exec(_variational_source(components, dim), namespace)
+    return namespace["_rk4"]
+
+
+def _sorted_items(tables: Sequence[TermDict]) -> tuple[tuple[tuple[Exps, float], ...], ...]:
+    return tuple(tuple(sorted(table.items())) for table in tables)
+
+
 class PolynomialMap:
     """Exact polynomial map R^dim_in -> R^dim_out.
 
@@ -302,7 +326,8 @@ class PolynomialMap:
     with finite coefficients.  The constructor checks the terms it is given;
     lifts, sums, scalings and Jacobians keep the tables they build from
     checked ones.  Evaluation is compiled on first use, so maps that are
-    never evaluated are never compiled; the Jacobian is itself a cached
+    never evaluated are never compiled, and maps with equal tables share the
+    compiled code (``_compiled``); the Jacobian is itself a cached
     PolynomialMap, so derivatives of any order stay exact.
     """
 
@@ -329,14 +354,13 @@ class PolynomialMap:
 
     @cached_property
     def _evaluator(self):
-        return _compile_evaluator(self._components, self.dim_in)
+        return _compiled("evaluator", self.dim_in, _sorted_items(self._components))
 
     @cached_property
     def _variational_rk4(self):
         """The generated RK4 loop with pushforward (``_variational_source``)."""
-        namespace: dict = {"BlowUpError": BlowUpError}
-        exec(_variational_source(self.jacobian_map._components, self.dim_in), namespace)
-        return namespace["_rk4"]
+        return _compiled("variational", self.dim_in,
+                         _sorted_items(self.jacobian_map._components))
 
     @property
     def components(self) -> tuple[tuple[tuple[float, Exps], ...], ...]:
@@ -755,7 +779,7 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     num_points = as_int(num_points, "witness num_points")
     if num_points < 1:  # no points would leave no bound to report
         raise ValueError(f"witness num_points must be >= 1, got {num_points}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_int(seed, "witness seed"))  # True would pass as seed 1
     n = field.dim
     direction = rng.normal(size=(num_points, n))
     direction /= np.linalg.norm(direction, axis=1, keepdims=True)

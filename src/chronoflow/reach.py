@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, as_point, eval_field, vector_norm
+from .fields import VectorField, as_int, as_point, eval_field, vector_norm
 from .flow import (  # noqa: F401 (re-exports Segment; perfbench reads reach.flow_map)
     ControlSchedule, FlowSolver, Segment, flow_map, run_segments)
 
@@ -92,6 +92,7 @@ def canonical_bracket_basis(num_fields: int, max_degree: int) -> list[BracketExp
     identically-zero [A, A] shapes.
     """
     from .liealg import BracketExpression
+    max_degree = as_int(max_degree, "max_degree")  # True would pass as degree 1
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
     by_degree: dict[int, list[BracketExpression]] = {
@@ -188,6 +189,7 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
         raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
     if not (math.isfinite(step_fraction) and step_fraction > 0):
         raise ValueError(f"step_fraction must be positive and finite, got {step_fraction!r}")
+    max_iters = as_int(max_iters, "max_iters")  # True would pass as one iteration
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
 

@@ -408,6 +408,9 @@ def test_witness_order_below_one_is_rejected():
     (lambda: sample_lift_bound(rotation2d(), Observable.identity(2), 1, [1.0, 0.0], 0.5,
                                num_points=True),
      "witness num_points must be an integer, got True"),
+    # True would pass as seed 1
+    (lambda: sample_lift_bound(rotation2d(), Observable.identity(2), 1, [1.0, 0.0], 0.5,
+                               seed=True), "witness seed must be an integer, got True"),
     (lambda: remainder_eval(rotation2d(), Observable.identity(2), [1.0, 0.0], 0.0, 0.5, 1,
                             SOLVER, nodes=8), "difference remainder takes no quadrature nodes"),
     # True would pass as a one-node rule
@@ -415,7 +418,8 @@ def test_witness_order_below_one_is_rejected():
                             SOLVER, nodes=True, method="direct"),
      f"quadrature needs 1 to {MAX_NODES} nodes, got True"),
 ], ids=["volume_order_-1", "volume_order_-3", "volume_nan_time", "term_inf_time",
-        "witness_no_points", "witness_bool_points", "difference_nodes", "direct_bool_nodes"])
+        "witness_no_points", "witness_bool_points", "witness_bool_seed", "difference_nodes",
+        "direct_bool_nodes"])
 def test_series_entry_points_reject_orders_and_times_they_cannot_honour(call, message):
     with pytest.raises(ValueError, match=message):
         call()

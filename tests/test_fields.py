@@ -7,6 +7,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from chronoflow import (
@@ -40,8 +41,9 @@ from chronoflow import (
     vector_field_from_json,
     zero_field,
 )
+from chronoflow import fields
 from chronoflow.fields import SUM_CHUNK, lift_map, vector_norm
-from test_properties import numpy_reference
+from test_properties import magnitudes, numpy_reference, polynomial_maps
 
 V1, V2 = heisenberg_fields()
 
@@ -467,6 +469,86 @@ def test_evaluator_is_compiled_on_first_call():
     assert "_evaluator" not in vars(pm)
     assert_allclose(pm(np.array([3.0, 0.5])), [3.0, 0.5])
     assert "_evaluator" in vars(pm)
+
+
+def _compiled_code(pm):
+    return pm._evaluator, pm._variational_rk4
+
+
+def test_equal_tables_share_their_compiled_code():
+    # maps built independently from equal tables: the catalog twice, a JSON round
+    # trip and the lift of equal inputs
+    pairs = [(a.pieces[0][2], b.pieces[0][2])
+             for a, b in zip(heisenberg_fields(), heisenberg_fields())]
+    pairs.append((V1.pieces[0][2], vector_field_from_json(
+        json.loads(json.dumps(V1.to_json()))).pieces[0][2]))
+    phi = PolynomialMap(3, 3, [[(0.5, (2, 0, 1))], [(1.0, (0, 1, 1))], [(-2.0, (1, 1, 0))]])
+    pairs.append((lift_map(phi, heisenberg_fields()[0].pieces[0][2]),
+                  lift_map(PolynomialMap.from_json(phi.to_json(), 3), V1.pieces[0][2])))
+    for a, b in pairs:
+        assert a is not b and a == b
+        for code_a, code_b in zip(_compiled_code(a), _compiled_code(b)):
+            assert code_a is code_b
+
+
+@pytest.mark.parametrize("pm, other", [
+    (PolynomialMap(2, 2, [[(1.5, (1, 1))], [(1.0, (1, 0)), (2.0, (0, 1))]]),
+     PolynomialMap(2, 2, [[(1.5, (1, 1))], [(1.0, (1, 0)), (2.5, (0, 1))]])),
+    (PolynomialMap(2, 2, [[(1.5, (1, 1))], [(1.0, (1, 0)), (2.0, (0, 1))]]),
+     PolynomialMap(2, 2, [[(1.5, (2, 1))], [(1.0, (1, 0)), (2.0, (0, 1))]])),
+    (PolynomialMap.zeros(2, 2), PolynomialMap.zeros(3, 3)),
+], ids=["coefficient", "exponent", "dimension"])
+def test_different_tables_compile_apart(pm, other):
+    for code, other_code in zip(_compiled_code(pm), _compiled_code(other)):
+        assert code is not other_code
+
+
+def test_many_pieces_of_two_tables_compile_twice(monkeypatch):
+    # a bang-bang field on 1,000 pieces, each its own map of one of two tables
+    fields._compiled.cache_clear()
+    compiled = []
+    for name in ("_compile_evaluator", "_variational_source"):
+        original = getattr(fields, name)
+        monkeypatch.setattr(fields, name, lambda *args, name=name, original=original:
+                            compiled.append(name) or original(*args))
+    signs = np.random.default_rng(1000).choice([-1.0, 1.0], size=1000)
+    edges = np.linspace(0.0, 1.0, 1001).tolist()
+    field = VectorField.piecewise([(a, b, PolynomialMap.linear([[0.0, -s], [s, 0.0]]))
+                                   for a, b, s in zip(edges, edges[1:], signs)])
+    fm = FlowMap(field, 0.0, 1.0, FlowSolver(4000))
+    end, _ = flow_with_pushforward(fm, [0.5, 0.5])
+    assert np.array_equal(end, flow_map(fm, [0.5, 0.5]))
+    assert sorted(compiled) == ["_compile_evaluator"] * 2 + ["_variational_source"] * 2
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_a_warm_shared_evaluator_keeps_every_bit_but_nan_signs(data):
+    # CPython 3.11 specializes a function after a few calls, and the specialized
+    # code may give NaN the other sign; every other bit is the fresh compile's
+    dim = data.draw(st.integers(1, 4))
+    pm = data.draw(polynomial_maps(dim, degree=11, max_terms=4))
+    shared, fresh = pm._evaluator, fields._compile_evaluator(pm._components, dim)
+    rows = [data.draw(st.lists(magnitudes, min_size=dim, max_size=dim)) for _ in range(4)]
+    with np.errstate(all="ignore"):
+        for _ in range(10):
+            shared(rows[0])
+        for row in rows:
+            got, want = np.array(shared(row)), np.array(fresh(row))
+            same = (got.view(np.uint64) == want.view(np.uint64)) | (np.isnan(got) & np.isnan(want))
+            assert same.all(), (row, got, want)
+
+
+def test_the_compile_memo_keeps_at_most_its_bound():
+    fields._compiled.cache_clear()
+    maps = [PolynomialMap.constants([float(i)], 1) for i in range(1, fields.COMPILE_MEMO_SIZE + 6)]
+    first = maps[0]._evaluator
+    for pm in maps[1:]:
+        pm._evaluator
+    info = fields._compiled.cache_info()
+    assert info.maxsize == info.currsize == fields.COMPILE_MEMO_SIZE
+    # the least recently used table was dropped, so an equal map compiles anew
+    assert PolynomialMap.constants([1.0], 1)._evaluator is not first
 
 
 def test_long_sums_keep_the_term_order():

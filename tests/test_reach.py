@@ -344,9 +344,20 @@ def test_run_program_zero_time_and_out_of_range_index():
     ({"max_iters": -1}, "max_iters"),
     ({"step_fraction": float("nan")}, "step_fraction"),
     ({"step_fraction": 0.0}, "step_fraction"),
+    # True would pass as one iteration or degree 1
+    ({"max_iters": True}, "max_iters must be an integer, got True"),
+    ({"max_degree": True}, "max_degree must be an integer, got True"),
 ])
 def test_plan_rejects_bad_inputs(kwargs, match):
-    args = {"epsilon": 1e-3, "max_iters": 50, "step_fraction": 0.5, **kwargs}
+    args = {"epsilon": 1e-3, "max_degree": 2, "max_iters": 50, "step_fraction": 0.5, **kwargs}
     with pytest.raises(ValueError, match=match):
-        plan_reach(HEIS, [0.0, 0.0, 0.0], [0.0, 0.0, 0.04], args["epsilon"], 2,
+        plan_reach(HEIS, [0.0, 0.0, 0.0], [0.0, 0.0, 0.04], args["epsilon"], args["max_degree"],
                    args["max_iters"], SOLVER, step_fraction=args["step_fraction"])
+
+
+def test_bracket_degree_must_be_an_integer():
+    # True would pass as degree 1: the rank of V1, V2 alone
+    for call in (lambda: canonical_bracket_basis(2, True),
+                 lambda: bracket_rank(HEIS, [0.0, 0.0, 0.0], True)):
+        with pytest.raises(ValueError, match="max_degree must be an integer, got True"):
+            call()
