@@ -24,7 +24,9 @@ from .fields import (
     LiftTable,
     LocallyBoundedWitness,
     Observable,
+    PolynomialMap,
     VectorField,
+    as_int,
     as_point,
 )
 from .flow import (
@@ -65,17 +67,17 @@ class RemainderReport:
     bound: float | None = None
 
 
-def _parts(field: VectorField, t0: float, t: float) -> list[tuple[float, float, int]]:
-    """``field.parts(t0, t)`` from the t end back to t0, as piece sequences list
-    their times, once both times are checked to be finite."""
+def _parts(field: VectorField, t0: float, t: float) -> list[tuple[float, float, PolynomialMap]]:
+    """``field.parts(t0, t)`` from the t end back to t0, as lift keys list their
+    times, once both times are checked to be finite."""
     if not (math.isfinite(t0) and math.isfinite(t)):
         raise ValueError(f"flow times must be finite, got [{t0}, {t}]")
     return field.parts(t0, t)[::-1]
 
 
-def _regions(lengths: Sequence[float], pieces: Sequence[int], i: int):
-    """(volume, piece sequence) of each region where i ordered times fall in fixed parts,
-    listed from the t end: prod_j lengths[j]^m_j / m_j!, with m_j the count of part j."""
+def _regions(lengths: Sequence[float], pieces: Sequence, i: int):
+    """(volume, sequence of pieces[j]) of each region where i ordered times fall in parts
+    j, listed from the t end: prod_j lengths[j]^m_j / m_j!, with m_j the count of part j."""
     for seq in combinations_with_replacement(range(len(lengths)), i):
         yield (math.prod(lengths[j] ** m / math.factorial(m) for j, m in Counter(seq).items()),
                tuple(pieces[j] for j in seq))
@@ -83,6 +85,7 @@ def _regions(lengths: Sequence[float], pieces: Sequence[int], i: int):
 
 def simplex_volume(t0: float, t: float, k: int) -> float:
     """Signed volume (t - t0)^k / k! of the order-k simplex."""
+    k = as_int(k, "simplex order k")
     if k < 0:
         raise ValueError(f"simplex order k must be >= 0, got {k}")
     if not (math.isfinite(t0) and math.isfinite(t)):
@@ -93,19 +96,20 @@ def simplex_volume(t0: float, t: float, k: int) -> float:
 def _series_terms(field: VectorField, obs: Observable, point: np.ndarray,
                   t0: float, t: float, k: int) -> list[np.ndarray]:
     """Volterra terms of orders 0..k at ``point``: over the piece sequences of the
-    times, listed from the t end, each region's volume times its lift."""
-    lifts = LiftTable(field, obs, k)
+    times, listed from the t end, each region's volume times the lift by its maps."""
+    lifts = LiftTable(obs, k)
     parts = _parts(field, t0, t)
-    lengths, pieces = [b - a for a, b, _ in parts], [piece for _, _, piece in parts]
+    lengths, maps = [b - a for a, b, _ in parts], [pm for _, _, pm in parts]
     row = point.tolist()  # checked once; each lift's compiled map runs on the floats
-    return [sum((volume * np.array(lifts[seq].map._evaluator(row))
-                 for volume, seq in _regions(lengths, pieces, i)), np.zeros(obs.dim_out))
+    return [sum((volume * np.array(lifts[seq]._evaluator(row))
+                 for volume, seq in _regions(lengths, maps, i)), np.zeros(obs.dim_out))
             for i in range(k + 1)]
 
 
 def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
                           t: float, k: int) -> np.ndarray:
     """Iterated integral of the k-fold lift composition over the order-k simplex."""
+    k = as_int(k, "simplex order k")
     if k < 0:
         raise ValueError(f"simplex order k must be >= 0, got {k}")
     return _series_terms(field, obs, as_point(q, field.dim), t0, t, k)[k]
@@ -114,6 +118,7 @@ def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
 def volterra_truncate(field: VectorField, obs: Observable, q, t0: float, t: float,
                       k: int) -> np.ndarray:
     """Order-k truncation: phi(q) plus the simplex terms of orders 1..k-1."""
+    k = as_int(k, "truncation order k")
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
     terms = _series_terms(field, obs, as_point(q, field.dim), t0, t, k - 1)
@@ -132,6 +137,7 @@ def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
     k lifts, on one chained trajectory through the innermost quadrature
     times (``nodes`` per piece met, ``DEFAULT_NODES`` unless given).
     """
+    k = as_int(k, "truncation order k")
     if k < 1:
         raise ValueError("truncation order k must be >= 1")
     point = as_point(q, field.dim)
@@ -168,27 +174,28 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     Returns the integral and the last state of its chained trajectory, which
     with ``to_end`` walks on past the innermost times to the flowed point at t.
     """
-    lifts = LiftTable(field, obs, k)
+    lifts = LiftTable(obs, k)
     parts = _parts(field, t0, t)
-    lengths, pieces = [b - a for a, b, _ in parts], [piece for _, _, piece in parts]
-    leaves = []  # (x, weight, piece sequence): one evaluation each
+    lengths, maps = [b - a for a, b, _ in parts], [pm for _, _, pm in parts]
+    leaves = []  # (x, weight, lift): one evaluation each
     for j in reversed(range(len(parts))):  # from the t0 end, as the trajectory runs
-        a, b, piece = parts[j]
+        a, b, pm = parts[j]
         xs, ws = gauss_legendre(a, b, nodes)
-        # volumes with part j of length 1: cut down to [x, b], part j scales them by (b - x)^c
-        outers = [(volume, outer, outer.count(piece))
-                  for volume, outer in _regions(lengths[:j] + [1.0], pieces, k - 1)]
+        # volumes with part j of length 1: cut down to [x, b], it scales them by (b - x)^c,
+        # with c counted by index, since other parts may share its map
+        outers = [(volume, lifts[tuple(maps[i] for i in outer) + (pm,)], outer.count(j))
+                  for volume, outer in _regions(lengths[:j] + [1.0], range(j + 1), k - 1)]
         for x, w in zip(xs, ws):
-            leaves.extend((x, float(w * volume * (b - x) ** c), outer + (piece,))
-                          for volume, outer, c in outers)
+            leaves.extend((x, float(w * volume * (b - x) ** c), lift)
+                          for volume, lift, c in outers)
     times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
                                    point, solver)
     moved = dict(zip(times, (state.tolist() for state in states)))
     # per component, in leaf order from 0.0: the float operations of a numpy sum
     integral = [0.0] * obs.dim_out
-    for x, w, seq in leaves:
-        integral = [s + w * v for s, v in zip(integral, lifts[seq].map._evaluator(moved[x]))]
+    for x, w, lift in leaves:
+        integral = [s + w * v for s, v in zip(integral, lift._evaluator(moved[x]))]
     return np.array(integral), states[-1] if states else point
 
 
@@ -232,6 +239,7 @@ def order_probe(sample: Callable[[float], float], t_max: float,
     """
     if not (math.isfinite(t_max) and t_max > 0):
         raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
+    levels = as_int(levels, "levels")  # 4.5 would run 5 levels
     if levels < 4:
         raise ValueError("need at least 4 probe levels")
     t_grid = t_max * 2.0 ** (-np.arange(levels, dtype=float))

@@ -302,11 +302,12 @@ def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
 
 
 @lru_cache(maxsize=COMPILE_MEMO_SIZE)
-def _compiled(kind: str, dim: int, tables: tuple[tuple[tuple[Exps, float], ...], ...]):
-    """The compiled ``kind`` of the term tables, given as tuples of sorted items: the
-    evaluator (``_compile_evaluator``) of a map, or the RK4 loop with pushforward
-    (``_variational_source``) of its Jacobian.  Equal tables generate identical
-    source, so every map with equal tables shares one function with its bits."""
+def _compiled(kind: str, key: tuple[int, tuple[tuple[tuple[Exps, float], ...], ...]]):
+    """The compiled ``kind`` of the map whose ``PolynomialMap._key`` is ``key``: its
+    evaluator (``_compile_evaluator``), or, for a Jacobian map, the RK4 loop with
+    pushforward (``_variational_source``).  Equal maps have equal keys and generate
+    identical source, so every map with equal tables shares one function with its bits."""
+    dim, tables = key
     components = tuple(dict(table) for table in tables)
     if kind == "evaluator":
         return _compile_evaluator(components, dim)
@@ -315,20 +316,16 @@ def _compiled(kind: str, dim: int, tables: tuple[tuple[tuple[Exps, float], ...],
     return namespace["_rk4"]
 
 
-def _sorted_items(tables: Sequence[TermDict]) -> tuple[tuple[tuple[Exps, float], ...], ...]:
-    return tuple(tuple(sorted(table.items())) for table in tables)
-
-
 class PolynomialMap:
     """Exact polynomial map R^dim_in -> R^dim_out.
 
     Each output component is a list of (coefficient, exponent-tuple) terms
     with finite coefficients.  The constructor checks the terms it is given;
     lifts, sums, scalings and Jacobians keep the tables they build from
-    checked ones.  Evaluation is compiled on first use, so maps that are
-    never evaluated are never compiled, and maps with equal tables share the
-    compiled code (``_compiled``); the Jacobian is itself a cached
-    PolynomialMap, so derivatives of any order stay exact.
+    checked ones.  One key (``_key``) serves equality, hashing and the compile
+    memo (``_compiled``, reached on first evaluation): maps with equal tables are
+    equal, hash equal, share compiled code and are one lift (``LiftTable``).  The
+    Jacobian is itself a cached PolynomialMap, so derivatives of any order stay exact.
     """
 
     def __init__(self, dim_in: int, dim_out: int, components):
@@ -353,14 +350,22 @@ class PolynomialMap:
         return pm
 
     @cached_property
+    def _key(self) -> tuple[int, tuple[tuple[tuple[Exps, float], ...], ...]]:
+        """(dim_in, each term table as its sorted items): equal exactly for equal maps."""
+        return self.dim_in, tuple(tuple(sorted(table.items())) for table in self._components)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self._key)
+
+    @cached_property
     def _evaluator(self):
-        return _compiled("evaluator", self.dim_in, _sorted_items(self._components))
+        return _compiled("evaluator", self._key)
 
     @cached_property
     def _variational_rk4(self):
         """The generated RK4 loop with pushforward (``_variational_source``)."""
-        return _compiled("variational", self.dim_in,
-                         _sorted_items(self.jacobian_map._components))
+        return _compiled("variational", self.jacobian_map._key)
 
     @property
     def components(self) -> tuple[tuple[tuple[float, Exps], ...], ...]:
@@ -396,14 +401,10 @@ class PolynomialMap:
                                                for comp in self._components])
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolynomialMap)
-            and self.dim_in == other.dim_in
-            and self.dim_out == other.dim_out
-            and self._components == other._components
-        )
+        return isinstance(other, PolynomialMap) and self._key == other._key
 
-    __hash__ = None  # mutable-free but not hashable; compare structurally
+    def __hash__(self) -> int:
+        return self._hash
 
     def __repr__(self) -> str:
         n_terms = sum(len(c) for c in self._components)
@@ -485,8 +486,8 @@ class VectorField:
     """A time-structured polynomial vector field on an n-dimensional chart.
 
     Piecewise in time (contiguous intervals, one polynomial map each); an
-    autonomous field is the one piece over (-inf, inf).  ``parts`` is the one
-    rule for cutting an interval at the breakpoints.  The
+    autonomous field is the one piece over (-inf, inf).  ``parts``, the one rule
+    for cutting an interval at the breakpoints, hands out each part's map.  The
     ``smoothness_order`` is bookkeeping for how many derivative orders
     downstream lifts may consume.
     """
@@ -495,6 +496,7 @@ class VectorField:
 
     def __init__(self, pieces: Sequence[tuple[float, float, PolynomialMap]],
                  smoothness_order: int = DEFAULT_SMOOTHNESS_ORDER):
+        smoothness_order = as_int(smoothness_order, "smoothness_order")
         if smoothness_order < 1:
             raise ValueError("smoothness_order must be >= 1")
         pieces = tuple(pieces)
@@ -511,7 +513,7 @@ class VectorField:
             if b != a2:
                 raise ValueError("time pieces must be contiguous and ordered")
         self.dim = dim
-        self.smoothness_order = int(smoothness_order)
+        self.smoothness_order = smoothness_order
         self.pieces = pieces
         # the interior piece starts, as Python floats since the solver steps from them
         self._cuts = [float(a) for a, _, _ in pieces[1:]]
@@ -548,19 +550,19 @@ class VectorField:
         lo, hi = min(a, b), max(a, b)
         return self._cuts[bisect_right(self._cuts, lo):bisect_left(self._cuts, hi)]
 
-    def parts(self, a: float, b: float) -> list[tuple[float, float, int]]:
-        """The parts (start, end, piece) of [a, b] in one piece each, in the direction
-        a -> b: start is the a-side end, end - start the signed length, and the pieces
-        are consecutive indices.  This is the one rule for cutting time: a part no
+    def parts(self, a: float, b: float) -> list[tuple[float, float, PolynomialMap]]:
+        """The parts (start, end, map) of [a, b] in one piece each, in the direction
+        a -> b: start is the a-side end, end - start the signed length, and map the
+        piece's polynomial map.  This is the one rule for cutting time: a part no
         longer than the cutoff below takes no step and carries no volume, so a = b
         has none.  Both lookups are bisections over the cuts."""
         self.check_window(a, b)
         lo, hi = (a, b) if a <= b else (b, a)
         first = bisect_right(self._cuts, lo)
         ends = [lo, *self._cuts[first:bisect_left(self._cuts, hi)], hi]
-        parts = [(s, e, first + i) for i, (s, e) in enumerate(zip(ends, ends[1:]))
-                 if e - s > 1e-15]
-        return parts if a <= b else [(e, s, piece) for s, e, piece in reversed(parts)]
+        parts = [(s, e, self.pieces[first + i][2])
+                 for i, (s, e) in enumerate(zip(ends, ends[1:])) if e - s > 1e-15]
+        return parts if a <= b else [(e, s, pm) for s, e, pm in reversed(parts)]
 
     def check_window(self, *times: float) -> None:
         lo, hi = self.window
@@ -596,10 +598,10 @@ def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
         raise ValueError("fields have disjoint time windows")
     # each piece starts where the last ended, so a dropped part joins its successor;
     # an overlap with no part at all is the one piece of the pieces active at lo
-    ends = [(end, i, j) for a, b, i in v.parts(lo, hi) for _, end, j in w.parts(a, b)]
-    ends = ends or [(hi, v.piece_index(lo), w.piece_index(lo))]
+    ends = [(end, pv, pw) for a, b, pv in v.parts(lo, hi) for _, end, pw in w.parts(a, b)]
+    ends = ends or [(hi, v.piece_at(lo), w.piece_at(lo))]
     edges = [lo, *(end for end, _, _ in ends[:-1]), hi]
-    maps = [v.pieces[i][2].add(w.pieces[j][2], coeff_v, coeff_w) for _, i, j in ends]
+    maps = [pv.add(pw, coeff_v, coeff_w) for _, pv, pw in ends]
     return VectorField(zip(edges, edges[1:], maps), order)
 
 
@@ -613,10 +615,11 @@ class Observable:
 
     def __init__(self, poly_map: PolynomialMap,
                  max_derivative_order: int = DEFAULT_OBSERVABLE_ORDER):
+        max_derivative_order = as_int(max_derivative_order, "max_derivative_order")
         if max_derivative_order < 0:
             raise ValueError("max_derivative_order must be >= 0")
         self.map = poly_map
-        self.max_derivative_order = int(max_derivative_order)
+        self.max_derivative_order = max_derivative_order
 
     @property
     def dim_in(self) -> int:
@@ -640,6 +643,7 @@ class Observable:
     def coordinate(cls, dim: int, axis: int,
                    max_derivative_order: int = DEFAULT_OBSERVABLE_ORDER) -> "Observable":
         """The scalar observable picking out coordinate ``axis`` (0-based)."""
+        axis = as_int(axis, "axis")  # 0.5 would pick no coordinate, True axis 1
         if not 0 <= axis < dim:
             raise DimensionError(f"axis {axis} out of range for dim {dim}")
         e = tuple(1 if j == axis else 0 for j in range(dim))
@@ -677,44 +681,37 @@ def field_jacobian(field: VectorField, t: float, q) -> np.ndarray:
 
 def apply_lift(field: VectorField, t: float, obs: Observable) -> Observable:
     """The observable q -> obs'(q) . V_t(q); consumes one derivative order."""
-    if not getattr(field, "exact", False):
-        raise TypeError("lifts require exact polynomial fields")
-    if obs.max_derivative_order < 1:
-        raise DefectExhaustedError(
-            "observable has no derivative orders left for a lift"
-        )
-    lifted = lift_map(obs.map, field.piece_at(t))
-    return Observable(lifted, obs.max_derivative_order - 1)
+    return iterate_lift([(field, t)], obs)
 
 
 def iterate_lift(fields_seq: Sequence[tuple[VectorField, float]],
                  obs: Observable) -> Observable:
-    """Left fold of apply_lift; list position 1 is applied first (innermost)."""
+    """The lift of ``obs`` by V_t for each (V, t) in turn, list position 1 first
+    (innermost): the ``LiftTable`` entry of the pieces active at the times."""
     fields_seq = list(fields_seq)
-    if obs.max_derivative_order < len(fields_seq):
-        raise DefectExhaustedError(
-            f"sequence of {len(fields_seq)} lifts exceeds the available "
-            f"derivative order {obs.max_derivative_order}"
-        )
-    out = obs
-    for field, t in fields_seq:
-        out = apply_lift(field, t, out)
-    return out
+    lifts = LiftTable(obs, len(fields_seq))
+    if not fields_seq:
+        return obs
+    if not all(getattr(field, "exact", False) for field, _ in fields_seq):
+        raise TypeError("lifts require exact polynomial fields")
+    key = tuple(field.piece_at(t) for field, t in fields_seq)
+    return Observable(lifts[key], obs.max_derivative_order - len(key))
 
 
 class LiftTable(dict):
-    """Iterated lifts of ``obs`` by ``field`` (at most ``order``), keyed by the piece
-    indices of their times, innermost first; each is built from its prefix once."""
+    """Iterated lifts of the map of ``obs``, at most ``order`` of them, keyed by the
+    tuple of field maps they lift by, innermost first; each is built from its prefix
+    once.  A lift depends on its fields only through their maps, so pieces of equal
+    tables are one key, and a table of many pieces builds each distinct lift once."""
 
-    def __init__(self, field: VectorField, obs: Observable, order: int):
+    def __init__(self, obs: Observable, order: int):
         if obs.max_derivative_order < order:
             raise DefectExhaustedError(f"sequence of {order} lifts exceeds the available "
                                        f"derivative order {obs.max_derivative_order}")
-        super().__init__({(): obs})
-        self.field = field
+        super().__init__({(): obs.map})
 
-    def __missing__(self, key: tuple[int, ...]) -> Observable:
-        self[key] = apply_lift(self.field, self.field.pieces[key[-1]][0], self[key[:-1]])
+    def __missing__(self, key: tuple[PolynomialMap, ...]) -> PolynomialMap:
+        self[key] = lift_map(self[key[:-1]], key[-1])
         return self[key]
 
 
@@ -771,6 +768,7 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
                       radius: float, num_points: int = 128,
                       seed: int = 0) -> LocallyBoundedWitness:
     """Estimate the lift-composition bound by sampling the ball."""
+    order = as_int(order, "witness order")  # True would pass as order 1
     if order < 1:
         raise ValueError(f"witness order must be >= 1, got {order!r}")
     center = as_point(center, field.dim)
@@ -786,15 +784,15 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     radii = radius * rng.uniform(size=(num_points, 1)) ** (1.0 / n)
     points = center + direction * radii
 
-    lifts = LiftTable(field, obs, order)
+    lifts = LiftTable(obs, order)
     # the pieces of times run non-increasing forward (t > t0), non-decreasing backward
-    pieces = range(len(field.pieces))
-    sequences = dict.fromkeys(chain(combinations_with_replacement(pieces[::-1], order),
-                                    combinations_with_replacement(pieces, order)))
+    maps = [pm for _, _, pm in field.pieces]
+    sequences = dict.fromkeys(chain(combinations_with_replacement(maps[::-1], order),
+                                    combinations_with_replacement(maps, order)))
     rows = as_point(points.ravel()).reshape(points.shape).tolist()  # checked once
-    bound = _max_norm(lifts[seq].map._evaluator(row) for seq in sequences for row in rows)
+    bound = _max_norm(lifts[seq]._evaluator(row) for seq in sequences for row in rows)
     return LocallyBoundedWitness(center=center, radius=float(radius),
-                                 bound_C=bound, order=int(order))
+                                 bound_C=bound, order=order)
 
 
 # ---------------------------------------------------------------------------

@@ -161,9 +161,8 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     start = t0
     for t in times:
         mat, step_base = identity, 0
-        for a, b, piece in field.parts(start, t):
-            point, mat, step_base = _advance_piece(field.pieces[piece][2], point, mat,
-                                                   a, b, solver, step_base)
+        for a, b, pm in field.parts(start, t):
+            point, mat, step_base = _advance_piece(pm, point, mat, a, b, solver, step_base)
         states.append(np.array(point))
         if want_pushforward:
             segments.append(np.array(mat).reshape(n, n))

@@ -22,6 +22,7 @@ from .errors import DimensionError
 from .fields import (
     PolynomialMap,
     VectorField,
+    as_int,
     as_point,
     eval_field,
     field_jacobian,
@@ -58,6 +59,7 @@ class BracketExpression:
 
     @classmethod
     def leaf(cls, index: int) -> "BracketExpression":
+        index = as_int(index, "field index")  # True would print as VTrue
         if index < 1:
             raise ValueError("field indices are 1-based")
         return cls(index=index)

@@ -132,8 +132,8 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), point)
     corrected = point
     for a, b, _ in v.parts(0.0, t):
-        for s, e, j in w.parts(a, b):
-            pieces = [w.pieces[j][2]]
+        for s, e, pm in w.parts(a, b):
+            pieces = [pm]
             corrected = flow_time_dependent(
                 lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
                 s, e, corrected, solver, dim=v.dim)

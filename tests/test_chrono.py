@@ -457,6 +457,47 @@ def _bang_bang(pieces: int):
     return field, integral
 
 
+def test_repeated_tables_are_one_lift_each(monkeypatch):
+    # a lift depends on its fields only through their maps, and the bang-bang field
+    # repeats two: 2 + 4 lifts serve every piece sequence of order 1 and 2 on 200
+    # pieces, where one lift per sequence of piece indices would be 20,300
+    field, _ = _bang_bang(200)
+    phi, q = Observable.identity(2), [0.6, -0.8]
+    lift_calls = _count_calls(monkeypatch, chronoflow.fields, "lift_map")
+    volterra_truncate(field, phi, q, 0.0, 1.0, 3)
+    assert len(lift_calls) == 6
+    lift_calls.clear()
+    remainder_eval(field, phi, q, 0.0, 1.0, 2, SOLVER, method="direct")
+    assert len(lift_calls) == 6
+    lift_calls.clear()
+    sample_lift_bound(_bang_bang(10)[0], phi, 4, q, 0.5)
+    assert len(lift_calls) <= 2 + 4 + 8 + 16  # every map sequence of length 1 to 4
+
+
+@pytest.mark.parametrize("t0,t", [(0.0, 1.0), (0.9, 0.1)])
+def test_equal_tables_built_apart_give_the_bits_of_shared_maps(t0, t):
+    # the same bang-bang field twice: its 12 pieces share two map objects, or each
+    # piece holds its own map of one of the two tables
+    shared, _ = _bang_bang(12)
+    apart = VectorField.piecewise([(a, b, PolynomialMap(2, 2, pm.components))
+                                   for a, b, pm in shared.pieces])
+    assert len({id(pm) for _, _, pm in shared.pieces}) == 2
+    assert len({id(pm) for _, _, pm in apart.pieces}) == 12
+    phi = Observable(PolynomialMap(2, 1, [[(1.0, (2, 0)), (0.5, (1, 1)), (-0.3, (0, 1))]]))
+    q = [0.6, -0.8]
+
+    def results(field):
+        yield [simplex_integral_term(field, phi, q, t0, t, k) for k in range(4)]
+        for k in (1, 2, 3):
+            yield volterra_truncate(field, phi, q, t0, t, k)
+            yield remainder_eval(field, phi, q, t0, t, k, SOLVER).remainder_norm
+            yield remainder_eval(field, phi, q, t0, t, k, SOLVER, method="direct").remainder_norm
+            yield sample_lift_bound(field, phi, k, q, 0.5, num_points=32).bound_C
+
+    for got, want in zip(results(apart), results(shared), strict=True):
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
 @pytest.mark.parametrize("pieces", [1, 5, 10, 20])
 @pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.0, 0.0), (0.13, 0.91), (0.91, 0.13)])
 def test_many_piece_terms_are_powers_of_the_rotation_angle(pieces, t0, t):

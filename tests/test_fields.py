@@ -41,8 +41,10 @@ from chronoflow import (
     vector_field_from_json,
     zero_field,
 )
+import chronoflow as cf
 from chronoflow import fields
 from chronoflow.fields import SUM_CHUNK, lift_map, vector_norm
+from chronoflow.quadrature import gauss_legendre
 from test_properties import magnitudes, numpy_reference, polynomial_maps
 
 V1, V2 = heisenberg_fields()
@@ -210,23 +212,25 @@ def test_piecewise_selects_active_piece():
 
 
 def test_parts_cut_at_breakpoints_in_the_direction_of_time():
-    c = PolynomialMap.constants([1.0], 1)
-    field = VectorField.piecewise([(0.0, 0.25, c), (0.25, 0.5, c), (0.5, 1.0, c)])
-    assert field.parts(0.1, 0.9) == [(0.1, 0.25, 0), (0.25, 0.5, 1), (0.5, 0.9, 2)]
-    assert field.parts(0.9, 0.1) == [(0.9, 0.5, 2), (0.5, 0.25, 1), (0.25, 0.1, 0)]
-    assert field.parts(0.25, 0.5) == [(0.25, 0.5, 1)]  # ends on breakpoints
-    assert field.parts(0.5, 0.25) == [(0.5, 0.25, 1)]
-    assert field.parts(1.0, 0.5) == [(1.0, 0.5, 2)]
+    # three distinct constants, so each part's map tells which piece it is
+    c0, c1, c2 = (PolynomialMap.constants([v], 1) for v in (1.0, 2.0, 3.0))
+    field = VectorField.piecewise([(0.0, 0.25, c0), (0.25, 0.5, c1), (0.5, 1.0, c2)])
+    p0, p1, p2 = (field.pieces[i][2] for i in range(3))
+    assert field.parts(0.1, 0.9) == [(0.1, 0.25, p0), (0.25, 0.5, p1), (0.5, 0.9, p2)]
+    assert field.parts(0.9, 0.1) == [(0.9, 0.5, p2), (0.5, 0.25, p1), (0.25, 0.1, p0)]
+    assert field.parts(0.25, 0.5) == [(0.25, 0.5, p1)]  # ends on breakpoints
+    assert field.parts(0.5, 0.25) == [(0.5, 0.25, p1)]
+    assert field.parts(1.0, 0.5) == [(1.0, 0.5, p2)]
     assert field.parts(0.3, 0.3) == []
-    assert field.parts(0.25 - 1e-16, 0.3) == [(0.25, 0.3, 1)]  # a sliver takes no step
+    assert field.parts(0.25 - 1e-16, 0.3) == [(0.25, 0.3, p1)]  # a sliver takes no step
     assert field.parts(0.0, 0.0) == field.parts(1.0, 1.0) == []
     assert [field.piece_index(t) for t in (0.0, 0.2, 0.25, 0.5, 1.0)] == [0, 0, 1, 2, 2]
     assert field.breakpoints_between(0.9, 0.25) == [0.5]
     with pytest.raises(TimeWindowError):
         field.parts(0.5, 1.5)
-    auto = VectorField.autonomous(c)
+    auto = VectorField.autonomous(c0)
     assert auto.is_autonomous and not field.is_autonomous
-    assert auto.parts(2.0, -3.0) == [(2.0, -3.0, 0)]
+    assert auto.parts(2.0, -3.0) == [(2.0, -3.0, c0)]
     assert auto.breakpoints_between(-1.0, 1.0) == []
 
 
@@ -611,3 +615,48 @@ def test_kernel_term_tables_are_pinned():
         for table in pm._components:
             digest.update(repr((pm.dim_in, pm.dim_out, list(table.items()))).encode())
     assert digest.hexdigest() == "fc2d53a83466a190c596cad0e3e68f9887d3712f5ac41a2dc423ffaa8ec57055"
+
+
+_ID2, _PHI2, _Q2 = PolynomialMap.identity(2), Observable.identity(2), [1.0, 0.0]
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Observable.coordinate(2, 0.5), "axis must be an integer, got 0.5"),
+    (lambda: Observable.coordinate(2, True), "axis must be an integer, got True"),
+    (lambda: Observable(_ID2, 2.5), "max_derivative_order must be an integer, got 2.5"),
+    (lambda: VectorField.autonomous(_ID2, 2.5), "smoothness_order must be an integer, got 2.5"),
+    (lambda: VectorField.autonomous(_ID2, True), "smoothness_order must be an integer, got True"),
+    (lambda: cf.order_probe(lambda t: t, 0.4, 4.5), "levels must be an integer, got 4.5"),
+    (lambda: cf.bracket_asymptotics_check(cf.BracketExpression.parse("[V1,V2]"),
+                                          heisenberg_fields(), [0.0] * 3, 0.2, 4.5,
+                                          FlowSolver(100)), "levels must be an integer, got 4.5"),
+    (lambda: cf.inverse_expansion_check(rotation2d(), _Q2, 0.4, 4.5, FlowSolver(100)),
+     "levels must be an integer, got 4.5"),
+    (lambda: cf.volterra_truncate(rotation2d(), _PHI2, _Q2, 0.0, 0.5, True),
+     "truncation order k must be an integer, got True"),
+    (lambda: cf.remainder_eval(rotation2d(), _PHI2, _Q2, 0.0, 0.5, True, FlowSolver(100)),
+     "truncation order k must be an integer, got True"),
+    (lambda: sample_lift_bound(rotation2d(), _PHI2, True, _Q2, 0.5),
+     "witness order must be an integer, got True"),
+    (lambda: cf.simplex_volume(0.0, 0.5, 2.5), "simplex order k must be an integer, got 2.5"),
+    (lambda: cf.simplex_integral_term(rotation2d(), _PHI2, _Q2, 0.0, 0.5, 2.5),
+     "simplex order k must be an integer, got 2.5"),
+    (lambda: cf.volterra_truncate(rotation2d(), _PHI2, _Q2, 0.0, 0.5, 2.5),
+     "truncation order k must be an integer, got 2.5"),
+    (lambda: cf.remainder_eval(rotation2d(), _PHI2, _Q2, 0.0, 0.5, 2.5, FlowSolver(100),
+                               method="direct"), "truncation order k must be an integer, got 2.5"),
+    (lambda: gauss_legendre(0.0, 1.0, 2.5), "quadrature nodes must be an integer, got 2.5"),
+    (lambda: cf.BracketExpression.leaf(True), "field index must be an integer, got True"),
+], ids=["axis_half", "axis_bool", "obs_order_half", "smoothness_half", "smoothness_bool",
+        "levels", "bracket_levels", "inverse_levels", "truncation_bool", "remainder_bool",
+        "witness_bool", "volume_half", "term_half", "truncation_half", "remainder_half",
+        "nodes_half", "leaf_bool"])
+def test_counts_orders_and_indices_must_be_integers(call, message):
+    # a fractional value would truncate (or fail deep inside) and a boolean pass as 0 or 1
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_an_integral_float_node_count_is_that_count():
+    assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(0.0, 1.0, 16.0),
+                                                    gauss_legendre(0.0, 1.0, 16)))

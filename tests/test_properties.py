@@ -509,6 +509,31 @@ def test_field_json_round_trip(data):
 
 
 @ALGEBRA
+@given(st.data())
+def test_equal_tables_are_one_key(data):
+    # a map keys lifts and compiled code: equal tables built apart must be equal and
+    # hash equal, and a changed coefficient, exponent or dim_in another map
+    dim = data.draw(dims)
+    pm, v = data.draw(polynomial_maps(dim)), data.draw(polynomial_maps(dim))
+    again = PolynomialMap.from_json(json.loads(json.dumps(pm.to_json())), dim)
+    twins = [(pm, again), (pm, pm.add(PolynomialMap.zeros(dim, dim))),
+             (lift_map(pm, v), lift_map(again, PolynomialMap(dim, dim, v.components)))]
+    for a, b in twins:
+        assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    comps = [list(comp) for comp in pm.components]
+    if not any(comps):
+        comps[0].append((0.5, (1,) + (0,) * (dim - 1)))
+    i = next(i for i, comp in enumerate(comps) if comp)
+    base = PolynomialMap(dim, dim, comps)
+    (coef, exps), rest = comps[i][0], comps[i][1:]
+    others = [PolynomialMap(dim, dim, comps[:i] + [changed + rest] + comps[i + 1:])
+              for changed in ([(2.0 * coef, exps)], [(coef, (exps[0] + 1,) + exps[1:])])]
+    others.append(PolynomialMap(dim + 1, dim, [[(c, e + (0,)) for c, e in comp]
+                                               for comp in comps]))
+    assert all(other != base for other in others)
+
+
+@ALGEBRA
 @given(st.lists(st.tuples(st.integers(1, 4), st.sampled_from((-1, 1)),
                           st.floats(1e-6, 10.0, allow_nan=False)), max_size=6))
 def test_schedule_json_and_csv_round_trip(rows):
