@@ -2,9 +2,11 @@
 
 The flow operator expands into iterated integrals of lift compositions
 over simplices t0 <= tau_k <= ... <= tau_1 <= t.  Pieces are autonomous, so
-a term is the sum over piece sequences of exact region volumes times lifts;
-the direct remainder integrates only its innermost time, by Gauss-Legendre
-per piece, with its outer integrals in closed form.
+the order-i term is the Chen-Fliess sum, over words w of i maps, of the
+coefficient S_w times the lift by w; Chen's identity builds every S_w in one
+walk over the parts (``fields.chen_walk``), so a term costs distinct maps,
+not piece sequences.  The direct remainder integrates only its innermost
+time, by Gauss-Legendre per part, with its outer integrals in closed form.
 
 Decay orders are measured on dyadic grids t_j = t_max * 2^-j by a
 least-squares fit of log(norm) against log(t); samples at numerical zero
@@ -13,9 +15,8 @@ least-squares fit of log(norm) against log(t); samples at numerical zero
 from __future__ import annotations
 
 import math
-from collections import Counter
+from collections import deque
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 from typing import Callable, Sequence
 
 import numpy as np
@@ -28,6 +29,8 @@ from .fields import (
     VectorField,
     as_int,
     as_point,
+    chen_walk,
+    simplex_factor,
 )
 from .flow import (
     FlowMap,
@@ -75,35 +78,36 @@ def _parts(field: VectorField, t0: float, t: float) -> list[tuple[float, float, 
     return field.parts(t0, t)[::-1]
 
 
-def _regions(lengths: Sequence[float], pieces: Sequence, i: int):
-    """(volume, sequence of pieces[j]) of each region where i ordered times fall in parts
-    j, listed from the t end: prod_j lengths[j]^m_j / m_j!, with m_j the count of part j."""
-    for seq in combinations_with_replacement(range(len(lengths)), i):
-        yield (math.prod(lengths[j] ** m / math.factorial(m) for j, m in Counter(seq).items()),
-               tuple(pieces[j] for j in seq))
-
-
 def simplex_volume(t0: float, t: float, k: int) -> float:
-    """Signed volume (t - t0)^k / k! of the order-k simplex."""
+    """Signed volume (t - t0)^k / k! of the order-k simplex; FloatingPointError where
+    it is not finite."""
     k = as_int(k, "simplex order k")
     if k < 0:
         raise ValueError(f"simplex order k must be >= 0, got {k}")
     if not (math.isfinite(t0) and math.isfinite(t)):
         raise ValueError(f"flow times must be finite, got [{t0}, {t}]")
-    return (t - t0) ** k / math.factorial(k)
+    volume = simplex_factor(t - t0, k)
+    if not math.isfinite(volume):
+        raise FloatingPointError(f"the order-{k} simplex volume on [{t0}, {t}] is not finite")
+    return volume
 
 
 def _series_terms(field: VectorField, obs: Observable, point: np.ndarray,
                   t0: float, t: float, k: int) -> list[np.ndarray]:
-    """Volterra terms of orders 0..k at ``point``: over the piece sequences of the
-    times, listed from the t end, each region's volume times the lift by its maps."""
+    """Volterra terms of orders 0..k at ``point``: the order-i term sums, over the
+    words of i maps in the walk's order, the word's Chen coefficient times its lift.
+    A term that is not finite is a FloatingPointError."""
     lifts = LiftTable(obs, k)
-    parts = _parts(field, t0, t)
-    lengths, maps = [b - a for a, b, _ in parts], [pm for _, _, pm in parts]
     row = point.tolist()  # checked once; each lift's compiled map runs on the floats
-    return [sum((volume * np.array(lifts[seq]._evaluator(row))
-                 for volume, seq in _regions(lengths, maps, i)), np.zeros(obs.dim_out))
-            for i in range(k + 1)]
+    # per component from 0.0, in word order: the float operations of a numpy sum
+    terms = [[0.0] * obs.dim_out for _ in range(k + 1)]
+    for word, c in deque(chen_walk(_parts(field, t0, t), k), maxlen=1).pop().items():
+        values = lifts[word]._evaluator(row)
+        terms[len(word)] = [s + c * v for s, v in zip(terms[len(word)], values)]
+    for i, term in enumerate(terms):
+        if not all(map(math.isfinite, term)):  # an overflowing coefficient makes it NaN
+            raise FloatingPointError(f"the order-{i} Volterra term on [{t0}, {t}] is not finite")
+    return [np.array(term) for term in terms]
 
 
 def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
@@ -159,7 +163,7 @@ def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
             raise ValueError(
                 f"witness sampled at order {witness.order}, remainder order is {k}"
             )
-        bound = witness.bound_C * abs(t - t0) ** k / math.factorial(k)
+        bound = witness.bound_C * abs(simplex_volume(t0, t, k))
     return RemainderReport(k=k, t=t, remainder_norm=remainder, bound=bound)
 
 
@@ -168,26 +172,24 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
                       nodes: int, to_end: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Nested integral of the remainder with the flow inside the integrand.
 
-    Given the innermost time x in part j, the outer k - 1 integrals of a piece
-    sequence are its region volume with part j cut down to [x, b] (Cauchy's
-    repeated integration), so one Gauss-Legendre rule per part integrates x.
-    Returns the integral and the last state of its chained trajectory, which
-    with ``to_end`` walks on past the innermost times to the flowed point at t.
+    Given the innermost time x in part j on map a, the outer k - 1 integrals are in
+    closed form: over the words w of the walk on the parts on the t side of j, the
+    coefficient of w times (b - x)^m / m! for the m = k - 1 - |w| times left in
+    [x, b] (Cauchy's repeated integration), on the lift by w + (a,) * (m + 1).  So
+    one Gauss-Legendre rule per part integrates x.  Returns the integral and the last
+    state of its chained trajectory, which with ``to_end`` walks on past the innermost
+    times to the flowed point at t.
     """
     lifts = LiftTable(obs, k)
     parts = _parts(field, t0, t)
-    lengths, maps = [b - a for a, b, _ in parts], [pm for _, _, pm in parts]
-    leaves = []  # (x, weight, lift): one evaluation each
-    for j in reversed(range(len(parts))):  # from the t0 end, as the trajectory runs
-        a, b, pm = parts[j]
+    blocks = []  # per part from the t end, (x, weight, lift) leaves: one evaluation each
+    for (a, b, pm), prefix in zip(parts, chen_walk(parts, k - 1)):
+        outers = [(c, m, lifts[word + (pm,) * (m + 1)])
+                  for word, c in prefix.items() for m in [k - 1 - len(word)]]
         xs, ws = gauss_legendre(a, b, nodes)
-        # volumes with part j of length 1: cut down to [x, b], it scales them by (b - x)^c,
-        # with c counted by index, since other parts may share its map
-        outers = [(volume, lifts[tuple(maps[i] for i in outer) + (pm,)], outer.count(j))
-                  for volume, outer in _regions(lengths[:j] + [1.0], range(j + 1), k - 1)]
-        for x, w in zip(xs, ws):
-            leaves.extend((x, float(w * volume * (b - x) ** c), lift)
-                          for volume, lift, c in outers)
+        blocks.append([(x, w * c * simplex_factor(b - x, m), lift)
+                       for x, w in zip(xs.tolist(), ws.tolist()) for c, m, lift in outers])
+    leaves = [leaf for block in reversed(blocks) for leaf in block]  # as the trajectory runs
     times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
                                    point, solver)

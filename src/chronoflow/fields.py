@@ -19,11 +19,11 @@ import json
 import math
 import sys
 from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, combinations_with_replacement
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -715,6 +715,42 @@ class LiftTable(dict):
         return self[key]
 
 
+def simplex_factor(length: float, m: int) -> float:
+    """length^m / m!, the volume of m ordered times in an interval of signed ``length``
+    (Cauchy's repeated integration).  Where length^m or m! leaves the float range it
+    goes by logarithms, and where the quotient does too it is NaN, never OverflowError."""
+    try:
+        return length ** m / math.factorial(m)
+    except OverflowError:
+        try:
+            size = math.exp(m * math.log(abs(length)) - math.lgamma(m + 1)) if length else 0.0
+        except OverflowError:
+            return math.nan
+        return -size if length < 0 and m % 2 else size
+
+
+def chen_walk(parts: Sequence[tuple[float, float, PolynomialMap]],
+              order: int) -> Iterator[dict[tuple[PolynomialMap, ...], float]]:
+    """Chen's identity over ``parts`` (start, end, map) listed from the t end: for the
+    parts before each part in turn, then for all of them, the coefficient of each word
+    of at most ``order`` maps, innermost first like a ``LiftTable`` key.  It is the
+    volume of the times t >= tau_1 >= tau_2 >= ... that fall in pieces of the word's
+    maps, so a part of length L extends a word by m copies of its map at L^m / m!,
+    and P parts over D distinct maps cost P * D^order.  Words are listed in the order
+    of the piece sequences, each after its extensions; a word met again (a repeated
+    table) adds to its first place, so no order depends on hashes."""
+    coeffs = {(): 1.0}
+    yield coeffs
+    for a, b, pm in parts:
+        walked: dict[tuple[PolynomialMap, ...], float] = {}
+        for word, c in coeffs.items():
+            for m in range(order - len(word), -1, -1):
+                key, value = word + (pm,) * m, c * simplex_factor(b - a, m)
+                walked[key] = walked[key] + value if key in walked else value
+        coeffs = walked
+        yield coeffs
+
+
 # ---------------------------------------------------------------------------
 # Finite differences (independent oracle only, never the primary path)
 
@@ -740,10 +776,10 @@ def finite_difference_jacobian(func: Callable[[np.ndarray], np.ndarray], x) -> n
 class LocallyBoundedWitness:
     """Sampled bound on k-fold lift compositions over a ball.
 
-    ``bound_C`` is the max, over sampled ball points and every piece
-    sequence of monotone times, decreasing (t > t0) or increasing (t < t0),
-    of the norm of the order-fold lift of the observable.  It is a sampled
-    estimate in space, not a certificate.
+    ``bound_C`` is the max, over sampled ball points and every word of maps
+    that a piece sequence of monotone times realizes, decreasing (t > t0) or
+    increasing (t < t0), of the norm of the order-fold lift of the observable.
+    It is a sampled estimate in space, not a certificate.
     """
 
     center: np.ndarray
@@ -767,7 +803,9 @@ def _max_norm(vectors: Iterable[list[float]]) -> float:
 def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
                       radius: float, num_points: int = 128,
                       seed: int = 0) -> LocallyBoundedWitness:
-    """Estimate the lift-composition bound by sampling the ball."""
+    """Estimate the lift-composition bound by sampling the ball: the words are the
+    length-``order`` keys of ``chen_walk`` over the pieces, once in each time
+    direction, so a field of D distinct maps has at most D^order of them."""
     order = as_int(order, "witness order")  # True would pass as order 1
     if order < 1:
         raise ValueError(f"witness order must be >= 1, got {order!r}")
@@ -785,12 +823,13 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     points = center + direction * radii
 
     lifts = LiftTable(obs, order)
-    # the pieces of times run non-increasing forward (t > t0), non-decreasing backward
-    maps = [pm for _, _, pm in field.pieces]
-    sequences = dict.fromkeys(chain(combinations_with_replacement(maps[::-1], order),
-                                    combinations_with_replacement(maps, order)))
+    # the pieces of times run non-increasing forward (t > t0), non-decreasing backward:
+    # listed from the t end, the parts are the pieces reversed or in order
+    parts = [(0.0, 1.0, pm) for _, _, pm in field.pieces]
+    words = {word: None for walk in (parts[::-1], parts)
+             for word in deque(chen_walk(walk, order), maxlen=1).pop() if len(word) == order}
     rows = as_point(points.ravel()).reshape(points.shape).tolist()  # checked once
-    bound = _max_norm(lifts[seq]._evaluator(row) for seq in sequences for row in rows)
+    bound = _max_norm(lifts[word]._evaluator(row) for word in words for row in rows)
     return LocallyBoundedWitness(center=center, radius=float(radius),
                                  bound_C=bound, order=order)
 

@@ -474,6 +474,44 @@ def test_repeated_tables_are_one_lift_each(monkeypatch):
     assert len(lift_calls) <= 2 + 4 + 8 + 16  # every map sequence of length 1 to 4
 
 
+def test_many_piece_series_cost_words_not_piece_sequences(monkeypatch):
+    # 200 pieces over two maps: the order-3 truncation evaluates the 1 + 2 + 4 words of
+    # at most two maps, where one evaluation per piece sequence would be 20,301; the
+    # k = 2 direct remainder evaluates one lift per node and word of at most one map
+    field, _ = _bang_bang(200)
+    phi, q = Observable.identity(2), [0.6, -0.8]
+    calls = _count_lift_evaluations(monkeypatch, field)
+    volterra_truncate(field, phi, q, 0.0, 1.0, 3)
+    assert len(calls) == 7
+    calls.clear()
+    remainder_eval(field, phi, q, 0.0, 1.0, 2, SOLVER, method="direct")
+    assert len(calls) <= 16 * 200 * 3
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: simplex_volume(0.0, 1e200, 3), r"order-3 simplex volume on \[0.0, 1e\+200\]"),
+    (lambda: volterra_truncate(rotation2d(), Observable.identity(2), [0.1, 0.2], 0.0, 1e200,
+                               3), r"order-2 Volterra term on \[0.0, 1e\+200\]"),
+    (lambda: simplex_integral_term(rotation2d(), Observable(PolynomialMap(
+        2, 1, [[(1.0, (6, 0))]])), [1e50, 0.2], 0.0, 1e10, 2),
+     r"order-2 Volterra term on \[0.0, 10000000000.0\]"),
+], ids=["volume", "coefficient", "term"])
+def test_overflowing_series_is_a_floating_point_error(call, message):
+    # (1e200)^2 overflows a float, and so does 30 (1e50)^6 times (1e10)^2 / 2; an
+    # overflowing coefficient makes its term NaN
+    with pytest.raises(FloatingPointError, match=message):
+        call()
+
+
+def test_simplex_volume_whose_power_or_factorial_overflows_is_finite():
+    # 0.5^200 / 200! underflows to 0, and 1e3^200 / 200! is about 1e600 / 7.9e374,
+    # which the int division rounds correctly
+    assert simplex_volume(0.0, 0.5, 200) == simplex_volume(0.3, 0.3, 200) == 0.0
+    exact = 10 ** 600 / math.factorial(200)
+    assert abs(simplex_volume(0.0, 1e3, 200) / exact - 1.0) <= 1e-12
+    assert abs(simplex_volume(0.0, -1e3, 201) / (-exact * 1e3 / 201) - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("t0,t", [(0.0, 1.0), (0.9, 0.1)])
 def test_equal_tables_built_apart_give_the_bits_of_shared_maps(t0, t):
     # the same bang-bang field twice: its 12 pieces share two map objects, or each

@@ -19,9 +19,13 @@ pull-backs of param_derivative, adjoint_check and the variation-of-
 parameters check the bits of one linear solve per node (dimension <= 6);
 a Volterra truncation must be phi(q) plus its simplex terms, bit for bit
 on autonomous fields, and the lift witness must dominate the lift of every
-piece sequence (dimension <= 3, two or three pieces, k <= 4).
+piece sequence (dimension <= 3, two or three pieces, k <= 4); Chen's walk
+must give the terms and direct remainders of the enumeration of piece
+sequences, bit for bit where no two pieces share a table (dimension <= 3,
+one to six pieces, k <= 4).
 Examples are derandomized so the suite is repeatable.
 """
+import collections
 import functools
 import itertools
 import json
@@ -65,7 +69,9 @@ from chronoflow import (
     vector_field_from_json,
     volterra_truncate,
 )
+from chronoflow.chrono import _direct_remainder, _series_terms
 from chronoflow.fields import (
+    LiftTable,
     _add_terms,
     _compile_evaluator,
     _diff_terms,
@@ -613,6 +619,124 @@ def test_witness_dominates_every_piece_sequence(field, k, data):
     for seq in itertools.combinations_with_replacement(reversed(times), k):
         norm = np.linalg.norm(iterate_lift([(field, s) for s in seq], phi)(center))
         assert bound >= norm * (1.0 - 1e-9) - 1e-9
+
+
+def _regions(lengths, pieces, i: int):
+    """(volume, sequence of pieces[j]) of each region where i ordered times fall in parts
+    j, listed from the t end: prod_j lengths[j]^m_j / m_j!, with m_j the count of part j."""
+    for seq in itertools.combinations_with_replacement(range(len(lengths)), i):
+        yield (math.prod(lengths[j] ** m / math.factorial(m)
+                         for j, m in collections.Counter(seq).items()),
+               tuple(pieces[j] for j in seq))
+
+
+def region_terms(field, obs, q, t0, t, k):
+    """Reference Volterra terms of orders 0..k: per piece sequence of the times, its
+    region volume times the lift by its maps, C(P + i - 1, i) regions at order i."""
+    lifts = LiftTable(obs, k)
+    parts = field.parts(t0, t)[::-1]
+    lengths, maps = [b - a for a, b, _ in parts], [pm for _, _, pm in parts]
+    return [sum((volume * lifts[seq](q) for volume, seq in _regions(lengths, maps, i)),
+                np.zeros(obs.dim_out)) for i in range(k + 1)]
+
+
+def region_direct_remainder(field, obs, q, t0, t, k, solver, nodes):
+    """Reference direct remainder: per innermost part j and piece sequence, the region
+    volume with part j cut down to [x, b], on one chained trajectory."""
+    lifts = LiftTable(obs, k)
+    parts = field.parts(t0, t)[::-1]
+    lengths, maps = [b - a for a, b, _ in parts], [pm for _, _, pm in parts]
+    leaves = []
+    for j in reversed(range(len(parts))):
+        a, b, pm = parts[j]
+        xs, ws = gauss_legendre(a, b, nodes)
+        outers = [(volume, lifts[tuple(maps[i] for i in outer) + (pm,)], outer.count(j))
+                  for volume, outer in _regions(lengths[:j] + [1.0], range(j + 1), k - 1)]
+        for x, w in zip(xs, ws):
+            leaves.extend((x, float(w * volume * (b - x) ** c), lift)
+                          for volume, lift, c in outers)
+    times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
+    states, _ = chained_trajectory(field, t0, times, q, solver)
+    moved = dict(zip(times, states))
+    return sum((w * lift(moved[x]) for x, w, lift in leaves), np.zeros(obs.dim_out))
+
+
+@st.composite
+def chen_fields(draw):
+    """An autonomous field, or one to six pieces on [0, 1.5], each a new table, an
+    earlier piece's map, or an equal map built apart from an earlier piece's table."""
+    dim = draw(st.integers(1, 3))
+    if draw(st.integers(0, 4)) == 0:
+        return VectorField.autonomous(draw(polynomial_maps(dim, degree=2)))
+    count = draw(st.integers(1, 6))
+    cuts = sorted(draw(st.lists(st.floats(0.05, 1.45), min_size=count - 1,
+                                max_size=count - 1, unique=True)))
+    maps = [draw(polynomial_maps(dim, degree=2))]
+    for _ in cuts:
+        kind, earlier = draw(st.sampled_from(("new", "shared", "apart"))), draw(
+            st.sampled_from(maps))
+        if kind == "new":
+            maps.append(draw(polynomial_maps(dim, degree=2)))
+        elif kind == "shared":
+            maps.append(earlier)
+        else:
+            maps.append(PolynomialMap(dim, dim, earlier.components))
+    edges = [0.0, *cuts, 1.5]
+    return VectorField.piecewise(zip(edges, edges[1:], maps))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(chen_fields(), st.integers(1, 4), st.data())
+def test_chen_walk_matches_the_region_enumeration(field, k, data):
+    # bits where no two pieces share a table, autonomous fields included: each word is
+    # one region, whose volume the walk builds by the same products, and the walk lists
+    # words in the order of the regions.  Within rounding where tables repeat, since
+    # the walk sums the regions of a word before it lifts.  The direct weights
+    # w (b - x)^m / m! keep the bits for m <= 2, where m! is 1 or 2
+    q = data.draw(points(field.dim))
+    phi = Observable(data.draw(polynomial_maps(field.dim, dim_out=data.draw(
+        st.integers(1, 2)), degree=2)))
+    t0, t = data.draw(st.sampled_from([(0.0, 1.3), (1.4, 0.2), (0.3, 0.3)]))
+    solver = FlowSolver(200)
+    distinct = len({pm for _, _, pm in field.pieces}) == len(field.pieces)
+    checks = list(zip(_series_terms(field, phi, q, t0, t, k),
+                      region_terms(field, phi, q, t0, t, k), [distinct] * (k + 1)))
+    try:
+        want = region_direct_remainder(field, phi, q, t0, t, k, solver, 4)
+    except BlowUpError:  # both walk one trajectory
+        with pytest.raises(BlowUpError):
+            _direct_remainder(field, phi, q, t0, t, k, solver, 4)
+    else:
+        checks.append((_direct_remainder(field, phi, q, t0, t, k, solver, 4)[0], want,
+                       distinct and k <= 3))
+    for got, want, same in checks:
+        if same:
+            assert got.tobytes() == want.tobytes()
+        assert np.linalg.norm(got - want) <= 1e-13 * max(1.0, np.linalg.norm(want))
+
+
+@pytest.mark.parametrize("pieces", [2, 3, 5])
+@pytest.mark.parametrize("t0,t", [(0.0, 1.3), (1.4, 0.2)])
+def test_chen_walk_keeps_the_bits_of_distinct_tables(pieces, t0, t):
+    # seeded dense fields, where the order of a sum decides its last bit more often
+    # than on the sparse examples above: every term to order 4 and every direct
+    # remainder to k = 3 is the region enumeration's, bit for bit
+    rng = np.random.default_rng(pieces)
+    edges = np.linspace(0.0, 1.5, pieces + 1).tolist()
+    field = VectorField.piecewise([
+        (a, b, PolynomialMap(2, 2, [[(float(c), e) for c, e in zip(
+            rng.uniform(-1.0, 1.0, 6), [(0, 0), (1, 0), (0, 1), (2, 0), (1, 1), (0, 2)])]
+            for _ in range(2)])) for a, b in zip(edges, edges[1:])])
+    phi = Observable(PolynomialMap(2, 2, [[(1.0, (2, 0)), (-0.5, (1, 1)), (0.3, (0, 1))],
+                                          [(0.7, (1, 0)), (0.2, (0, 2))]]))
+    q, solver = np.array([0.6, -0.8]), FlowSolver(200)
+    for got, want in zip(_series_terms(field, phi, q, t0, t, 4),
+                         region_terms(field, phi, q, t0, t, 4), strict=True):
+        assert got.tobytes() == want.tobytes()
+    for k in (1, 2, 3):
+        got = _direct_remainder(field, phi, q, t0, t, k, solver, 16)[0]
+        assert got.tobytes() == region_direct_remainder(field, phi, q, t0, t, k, solver,
+                                                        16).tobytes()
 
 
 @st.composite

@@ -4,10 +4,12 @@ Each section hashes the exact bits of a fixed set of results: flows,
 Volterra series and remainders, witnesses, parameter derivatives, identity
 residuals, plans and bracket ranks, on catalog fields, random autonomous
 fields and piecewise fields (pieces of distinct tables, and pieces that
-repeat two tables, shared or built apart), in both time directions.  Two
-source trees that print the same digests give the same bits on all of
-them.  Only the public API is used, so the script runs against any
-checkout:
+repeat two tables, shared or built apart), in both time directions.  The
+series and witnesses have one section per kind of field (autonomous,
+distinct pieces, repeated tables), since a change to how a series sums
+over pieces can keep the bits of one kind and move another's.  Two source
+trees that print the same digests give the same bits on all of them.
+Only the public API is used, so the script runs against any checkout:
 
     PYTHONPATH=src python tools/bitcheck.py
     PYTHONPATH=/path/to/other/checkout/src python tools/bitcheck.py
@@ -170,12 +172,18 @@ def sections() -> dict[str, object]:
     autonomous = _autonomous_fields()
     piecewise = _piecewise_fields()
     every = {**piecewise, **{name: _windowed(f) for name, f in autonomous.items()}}
+    # series and witnesses by kind of time structure: one part, pieces of distinct
+    # tables, and pieces that repeat two tables (shared or built apart)
+    kinds = {"autonomous": {name: every[name] for name in autonomous},
+             "distinct": {"distinct": piecewise["distinct"]},
+             "repeated": {name: piecewise[name] for name in ("repeated_shared",
+                                                             "repeated_apart")}}
     points = [np.array([0.6, -0.8, 0.3]), np.array([0.1, 0.2, -0.4]),
               np.array([-0.5, 0.25, 0.75])]
     return {
         "flows": _flows(every, points),
-        "series": _series(every, points),
-        "witnesses": _witnesses(every, points),
+        **{f"series_{kind}": _series(fields, points) for kind, fields in kinds.items()},
+        **{f"witnesses_{kind}": _witnesses(fields, points) for kind, fields in kinds.items()},
         "param_deriv": _param_derivatives(every, points),
         "residuals": _residuals(autonomous, piecewise, points),
         "plans": _plans(points),
@@ -187,7 +195,7 @@ def main() -> None:
         digest = hashlib.sha256()
         for value in results:
             digest.update(_bits(value))
-        print(f"{name:<12} {digest.hexdigest()}")
+        print(f"{name:<21} {digest.hexdigest()}")
 
 
 if __name__ == "__main__":
