@@ -178,7 +178,8 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     [x, b] (Cauchy's repeated integration), on the lift by w + (a,) * (m + 1).  So
     one Gauss-Legendre rule per part integrates x.  Returns the integral and the last
     state of its chained trajectory, which with ``to_end`` walks on past the innermost
-    times to the flowed point at t.
+    times to the flowed point at t.  An integral that is not finite (a lift that
+    overflows at a state the solver accepts) is a FloatingPointError.
     """
     lifts = LiftTable(obs, k)
     parts = _parts(field, t0, t)
@@ -198,6 +199,8 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     integral = [0.0] * obs.dim_out
     for x, w, lift in leaves:
         integral = [s + w * v for s, v in zip(integral, lift._evaluator(moved[x]))]
+    if not all(map(math.isfinite, integral)):
+        raise FloatingPointError(f"the direct remainder integral on [{t0}, {t}] is not finite")
     return np.array(integral), states[-1] if states else point
 
 
@@ -265,7 +268,10 @@ def integral_equation_residual(field: VectorField, obs: Observable, q, t0: float
     point = as_point(q, field.dim)
     integral, end = _direct_remainder(field, obs, point, t0, t, 1, solver, nodes,
                                       to_end=True)
-    return float(np.linalg.norm(obs(end) - obs(point) - integral))
+    ends = np.array([obs(end), obs(point)])
+    if not np.isfinite(ends).all():
+        raise FloatingPointError(f"the observable at an end of [{t0}, {t}] is not finite")
+    return float(np.linalg.norm(ends[0] - ends[1] - integral))
 
 
 def remainder_table(field: VectorField, obs: Observable, q, t0: float, k: int,

@@ -8,6 +8,7 @@ trajectory.  Backward flows use negative steps on the same field.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
@@ -217,6 +218,31 @@ class ControlSchedule:
         return ControlSchedule(tuple(Segment(s.field_index, -s.sign, s.duration)
                                      for s in reversed(self.segments)))
 
+    def field(self, fields, start: float = 0.0) -> VectorField | None:
+        """The schedule on a clock from ``start``: at clock time T, segment (i, s, d) is
+        the map s V_i, negated where s d < 0, over [T, fl(T + |d|)]; a segment that does
+        not move the clock has no piece, and None stands for no piece at all.  Each V_i
+        must exist and be autonomous, each s be +1 or -1, and ``start`` and each d finite."""
+        fields, pieces, t = list(fields), [], float(start)
+        if not math.isfinite(t):  # a clock at NaN or inf would take no piece
+            raise ValueError(f"the schedule's start must be finite, got {start}")
+        negated = functools.cache(lambda pm: pm.scaled(-1.0))  # once per map and call
+        for i, seg in enumerate(self.segments):
+            if not 1 <= seg.field_index <= len(fields):
+                raise IndexError(f"segment {i} uses V{seg.field_index}, out of range")
+            if not fields[seg.field_index - 1].is_autonomous:
+                raise ValueError(f"segment {i} uses V{seg.field_index}, which is not autonomous")
+            if seg.sign not in (-1, 1):
+                raise ValueError(f"segment {i} sign must be +1 or -1")
+            if not math.isfinite(seg.duration):
+                raise ValueError(f"segment {i} duration must be finite, got {seg.duration}")
+            end = t + abs(seg.duration)
+            if end > t:
+                pm = fields[seg.field_index - 1].pieces[0][2]
+                pieces.append((t, end, negated(pm) if seg.sign * seg.duration < 0 else pm))
+                t = end
+        return VectorField(pieces, min(f.smoothness_order for f in fields)) if pieces else None
+
     def to_json(self) -> list[dict]:
         return [{"field_index": s.field_index, "sign": s.sign, "duration": s.duration}
                 for s in self.segments]
@@ -262,16 +288,15 @@ def _segment(i: int, row) -> Segment:
         raise ValueError(f"{where} is malformed: {row!r}") from None
 
 
-def run_segments(fields, segments, q, solver: FlowSolver) -> np.ndarray:
-    """Follow the flow segments in turn from q, once every field index is checked."""
-    fields, segments = list(fields), list(segments)
-    for i, seg in enumerate(segments):
-        if not 1 <= seg.field_index <= len(fields):
-            raise IndexError(f"segment {i} uses V{seg.field_index}, out of range")
-    for seg in segments:
-        fm = FlowMap(fields[seg.field_index - 1], 0.0, seg.duration, solver)
-        q = flow_map(fm, q) if seg.sign > 0 else inverse_flow(fm, q)
-    return q
+def run_schedule(sched: ControlSchedule, fields, q, solver: FlowSolver,
+                 start: float = 0.0) -> tuple[np.ndarray, float]:
+    """One solve of ``sched.field(fields, start)`` from q over its window: the
+    endpoint and the clock at its end (q and ``start`` when no segment has a piece)."""
+    field = sched.field(fields, start)
+    if field is None:
+        return as_point(q), start
+    end = field.window[1]
+    return flow_map(FlowMap(field, start, end, solver), q), end
 
 
 def flow_operator_apply(fm: FlowMap, obs: Observable, q) -> np.ndarray:

@@ -39,7 +39,7 @@ from .flow import (
     chained_trajectory,
     flow_map,
     inverse_flow,
-    run_segments,
+    run_schedule,
 )
 from .quadrature import gauss_legendre
 
@@ -186,8 +186,10 @@ def bracket_program(expr: BracketExpression, t: float) -> ControlSchedule:
 
 
 def run_program(program: ControlSchedule, fields, q, solver: FlowSolver) -> np.ndarray:
-    """Execute the flow segments left to right from q."""
-    return run_segments(fields, program.segments, as_point(q), solver)
+    """Endpoint of one solve of ``program.field(fields)`` from q: on a clock from 0, a
+    duration d enters as fl(T + d) - T, a negative one flips the sign, a segment that
+    does not move the clock has no piece, and a program with none (t = 0) gives q."""
+    return run_schedule(program, fields, as_point(q), solver)[0]
 
 
 def flow_bracket(expr: BracketExpression, fields, t: float, q,

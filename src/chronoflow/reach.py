@@ -1,14 +1,17 @@
 """Affine control systems, bracket-generating rank tests, and a greedy planner.
 
 Admissible controls are piecewise constant with one active component of
-value +1 or -1 per segment; magnitudes live in segment durations only.
+value +1 or -1 per segment; magnitudes live in segment durations only.  A
+schedule runs as one piecewise field (``ControlSchedule.field``) on a clock
+from 0: at clock time T a duration d enters as fl(T + d) - T, a negative
+duration flips the sign, a segment that does not move the clock has no
+piece, and the empty schedule is the identity.
 The rank test evaluates a canonical set of iterated brackets at a point
 and counts singular values; full rank at the start certifies the planner's
 precondition.  The planner itself is a constructive desk-scale witness of
-approximate controllability: it composes bracket motions greedily along
-one chained trajectory, and its endpoint is that trajectory's end, equal
-bit for bit to ``simulate_schedule`` of the returned schedule from the
-start point.
+approximate controllability: it solves each bracket motion it tries at its
+offset on the plan's clock, so its endpoint equals bit for bit
+``simulate_schedule`` of the returned schedule from the start point.
 """
 from __future__ import annotations
 
@@ -21,7 +24,7 @@ import numpy as np
 from .errors import DimensionError, PlannerPreconditionError, StalledError
 from .fields import VectorField, as_int, as_point, eval_field, vector_norm
 from .flow import (  # noqa: F401 (re-exports Segment; perfbench reads reach.flow_map)
-    ControlSchedule, FlowSolver, Segment, flow_map, run_segments)
+    ControlSchedule, FlowSolver, Segment, flow_map, run_schedule)
 
 if TYPE_CHECKING:  # liealg loads in the functions that use it; simulate needs none of it
     from .liealg import BracketExpression
@@ -56,13 +59,13 @@ class AffineControlSystem:
 
 def simulate_schedule(sys: AffineControlSystem, q0, sched: ControlSchedule,
                       solver: FlowSolver) -> np.ndarray:
-    """Endpoint of the trajectory following each signed segment in turn."""
+    """Endpoint of one solve of ``sched.field(sys.fields)`` from q0: on a clock from 0,
+    a duration d enters as fl(T + d) - T, a segment that does not move the clock
+    has no piece, and the empty schedule gives q0.  Durations must be positive."""
     for i, seg in enumerate(sched.segments):
-        if seg.sign not in (-1, 1):
-            raise ValueError(f"segment {i} sign must be +1 or -1")
         if seg.duration <= 0:
             raise ValueError(f"segment {i} duration must be positive")
-    return run_segments(sys.fields, sched.segments, as_point(q0, sys.dim), solver)
+    return run_schedule(sched, sys.fields, as_point(q0, sys.dim), solver)[0]
 
 
 @dataclass(eq=False)
@@ -203,6 +206,7 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
         )
 
     schedule = ControlSchedule(())
+    elapsed = 0.0  # the plan's clock: each motion is solved where a replay solves it
     fraction = step_fraction
     halvings = 0
     iterations = 0
@@ -227,9 +231,9 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
         else:
             motion = bracket_motion(sys, basis[pick], magnitude,
                                     sign=1 if coeffs[pick] > 0 else -1)
-            candidate = simulate_schedule(sys, point, motion, solver)
+            candidate, end = run_schedule(motion, sys.fields, point, solver, elapsed)
             if vector_norm(goal - candidate) < residual_norm:
-                point = candidate
+                point, elapsed = candidate, end
                 schedule = schedule.concat(motion)
                 fraction = step_fraction
                 halvings = 0

@@ -503,6 +503,27 @@ def test_overflowing_series_is_a_floating_point_error(call, message):
         call()
 
 
+X40 = Observable(PolynomialMap(2, 1, [[(1.0, (40, 0))]]), 40)
+
+
+def test_overflowing_direct_remainder_is_a_floating_point_error():
+    # the lifts of x^40 overflow a float at (1e10, 0.2), a state the solver accepts
+    args = (rotation2d(), X40, [1e10, 0.2], 0.0, 0.1)
+    message = r"^the direct remainder integral on \[0.0, 0.1\] is not finite$"
+    with pytest.raises(FloatingPointError, match=message):
+        remainder_eval(*args, 2, FlowSolver(100), method="direct")
+    with pytest.raises(FloatingPointError, match=message):
+        integral_equation_residual(*args, FlowSolver(100))
+
+
+def test_overflowing_observable_at_an_end_is_a_floating_point_error():
+    # along (0, 1) every lift of x^40 is 0, so only the observable overflows
+    with pytest.raises(FloatingPointError,
+                       match=r"^the observable at an end of \[0.0, 0.1\] is not finite$"):
+        integral_equation_residual(constant_field([0.0, 1.0]), X40, [1e10, 0.2], 0.0, 0.1,
+                                   FlowSolver(100))
+
+
 def test_simplex_volume_whose_power_or_factorial_overflows_is_finite():
     # 0.5^200 / 200! underflows to 0, and 1e3^200 / 200! is about 1e600 / 7.9e374,
     # which the int division rounds correctly

@@ -147,20 +147,21 @@ def test_plan_simulate_roundtrip(tmp_path):
     replay = run_cli("simulate", "--system", "heisenberg", "--q0", "0,0,0",
                      "--schedule", str(plan_path), "--steps-per-unit", "400")
     assert replay.returncode == 0
-    endpoint = json.loads(replay.stdout)["endpoint"]
-    assert np.linalg.norm(np.array(endpoint) - plan_doc["endpoint"]) <= 1e-9
+    # the plan's endpoint is the replay's, bit for bit, and 17 digits carry every bit
+    assert json.loads(replay.stdout)["endpoint"] == plan_doc["endpoint"]
 
 
 def test_plan_csv_schedule_feeds_simulate(tmp_path):
-    csv_path = tmp_path / "schedule.csv"
-    result = run_cli("plan", "--system", "heisenberg", "--q0", "0,0,0",
-                     "--target", "0,0,0.04", "--epsilon", "1e-3",
-                     "--steps-per-unit", "400", "--format", "csv",
-                     "--output", str(csv_path))
-    assert result.returncode == 0
+    plan = ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04",
+            "--epsilon", "1e-3", "--steps-per-unit", "400")
+    csv_path, json_path = tmp_path / "schedule.csv", tmp_path / "plan.json"
+    assert run_cli(*plan, "--format", "csv", "--output", str(csv_path)).returncode == 0
+    assert run_cli(*plan, "--output", str(json_path)).returncode == 0
     replay = run_cli("simulate", "--system", "heisenberg", "--q0", "0,0,0",
                      "--schedule", str(csv_path), "--steps-per-unit", "400")
     assert replay.returncode == 0
+    assert (json.loads(replay.stdout)["endpoint"]
+            == json.loads(json_path.read_text())["endpoint"])
 
 
 def test_plan_stall_exits_3():
@@ -191,6 +192,23 @@ def test_flow_bracket_table():
     assert lines[0] == "t,q_1,q_2,q_3"
     last = [float(x) for x in lines[-1].split(",")]
     assert abs(last[3] - 0.04) <= 1e-8
+
+
+def test_flow_bracket_at_negative_times_runs_the_flipped_program(capsys):
+    # a negative duration flips each segment's sign: the Heisenberg square is still
+    # q + t^2 e3, and each row is the library's endpoint
+    from chronoflow import BracketExpression, FlowSolver, flow_bracket, heisenberg_fields
+    argv = ["flow-bracket", "--system", "heisenberg", "--expr", "[V1,V2]", "--q", "0,0,0",
+            "--t-max", "-0.2", "--grid", "2", "--steps-per-unit", "400"]
+    assert cli.main(argv) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [row["t"] for row in rows] == [-0.1, -0.2]
+    for row in rows:
+        t = row["t"]
+        assert row["endpoint"] == flow_bracket(BracketExpression.parse("[V1,V2]"),
+                                               heisenberg_fields(), t, [0.0, 0.0, 0.0],
+                                               FlowSolver(400)).tolist()
+        assert abs(row["endpoint"][2] - t * t) <= 1e-12
 
 
 def test_param_deriv_command():
@@ -415,6 +433,23 @@ def test_malformed_file_exits_2(tmp_path, name, text, argv):
     assert result.returncode == 2
     assert result.stdout == ""
     assert len(result.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("name, text, shown", [
+    ("nan.csv", "segment,field_index,sign,duration\n0,1,1,0.1\n1,2,1,nan\n", "nan"),
+    ("inf.csv", "segment,field_index,sign,duration\n0,1,1,0.1\n1,2,1,inf\n", "inf"),
+    ("nan.json", '[{"field_index": 1, "sign": 1, "duration": 0.1}, '
+     '{"field_index": 2, "sign": 1, "duration": NaN}]', "nan"),
+    ("inf.json", '[{"field_index": 1, "sign": 1, "duration": 0.1}, '
+     '{"field_index": 2, "sign": 1, "duration": Infinity}]', "inf"),
+], ids=["csv-nan", "csv-inf", "json-nan", "json-inf"])
+def test_non_finite_duration_exits_2(tmp_path, name, text, shown):
+    # a NaN duration would not move the clock and so pass as the identity
+    path = tmp_path / name
+    path.write_text(text)
+    result = run_cli(*SCHEDULE, str(path))
+    assert (result.returncode, result.stdout, result.stderr) == (
+        2, "", f"error: segment 1 duration must be finite, got {shown}\n")
 
 
 @pytest.mark.parametrize("name, text, argv, message", [

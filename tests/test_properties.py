@@ -398,7 +398,7 @@ def remainder_past_the_series(field: VectorField, q, t: float):
 @settings(max_examples=15, deadline=None, database=None, derandomize=True)
 @given(triangular_systems(), st.data())
 def test_segment_executor_converges_to_the_exact_lie_series_at_order_4(sys, data):
-    # simulate_schedule and flow_bracket both run through run_segments; the
+    # simulate_schedule and flow_bracket both solve ControlSchedule.field once; the
     # oracle composes exact polynomial flows and shares no code with RK4
     q = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=sys.dim, max_size=sys.dim))
     rows = data.draw(st.lists(st.tuples(st.integers(1, 2), st.sampled_from((1, -1)),

@@ -12,9 +12,12 @@ from chronoflow import (
     ControlSchedule,
     FlowMap,
     FlowSolver,
+    Observable,
     PlannerPreconditionError,
     Segment,
+    VectorField,
     bracket_motion,
+    bracket_program,
     bracket_rank,
     brockett_fields,
     canonical_bracket_basis,
@@ -22,10 +25,10 @@ from chronoflow import (
     flow_bracket,
     flow_map,
     heisenberg_fields,
-    inverse_flow,
     plan_reach,
     simulate_schedule,
     unicycle_fields,
+    volterra_truncate,
 )
 from chronoflow.liealg import run_program
 
@@ -251,7 +254,7 @@ def test_plan_endpoint_is_the_replay_bit_for_bit(system, degree, target):
 @pytest.mark.parametrize("system,degree,target", PLANNERS)
 def test_plan_solves_each_tried_motion_once(monkeypatch, system, degree, target):
     # Every solve goes through _flow_core and every attempt through bracket_motion:
-    # the planner solves the motions it tries and nothing else.
+    # the planner solves each motion it tries as one field, and nothing else.
     solves, motions, builds = [], [], []
     core = chronoflow.flow._flow_core
     make_motion = chronoflow.reach.bracket_motion
@@ -274,7 +277,7 @@ def test_plan_solves_each_tried_motion_once(monkeypatch, system, degree, target)
     monkeypatch.setattr(chronoflow.liealg, "lie_bracket_map", counting_bracket)
     result = plan_reach(system, [0.0, 0.0, 0.0], target, 1e-3, degree, 200, SOLVER)
     assert result.iterations > 1
-    assert len(solves) == sum(len(m.segments) for m in motions)
+    assert len(solves) == len(motions)
     # each bracket of the basis is built once per call, not once per iteration
     basis = canonical_bracket_basis(len(system.fields), degree)
     assert len(builds) == sum(not e.is_leaf for e in basis)
@@ -291,24 +294,28 @@ def test_plan_stall_best_is_the_chained_state():
 
 
 def test_simulate_and_run_program_match_the_segment_loop():
-    # the shared executor must give the bits of a plain loop over the segments
+    # the shared executor must give the bits of a plain loop over the segments, each
+    # the autonomous field +V_i or -V_i over [T_i, T_i + d_i] on the schedule's clock
     rng = np.random.default_rng(9)
-    segs = tuple(Segment(int(rng.integers(1, 3)), int(rng.choice([-1, 1])),
-                         float(rng.uniform(0.05, 0.3))) for _ in range(8))
     q0 = np.array([0.1, -0.2, 0.05])
-    expected = q0
-    for seg in segs:
-        fm = FlowMap(HEIS.fields[seg.field_index - 1], 0.0, seg.duration, SOLVER)
-        expected = flow_map(fm, expected) if seg.sign > 0 else inverse_flow(fm, expected)
-    assert np.array_equal(simulate_schedule(HEIS, q0, ControlSchedule(segs), SOLVER),
-                          expected)
+    for _ in range(20):
+        segs = tuple(Segment(int(rng.integers(1, 3)), int(rng.choice([-1, 1])),
+                             float(rng.uniform(0.05, 0.3))) for _ in range(8))
+        expected, clock = q0, 0.0
+        for seg in segs:
+            pm = HEIS.fields[seg.field_index - 1].pieces[0][2]
+            field = VectorField.autonomous(pm if seg.sign > 0 else pm.scaled(-1.0))
+            expected = flow_map(FlowMap(field, clock, clock + seg.duration, SOLVER), expected)
+            clock += seg.duration
+        assert np.array_equal(simulate_schedule(HEIS, q0, ControlSchedule(segs), SOLVER),
+                              expected)
     program = ControlSchedule(tuple(Segment(s.field_index, s.sign, 0.2) for s in segs))
     assert np.array_equal(run_program(program, HEIS.fields, q0, SOLVER),
                           simulate_schedule(HEIS, q0, program, SOLVER))
 
 
 def test_every_segment_index_is_checked_before_any_flow_runs(monkeypatch):
-    # run_segments is the one home of the index rule, for schedules and programs
+    # ControlSchedule.field is the one home of the index rule, for schedules and programs
     assert chronoflow.reach.Segment is chronoflow.flow.Segment
     assert chronoflow.reach.ControlSchedule is chronoflow.flow.ControlSchedule
     for name in ("flow_map", "inverse_flow"):
@@ -316,6 +323,91 @@ def test_every_segment_index_is_checked_before_any_flow_runs(monkeypatch):
     sched = ControlSchedule((Segment(1, 1, 0.1), Segment(2, -1, 0.1), Segment(3, 1, 0.1)))
     with pytest.raises(IndexError, match=r"^segment 2 uses V3, out of range$"):
         simulate_schedule(HEIS, [0.0, 0.0, 0.0], sched, SOLVER)
+
+
+@pytest.mark.parametrize("duration", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_durations_are_rejected_naming_the_segment(duration):
+    # t < t + abs(nan) is False: unchecked, a NaN segment would be the identity
+    q = [0.1, -0.2, 0.05]
+    program = ControlSchedule((Segment(1, 1, 0.1), Segment(2, -1, duration)))
+    with pytest.raises(ValueError, match=r"^segment 1 duration must be finite, got "):
+        run_program(program, HEIS.fields, q, SOLVER)
+    with pytest.raises(ValueError, match=r"^segment 0 duration must be finite, got "):
+        flow_bracket(BracketExpression.parse("[V1,V2]"), HEIS.fields, duration, q, SOLVER)
+    with pytest.raises(ValueError, match=r"^segment 1 duration must be "):
+        simulate_schedule(HEIS, q, program, SOLVER)
+
+
+def test_a_negative_duration_is_the_flipped_sign_bit_for_bit():
+    rng = np.random.default_rng(5)
+    segs = tuple(Segment(int(rng.integers(1, 3)), int(rng.choice([-1, 1])),
+                         float(rng.uniform(0.05, 0.3))) for _ in range(8))
+    flipped = tuple(Segment(s.field_index, -s.sign, -s.duration) for s in segs)
+    q = np.array([0.1, -0.2, 0.05])
+    assert np.array_equal(run_program(ControlSchedule(flipped), HEIS.fields, q, SOLVER),
+                          simulate_schedule(HEIS, q, ControlSchedule(segs), SOLVER))
+    # so the commutator at -t is the program at t with every sign flipped
+    expr = BracketExpression.parse("[[V1,V2],V1]")
+    program = bracket_program(expr, 0.15)
+    signs_flipped = ControlSchedule(tuple(Segment(s.field_index, -s.sign, s.duration)
+                                          for s in program.segments))
+    assert np.array_equal(flow_bracket(expr, HEIS.fields, -0.15, q, SOLVER),
+                          run_program(signs_flipped, HEIS.fields, q, SOLVER))
+
+
+def test_segments_that_do_not_move_the_clock_give_back_the_start_point():
+    q = np.array([0.3, -0.1, 0.2])
+    assert ControlSchedule(()).field(HEIS.fields) is None
+    zero = ControlSchedule((Segment(1, 1, 0.0), Segment(2, -1, -0.0)))
+    assert zero.field(HEIS.fields) is None
+    for sched in (ControlSchedule(()), zero):
+        assert np.array_equal(run_program(sched, HEIS.fields, q, SOLVER), q)
+    assert np.array_equal(simulate_schedule(HEIS, q, ControlSchedule(()), SOLVER), q)
+    # 1e-20 is far below the ulp of the clock at 1.0, so that segment has no piece
+    long = ControlSchedule((Segment(1, 1, 1.0),))
+    tiny = long.concat(ControlSchedule((Segment(2, 1, 1e-20),)))
+    assert tiny.field(HEIS.fields).pieces == long.field(HEIS.fields).pieces
+    assert np.array_equal(simulate_schedule(HEIS, q, tiny, SOLVER),
+                          simulate_schedule(HEIS, q, long, SOLVER))
+
+
+def test_schedule_field_runs_on_its_clock_from_start():
+    sched = ControlSchedule((Segment(1, 1, 0.25), Segment(2, -1, -0.5), Segment(1, -1, 0.125)))
+    field = sched.field(HEIS.fields, start=2.0)
+    v1, v2 = (f.pieces[0][2] for f in HEIS.fields)
+    assert field.pieces == ((2.0, 2.25, v1), (2.25, 2.75, v2), (2.75, 2.875, v1.scaled(-1.0)))
+    for start in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match=r"^the schedule's start must be finite, got "):
+            sched.field(HEIS.fields, start)
+    # each negated map is built once per call
+    twice = ControlSchedule((Segment(1, -1, 0.1), Segment(1, 1, -0.1)))
+    first, second = (pm for _, _, pm in twice.field(HEIS.fields).pieces)
+    assert first is second
+
+
+def test_schedule_fields_must_be_autonomous():
+    windowed = VectorField.piecewise([(0.0, 1.0, HEIS.fields[0].pieces[0][2])])
+    with pytest.raises(ValueError, match=r"^segment 0 uses V1, which is not autonomous$"):
+        flow_bracket(BracketExpression.parse("[V1,V2]"), [windowed, HEIS.fields[1]], 0.1,
+                     [0.0, 0.0, 0.0], SOLVER)
+
+
+@pytest.mark.parametrize("fields", [heisenberg_fields(), brockett_fields(),
+                                    unicycle_fields()], ids=["heisenberg", "brockett",
+                                                             "unicycle"])
+def test_series_tools_accept_a_schedule(fields):
+    # every word of three lifts kills the identity on these fields, so the order-3
+    # truncation of the schedule's field is its flow, which RK4 also solves exactly
+    system = AffineControlSystem.of(fields)
+    rng = np.random.default_rng(17)
+    for _ in range(30):
+        sched = ControlSchedule(tuple(
+            Segment(int(rng.integers(1, 3)), int(rng.choice([-1, 1])),
+                    float(rng.uniform(0.01, 0.3))) for _ in range(int(rng.integers(1, 7)))))
+        q0 = rng.uniform(-0.5, 0.5, 3)
+        field = sched.field(system.fields)
+        series = volterra_truncate(field, Observable.identity(3), q0, 0.0, field.window[1], 3)
+        assert np.max(np.abs(series - simulate_schedule(system, q0, sched, SOLVER))) <= 1e-12
 
 
 def test_reversed_schedule_is_the_inverse_point_map():

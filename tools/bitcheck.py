@@ -2,7 +2,8 @@
 
 Each section hashes the exact bits of a fixed set of results: flows,
 Volterra series and remainders, witnesses, parameter derivatives, identity
-residuals, plans and bracket ranks, on catalog fields, random autonomous
+residuals, plans and bracket ranks, and control schedules (commutators of
+flows and schedule replays), on catalog fields, random autonomous
 fields and piecewise fields (pieces of distinct tables, and pieces that
 repeat two tables, shared or built apart), in both time directions.  The
 series and witnesses have one section per kind of field (autonomous,
@@ -167,6 +168,26 @@ def _plans(points):
             yield stalled.best
 
 
+def _schedules(points):
+    """Commutators of flows at t > 0, t < 0 and t = 0 for degrees 1 to 3, and replays
+    of fixed schedules, one with segments near and far below the clock's ulp."""
+    for fields in (cf.heisenberg_fields(), cf.brockett_fields()):
+        for text in ("V1", "[V1,V2]", "[[V1,V2],V1]"):
+            expr = cf.BracketExpression.parse(text)
+            for t in (0.3, -0.3, 0.0):
+                for q in points:
+                    yield cf.flow_bracket(expr, fields, t, q, SOLVER)
+    # at a clock of 1.25, 1e-20 is no piece and 1e-15 a piece of 1.11e-15, one step
+    schedules = [((1, 1, 0.3), (2, -1, 0.45), (1, -1, 0.1), (2, 1, 0.7), (1, 1, 0.05)),
+                 ((1, 1, 1.25), (2, 1, 1e-20), (2, -1, 1e-15), (1, -1, 0.2))]
+    for fields in (cf.heisenberg_fields(), cf.brockett_fields(), cf.unicycle_fields()):
+        system = cf.AffineControlSystem.of(fields)
+        for rows in schedules:
+            sched = cf.ControlSchedule(tuple(cf.Segment(*row) for row in rows))
+            for q in points:
+                yield cf.simulate_schedule(system, q, sched, SOLVER)
+
+
 def sections() -> dict[str, object]:
     """Section name -> generator of its results, in a fixed order."""
     autonomous = _autonomous_fields()
@@ -187,6 +208,7 @@ def sections() -> dict[str, object]:
         "param_deriv": _param_derivatives(every, points),
         "residuals": _residuals(autonomous, piecewise, points),
         "plans": _plans(points),
+        "schedules": _schedules(points),
     }
 
 
