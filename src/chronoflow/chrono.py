@@ -194,14 +194,14 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
     states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
                                    point, solver)
-    moved = dict(zip(times, (state.tolist() for state in states)))
+    moved = dict(zip(times, states.tolist()))
     # per component, in leaf order from 0.0: the float operations of a numpy sum
     integral = [0.0] * obs.dim_out
     for x, w, lift in leaves:
         integral = [s + w * v for s, v in zip(integral, lift._evaluator(moved[x]))]
     if not all(map(math.isfinite, integral)):
         raise FloatingPointError(f"the direct remainder integral on [{t0}, {t}] is not finite")
-    return np.array(integral), states[-1] if states else point
+    return np.array(integral), states[-1] if len(states) else point
 
 
 def fit_order(t_grid: np.ndarray, norms: np.ndarray,

@@ -135,7 +135,7 @@ def _advance_piece(pm, q: list[float], mat: list[float] | None, a: float, b: flo
 
 
 def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
-               want_pushforward: bool) -> tuple[list[np.ndarray], list[np.ndarray]]:
+               want_pushforward: bool) -> tuple[np.ndarray, np.ndarray | list]:
     """Walk one trajectory of ``field`` from (t0, q) through ``times`` in one pass.
 
     The point, the times and the window are checked once, and the times
@@ -144,8 +144,10 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     single solve would split it, and the state passes from node to node as
     a list of floats.  With ``want_pushforward`` each node's matrix restarts
     at the identity, giving the segment pushforward of its interval, and
-    its step count restarts at 0.  Returns the states at ``times`` and the
-    segment pushforwards (an empty list without ``want_pushforward``).
+    its step count restarts at 0.  The nodes stay float lists until the pass
+    ends, which converts them once: returns the (N, n) states at the N
+    ``times`` and the (N, n, n) segment pushforwards (an empty list without
+    ``want_pushforward``).
     """
     point = as_point(q, field.dim).tolist()
     t0, times = float(t0), [float(t) for t in times]
@@ -157,18 +159,19 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     if want_pushforward:
         identity = [0.0] * (n * n)
         identity[::n + 1] = [1.0] * n
-    states: list[np.ndarray] = []
-    segments: list[np.ndarray] = []
+    states: list[list[float]] = []
+    segments: list[list[float]] = []
     start = t0
     for t in times:
         mat, step_base = identity, 0
         for a, b, pm in field.parts(start, t):
             point, mat, step_base = _advance_piece(pm, point, mat, a, b, solver, step_base)
-        states.append(np.array(point))
+        states.append(point)
         if want_pushforward:
-            segments.append(np.array(mat).reshape(n, n))
+            segments.append(mat)
         start = t
-    return states, segments
+    mats = np.array(segments).reshape(len(times), n, n) if want_pushforward else []
+    return (np.array(states) if times else np.empty((0, n))), mats  # no rows: shape (0, n)
 
 
 def flow_map(fm: FlowMap, q) -> np.ndarray:
@@ -314,10 +317,12 @@ def _transport(fm: FlowMap, pieces, r) -> np.ndarray:
     """Row i is F_*V_i(r) = N^-1 V_i(F^-1(r)) for the flow map F of ``fm``.
 
     One variational solve of the inverse flow from r gives F^-1(r) and its
-    differential N = D(F^-1)(r); one stacked solve applies N^-1 to all pieces.
+    differential N = D(F^-1)(r); each piece's compiled evaluator takes F^-1(r)
+    as floats, and one stacked solve applies N^-1 to all pieces.
     """
     states, segments = _flow_core(fm.field, fm.t1, [fm.t0], r, fm.solver, True)
-    return _solve_columns(segments[0], [piece(states[0]) for piece in pieces])
+    (row,) = states.tolist()
+    return _solve_columns(segments[0], [piece._evaluator(row) for piece in pieces])
 
 
 def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> NumericalField:
@@ -333,14 +338,17 @@ def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> Numeric
 
 
 def chained_trajectory(field: VectorField, t0: float, times, q, solver: FlowSolver,
-                       pushforward: bool = False) -> tuple[list[np.ndarray], list[np.ndarray]]:
+                       pushforward: bool = False) -> tuple[np.ndarray, np.ndarray | list]:
     """One trajectory from (t0, q), solved segment by segment through ``times``.
 
     One pass of the executor single solves use (``_flow_core``), so each
     state has the bits of a single solve from the previous one.  Returns the
-    states at ``times`` and, with ``pushforward``, the segment pushforwards
-    S_i of the flow times[i-1] -> times[i] (t0 for the first); the
-    pushforward between two nodes is the product S_j ... S_{i+1}.
+    states at the N ``times`` as one (N, n) array and, with ``pushforward``,
+    the segment pushforwards S_i of the flow times[i-1] -> times[i] (t0 for
+    the first) as one (N, n, n) array, each converted once per pass; the
+    pushforward between two nodes is the product S_j ... S_{i+1}.  Callers
+    evaluate fields at the nodes through ``states.tolist()`` and a piece's
+    compiled evaluator, not one ``eval_field`` per node.
     """
     return _flow_core(field, t0, times, q, solver, pushforward)
 
@@ -352,6 +360,8 @@ def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float
     One fixed grid over [t0, t1], with no breakpoint splitting: a caller
     whose evaluator is piecewise in time solves each interval in turn.
     """
+    if not (math.isfinite(t0) and math.isfinite(t1)):  # before the t1 == t0 shortcut
+        raise ValueError(f"flow times must be finite, got [{t0}, {t1}]")
     point = as_point(q, dim)
     if t1 == t0:
         return point

@@ -265,21 +265,22 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
     the forward one, P_{0,tau}'s differential at q.  One variational pass
     from q through the quadrature nodes to t supplies all of them as
     products of segment pushforwards, and one stacked linear solve applies
-    their inverses; the bracket is the exact coordinate bracket.
+    their inverses; the bracket is the exact coordinate bracket, and it and
+    W are evaluated through their compiled evaluators on the pass's states.
     """
     if not (v.is_autonomous and w.is_autonomous):
         raise ValueError("the adjoint identity check expects autonomous fields")
     point = as_point(q, v.dim)
-    bracket = lie_bracket_field(v, w)
+    bracket, w_map = lie_bracket_field(v, w).piece_at(0.0), w.piece_at(0.0)
     xs, ws = gauss_legendre(0.0, t, nodes)
     states, segments = chained_trajectory(v, 0.0, list(xs) + [t], point, solver,
                                           pushforward=True)
 
     forwards = list(accumulate(segments, lambda f, m: m @ f, initial=np.eye(v.dim)))
-    values = [eval_field(bracket, 0.0, x_tau) for x_tau in states[:-1]]
-    pulled = _solve_columns(np.array(forwards[1:]),
-                            values + [eval_field(w, 0.0, states[-1])])
-    total = eval_field(w, 0.0, point).astype(float)
+    rows = states.tolist()
+    values = [bracket._evaluator(x_tau) for x_tau in rows[:-1]]
+    pulled = _solve_columns(np.array(forwards[1:]), values + [w_map._evaluator(rows[-1])])
+    total = w_map(point)
     for weight, value in zip(ws, pulled):
         total += weight * value
     return float(np.linalg.norm(pulled[-1] - total))

@@ -17,7 +17,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionError
-from .fields import VectorField, add_fields, as_point, eval_field
+from .fields import VectorField, add_fields, as_point
 from .flow import (
     FlowMap,
     FlowSolver,
@@ -75,7 +75,9 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     along the trajectory; ``mode="out"`` pulls each contribution back to
     the start through the inverse of pushforward(t0 -> tau_i) = S_i ... S_1
     and applies the full product once outside the integral; one stacked
-    linear solve pulls back every contribution.  Because both
+    linear solve pulls back every contribution.  W's piece at each node
+    is evaluated by its compiled evaluator on the pass's states, and the
+    weights apply in one broadcast.  Because both
     modes share the same S_i they agree to rounding: they are two
     evaluations of one numerical route, not independent checks of each
     other.  ``fd_param_derivative`` is the independent oracle.
@@ -83,13 +85,14 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     if mode not in (IN_FORMULA, OUT_FORMULA):
         raise ValueError(f"mode must be '{IN_FORMULA}' or '{OUT_FORMULA}'")
     point = as_point(q, sys.base_field.dim)
-    if sys.t1 == sys.t0:
-        return np.zeros(sys.base_field.dim)
     xs, ws = _quad_nodes(sys, nodes)
+    if not xs:  # no part of [t0, t1] is longer than parts' cutoff, t1 == t0 included
+        return np.zeros(sys.base_field.dim)
     states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], point,
                                           solver, pushforward=True)
-    contributions = [w * eval_field(sys.perturbation_field, tau, p)
-                     for tau, w, p in zip(xs, ws, states)]
+    piece_at = sys.perturbation_field.piece_at
+    values = [piece_at(tau)._evaluator(p) for tau, p in zip(xs, states.tolist())]
+    contributions = np.array(ws)[:, None] * np.array(values)
 
     total = np.zeros(sys.base_field.dim)
     if mode == IN_FORMULA:

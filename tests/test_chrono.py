@@ -27,6 +27,7 @@ from chronoflow import (
     simplex_volume,
     volterra_truncate,
 )
+from chronoflow.chrono import _direct_remainder
 from chronoflow.quadrature import MAX_NODES, gauss_legendre
 
 SOLVER = FlowSolver(1000)
@@ -240,6 +241,20 @@ def test_integral_equation_residual_trivial():
     phi = Observable.identity(2)
     assert integral_equation_residual(rotation2d(), phi, [1.0, 0.0], 0.5, 0.5,
                                       SOLVER) == 0.0
+
+
+@pytest.mark.parametrize("t", [0.5, 0.5 + 1e-16])
+def test_direct_remainder_with_no_times_ends_at_the_start(t):
+    # no part of [0.5, t] is longer than parts' cutoff: the pass has no times, its
+    # stacked states have zero rows, and the last state is the start point; walked on
+    # to t, the pass has the one time t, where the point has not moved
+    phi, q = Observable.identity(2), np.array([1.0, -0.5])
+    integral, end = _direct_remainder(rotation2d(), phi, q, 0.5, t, 2, SOLVER, 4)
+    assert np.array_equal(integral, np.zeros(2)) and end is q
+    integral, end = _direct_remainder(rotation2d(), phi, q, 0.5, t, 1, SOLVER, 4,
+                                      to_end=True)
+    assert np.array_equal(integral, np.zeros(2)) and np.array_equal(end, q)
+    assert integral_equation_residual(rotation2d(), phi, q, 0.5, t, SOLVER) == 0.0
 
 
 def test_integral_equation_residual_piecewise_constants():

@@ -212,6 +212,17 @@ def test_time_dependent_flow_rejects_nan_state():
     assert info.value.step == 1
 
 
+@pytest.mark.parametrize("t0,t1", [(math.nan, 1.0), (0.0, math.nan), (math.inf, 1.0),
+                                   (0.0, math.inf), (-math.inf, 1.0), (0.0, -math.inf),
+                                   (math.inf, math.inf), (math.nan, math.nan)])
+def test_time_dependent_flow_rejects_non_finite_times(t0, t1):
+    # checked before the t1 == t0 shortcut, which [inf, inf] would take, and before
+    # the step count, which would name a NaN end "nan RK4 steps"
+    with pytest.raises(ValueError, match=r"^flow times must be finite, got \[") as info:
+        flow_time_dependent(lambda t, x: -x, t0, t1, [1.0], FlowSolver(10))
+    assert str(info.value) == f"flow times must be finite, got [{t0}, {t1}]"
+
+
 def test_flow_operator_apply_rotation():
     phi = Observable.coordinate(2, 0)
     fm = FlowMap(rotation2d(), 0.0, math.pi / 2, SOLVER)
@@ -314,6 +325,19 @@ def test_chained_trajectory_matches_direct_solves():
     plain, none = chained_trajectory(field, 0.0, times, q, SOLVER)
     assert none == []
     assert_allclose(plain, states, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("times", [[0.3, 0.7, 1.2], [1.4, 0.2], [0.4], [0.4, 0.4], []])
+def test_chained_trajectory_stacks_each_pass_once(times):
+    # one (N, n) array of states and one (N, n, n) array of segment pushforwards,
+    # zero rows for no times; the no-pushforward pass returns no matrices
+    field, q = piecewise_benchmark(), np.array([0.5, -0.2])
+    states, segments = chained_trajectory(field, 0.0, times, q, SOLVER, pushforward=True)
+    assert states.shape == (len(times), 2) and states.dtype == np.float64
+    assert segments.shape == (len(times), 2, 2) and segments.dtype == np.float64
+    plain, none = chained_trajectory(field, 0.0, times, q, SOLVER)
+    assert plain.shape == (len(times), 2) and none == []
+    assert np.array_equal(plain, states)
 
 
 def _bits(value) -> bytes:

@@ -154,6 +154,16 @@ def test_zero_perturbation_gives_zero_vector():
                         np.zeros(3), atol=1e-14)
 
 
+@pytest.mark.parametrize("t1", [0.3, 0.3 + 1e-16, 0.3 - 1e-16])
+def test_window_with_no_part_gives_zero_in_both_modes(t1):
+    # a window no longer than parts' cutoff has no quadrature node, like t1 == t0;
+    # "out" stacked zero forward pushforwards and raised LinAlgError before
+    system = PerturbedSystem(V1, V2, 0.3, t1)
+    for mode in (IN_FORMULA, OUT_FORMULA):
+        result = param_derivative(system, [0.1, 0.2, 0.3], mode, SOLVER)
+        assert np.array_equal(result, np.zeros(3))
+
+
 @pytest.mark.parametrize("epsilon", [float("nan"), float("inf"), 0.0, -1e-4])
 def test_fd_param_derivative_rejects_bad_epsilon(epsilon):
     system = PerturbedSystem(V1, V2, 0.0, 0.5)

@@ -16,7 +16,11 @@ n = 6 all of these sit at the rounding floor; a chained trajectory must
 give the bits of one single solve per node on random piecewise fields;
 transported fields must match the two-solve route, and the stacked
 pull-backs of param_derivative, adjoint_check and the variation-of-
-parameters check the bits of one linear solve per node (dimension <= 6);
+parameters check the bits of one linear solve per node (dimension <= 6),
+and param_derivative, adjoint_check, transported fields and the variation-
+of-parameters check, whose node values come from the compiled evaluator
+on one stacked pass, the bits of one array and one eval_field per node
+(dimension <= 4, piecewise fields, both time directions);
 a Volterra truncation must be phi(q) plus its simplex terms, bit for bit
 on autonomous fields, and the lift witness must dominate the lift of every
 piece sequence (dimension <= 3, two or three pieces, k <= 4); Chen's walk
@@ -81,7 +85,7 @@ from chronoflow.fields import (
     eval_field,
     lift_map,
 )
-from chronoflow.flow import chained_trajectory, flow_time_dependent
+from chronoflow.flow import _solve_columns, chained_trajectory, flow_time_dependent
 from chronoflow.liealg import lie_bracket_field, lie_bracket_map
 from chronoflow.paramflow import _quad_nodes
 from chronoflow.quadrature import gauss_legendre
@@ -896,3 +900,107 @@ def test_stacked_pull_backs_match_per_node_solves(pair, data):
     coarse = FlowSolver(20)
     assert outcome(lambda: variation_of_parameters_check(v, w, q, t, coarse)) == outcome(
         lambda: per_evaluation_vop(v, w, q, t, coarse))
+
+
+def per_node_arrays(field, t0, times, q, solver):
+    """Reference nodes: the chained pass as one array per state and one per segment
+    pushforward, as the executor built them before it stacked a pass."""
+    states, segments = chained_trajectory(field, t0, times, q, solver, pushforward=True)
+    return ([np.array(state) for state in states.tolist()],
+            [np.array(mat) for mat in segments.tolist()])
+
+
+def per_node_param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
+                              nodes: int):
+    """Reference: param_derivative with one eval_field and one weight product per node."""
+    dim = sys.base_field.dim
+    xs, ws = _quad_nodes(sys, nodes)
+    if not xs:
+        return np.zeros(dim)
+    states, segments = per_node_arrays(sys.base_field, sys.t0, xs + [sys.t1], q, solver)
+    contributions = [w * eval_field(sys.perturbation_field, tau, p)
+                     for tau, w, p in zip(xs, ws, states)]
+    total = np.zeros(dim)
+    if mode == "in":
+        for mat, c in zip(segments, contributions):
+            total = mat @ total + c
+        return segments[-1] @ total
+    forwards = list(itertools.accumulate(segments, lambda f, m: m @ f,
+                                         initial=np.eye(dim)))
+    for value in _solve_columns(np.array(forwards[1:-1]), contributions):
+        total += value
+    return forwards[-1] @ total
+
+
+def per_node_value_adjoint_check(v, w, q, t, solver: FlowSolver, nodes: int) -> float:
+    """Reference: adjoint_check with one eval_field per node."""
+    bracket = lie_bracket_field(v, w)
+    xs, ws = gauss_legendre(0.0, t, nodes)
+    states, segments = per_node_arrays(v, 0.0, list(xs) + [t], q, solver)
+    forwards = list(itertools.accumulate(segments, lambda f, m: m @ f,
+                                         initial=np.eye(v.dim)))
+    values = [eval_field(bracket, 0.0, x_tau) for x_tau in states[:-1]]
+    pulled = _solve_columns(np.array(forwards[1:]), values + [eval_field(w, 0.0, states[-1])])
+    total = eval_field(w, 0.0, q).astype(float)
+    for weight, value in zip(ws, pulled):
+        total += weight * value
+    return float(np.linalg.norm(pulled[-1] - total))
+
+
+def per_node_transport(fm: FlowMap, pieces, r):
+    """Reference: _transport with each piece called on the node's own array."""
+    states, segments = per_node_arrays(fm.field, fm.t1, [fm.t0], r, fm.solver)
+    return _solve_columns(segments[0], [piece(states[0]) for piece in pieces])
+
+
+def per_node_vop(v, w, q, t, solver: FlowSolver) -> float:
+    """Reference: variation_of_parameters_check through ``per_node_transport``."""
+    direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), q)
+    corrected = q
+    for a, b, _ in v.parts(0.0, t):
+        for s, e, pm in w.parts(a, b):
+            corrected = flow_time_dependent(
+                lambda tau, z: per_node_transport(FlowMap(v, tau, 0.0, solver), [pm], z)[0],
+                s, e, corrected, solver, dim=v.dim)
+    return float(np.linalg.norm(direct - flow_map(FlowMap(v, 0.0, t, solver), corrected)))
+
+
+@st.composite
+def windowed_fields(draw, dim: int, max_cuts: int):
+    """An autonomous field, or up to ``max_cuts`` + 1 pieces on [-1, 1]."""
+    cuts = sorted(draw(st.lists(st.sampled_from((-0.6, -0.25, 0.1, 0.3, 0.55)),
+                                max_size=max_cuts, unique=True)))
+    maps = [draw(polynomial_maps(dim)) for _ in range(len(cuts) + 1)]
+    if not cuts:
+        return VectorField.autonomous(maps[0])
+    edges = [-1.0, *cuts, 1.0]
+    return VectorField.piecewise(zip(edges, edges[1:], maps))
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_node_values_keep_the_bits_of_per_node_evaluation(data):
+    # The stacked pass hands each consumer one array and node values come from the
+    # compiled evaluator on its float rows; the parent formulation made one array and
+    # one eval_field per node.  Both give the same bits, piecewise fields and both
+    # time directions included
+    dim = data.draw(dims)
+    v = data.draw(windowed_fields(dim, 2))
+    w = data.draw(windowed_fields(dim, 3))
+    q = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim).map(np.array))
+    t0, t1 = data.draw(st.sampled_from(((0.0, 0.7), (0.7, 0.0), (-0.8, 0.4), (0.4, -0.8))))
+    solver = FlowSolver(40)
+    sys = PerturbedSystem(v, w, t0, t1)
+    for mode in ("in", "out"):
+        assert outcome(lambda: param_derivative(sys, q, mode, solver, nodes=6)) == outcome(
+            lambda: per_node_param_derivative(sys, q, mode, solver, 6))
+    fm = FlowMap(v, t0, t1, solver)
+    t_eval = data.draw(st.sampled_from((t0, t1, 0.3)))
+    assert outcome(lambda: pushforward_field(fm, w, t_eval)(0.0, q)) == outcome(
+        lambda: per_node_transport(fm, [w.piece_at(t_eval)], q)[0])
+    coarse = FlowSolver(20)
+    assert outcome(lambda: variation_of_parameters_check(v, w, q, t1, coarse)) == outcome(
+        lambda: per_node_vop(v, w, q, t1, coarse))
+    v_auto, w_auto = (VectorField.autonomous(f.pieces[-1][2]) for f in (v, w))
+    assert outcome(lambda: adjoint_check(v_auto, w_auto, q, t1, solver, nodes=6)) == outcome(
+        lambda: per_node_value_adjoint_check(v_auto, w_auto, q, t1, solver, 6))
