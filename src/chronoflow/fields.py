@@ -9,9 +9,9 @@ contiguous time intervals, and an autonomous field is the one piece over
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.  Equal
-term tables share one compiled evaluator and one RK4 loop per process
-(``_compiled``, up to ``COMPILE_MEMO_SIZE`` tables); the memo is thread-safe,
-and a race compiles a table twice.
+term tables share one compiled evaluator and one variational RK4 loop per
+process (``_compiled``, up to ``COMPILE_MEMO_SIZE`` entries); the memo is
+thread-safe, and a race compiles a table twice.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -218,21 +218,24 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
     return namespace["_eval"]
 
 
-def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
+def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False) -> str:
     """Source of a fixed-step RK4 loop over the state and its n x n pushforward.
 
-    ``jac_tables`` is the row-major Jacobian (entry r*n + c is dV_r/dx_c).
-    The generated ``_rk4(f, q, m, a, h, n_steps, threshold, step_base)``
-    runs on Python floats: ``q`` the state and ``m`` the row-major matrix
-    as lists, ``f`` the piece's evaluator, called once per stage.  The
-    state takes the numpy stepper's operations in its order, so endpoints
-    are the bits of the plain flow.  The matrix solves M' = J(x) M with the
-    Jacobian inlined term by term: zero entries are skipped, and a row whose
-    Jacobian row is zero is never touched.  A step raises BlowUpError when
-    the state leaves the threshold or an updated matrix entry is not
-    finite; an overflowing power of the inlined Jacobian raises it at the
-    same step.
+    ``tables`` are the field's n term tables.  The generated
+    ``_rk4(q, m, a, h, n_steps, threshold, step_base)`` runs on Python floats,
+    ``q`` the state and ``m`` the row-major matrix as lists, and inlines the
+    field and its Jacobian (entry r*n + c is dV_r/dx_c, derived here) term by
+    term at each stage point.  The field is written as the evaluator writes it
+    (``_terms``, ``_sum_lines``, ``0.0`` for an empty component), so the state
+    takes the numpy stepper's operations in its order and endpoints are the
+    bits of the plain flow.  The matrix solves M' = J(x) M: zero Jacobian
+    entries are skipped, and a row whose Jacobian row is zero is never touched.
+    A step raises BlowUpError when the state leaves the threshold or an updated
+    matrix entry is not finite; an overflowing power raises it at the same step.
+    With ``calls`` the loop is ``_rk4(f, q, ...)`` and calls the evaluator ``f``
+    at each stage point in place of the inlined field.
     """
+    jac_tables = [_diff_terms(table, var) for table in tables for var in range(n)]
     state = [f"y{k}" for k in range(n)]
     rows = [r for r in range(n) if any(jac_tables[r * n + c] for c in range(n))]
     # rows of m that some Jacobian entry reads and that the loop updates: only
@@ -240,7 +243,7 @@ def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
     moving = sorted({k for r in rows for k in rows if jac_tables[r * n + k]})
     matrix = [f"m{r}_{c}" for r in range(n) for c in range(n)]
     lines = [
-        "def _rk4(f, q, m, a, h, n_steps, threshold, step_base):",
+        f"def _rk4({'f, ' if calls else ''}q, m, a, h, n_steps, threshold, step_base):",
         "    half = 0.5 * h",
         "    sixth = h / 6.0",
         f"    {', '.join(state)}, = q",
@@ -256,7 +259,11 @@ def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
         if s:
             point = [f"p{s + 1}_{k}" for k in range(n)]
             body += [f"{point[k]} = y{k} + {scale} * k{s}_{k}" for k in range(n)]
-        body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = f([{', '.join(point)}])")
+        if calls:
+            body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = f([{', '.join(point)}])")
+        else:
+            for k, table in enumerate(tables):
+                body += _sum_lines(f"k{s + 1}_{k}", _terms(table, point) or ["0.0"])
         if not rows:
             continue
         if s:
@@ -304,15 +311,17 @@ def _variational_source(jac_tables: Sequence[TermDict], n: int) -> str:
 @lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def _compiled(kind: str, key: tuple[int, tuple[tuple[tuple[Exps, float], ...], ...]]):
     """The compiled ``kind`` of the map whose ``PolynomialMap._key`` is ``key``: its
-    evaluator (``_compile_evaluator``), or, for a Jacobian map, the RK4 loop with
-    pushforward (``_variational_source``).  Equal maps have equal keys and generate
-    identical source, so every map with equal tables shares one function with its bits."""
+    evaluator (``"evaluator"``, ``_compile_evaluator``) or its RK4 loop with
+    pushforward (``_variational_source``), with the field inlined (``"variational"``)
+    or called through an evaluator (``"variational_calls"``); the loop's Jacobian is
+    derived only here, on a miss.  Equal maps have equal keys and generate identical
+    source, so every map with equal tables shares one function of each kind with its bits."""
     dim, tables = key
     components = tuple(dict(table) for table in tables)
     if kind == "evaluator":
         return _compile_evaluator(components, dim)
     namespace: dict = {"BlowUpError": BlowUpError}
-    exec(_variational_source(components, dim), namespace)
+    exec(_variational_source(components, dim, kind == "variational_calls"), namespace)
     return namespace["_rk4"]
 
 
@@ -323,9 +332,11 @@ class PolynomialMap:
     with finite coefficients.  The constructor checks the terms it is given;
     lifts, sums, scalings and Jacobians keep the tables they build from
     checked ones.  One key (``_key``) serves equality, hashing and the compile
-    memo (``_compiled``, reached on first evaluation): maps with equal tables are
-    equal, hash equal, share compiled code and are one lift (``LiftTable``).  The
-    Jacobian is itself a cached PolynomialMap, so derivatives of any order stay exact.
+    memo (``_compiled``) of both the evaluator and the variational RK4 loop, each
+    reached on first use: maps with equal tables are equal, hash equal, share
+    compiled code and are one lift (``LiftTable``), and a map whose loop is in the
+    memo builds no Jacobian for it.  The Jacobian is itself a cached
+    PolynomialMap, so derivatives of any order stay exact.
     """
 
     def __init__(self, dim_in: int, dim_out: int, components):
@@ -364,8 +375,14 @@ class PolynomialMap:
 
     @cached_property
     def _variational_rk4(self):
-        """The generated RK4 loop with pushforward (``_variational_source``)."""
-        return _compiled("variational", self.jacobian_map._key)
+        """The generated RK4 loop with pushforward, ``rk4(q, m, a, h, n_steps, threshold,
+        step_base)`` (``_variational_source``).  It inlines the field, unless
+        ``_evaluator`` was replaced on this map before (an instrumented evaluator, as
+        perfbench's step-count tests install): then it calls that one at each stage."""
+        evaluator = vars(self).get("_evaluator")
+        if evaluator is None or evaluator is _compiled("evaluator", self._key):
+            return _compiled("variational", self._key)
+        return partial(_compiled("variational_calls", self._key), evaluator)
 
     @property
     def components(self) -> tuple[tuple[tuple[float, Exps], ...], ...]:
@@ -557,6 +574,10 @@ class VectorField:
         longer than the cutoff below takes no step and carries no volume, so a = b
         has none.  Both lookups are bisections over the cuts."""
         self.check_window(a, b)
+        return self._parts(a, b)
+
+    def _parts(self, a: float, b: float) -> list[tuple[float, float, PolynomialMap]]:
+        """``parts`` for a and b the caller has checked against the window."""
         lo, hi = (a, b) if a <= b else (b, a)
         first = bisect_right(self._cuts, lo)
         ends = [lo, *self._cuts[first:bisect_left(self._cuts, hi)], hi]

@@ -106,16 +106,17 @@ def _advance_piece(pm, q: list[float], mat: list[float] | None, a: float, b: flo
     ``_flow_core`` hands them over: an ``np.float64`` time would turn every
     multiply-add of the generated loop into numpy scalar arithmetic, with
     the same bits at about three times the cost.  With ``mat`` the piece's
-    generated loop (``PolynomialMap._variational_rk4``) carries the state
-    and the matrix; without it a numpy loop carries the state.
+    generated loop (``PolynomialMap._variational_rk4``), which inlines the
+    field and its Jacobian, carries the state and the matrix; without it a
+    numpy loop carries the state through the piece's compiled evaluator.
     """
     n_steps = solver.step_count(a, b)
     h = (b - a) / n_steps
-    f = pm._evaluator
     threshold = solver.blowup_threshold
     if mat is not None:
-        q, mat = pm._variational_rk4(f, q, mat, a, h, n_steps, threshold, step_base)
+        q, mat = pm._variational_rk4(q, mat, a, h, n_steps, threshold, step_base)
         return q, mat, step_base + n_steps
+    f = pm._evaluator
     half = 0.5 * h
     sixth = h / 6.0
     array = np.array
@@ -140,14 +141,14 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
 
     The point, the times and the window are checked once, and the times
     become Python floats here, whatever their type.  Node i's interval
-    [times[i-1], times[i]] (t0 for the first) is split by ``field.parts`` as a
-    single solve would split it, and the state passes from node to node as
-    a list of floats.  With ``want_pushforward`` each node's matrix restarts
-    at the identity, giving the segment pushforward of its interval, and
-    its step count restarts at 0.  The nodes stay float lists until the pass
-    ends, which converts them once: returns the (N, n) states at the N
-    ``times`` and the (N, n, n) segment pushforwards (an empty list without
-    ``want_pushforward``).
+    [times[i-1], times[i]] (t0 for the first) is split as ``field.parts``
+    splits a single solve, without checking the window again, and the state
+    passes from node to node as a list of floats.  With ``want_pushforward``
+    each node's matrix restarts at the identity, giving the segment
+    pushforward of its interval, and its step count restarts at 0.  The
+    nodes stay float lists until the pass ends, which converts them once:
+    returns the (N, n) states at the N ``times`` and the (N, n, n) segment
+    pushforwards (an empty list without ``want_pushforward``).
     """
     point = as_point(q, field.dim).tolist()
     t0, times = float(t0), [float(t) for t in times]
@@ -164,7 +165,7 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     start = t0
     for t in times:
         mat, step_base = identity, 0
-        for a, b, pm in field.parts(start, t):
+        for a, b, pm in field._parts(start, t):
             point, mat, step_base = _advance_piece(pm, point, mat, a, b, solver, step_base)
         states.append(point)
         if want_pushforward:

@@ -180,6 +180,44 @@ def test_blow_up_detection(degree, step):
     assert caught == []
 
 
+@pytest.mark.parametrize("x0, t, step", [(2e154, 1.0, 1), (1.3e154, 1.0, 7),
+                                         (-1.3e154, -1.0, 7)])
+def test_overflowing_field_term_blows_up_where_its_jacobian_stays_finite(x0, t, step):
+    # x' = c x^2 with c = 3.8e-155: x^2 overflows past |x| = 1.34e154, where the
+    # Jacobian 2 c x is about 1; the variational loop inlines the field, so its own
+    # power overflows there, and it must stop at the plain flow's step and time
+    pm = PolynomialMap(1, 1, [[(3.8e-155, (2,))]])
+    fm = FlowMap(VectorField.autonomous(pm), 0.0, t, FlowSolver(100, blowup_threshold=1e300))
+    stops = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for solve in (flow_map, flow_with_pushforward):
+            with pytest.raises(BlowUpError) as info:
+                solve(fm, [x0])
+            stops.append((info.value.step, info.value.t))
+    assert stops == [(step, pytest.approx(step * t / 100))] * 2
+    assert stops[0][1] == stops[1][1]
+    assert caught == []
+
+
+def test_a_replaced_evaluator_runs_each_variational_stage():
+    # the variational loop inlines the field; where a map's evaluator was replaced
+    # (an instrumented one that counts steps), the loop calls it at each stage
+    # instead, with the bits of the inlined loop
+    def build():
+        return PolynomialMap(2, 2, [[(-1.0, (0, 1)), (0.3, (2, 0))], [(1.0, (1, 0))]])
+
+    calls = []
+    counted = build()
+    evaluate = counted._evaluator
+    counted._evaluator = lambda x: calls.append(x) or evaluate(x)
+    ends = [flow_with_pushforward(FlowMap(VectorField.autonomous(pm), 0.0, 0.37,
+                                          FlowSolver(100)), [0.4, -0.1])
+            for pm in (build(), counted)]
+    assert len(calls) == 4 * 37
+    assert _bits(ends[0]) == _bits(ends[1])
+
+
 def test_non_finite_pushforward_raises():
     # x' = 60 y, y' = 60 x from the origin: the state stays at 0, so only the
     # pushforward, growing like e^(60 t), can report the blow-up
@@ -358,9 +396,9 @@ def test_float64_times_run_the_generated_loop_on_floats(monkeypatch):
     def checked(pm):
         rk4 = generated.__get__(pm, PolynomialMap)
 
-        def run(f, q, m, a, h, *rest):
+        def run(q, m, a, h, *rest):
             seen.append((type(a), type(h), {type(x) for x in q + m}))
-            return rk4(f, q, m, a, h, *rest)
+            return rk4(q, m, a, h, *rest)
 
         return run
 

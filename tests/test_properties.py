@@ -7,7 +7,8 @@ difference remainders must agree on random piecewise fields in either time
 direction; the compiled evaluator must give the bits of a term-by-term
 numpy evaluation (dimension <= 8, exponents <= 11, overflow included), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
-numpy stepper's pushforward (dimension <= 8); flows, pushforwards and
+numpy stepper's pushforward (dimension <= 8, and fields with a zero, a
+constant and a 300-term component); flows, pushforwards and
 inverse flows of strictly triangular fields must converge at order 4 to
 the exact, terminating Lie series of the field, and so must schedules,
 flow brackets and the remainder past the last Lie term on pairs of such
@@ -215,11 +216,23 @@ def numpy_variational_rk4(pm: PolynomialMap, q: np.ndarray, t: float, solver: Fl
     return q, mat
 
 
-@settings(max_examples=60, deadline=None, database=None, derandomize=True)
-@given(st.data())
-def test_generated_variational_loop_matches_numpy_stepper(data):
-    dim = data.draw(st.integers(1, 8))
-    pm = data.draw(polynomial_maps(dim, max_terms=4))
+@st.composite
+def kernel_maps(draw) -> PolynomialMap:
+    """Fields on R^3 or R^4 with an identically zero component, a constant one and one
+    of 300 terms of degree <= 11 (more than SUM_CHUNK, so the generated loop sums it
+    in a chain of statements), the rest random, in a drawn order."""
+    dim = draw(st.integers(3, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    monomials = [e for e in itertools.product(range(12), repeat=dim) if sum(e) <= 11]
+    picks = rng.choice(len(monomials), size=300, replace=False)
+    chunked = [(float(c), monomials[i]) for c, i in zip(rng.uniform(-0.05, 0.05, 300), picks)]
+    constant = [(draw(coefficients.filter(bool)), (0,) * dim)]
+    rest = [list(comp) for comp in draw(polynomial_maps(dim, max_terms=4)).components[3:]]
+    return PolynomialMap(dim, dim, draw(st.permutations([[], constant, chunked, *rest])))
+
+
+def assert_variational_matches_numpy(pm: PolynomialMap, data):
+    dim = pm.dim_in
     q = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=dim, max_size=dim).map(np.array))
     t = data.draw(st.sampled_from((0.1, -0.1, 0.25)))
     solver = FlowSolver(40)
@@ -230,13 +243,26 @@ def test_generated_variational_loop_matches_numpy_stepper(data):
     assert np.max(np.abs(mat - want_mat)) <= 1e-12 * np.max(np.abs(want_mat))
 
 
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_generated_variational_loop_matches_numpy_stepper(data):
+    dim = data.draw(st.integers(1, 8))
+    assert_variational_matches_numpy(data.draw(polynomial_maps(dim, max_terms=4)), data)
+
+
+@settings(max_examples=8, deadline=None, database=None, derandomize=True)
+@given(kernel_maps(), st.data())
+def test_inlined_zero_constant_and_chunked_components_keep_the_flow_bits(pm, data):
+    assert_variational_matches_numpy(pm, data)
+
+
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
 @given(polynomial_maps(8, max_terms=4))
 def test_generated_variational_source_stays_small_at_dimension_8(pm):
-    # per stage: 8 stage points, one evaluation, and at most 64 Jacobian
+    # per stage: 8 stage points, 8 field components, and at most 64 Jacobian
     # entries, 64 matrix products and 64 intermediate matrix entries
-    source = _variational_source(pm.jacobian_map._components, 8)
-    assert len(source.splitlines()) <= 4 * (8 + 1 + 3 * 64) + 64 + 8 + 12
+    source = _variational_source(pm._components, 8)
+    assert len(source.splitlines()) <= 4 * (8 + 8 + 3 * 64) + 64 + 8 + 12
     assert len(source) <= 80_000
 
 

@@ -5,7 +5,10 @@ Volterra series and remainders, witnesses, parameter derivatives, identity
 residuals, plans and bracket ranks, and control schedules (commutators of
 flows and schedule replays), on catalog fields, random autonomous
 fields and piecewise fields (pieces of distinct tables, and pieces that
-repeat two tables, shared or built apart), in both time directions.  The
+repeat two tables, shared or built apart), in both time directions; and
+pushforwards and parameter derivatives on fields with an identically zero
+component, a constant one and one longer than the generated code's sum
+chunk, which the variational loop inlines in every shape it has.  The
 series and witnesses have one section per kind of field (autonomous,
 distinct pieces, repeated tables), since a change to how a series sums
 over pieces can keep the bits of one kind and move another's.  Two source
@@ -20,6 +23,7 @@ It takes a few seconds and compares nothing itself.
 from __future__ import annotations
 
 import hashlib
+import itertools
 
 import numpy as np
 
@@ -69,6 +73,23 @@ def _autonomous_fields() -> dict[str, cf.VectorField]:
     return {"heisenberg_v1": v1, "heisenberg_v2": v2,
             "brockett_v1": cf.brockett_fields()[0],
             "random": cf.VectorField.autonomous(_random_map(rng, 3))}
+
+
+def _kernel_fields() -> dict[str, cf.VectorField]:
+    """Autonomous fields on R^3, each with a component of 300 random terms of degree at
+    most 11 (past ``fields.SUM_CHUNK``), beside a zero and a constant component, or
+    beside a random component and a zero one."""
+    rng = np.random.default_rng(13)
+    monomials = [e for e in itertools.product(range(12), repeat=3) if sum(e) <= 11]
+
+    def chunked() -> list:
+        picks = rng.choice(len(monomials), size=300, replace=False)
+        return [(float(c), monomials[i]) for c, i in zip(rng.uniform(-0.02, 0.02, 300), picks)]
+
+    random_comp = _random_map(rng, 3).components[0]
+    return {name: cf.VectorField.autonomous(cf.PolynomialMap(3, 3, comps)) for name, comps in (
+        ("zero_constant_chunked", [[], [(0.7, (0, 0, 0))], chunked()]),
+        ("chunked_random_zero", [chunked(), random_comp, []]))}
 
 
 def _observables() -> list[cf.Observable]:
@@ -188,6 +209,18 @@ def _schedules(points):
                 yield cf.simulate_schedule(system, q, sched, SOLVER)
 
 
+def _kernels(fields, points):
+    names = list(fields)
+    for base, perturbation in zip(names, names[1:] + names[:1]):
+        for t0, t in DIRECTIONS:
+            fm = cf.FlowMap(fields[base], t0, t, SOLVER)
+            for q in points:
+                yield cf.flow_with_pushforward(fm, q)
+            system = cf.PerturbedSystem(fields[base], fields[perturbation], t0, t)
+            for mode in (cf.IN_FORMULA, cf.OUT_FORMULA):
+                yield cf.param_derivative(system, points[2], mode, SOLVER, nodes=8)
+
+
 def sections() -> dict[str, object]:
     """Section name -> generator of its results, in a fixed order."""
     autonomous = _autonomous_fields()
@@ -209,6 +242,7 @@ def sections() -> dict[str, object]:
         "residuals": _residuals(autonomous, piecewise, points),
         "plans": _plans(points),
         "schedules": _schedules(points),
+        "kernels": _kernels(_kernel_fields(), points),
     }
 
 
