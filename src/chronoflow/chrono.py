@@ -27,6 +27,8 @@ from .fields import (
     Observable,
     PolynomialMap,
     VectorField,
+    _finite_times,
+    _positive,
     as_int,
     as_point,
     chen_walk,
@@ -73,19 +75,15 @@ class RemainderReport:
 def _parts(field: VectorField, t0: float, t: float) -> list[tuple[float, float, PolynomialMap]]:
     """``field.parts(t0, t)`` from the t end back to t0, as lift keys list their
     times, once both times are checked to be finite."""
-    if not (math.isfinite(t0) and math.isfinite(t)):
-        raise ValueError(f"flow times must be finite, got [{t0}, {t}]")
+    _finite_times(t0, t)
     return field.parts(t0, t)[::-1]
 
 
 def simplex_volume(t0: float, t: float, k: int) -> float:
     """Signed volume (t - t0)^k / k! of the order-k simplex; FloatingPointError where
     it is not finite."""
-    k = as_int(k, "simplex order k")
-    if k < 0:
-        raise ValueError(f"simplex order k must be >= 0, got {k}")
-    if not (math.isfinite(t0) and math.isfinite(t)):
-        raise ValueError(f"flow times must be finite, got [{t0}, {t}]")
+    k = as_int(k, "simplex order k", 0)
+    _finite_times(t0, t)
     volume = simplex_factor(t - t0, k)
     if not math.isfinite(volume):
         raise FloatingPointError(f"the order-{k} simplex volume on [{t0}, {t}] is not finite")
@@ -113,18 +111,14 @@ def _series_terms(field: VectorField, obs: Observable, point: np.ndarray,
 def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
                           t: float, k: int) -> np.ndarray:
     """Iterated integral of the k-fold lift composition over the order-k simplex."""
-    k = as_int(k, "simplex order k")
-    if k < 0:
-        raise ValueError(f"simplex order k must be >= 0, got {k}")
+    k = as_int(k, "simplex order k", 0)
     return _series_terms(field, obs, as_point(q, field.dim), t0, t, k)[k]
 
 
 def volterra_truncate(field: VectorField, obs: Observable, q, t0: float, t: float,
                       k: int) -> np.ndarray:
     """Order-k truncation: phi(q) plus the simplex terms of orders 1..k-1."""
-    k = as_int(k, "truncation order k")
-    if k < 1:
-        raise ValueError("truncation order k must be >= 1")
+    k = as_int(k, "truncation order k", 1)
     terms = _series_terms(field, obs, as_point(q, field.dim), t0, t, k - 1)
     return sum(terms[1:], terms[0])
 
@@ -141,9 +135,7 @@ def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
     k lifts, on one chained trajectory through the innermost quadrature
     times (``nodes`` per piece met, ``DEFAULT_NODES`` unless given).
     """
-    k = as_int(k, "truncation order k")
-    if k < 1:
-        raise ValueError("truncation order k must be >= 1")
+    k = as_int(k, "truncation order k", 1)
     point = as_point(q, field.dim)
     if method == "difference":
         if nodes is not None:
@@ -242,11 +234,8 @@ def order_probe(sample: Callable[[float], float], t_max: float,
     Raises ValueError unless t_max is finite and positive and every sample is
     finite and nonnegative.
     """
-    if not (math.isfinite(t_max) and t_max > 0):
-        raise ValueError(f"t_max must be finite and positive, got {t_max!r}")
-    levels = as_int(levels, "levels")  # 4.5 would run 5 levels
-    if levels < 4:
-        raise ValueError("need at least 4 probe levels")
+    t_max = _positive(t_max, "t_max")
+    levels = as_int(levels, "levels", 4)  # 4.5 would run 5 levels
     t_grid = t_max * 2.0 ** (-np.arange(levels, dtype=float))
     norms = np.array([float(sample(t)) for t in t_grid])
     if not np.all(np.isfinite(norms) & (norms >= 0)):

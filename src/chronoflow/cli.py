@@ -53,9 +53,13 @@ def _solver(args) -> FlowSolver:
     return FlowSolver(steps_per_unit_time=args.steps_per_unit)
 
 
+def _check_range(flag: str, value: int, least: int, most: int) -> None:
+    if not least <= value <= most:
+        raise ValueError(f"{flag} must be in {least}..{most}, got {value}")
+
+
 def _t_grid(args) -> list[float]:
-    if not 1 <= args.grid <= MAX_GRID:
-        raise ValueError(f"--grid must be in 1..{MAX_GRID}, got {args.grid}")
+    _check_range("--grid", args.grid, 1, MAX_GRID)
     return [args.t_max * (j + 1) / args.grid for j in range(args.grid)]
 
 
@@ -74,12 +78,6 @@ def _observable(fields, obs_coord: int | None) -> Observable:
     if not 1 <= obs_coord <= dim:
         raise IndexError(f"observable coordinate {obs_coord} out of range for dim {dim}")
     return Observable.coordinate(dim, obs_coord - 1)
-
-
-def _check_order(k: int, fields) -> None:
-    cap = min(MAX_ORDER, min(f.smoothness_order for f in fields))
-    if not 1 <= k <= cap:
-        raise ValueError(f"order k={k} outside the supported range 1..{cap}")
 
 
 def _write_output(text: str, args) -> None:
@@ -125,7 +123,7 @@ def cmd_volterra(args) -> str:
     from . import chrono
     fields = load_system(args.system)
     field = _pick_field(fields, args.field)
-    _check_order(args.k, (field,))
+    _check_range("--k", args.k, 1, min(MAX_ORDER, field.smoothness_order))
     obs = _observable((field,), args.obs_coord)
     q = _parse_point(args.q)
     solver = _solver(args)
@@ -154,12 +152,11 @@ def cmd_order_probe(args) -> str:
     fields = load_system(args.system)
     solver = _solver(args)
     q = _parse_point(args.q)
-    if args.levels > MAX_LEVELS or args.levels < 4:
-        raise ValueError(f"levels must be in 4..{MAX_LEVELS}")
+    _check_range("--levels", args.levels, 4, MAX_LEVELS)
 
     if args.residual == "remainder":
         field = _pick_field(fields, args.field)
-        _check_order(args.k, (field,))
+        _check_range("--k", args.k, 1, min(MAX_ORDER, field.smoothness_order))
         obs = _observable((field,), args.obs_coord)
 
         def sample(t: float) -> float:
@@ -240,8 +237,7 @@ def cmd_rank(args) -> str:
     fields = load_system(args.system)
     system = reach.AffineControlSystem.of(fields)
     q = _parse_point(args.q)
-    if not 1 <= args.max_degree <= MAX_ORDER:
-        raise ValueError(f"max-degree must be in 1..{MAX_ORDER}")
+    _check_range("--max-degree", args.max_degree, 1, MAX_ORDER)
     report = reach.bracket_rank(system, q, args.max_degree,
                                getattr(args, "rel_tol", reach.DEFAULT_RANK_TOL))
     header = "expr," + ",".join(f"v_{j}" for j in range(1, system.dim + 1))
@@ -255,8 +251,7 @@ def cmd_plan(args) -> str:
     system = reach.AffineControlSystem.of(fields)
     q0 = _parse_point(args.q0)
     target = _parse_point(args.target)
-    if not 1 <= args.max_degree <= MAX_ORDER:
-        raise ValueError(f"max-degree must be in 1..{MAX_ORDER}")
+    _check_range("--max-degree", args.max_degree, 1, MAX_ORDER)
     result = reach.plan_reach(system, q0, target, args.epsilon, args.max_degree,
                               args.max_iters, _solver(args),
                               step_fraction=getattr(args, "step_fraction",

@@ -64,15 +64,18 @@ def vector_norm(v) -> float:
     return norm
 
 
-def as_int(value, what: str) -> int:
-    """``value`` as an int; ValueError when it is not integral (never truncates),
-    a string or a bool, which would otherwise pass as 1 or 0."""
+def as_int(value, what: str, least: int | None = None) -> int:
+    """``value`` as an int of at least ``least``; ValueError when it is below, not
+    integral (never truncates), a string or a bool, which would pass as 1 or 0."""
     try:
-        if not isinstance(value, bool) and int(value) == value:
-            return int(value)
+        integral = not isinstance(value, bool) and int(value) == value
     except (TypeError, ValueError, OverflowError):
-        pass
-    raise ValueError(f"{what} must be an integer, got {value!r}")
+        integral = False
+    if not integral:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    if least is not None and value < least:
+        raise ValueError(f"{what} must be >= {least}, got {int(value)}")
+    return int(value)
 
 
 def as_float(value, what: str) -> float:
@@ -83,6 +86,22 @@ def as_float(value, what: str) -> float:
     except (TypeError, ValueError):
         pass
     raise ValueError(f"{what} must be a number, got {value!r}")
+
+
+def _positive(value, what: str) -> float:
+    """``value`` as a finite float above 0; ValueError otherwise, for a bool or a string too."""
+    try:
+        if not isinstance(value, (bool, str)) and 0.0 < float(value) < math.inf:
+            return float(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"{what} must be finite and positive, got {value!r}")
+
+
+def _finite_times(*times: float) -> None:
+    """ValueError unless every flow time is finite."""
+    if not all(map(math.isfinite, times)):
+        raise ValueError(f"flow times must be finite, got [{', '.join(map(str, times))}]")
 
 
 def _accumulate(terms: Iterable[tuple[Exps, float]]) -> TermDict:
@@ -215,6 +234,7 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
         lines += ["    " + line for line in body]
     namespace: dict = {"_rerun_overflowing": _rerun_overflowing}
     exec("\n".join(lines), namespace)
+    namespace["_eval"].generated = True  # marks it as generated, evicted from the memo or not
     return namespace["_eval"]
 
 
@@ -376,11 +396,11 @@ class PolynomialMap:
     @cached_property
     def _variational_rk4(self):
         """The generated RK4 loop with pushforward, ``rk4(q, m, a, h, n_steps, threshold,
-        step_base)`` (``_variational_source``).  It inlines the field, unless
-        ``_evaluator`` was replaced on this map before (an instrumented evaluator, as
+        step_base)`` (``_variational_source``).  It inlines the field, unless this map's
+        ``_evaluator`` was replaced by one ``_compile_evaluator`` did not make (as
         perfbench's step-count tests install): then it calls that one at each stage."""
         evaluator = vars(self).get("_evaluator")
-        if evaluator is None or evaluator is _compiled("evaluator", self._key):
+        if evaluator is None or getattr(evaluator, "generated", False):
             return _compiled("variational", self._key)
         return partial(_compiled("variational_calls", self._key), evaluator)
 
@@ -513,9 +533,7 @@ class VectorField:
 
     def __init__(self, pieces: Sequence[tuple[float, float, PolynomialMap]],
                  smoothness_order: int = DEFAULT_SMOOTHNESS_ORDER):
-        smoothness_order = as_int(smoothness_order, "smoothness_order")
-        if smoothness_order < 1:
-            raise ValueError("smoothness_order must be >= 1")
+        smoothness_order = as_int(smoothness_order, "smoothness_order", 1)
         pieces = tuple(pieces)
         if not pieces:
             raise ValueError("a vector field needs at least one piece")
@@ -607,6 +625,13 @@ class VectorField:
         return doc
 
 
+def _joint_parts(v: VectorField, w: VectorField, a: float,
+                 b: float) -> list[tuple[float, float, PolynomialMap, PolynomialMap]]:
+    """The parts (start, end, map of v, map of w) of [a, b] in one piece of each field,
+    in the direction a -> b: each part of v cut at the breakpoints of w."""
+    return [(s, e, pv, pw) for a2, b2, pv in v.parts(a, b) for s, e, pw in w.parts(a2, b2)]
+
+
 def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
                coeff_w: float = 1.0) -> VectorField:
     """Pointwise linear combination coeff_v*V + coeff_w*W, piece-aware."""
@@ -619,10 +644,9 @@ def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
         raise ValueError("fields have disjoint time windows")
     # each piece starts where the last ended, so a dropped part joins its successor;
     # an overlap with no part at all is the one piece of the pieces active at lo
-    ends = [(end, pv, pw) for a, b, pv in v.parts(lo, hi) for _, end, pw in w.parts(a, b)]
-    ends = ends or [(hi, v.piece_at(lo), w.piece_at(lo))]
-    edges = [lo, *(end for end, _, _ in ends[:-1]), hi]
-    maps = [pv.add(pw, coeff_v, coeff_w) for _, pv, pw in ends]
+    parts = _joint_parts(v, w, lo, hi) or [(lo, hi, v.piece_at(lo), w.piece_at(lo))]
+    edges = [lo, *(end for _, end, _, _ in parts[:-1]), hi]
+    maps = [pv.add(pw, coeff_v, coeff_w) for _, _, pv, pw in parts]
     return VectorField(zip(edges, edges[1:], maps), order)
 
 
@@ -636,9 +660,7 @@ class Observable:
 
     def __init__(self, poly_map: PolynomialMap,
                  max_derivative_order: int = DEFAULT_OBSERVABLE_ORDER):
-        max_derivative_order = as_int(max_derivative_order, "max_derivative_order")
-        if max_derivative_order < 0:
-            raise ValueError("max_derivative_order must be >= 0")
+        max_derivative_order = as_int(max_derivative_order, "max_derivative_order", 0)
         self.map = poly_map
         self.max_derivative_order = max_derivative_order
 
@@ -827,15 +849,10 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     """Estimate the lift-composition bound by sampling the ball: the words are the
     length-``order`` keys of ``chen_walk`` over the pieces, once in each time
     direction, so a field of D distinct maps has at most D^order of them."""
-    order = as_int(order, "witness order")  # True would pass as order 1
-    if order < 1:
-        raise ValueError(f"witness order must be >= 1, got {order!r}")
+    order = as_int(order, "witness order", 1)  # True would pass as order 1
     center = as_point(center, field.dim)
-    if not (math.isfinite(radius) and radius > 0):
-        raise ValueError(f"witness radius must be finite and positive, got {radius!r}")
-    num_points = as_int(num_points, "witness num_points")
-    if num_points < 1:  # no points would leave no bound to report
-        raise ValueError(f"witness num_points must be >= 1, got {num_points}")
+    radius = _positive(radius, "witness radius")
+    num_points = as_int(num_points, "witness num_points", 1)  # none would leave no bound
     rng = np.random.default_rng(as_int(seed, "witness seed"))  # True would pass as seed 1
     n = field.dim
     direction = rng.normal(size=(num_points, n))
@@ -851,7 +868,7 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
              for word in deque(chen_walk(walk, order), maxlen=1).pop() if len(word) == order}
     rows = as_point(points.ravel()).reshape(points.shape).tolist()  # checked once
     bound = _max_norm(lifts[word]._evaluator(row) for word in words for row in rows)
-    return LocallyBoundedWitness(center=center, radius=float(radius),
+    return LocallyBoundedWitness(center=center, radius=radius,
                                  bound_C=bound, order=order)
 
 

@@ -17,7 +17,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import BlowUpError
-from .fields import Observable, VectorField, as_float, as_int, as_point
+from .fields import Observable, VectorField, _finite_times, _positive, as_float, as_int, as_point
 
 MAX_STEPS_PER_SOLVE = 10 ** 8
 
@@ -41,18 +41,13 @@ class FlowSolver:
     breakpoint_splitting: ClassVar[bool] = True
 
     def __post_init__(self):
-        # a bool is an Integral, but True would pass as 1 step or a threshold of 1.0
+        # a bool is an Integral, but True would pass as 1 step
         steps = self.steps_per_unit_time
         if not isinstance(steps, numbers.Integral) or isinstance(steps, bool) or steps < 1:
             raise ValueError(
                 f"steps_per_unit_time must be a positive integer, got {steps!r}"
             )
-        threshold = self.blowup_threshold
-        if not (isinstance(threshold, numbers.Real) and not isinstance(threshold, bool)
-                and math.isfinite(threshold) and threshold > 0):
-            raise ValueError(
-                f"blowup_threshold must be finite and positive, got {threshold!r}"
-            )
+        _positive(self.blowup_threshold, "blowup_threshold")
 
     def step_count(self, a: float, b: float) -> int:
         steps = abs(b - a) * self.steps_per_unit_time
@@ -72,8 +67,7 @@ class FlowMap:
     solver: FlowSolver = dataclass_field(default_factory=FlowSolver)
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
-            raise ValueError(f"flow times must be finite, got [{self.t0}, {self.t1}]")
+        _finite_times(self.t0, self.t1)
 
 
 class NumericalField:
@@ -152,8 +146,7 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     """
     point = as_point(q, field.dim).tolist()
     t0, times = float(t0), [float(t) for t in times]
-    if not (math.isfinite(t0) and all(map(math.isfinite, times))):
-        raise ValueError(f"flow times must be finite, got {[t0] + times}")
+    _finite_times(t0, *times)
     field.check_window(t0, *times)
     n = field.dim
     identity = None
@@ -361,8 +354,7 @@ def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float
     One fixed grid over [t0, t1], with no breakpoint splitting: a caller
     whose evaluator is piecewise in time solves each interval in turn.
     """
-    if not (math.isfinite(t0) and math.isfinite(t1)):  # before the t1 == t0 shortcut
-        raise ValueError(f"flow times must be finite, got [{t0}, {t1}]")
+    _finite_times(t0, t1)  # before the t1 == t0 shortcut
     point = as_point(q, dim)
     if t1 == t0:
         return point

@@ -59,10 +59,7 @@ class BracketExpression:
 
     @classmethod
     def leaf(cls, index: int) -> "BracketExpression":
-        index = as_int(index, "field index")  # True would print as VTrue
-        if index < 1:
-            raise ValueError("field indices are 1-based")
-        return cls(index=index)
+        return cls(index=as_int(index, "field index", 1))  # True would print as VTrue
 
     @classmethod
     def pair(cls, left: "BracketExpression", right: "BracketExpression") -> "BracketExpression":

@@ -10,14 +10,13 @@ verify them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
 from .errors import DimensionError
-from .fields import VectorField, add_fields, as_point
+from .fields import VectorField, _finite_times, _joint_parts, _positive, add_fields, as_point
 from .flow import (
     FlowMap,
     FlowSolver,
@@ -44,8 +43,7 @@ class PerturbedSystem:
     t1: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.t0) and math.isfinite(self.t1)):
-            raise ValueError(f"times must be finite, got [{self.t0}, {self.t1}]")
+        _finite_times(self.t0, self.t1)
         if self.base_field.dim != self.perturbation_field.dim:
             raise DimensionError("base and perturbation fields have different dims")
         self.base_field.check_window(self.t0, self.t1)
@@ -53,15 +51,15 @@ class PerturbedSystem:
 
 
 def _quad_nodes(sys: PerturbedSystem, nodes: int):
-    """Gauss-Legendre nodes and weights over [t0, t1], per part of V and W alike."""
-    xs_all: list[float] = []
-    ws_all: list[float] = []
-    for a, b, _ in sys.base_field.parts(sys.t0, sys.t1):
-        for s, e, _ in sys.perturbation_field.parts(a, b):
-            xs, ws = gauss_legendre(s, e, nodes)
-            xs_all.extend(xs)
-            ws_all.extend(ws)
-    return xs_all, ws_all
+    """Gauss-Legendre nodes and weights over [t0, t1], one rule per part of V and W
+    alike, and W's map at each node: the map of the part that yields the node."""
+    xs, ws, maps = [], [], []
+    for s, e, _, pw in _joint_parts(sys.base_field, sys.perturbation_field, sys.t0, sys.t1):
+        x, w = gauss_legendre(s, e, nodes)
+        xs.extend(x)
+        ws.extend(w)
+        maps.extend([pw] * len(x))
+    return xs, ws, maps
 
 
 def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
@@ -75,23 +73,22 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     along the trajectory; ``mode="out"`` pulls each contribution back to
     the start through the inverse of pushforward(t0 -> tau_i) = S_i ... S_1
     and applies the full product once outside the integral; one stacked
-    linear solve pulls back every contribution.  W's piece at each node
-    is evaluated by its compiled evaluator on the pass's states, and the
-    weights apply in one broadcast.  Because both
-    modes share the same S_i they agree to rounding: they are two
-    evaluations of one numerical route, not independent checks of each
-    other.  ``fd_param_derivative`` is the independent oracle.
+    linear solve pulls back every contribution.  W's map at each node comes
+    from the part that yields the node, with no lookup per node; its compiled
+    evaluator runs on the pass's states, and the weights apply in one
+    broadcast.  Because both modes share the same S_i they agree to rounding:
+    they are two evaluations of one numerical route, not independent checks
+    of each other.  ``fd_param_derivative`` is the independent oracle.
     """
     if mode not in (IN_FORMULA, OUT_FORMULA):
         raise ValueError(f"mode must be '{IN_FORMULA}' or '{OUT_FORMULA}'")
     point = as_point(q, sys.base_field.dim)
-    xs, ws = _quad_nodes(sys, nodes)
+    xs, ws, maps = _quad_nodes(sys, nodes)
     if not xs:  # no part of [t0, t1] is longer than parts' cutoff, t1 == t0 included
         return np.zeros(sys.base_field.dim)
     states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], point,
                                           solver, pushforward=True)
-    piece_at = sys.perturbation_field.piece_at
-    values = [piece_at(tau)._evaluator(p) for tau, p in zip(xs, states.tolist())]
+    values = [pm._evaluator(p) for pm, p in zip(maps, states.tolist())]
     contributions = np.array(ws)[:, None] * np.array(values)
 
     total = np.zeros(sys.base_field.dim)
@@ -109,8 +106,7 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
 def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,
                         solver: FlowSolver) -> np.ndarray:
     """Central-difference oracle: flows of V +/- epsilon*W."""
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
+    epsilon = _positive(epsilon, "epsilon")
     point = as_point(q, sys.base_field.dim)
     plus = add_fields(sys.base_field, sys.perturbation_field, 1.0, epsilon)
     minus = add_fields(sys.base_field, sys.perturbation_field, 1.0, -epsilon)
@@ -134,11 +130,10 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     point = as_point(q, v.dim)
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), point)
     corrected = point
-    for a, b, _ in v.parts(0.0, t):
-        for s, e, pm in w.parts(a, b):
-            pieces = [pm]
-            corrected = flow_time_dependent(
-                lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
-                s, e, corrected, solver, dim=v.dim)
+    for s, e, _, pm in _joint_parts(v, w, 0.0, t):
+        pieces = [pm]
+        corrected = flow_time_dependent(
+            lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
+            s, e, corrected, solver, dim=v.dim)
     factored = flow_map(FlowMap(v, 0.0, t, solver), corrected)
     return float(np.linalg.norm(direct - factored))

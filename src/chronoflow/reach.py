@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, as_int, as_point, eval_field, vector_norm
+from .fields import VectorField, _positive, as_int, as_point, eval_field, vector_norm
 from .flow import (  # noqa: F401 (re-exports Segment; perfbench reads reach.flow_map)
     ControlSchedule, FlowSolver, Segment, flow_map, run_schedule)
 
@@ -95,9 +95,7 @@ def canonical_bracket_basis(num_fields: int, max_degree: int) -> list[BracketExp
     identically-zero [A, A] shapes.
     """
     from .liealg import BracketExpression
-    max_degree = as_int(max_degree, "max_degree")  # True would pass as degree 1
-    if max_degree < 1:
-        raise ValueError("max_degree must be >= 1")
+    max_degree = as_int(max_degree, "max_degree", 1)  # True would pass as degree 1
     by_degree: dict[int, list[BracketExpression]] = {
         1: [BracketExpression.leaf(i) for i in range(1, num_fields + 1)]
     }
@@ -144,8 +142,7 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
     program, inverting the motion.
     """
     from .liealg import bracket_program
-    if magnitude <= 0:
-        raise ValueError("magnitude must be positive")
+    magnitude = _positive(magnitude, "magnitude")
     if sign not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     if expr.max_index() > len(sys.fields):
@@ -188,13 +185,9 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
     from .liealg import bracket_fields
     point = as_point(q0, sys.dim)
     goal = as_point(target, sys.dim)
-    if not (math.isfinite(epsilon) and epsilon > 0):
-        raise ValueError(f"epsilon must be positive and finite, got {epsilon!r}")
-    if not (math.isfinite(step_fraction) and step_fraction > 0):
-        raise ValueError(f"step_fraction must be positive and finite, got {step_fraction!r}")
-    max_iters = as_int(max_iters, "max_iters")  # True would pass as one iteration
-    if max_iters < 0:
-        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    epsilon = _positive(epsilon, "epsilon")
+    step_fraction = _positive(step_fraction, "step_fraction")
+    max_iters = as_int(max_iters, "max_iters", 0)  # True would pass as one iteration
 
     basis = canonical_bracket_basis(len(sys.fields), max_degree)
     fields = bracket_fields(basis, sys.fields)

@@ -271,6 +271,24 @@ def test_grid_over_the_cap_exits_2_before_any_grid_point(argv, capsys):
     assert captured.err == f"error: --grid must be in 1..{cli.MAX_GRID}, got {cli.MAX_GRID + 1}\n"
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["volterra", "--system", "rotation2d", "--k", "5", "--q", "1,0", "--t-max", "0.1"],
+     "--k must be in 1..4, got 5"),
+    (["order-probe", "--system", "rotation2d", "--residual", "remainder", "--k", "0",
+      "--q", "1,0", "--t-max", "0.1"], "--k must be in 1..4, got 0"),
+    (["order-probe", "--system", "rotation2d", "--residual", "inverse-expansion",
+      "--q", "1,0", "--t-max", "0.1", "--levels", "17"], "--levels must be in 4..16, got 17"),
+    (["rank", "--system", "heisenberg", "--q", "0,0,0", "--max-degree", "5"],
+     "--max-degree must be in 1..4, got 5"),
+    (["plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.1",
+      "--epsilon", "1e-3", "--max-degree", "0"], "--max-degree must be in 1..4, got 0"),
+])
+def test_flag_ranges_share_one_message(argv, line, capsys):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"error: {line}\n")
+
+
 PLAN = ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.04")
 
 

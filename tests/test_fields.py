@@ -657,6 +657,79 @@ def test_counts_orders_and_indices_must_be_integers(call, message):
         call()
 
 
+_SYSTEM = AffineControlSystem.of(heisenberg_fields())
+_ZERO3, _TARGET3 = [0.0] * 3, [0.0, 0.0, 0.1]
+
+
+# the witness order and num_points, simplex orders and the remainder order: test_chrono.py
+@pytest.mark.parametrize("call, message", [
+    (lambda: VectorField.autonomous(_ID2, 0), "smoothness_order must be >= 1, got 0"),
+    (lambda: Observable(_ID2, -1), "max_derivative_order must be >= 0, got -1"),
+    (lambda: cf.volterra_truncate(rotation2d(), _PHI2, _Q2, 0.0, 0.5, 0),
+     "truncation order k must be >= 1, got 0"),
+    (lambda: cf.order_probe(lambda t: t, 0.4, 3), "levels must be >= 4, got 3"),
+    (lambda: cf.canonical_bracket_basis(2, 0), "max_degree must be >= 1, got 0"),
+    (lambda: cf.plan_reach(_SYSTEM, _ZERO3, _TARGET3, 1e-3, 2, -1, FlowSolver(100)),
+     "max_iters must be >= 0, got -1"),
+    (lambda: cf.BracketExpression.leaf(0), "field index must be >= 1, got 0"),
+    (lambda: cf.BracketExpression.leaf(-2.0), "field index must be >= 1, got -2"),
+], ids=["smoothness", "obs_order", "truncation_order", "levels", "max_degree", "max_iters",
+        "leaf", "leaf_float"])
+def test_counts_below_their_least_value_are_rejected(call, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        call()
+
+
+@pytest.mark.parametrize("bad", [math.nan, 0.0, "1"], ids=["nan", "zero", "string"])
+@pytest.mark.parametrize("what, call", [
+    ("witness radius", lambda bad: sample_lift_bound(rotation2d(), _PHI2, 1, _Q2, bad)),
+    ("t_max", lambda bad: cf.order_probe(lambda t: t, bad)),
+    ("epsilon", lambda bad: cf.fd_param_derivative(cf.PerturbedSystem(V1, V2, 0.0, 0.5),
+                                                   _ZERO3, bad, FlowSolver(100))),
+    ("epsilon", lambda bad: cf.plan_reach(_SYSTEM, _ZERO3, _TARGET3, bad, 2, 10,
+                                          FlowSolver(100))),
+    ("step_fraction", lambda bad: cf.plan_reach(_SYSTEM, _ZERO3, _TARGET3, 1e-3, 2, 10,
+                                                FlowSolver(100), step_fraction=bad)),
+    ("blowup_threshold", lambda bad: FlowSolver(100, blowup_threshold=bad)),
+    # NaN gave a schedule of NaN durations, and a string a raw TypeError
+    ("magnitude", lambda bad: cf.bracket_motion(_SYSTEM, cf.BracketExpression.parse("[V1,V2]"),
+                                                bad)),
+], ids=["radius", "t_max", "fd_epsilon", "plan_epsilon", "step_fraction", "threshold",
+        "magnitude"])
+def test_positive_reals_must_be_finite_and_positive(what, call, bad):
+    with pytest.raises(ValueError, match="^" + re.escape(
+            f"{what} must be finite and positive, got {bad!r}") + "$"):
+        call(bad)
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: FlowMap(rotation2d(), 0.0, t),
+    lambda t: cf.flow.chained_trajectory(rotation2d(), 0.0, [0.5, t], _Q2, FlowSolver(100)),
+    lambda t: cf.flow_time_dependent(lambda _t, x: -x, 0.0, t, _Q2, FlowSolver(100)),
+    lambda t: cf.simplex_volume(0.0, t, 2),
+    lambda t: cf.volterra_truncate(rotation2d(), _PHI2, _Q2, 0.0, t, 2),
+    lambda t: cf.PerturbedSystem(V1, V2, 0.0, t),
+], ids=["flow_map", "trajectory", "time_dependent", "volume", "series", "perturbed"])
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_flow_times_must_be_finite(call, t):
+    with pytest.raises(ValueError, match=r"^flow times must be finite, got \[0\.0, "):
+        call(t)
+
+
+def test_an_evicted_evaluator_keeps_the_inlined_variational_loop():
+    # the stored evaluator is no longer the memo's after an eviction, but it is still
+    # a generated one: the loop inlines the field and no second evaluator is compiled
+    pm = PolynomialMap.linear([[0.1, -1.0], [1.0, 0.3]])
+    pm([0.1, 0.2])
+    fields._compiled.cache_clear()  # as 1,024 other tables would evict it
+    misses = fields._compiled.cache_info().misses
+    assert pm._variational_rk4 is fields._compiled("variational", pm._key)
+    assert fields._compiled.cache_info().misses == misses + 1
+    field = VectorField.autonomous(pm)
+    end, _ = flow_with_pushforward(FlowMap(field, 0.0, 0.5, FlowSolver(100)), [0.3, 0.4])
+    assert np.array_equal(end, flow_map(FlowMap(field, 0.0, 0.5, FlowSolver(100)), [0.3, 0.4]))
+
+
 def test_an_integral_float_node_count_is_that_count():
     assert all(np.array_equal(a, b) for a, b in zip(gauss_legendre(0.0, 1.0, 16.0),
                                                     gauss_legendre(0.0, 1.0, 16)))

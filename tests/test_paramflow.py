@@ -92,6 +92,19 @@ def _piecewise_base():
     return VectorField.piecewise([(0.0, 0.5, rot), (0.5, 1.5, quad)])
 
 
+@pytest.mark.parametrize("t0,t1", [(0.1, 1.4), (1.4, 0.1)])
+def test_node_maps_come_from_the_cut_not_a_lookup(monkeypatch, t0, t1):
+    # W's map at each node is the map of the part that yields the node
+    w = VectorField.piecewise([(0.0, 0.7, PolynomialMap.constants([1.0, 0.0], 2)),
+                               (0.7, 1.5, PolynomialMap.linear([[0.3, 0.1], [0.0, -0.2]]))])
+    system = PerturbedSystem(_piecewise_base(), w, t0, t1)
+    expected = [param_derivative(system, [0.4, -0.3], mode, SOLVER)
+                for mode in (IN_FORMULA, OUT_FORMULA)]
+    monkeypatch.setattr(VectorField, "piece_at", lambda *args: pytest.fail("piece lookup"))
+    for mode, want in zip((IN_FORMULA, OUT_FORMULA), expected):
+        assert np.array_equal(param_derivative(system, [0.4, -0.3], mode, SOLVER), want)
+
+
 @pytest.mark.parametrize("t0,t1", [(0.0, 1.2), (1.3, 0.1)])
 def test_formula_oracle_agreement_across_breakpoint(t0, t1):
     system = PerturbedSystem(_piecewise_base(), linear_field([[0.3, 0.1], [0.0, -0.2]]),

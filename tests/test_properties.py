@@ -851,7 +851,7 @@ def test_pushforward_field_matches_two_solve_route(two_solve_pushforward, data):
 def per_node_out_formula(sys: PerturbedSystem, q, solver: FlowSolver, nodes: int):
     """Reference: param_derivative's "out" mode with one solve per node."""
     dim = sys.base_field.dim
-    xs, ws = _quad_nodes(sys, nodes)
+    xs, ws, _ = _quad_nodes(sys, nodes)
     states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], q,
                                           solver, pushforward=True)
     total, forward = np.zeros(dim), np.eye(dim)
@@ -940,7 +940,7 @@ def per_node_param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSo
                               nodes: int):
     """Reference: param_derivative with one eval_field and one weight product per node."""
     dim = sys.base_field.dim
-    xs, ws = _quad_nodes(sys, nodes)
+    xs, ws, _ = _quad_nodes(sys, nodes)
     if not xs:
         return np.zeros(dim)
     states, segments = per_node_arrays(sys.base_field, sys.t0, xs + [sys.t1], q, solver)

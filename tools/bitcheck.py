@@ -13,21 +13,31 @@ series and witnesses have one section per kind of field (autonomous,
 distinct pieces, repeated tables), since a change to how a series sums
 over pieces can keep the bits of one kind and move another's.  Two source
 trees that print the same digests give the same bits on all of them.
-Only the public API is used, so the script runs against any checkout:
+The last section, ``errors``, is no number: it hashes the exception type
+and message (or that the call returned) of a fixed list of invalid inputs,
+the CLI's among them with their exit code and stderr, so it moves with any
+message.  Only the public API is used, so the script runs against any
+checkout:
 
     PYTHONPATH=src python tools/bitcheck.py
     PYTHONPATH=/path/to/other/checkout/src python tools/bitcheck.py
+    PYTHONPATH=src python tools/bitcheck.py errors   # print those outcomes
 
 It takes a few seconds and compares nothing itself.
 """
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import itertools
+import math
+import sys
 
 import numpy as np
 
 import chronoflow as cf
+from chronoflow import cli
 
 SOLVER = cf.FlowSolver(200)
 DIRECTIONS = ((0.1, 0.9), (0.9, 0.1))
@@ -118,6 +128,8 @@ def _bits(value) -> bytes:
                       [[s.field_index, s.sign, s.duration] for s in value.schedule.segments]])
     if isinstance(value, cf.RankReport):
         return _bits([value.numerical_rank, value.singular_values])
+    if isinstance(value, str):
+        return value.encode()
     return np.asarray(value, dtype=float).tobytes()
 
 
@@ -221,6 +233,81 @@ def _kernels(fields, points):
                 yield cf.param_derivative(system, points[2], mode, SOLVER, nodes=8)
 
 
+def _invalid_calls() -> list:
+    """One call per invalid input: each count below its least value, each positive real
+    at NaN, 0 and a string, each flow time at NaN and inf, and CLI flags out of range."""
+    v1, v2 = cf.heisenberg_fields()
+    system = cf.AffineControlSystem.of((v1, v2))
+    expr = cf.BracketExpression.parse("[V1,V2]")
+    rot, phi, q, zero = cf.rotation2d(), cf.Observable.identity(2), [1.0, 0.0], [0.0] * 3
+    pm, solver = rot.pieces[0][2], cf.FlowSolver(100)
+    perturbed = cf.PerturbedSystem(v1, v2, 0.0, 0.5)
+    calls = [
+        lambda: cf.VectorField.autonomous(pm, 0),
+        lambda: cf.Observable(pm, -1),
+        lambda: cf.sample_lift_bound(rot, phi, 0, q, 0.5),
+        lambda: cf.sample_lift_bound(rot, phi, 1, q, 0.5, num_points=0),
+        lambda: cf.simplex_volume(0.0, 0.5, -1),
+        lambda: cf.simplex_integral_term(rot, phi, q, 0.0, 0.5, -1),
+        lambda: cf.volterra_truncate(rot, phi, q, 0.0, 0.5, 0),
+        lambda: cf.remainder_eval(rot, phi, q, 0.0, 0.5, 0, solver),
+        lambda: cf.order_probe(lambda t: t, 0.4, 3),
+        lambda: cf.canonical_bracket_basis(2, 0),
+        lambda: cf.plan_reach(system, zero, [0.0, 0.0, 0.1], 1e-3, 2, -1, solver),
+        lambda: cf.BracketExpression.leaf(0),
+    ]
+    for bad in (math.nan, 0.0, "1"):
+        calls += [
+            lambda bad=bad: cf.sample_lift_bound(rot, phi, 1, q, bad),
+            lambda bad=bad: cf.order_probe(lambda t: t, bad),
+            lambda bad=bad: cf.fd_param_derivative(perturbed, zero, bad, solver),
+            lambda bad=bad: cf.plan_reach(system, zero, [0.0, 0.0, 0.1], bad, 2, 10, solver),
+            lambda bad=bad: cf.plan_reach(system, zero, [0.0, 0.0, 0.1], 1e-3, 2, 10, solver,
+                                          step_fraction=bad),
+            lambda bad=bad: cf.FlowSolver(100, blowup_threshold=bad),
+            lambda bad=bad: cf.bracket_motion(system, expr, bad),
+        ]
+    for t in (math.nan, math.inf):
+        calls += [
+            lambda t=t: cf.FlowMap(rot, 0.0, t, solver),
+            lambda t=t: cf.flow.chained_trajectory(rot, 0.0, [0.5, t], q, solver),
+            lambda t=t: cf.flow_time_dependent(lambda _t, x: -x, 0.0, t, q, solver),
+            lambda t=t: cf.simplex_volume(0.0, t, 2),
+            lambda t=t: cf.simplex_integral_term(rot, phi, q, 0.0, t, 1),
+            lambda t=t: cf.PerturbedSystem(v1, v2, 0.0, t),
+        ]
+    volterra = ("volterra", "--system", "rotation2d", "--q", "1,0", "--t-max", "0.1")
+    for argv in [volterra + ("--k", "5"), volterra + ("--k", "1", "--grid", "0"),
+                 ("order-probe", "--system", "rotation2d", "--residual", "remainder",
+                  "--q", "1,0", "--t-max", "0.1", "--k", "0"),
+                 ("order-probe", "--system", "rotation2d", "--residual", "inverse-expansion",
+                  "--q", "1,0", "--t-max", "0.1", "--levels", "3"),
+                 ("rank", "--system", "heisenberg", "--q", "0,0,0", "--max-degree", "5"),
+                 ("plan", "--system", "heisenberg", "--q0", "0,0,0", "--target", "0,0,0.1",
+                  "--epsilon", "1e-3", "--max-degree", "0")]:
+        calls.append(lambda argv=argv: _cli(argv))
+    return calls
+
+
+def _cli(argv) -> str:
+    """The exit code and stderr of one CLI run, which writes nothing to stdout here."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"exit {code}: {err.getvalue()}"
+
+
+def _errors():
+    """Each invalid call's exception type and message, or what it returned."""
+    for call in _invalid_calls():
+        try:
+            result = call()
+        except Exception as exc:
+            yield f"{type(exc).__name__}: {exc}"
+        else:
+            yield result if isinstance(result, str) else "returned"
+
+
 def sections() -> dict[str, object]:
     """Section name -> generator of its results, in a fixed order."""
     autonomous = _autonomous_fields()
@@ -243,10 +330,14 @@ def sections() -> dict[str, object]:
         "plans": _plans(points),
         "schedules": _schedules(points),
         "kernels": _kernels(_kernel_fields(), points),
+        "errors": _errors(),
     }
 
 
 def main() -> None:
+    if sys.argv[1:] == ["errors"]:
+        print(*(outcome.rstrip("\n") for outcome in _errors()), sep="\n")
+        return
     for name, results in sections().items():
         digest = hashlib.sha256()
         for value in results:
