@@ -58,6 +58,10 @@ def _check_range(flag: str, value: int, least: int, most: int) -> None:
         raise ValueError(f"{flag} must be in {least}..{most}, got {value}")
 
 
+def _check_order(k: int, field) -> None:
+    _check_range("--k", k, 1, min(MAX_ORDER, field.smoothness_order))
+
+
 def _t_grid(args) -> list[float]:
     _check_range("--grid", args.grid, 1, MAX_GRID)
     return [args.t_max * (j + 1) / args.grid for j in range(args.grid)]
@@ -123,7 +127,7 @@ def cmd_volterra(args) -> str:
     from . import chrono
     fields = load_system(args.system)
     field = _pick_field(fields, args.field)
-    _check_range("--k", args.k, 1, min(MAX_ORDER, field.smoothness_order))
+    _check_order(args.k, field)
     obs = _observable((field,), args.obs_coord)
     q = _parse_point(args.q)
     solver = _solver(args)
@@ -156,7 +160,7 @@ def cmd_order_probe(args) -> str:
 
     if args.residual == "remainder":
         field = _pick_field(fields, args.field)
-        _check_range("--k", args.k, 1, min(MAX_ORDER, field.smoothness_order))
+        _check_order(args.k, field)
         obs = _observable((field,), args.obs_coord)
 
         def sample(t: float) -> float:

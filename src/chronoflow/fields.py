@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -79,21 +80,22 @@ def as_int(value, what: str, least: int | None = None) -> int:
 
 
 def as_float(value, what: str) -> float:
-    """``value`` as a float; ValueError when it is no number, a string or a bool."""
+    """``value`` as a float; ValueError when it is no real number (a string, bytes, an
+    array), a bool, which would pass as 1.0 or 0.0, or an int too large for a float."""
     try:
-        if not isinstance(value, (bool, str)):
+        if isinstance(value, numbers.Real) and not isinstance(value, bool):
             return float(value)
-    except (TypeError, ValueError):
+    except OverflowError:
         pass
     raise ValueError(f"{what} must be a number, got {value!r}")
 
 
 def _positive(value, what: str) -> float:
-    """``value`` as a finite float above 0; ValueError otherwise, for a bool or a string too."""
+    """``value`` as a finite float above 0; ValueError otherwise, and where ``as_float`` raises."""
     try:
-        if not isinstance(value, (bool, str)) and 0.0 < float(value) < math.inf:
-            return float(value)
-    except (TypeError, ValueError, OverflowError):
+        if 0.0 < (x := as_float(value, what)) < math.inf:
+            return x
+    except ValueError:
         pass
     raise ValueError(f"{what} must be finite and positive, got {value!r}")
 
@@ -234,7 +236,6 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
         lines += ["    " + line for line in body]
     namespace: dict = {"_rerun_overflowing": _rerun_overflowing}
     exec("\n".join(lines), namespace)
-    namespace["_eval"].generated = True  # marks it as generated, evicted from the memo or not
     return namespace["_eval"]
 
 
@@ -397,10 +398,11 @@ class PolynomialMap:
     def _variational_rk4(self):
         """The generated RK4 loop with pushforward, ``rk4(q, m, a, h, n_steps, threshold,
         step_base)`` (``_variational_source``).  It inlines the field, unless this map's
-        ``_evaluator`` was replaced by one ``_compile_evaluator`` did not make (as
-        perfbench's step-count tests install): then it calls that one at each stage."""
+        ``_evaluator`` was replaced by one ``_compile_evaluator`` did not make, which is
+        not the ``_eval`` of its own globals (a wrapper, even one made by functools.wraps,
+        as perfbench's step-count tests install): then it calls that one at each stage."""
         evaluator = vars(self).get("_evaluator")
-        if evaluator is None or getattr(evaluator, "generated", False):
+        if evaluator is None or getattr(evaluator, "__globals__", {}).get("_eval") is evaluator:
             return _compiled("variational", self._key)
         return partial(_compiled("variational_calls", self._key), evaluator)
 

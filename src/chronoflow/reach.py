@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, _positive, as_int, as_point, eval_field, vector_norm
+from .fields import VectorField, _positive, as_float, as_int, as_point, eval_field, vector_norm
 from .flow import (  # noqa: F401 (re-exports Segment; perfbench reads reach.flow_map)
     ControlSchedule, FlowSolver, Segment, flow_map, run_schedule)
 
@@ -59,11 +59,11 @@ class AffineControlSystem:
 
 def simulate_schedule(sys: AffineControlSystem, q0, sched: ControlSchedule,
                       solver: FlowSolver) -> np.ndarray:
-    """Endpoint of one solve of ``sched.field(sys.fields)`` from q0: on a clock from 0,
-    a duration d enters as fl(T + d) - T, a segment that does not move the clock
-    has no piece, and the empty schedule gives q0.  Durations must be positive."""
+    """Endpoint of one solve of ``sched.field(sys.fields)`` from q0: on a clock from 0, a
+    duration d enters as fl(T + d) - T, a segment that does not move the clock has no
+    piece, the empty schedule gives q0, and a duration must be a positive number."""
     for i, seg in enumerate(sched.segments):
-        if seg.duration <= 0:
+        if as_float(seg.duration, f"segment {i} duration") <= 0:
             raise ValueError(f"segment {i} duration must be positive")
     return run_schedule(sched, sys.fields, as_point(q0, sys.dim), solver)[0]
 
@@ -126,7 +126,7 @@ def bracket_rank(sys: AffineControlSystem, q, max_degree: int,
                  rel_tol: float = DEFAULT_RANK_TOL) -> RankReport:
     """Numerical rank of the iterated-bracket span at q via singular values."""
     from .liealg import bracket_fields
-    if not (math.isfinite(rel_tol) and rel_tol >= 0):
+    if not 0.0 <= as_float(rel_tol, "rel_tol") < math.inf:
         raise ValueError(f"rel_tol must be finite and nonnegative, got {rel_tol!r}")
     point = as_point(q, sys.dim)
     basis = canonical_bracket_basis(len(sys.fields), max_degree)

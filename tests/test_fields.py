@@ -1,4 +1,5 @@
 """Tests for polynomial fields, observables, and lifts."""
+import functools
 import hashlib
 import itertools
 import json
@@ -680,7 +681,8 @@ def test_counts_below_their_least_value_are_rejected(call, message):
         call()
 
 
-@pytest.mark.parametrize("bad", [math.nan, 0.0, "1"], ids=["nan", "zero", "string"])
+@pytest.mark.parametrize("bad", [math.nan, 0.0, "1", b"1", np.True_],
+                         ids=["nan", "zero", "string", "bytes", "numpy_bool"])
 @pytest.mark.parametrize("what, call", [
     ("witness radius", lambda bad: sample_lift_bound(rotation2d(), _PHI2, 1, _Q2, bad)),
     ("t_max", lambda bad: cf.order_probe(lambda t: t, bad)),
@@ -702,6 +704,19 @@ def test_positive_reals_must_be_finite_and_positive(what, call, bad):
         call(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("1", "must be a number, got '1'"),  # gave a raw TypeError
+    (b"1", "must be a number, got b'1'"),
+    (np.True_, f"must be a number, got {np.True_!r}"),
+    (0.0, "must be positive"),
+    (-math.inf, "must be positive"),
+], ids=["string", "bytes", "numpy_bool", "zero", "minus_inf"])
+def test_a_schedule_duration_must_be_a_positive_number(bad, message):
+    sched = cf.ControlSchedule((cf.Segment(1, 1, bad),))
+    with pytest.raises(ValueError, match="^" + re.escape(f"segment 0 duration {message}") + "$"):
+        cf.simulate_schedule(_SYSTEM, _ZERO3, sched, FlowSolver(100))
+
+
 @pytest.mark.parametrize("call", [
     lambda t: FlowMap(rotation2d(), 0.0, t),
     lambda t: cf.flow.chained_trajectory(rotation2d(), 0.0, [0.5, t], _Q2, FlowSolver(100)),
@@ -714,6 +729,22 @@ def test_positive_reals_must_be_finite_and_positive(what, call, bad):
 def test_flow_times_must_be_finite(call, t):
     with pytest.raises(ValueError, match=r"^flow times must be finite, got \[0\.0, "):
         call(t)
+
+
+def test_a_wrapped_evaluator_is_called_even_when_it_copies_the_generated_ones_attributes():
+    pm = PolynomialMap.linear([[0.1, -1.0], [1.0, 0.3]])
+    generated = pm._evaluator
+    calls = []
+
+    @functools.wraps(generated)
+    def counted(x):
+        calls.append(1)
+        return generated(x)
+
+    pm._evaluator = counted
+    field = VectorField.autonomous(pm)
+    flow_with_pushforward(FlowMap(field, 0.0, 0.5, FlowSolver(100)), [0.3, 0.4])
+    assert len(calls) == 4 * 50
 
 
 def test_an_evicted_evaluator_keeps_the_inlined_variational_loop():

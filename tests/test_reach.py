@@ -229,7 +229,7 @@ def test_rank_report_serialization():
     assert [b["expr"] for b in doc["brackets"]] == ["V1", "V2", "[V1,V2]"]
 
 
-@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -1e-8])
+@pytest.mark.parametrize("rel_tol", [float("nan"), float("inf"), -1e-8, "1"])
 def test_bracket_rank_rejects_bad_rel_tol(rel_tol):
     with pytest.raises(ValueError, match="rel_tol"):
         bracket_rank(HEIS, [0.0, 0.0, 0.0], 2, rel_tol)

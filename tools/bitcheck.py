@@ -21,7 +21,6 @@ checkout:
 
     PYTHONPATH=src python tools/bitcheck.py
     PYTHONPATH=/path/to/other/checkout/src python tools/bitcheck.py
-    PYTHONPATH=src python tools/bitcheck.py errors   # print those outcomes
 
 It takes a few seconds and compares nothing itself.
 """
@@ -32,7 +31,6 @@ import hashlib
 import io
 import itertools
 import math
-import sys
 
 import numpy as np
 
@@ -234,8 +232,9 @@ def _kernels(fields, points):
 
 
 def _invalid_calls() -> list:
-    """One call per invalid input: each count below its least value, each positive real
-    at NaN, 0 and a string, each flow time at NaN and inf, and CLI flags out of range."""
+    """One call per invalid input: each count below its least value, a string schedule
+    duration, each positive real at NaN, 0, a string, bytes and a numpy bool, each flow
+    time at NaN and inf, and CLI flags out of range."""
     v1, v2 = cf.heisenberg_fields()
     system = cf.AffineControlSystem.of((v1, v2))
     expr = cf.BracketExpression.parse("[V1,V2]")
@@ -256,7 +255,9 @@ def _invalid_calls() -> list:
         lambda: cf.plan_reach(system, zero, [0.0, 0.0, 0.1], 1e-3, 2, -1, solver),
         lambda: cf.BracketExpression.leaf(0),
     ]
-    for bad in (math.nan, 0.0, "1"):
+    calls.append(lambda: cf.simulate_schedule(
+        system, zero, cf.ControlSchedule((cf.Segment(1, 1, "1"),)), solver))
+    for bad in (math.nan, 0.0, "1", b"1", np.True_):
         calls += [
             lambda bad=bad: cf.sample_lift_bound(rot, phi, 1, q, bad),
             lambda bad=bad: cf.order_probe(lambda t: t, bad),
@@ -335,9 +336,6 @@ def sections() -> dict[str, object]:
 
 
 def main() -> None:
-    if sys.argv[1:] == ["errors"]:
-        print(*(outcome.rstrip("\n") for outcome in _errors()), sep="\n")
-        return
     for name, results in sections().items():
         digest = hashlib.sha256()
         for value in results:
