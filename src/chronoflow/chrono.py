@@ -40,7 +40,7 @@ from .flow import (
     chained_trajectory,
     flow_operator_apply,
 )
-from .quadrature import gauss_legendre
+from .quadrature import _node_count, gauss_legendre
 
 DEFAULT_NODES = 16
 ZERO_NORM_CUTOFF = 1e-14
@@ -175,6 +175,7 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     """
     lifts = LiftTable(obs, k)
     parts = _parts(field, t0, t)
+    nodes = _node_count(nodes)  # checked even with no part
     blocks = []  # per part from the t end, (x, weight, lift) leaves: one evaluation each
     for (a, b, pm), prefix in zip(parts, chen_walk(parts, k - 1)):
         outers = [(c, m, lifts[word + (pm,) * (m + 1)])

@@ -292,13 +292,6 @@ class _ArgumentParser(argparse.ArgumentParser):
         self.exit(2, f"{self.prog}: error: {message}\n")
 
 
-def _node_count(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _ArgumentParser(
         prog="chronoflow",
@@ -373,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("param-deriv",
                        help="flow derivative in a perturbation direction")
     common(p)
-    p.add_argument("--nodes", type=_node_count, default=32,
+    p.add_argument("--nodes", type=int, default=32,
                    help="Gauss-Legendre nodes per piece (default 32)")
     p.add_argument("--field", type=int, default=1, help="base field index")
     p.add_argument("--perturb", type=int, default=2, help="perturbation field index")

@@ -2,7 +2,8 @@
 
 The solver integrates each piecewise-autonomous segment with classical
 fourth-order Runge-Kutta on a fixed grid, splitting steps at the field's
-time breakpoints so no step straddles a discontinuity.  Pushforwards come
+time breakpoints so no step straddles a discontinuity.  A plain solve is a
+float-list loop through each piece's compiled evaluator.  Pushforwards come
 from the variational equation M' = V'(x(t)) M integrated alongside the
 trajectory.  Backward flows use negative steps on the same field.
 """
@@ -102,7 +103,8 @@ def _advance_piece(pm, q: list[float], mat: list[float] | None, a: float, b: flo
     the same bits at about three times the cost.  With ``mat`` the piece's
     generated loop (``PolynomialMap._variational_rk4``), which inlines the
     field and its Jacobian, carries the state and the matrix; without it a
-    numpy loop carries the state through the piece's compiled evaluator.
+    float-list loop carries the state through the piece's compiled evaluator,
+    with the IEEE operations of a numpy stepper in the same order.
     """
     n_steps = solver.step_count(a, b)
     h = (b - a) / n_steps
@@ -113,20 +115,16 @@ def _advance_piece(pm, q: list[float], mat: list[float] | None, a: float, b: flo
     f = pm._evaluator
     half = 0.5 * h
     sixth = h / 6.0
-    array = np.array
-    q = array(q)
     for i in range(n_steps):
-        k1 = array(f(q.tolist()))
-        q2 = q + half * k1
-        k2 = array(f(q2.tolist()))
-        q3 = q + half * k2
-        k3 = array(f(q3.tolist()))
-        q4 = q + h * k3
-        k4 = array(f(q4.tolist()))
-        q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not (abs(q).max() <= threshold):  # true also for NaN
+        k1 = f(q)
+        k2 = f([x + half * k for x, k in zip(q, k1)])
+        k3 = f([x + half * k for x, k in zip(q, k2)])
+        k4 = f([x + h * k for x, k in zip(q, k3)])
+        q = [x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
+             for x, a1, a2, a3, a4 in zip(q, k1, k2, k3, k4)]
+        if not all(abs(x) <= threshold for x in q):  # true also for NaN
             raise BlowUpError(step_base + i + 1, a + (i + 1) * h)
-    return q.tolist(), None, step_base + n_steps
+    return q, None, step_base + n_steps
 
 
 def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
@@ -191,7 +189,7 @@ def inverse_flow(fm: FlowMap, q) -> np.ndarray:
     return flow_map(FlowMap(fm.field, fm.t1, fm.t0, fm.solver), q)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Segment:
     """One signed flow segment: field index (1-based), sign, duration."""
 
@@ -200,7 +198,7 @@ class Segment:
     duration: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ControlSchedule:
     """Signed flow segments run in turn: an admissible control (one component
     active per segment, values +/-1) and the compiled form of a bracket program."""

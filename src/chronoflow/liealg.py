@@ -22,6 +22,7 @@ from .errors import DimensionError
 from .fields import (
     PolynomialMap,
     VectorField,
+    _finite_times,
     as_int,
     as_point,
     eval_field,
@@ -269,6 +270,7 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
         raise ValueError("the adjoint identity check expects autonomous fields")
     point = as_point(q, v.dim)
     bracket, w_map = lie_bracket_field(v, w).piece_at(0.0), w.piece_at(0.0)
+    _finite_times(0.0, t)  # once, before the nodes spread t
     xs, ws = gauss_legendre(0.0, t, nodes)
     states, segments = chained_trajectory(v, 0.0, list(xs) + [t], point, solver,
                                           pushforward=True)

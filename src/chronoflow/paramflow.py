@@ -26,7 +26,7 @@ from .flow import (
     flow_map,
     flow_time_dependent,
 )
-from .quadrature import gauss_legendre
+from .quadrature import _node_count, gauss_legendre
 
 IN_FORMULA = "in"
 OUT_FORMULA = "out"
@@ -83,7 +83,7 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     if mode not in (IN_FORMULA, OUT_FORMULA):
         raise ValueError(f"mode must be '{IN_FORMULA}' or '{OUT_FORMULA}'")
     point = as_point(q, sys.base_field.dim)
-    xs, ws, maps = _quad_nodes(sys, nodes)
+    xs, ws, maps = _quad_nodes(sys, _node_count(nodes))  # checked even with no part
     if not xs:  # no part of [t0, t1] is longer than parts' cutoff, t1 == t0 included
         return np.zeros(sys.base_field.dim)
     states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], point,

@@ -17,11 +17,17 @@ def _reference_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _node_count(n) -> int:
+    """``n`` as a node count from 1 to ``MAX_NODES``, an int as numpy takes; ValueError
+    otherwise.  A caller whose interval may hold no rule checks its count here first."""
+    n = as_int(n, "quadrature nodes", 1)
+    if n > MAX_NODES:
+        raise ValueError(f"quadrature nodes must be <= {MAX_NODES}, got {n}")
+    return n
+
+
 def gauss_legendre(a: float, b: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     """Nodes and weights for the signed integral from a to b."""
-    # True would pass as 1 node, and numpy takes only an int n
-    if isinstance(n, bool) or not 1 <= as_int(n, "quadrature nodes") <= MAX_NODES:
-        raise ValueError(f"quadrature needs 1 to {MAX_NODES} nodes, got {n}")
-    x, w = _reference_rule(int(n))
+    x, w = _reference_rule(_node_count(n))
     half = 0.5 * (b - a)
     return 0.5 * (a + b) + half * x, half * w

@@ -15,6 +15,7 @@ offset on the plan's clock, so its endpoint equals bit for bit
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
@@ -68,7 +69,7 @@ def simulate_schedule(sys: AffineControlSystem, q0, sched: ControlSchedule,
     return run_schedule(sched, sys.fields, as_point(q0, sys.dim), solver)[0]
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RankReport:
     """Iterated brackets evaluated at a point, with their numerical rank."""
 
@@ -92,10 +93,17 @@ def canonical_bracket_basis(num_fields: int, max_degree: int) -> list[BracketExp
 
     A pair is kept only when the left subtree's canonical string is
     lexicographically smaller than the right's, which also drops the
-    identically-zero [A, A] shapes.
+    identically-zero [A, A] shapes.  The shapes are built once per
+    ``(num_fields, max_degree)`` (the last 32 pairs asked) and shared by
+    every call; each call gets its own list.
     """
-    from .liealg import BracketExpression
     max_degree = as_int(max_degree, "max_degree", 1)  # True would pass as degree 1
+    return list(_bracket_basis(num_fields, max_degree))
+
+
+@functools.lru_cache(maxsize=32)
+def _bracket_basis(num_fields: int, max_degree: int) -> tuple[BracketExpression, ...]:
+    from .liealg import BracketExpression
     by_degree: dict[int, list[BracketExpression]] = {
         1: [BracketExpression.leaf(i) for i in range(1, num_fields + 1)]
     }
@@ -107,10 +115,7 @@ def canonical_bracket_basis(num_fields: int, max_degree: int) -> list[BracketExp
                     if str(left) < str(right):
                         exprs.append(BracketExpression.pair(left, right))
         by_degree[d] = sorted(exprs, key=str)
-    basis: list[BracketExpression] = []
-    for d in range(1, max_degree + 1):
-        basis.extend(by_degree[d])
-    return basis
+    return tuple(e for d in range(1, max_degree + 1) for e in by_degree[d])
 
 
 def _rank_report(basis, fields, point: np.ndarray, rel_tol: float) -> RankReport:
@@ -151,7 +156,7 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
     return program if sign > 0 else program.reversed()
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class PlanResult:
     """Planner output; the endpoint ends the planner's chained simulation of the
     schedule and equals ``simulate_schedule(sys, q0, schedule, solver)`` bit for bit."""

@@ -268,7 +268,7 @@ def test_integral_equation_residual_piecewise_constants():
 
 def test_quadrature_rejects_node_counts_above_the_cap():
     assert len(gauss_legendre(0.0, 1.0, MAX_NODES)[0]) == MAX_NODES
-    with pytest.raises(ValueError, match=f"1 to {MAX_NODES} nodes, got 100000"):
+    with pytest.raises(ValueError, match=f"quadrature nodes must be <= {MAX_NODES}, got 100000"):
         gauss_legendre(0.0, 1.0, 100_000)
 
 
@@ -431,10 +431,14 @@ def test_witness_order_below_one_is_rejected():
     # True would pass as a one-node rule
     (lambda: remainder_eval(rotation2d(), Observable.identity(2), [1.0, 0.0], 0.0, 0.5, 1,
                             SOLVER, nodes=True, method="direct"),
-     f"quadrature needs 1 to {MAX_NODES} nodes, got True"),
+     "quadrature nodes must be an integer, got True"),
+    # checked even where t0 == t leaves no part to place nodes on
+    (lambda: remainder_eval(rotation2d(), Observable.identity(2), [1.0, 0.0], 0.5, 0.5, 1,
+                            SOLVER, nodes=0, method="direct"),
+     "quadrature nodes must be >= 1, got 0"),
 ], ids=["volume_order_-1", "volume_order_-3", "volume_nan_time", "term_inf_time",
         "witness_no_points", "witness_bool_points", "witness_bool_seed", "difference_nodes",
-        "direct_bool_nodes"])
+        "direct_bool_nodes", "direct_no_part_zero_nodes"])
 def test_series_entry_points_reject_orders_and_times_they_cannot_honour(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -406,6 +406,19 @@ def test_usage_error_is_one_line():
         "--q0, --target, --epsilon"]
 
 
+@pytest.mark.parametrize("nodes, t", [(0, "0.5"), (0, "0"), (100_000, "0.5")])
+def test_nodes_flag_words_the_quadrature_rule(nodes, t):
+    # --nodes reaches the library's one node-count rule, with or without a time
+    # interval to place the nodes on
+    from chronoflow.quadrature import gauss_legendre
+    with pytest.raises(ValueError) as info:
+        gauss_legendre(0.0, 1.0, nodes)
+    result = run_cli("param-deriv", "--system", "heisenberg", "--t", t, "--q", "0,0,0",
+                     "--nodes", str(nodes))
+    assert result.returncode == 2
+    assert result.stderr == f"error: {info.value}\n"
+
+
 def test_nodes_and_steps_flags_only_on_subcommands_that_read_them():
     import argparse
     parser = cli.build_parser()

@@ -233,6 +233,14 @@ def test_adjoint_check_negative_time():
     assert adjoint_check(V1, V2, [0.1, -0.2, 0.3], -0.3, FlowSolver(300)) <= 1e-9
 
 
+@pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf])
+def test_adjoint_check_names_an_invalid_time_once(t):
+    # checked at entry, before the quadrature spreads t over 16 node times
+    with pytest.raises(ValueError) as info:
+        adjoint_check(V1, V2, [0.0, 0.0, 0.0], t, FlowSolver(300))
+    assert str(info.value) == f"flow times must be finite, got [0.0, {t}]"
+
+
 @pytest.mark.parametrize("t", [0.4, -0.4])
 def test_adjoint_check_random_field(random_field, t):
     v, w = random_field(11, 3, 3), random_field(12, 3, 3)

@@ -5,7 +5,10 @@ lifts, JSON round trips) must hold for every field, not only the catalog
 systems, up to float rounding in the polynomial arithmetic; the direct and
 difference remainders must agree on random piecewise fields in either time
 direction; the compiled evaluator must give the bits of a term-by-term
-numpy evaluation (dimension <= 8, exponents <= 11, overflow included), and
+numpy evaluation (dimension <= 8, exponents <= 11, overflow included), the
+plain float-list RK4 loop the endpoint bits, or the blow-up step and time,
+of a numpy stepper (dimension <= 8, piecewise fields, both time directions;
+overflow to inf, NaN states and overflowing powers), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
 numpy stepper's pushforward (dimension <= 8, and fields with a zero, a
 constant and a 300-term component); flows, pushforwards and
@@ -193,6 +196,37 @@ def test_compiled_evaluator_matches_numpy_bit_for_bit(data):
             assert got.tobytes() == want.tobytes(), (x, got, want)
 
 
+def numpy_plain_rk4(field: VectorField, q: np.ndarray, t0: float, t1: float,
+                    solver: FlowSolver) -> np.ndarray:
+    """Reference: plain RK4 on numpy arrays, stage by stage, over each part of
+    [t0, t1], with the step count running on across parts and the blow-up test
+    after each step, as the plain flow stepped before it took float lists."""
+    threshold, step_base = solver.blowup_threshold, 0
+    with np.errstate(all="ignore"):  # overflow to inf and inf - inf are the cases
+        for a, b, pm in field.parts(t0, t1):
+            n_steps = solver.step_count(a, b)
+            h = (b - a) / n_steps
+            half, sixth = 0.5 * h, h / 6.0
+            for i in range(n_steps):
+                k1 = pm(q)
+                k2 = pm(q + half * k1)
+                k3 = pm(q + half * k2)
+                k4 = pm(q + h * k3)
+                q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                if not (abs(q).max() <= threshold):  # true also for NaN
+                    raise BlowUpError(step_base + i + 1, a + (i + 1) * h)
+            step_base += n_steps
+    return q
+
+
+def plain_outcome(solve):
+    """The bits of an endpoint, or the step and time of the blow-up it raised."""
+    try:
+        return solve().tobytes()
+    except BlowUpError as err:
+        return err.step, err.t
+
+
 def numpy_variational_rk4(pm: PolynomialMap, q: np.ndarray, t: float, solver: FlowSolver):
     """Reference: RK4 with the variational matrix on numpy arrays, stage by stage."""
     n_steps = solver.step_count(0.0, t)
@@ -214,6 +248,63 @@ def numpy_variational_rk4(pm: PolynomialMap, q: np.ndarray, t: float, solver: Fl
         mat = mat + sixth * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
         q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     return q, mat
+
+
+directions = st.sampled_from(((0.0, 0.7), (0.7, 0.0), (-0.8, 0.4), (0.4, -0.8)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_plain_loop_keeps_the_bits_of_the_numpy_stepper(data):
+    dim = data.draw(st.integers(1, 8))
+    field = data.draw(windowed_fields(dim, 3))
+    q = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array))
+    t0, t1 = data.draw(directions)
+    solver = FlowSolver(40)
+    assert plain_outcome(lambda: flow_map(FlowMap(field, t0, t1, solver), q)) == (
+        plain_outcome(lambda: numpy_plain_rk4(field, q, t0, t1, solver)))
+
+
+@st.composite
+def blowing_up(draw):
+    """A field, a start and a time direction whose solve leaves every bound: a
+    linear term whose stages overflow to inf, two linear terms whose infinities
+    cancel to a NaN state, or a power x^d that overflows (a rerun on numpy
+    scalars); the other components are random, in dimension 1 to 8."""
+    kind = draw(st.sampled_from(("inf", "nan", "power")))
+    dim = draw(st.integers(2 if kind == "nan" else 1, 8))
+    t0, t1 = draw(directions)
+    sign = 1.0 if t1 > t0 else -1.0  # grow in the direction of the solve
+    x = draw(st.floats(1.0, 2.0))
+    first = [0] * dim
+    if kind == "inf":
+        first[0] = 1
+        terms = [(sign * 10.0 ** draw(st.floats(4.0, 300.0)), tuple(first))]
+    elif kind == "nan":
+        c = 10.0 ** draw(st.floats(200.0, 300.0))
+        x = 10.0 ** draw(st.floats(110.0, 150.0))  # c x overflows at the first stage
+        second = [0] * dim
+        first[0], second[1] = 1, 1
+        terms = [(c, tuple(first)), (-c, tuple(second))]
+    else:
+        first[0] = draw(st.integers(2, 9))
+        terms = [(sign * 10.0 ** draw(st.floats(0.5, 2.0)), tuple(first))]
+    rest = draw(polynomial_maps(dim, max_terms=2)).components
+    pm = PolynomialMap(dim, dim, [list(rest[0]) + terms, *map(list, rest[1:])])
+    others = draw(st.lists(st.floats(-1.0, 1.0), min_size=max(dim - 2, 0), max_size=dim))
+    q = np.array([x, x, *others][:dim])
+    threshold = draw(st.sampled_from((1e12, 1e300, np.finfo(float).max)))
+    return VectorField.autonomous(pm), q, t0, 3.0 * t1 - 2.0 * t0, threshold
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(blowing_up())
+def test_plain_loop_blows_up_at_the_numpy_steppers_step_and_time(case):
+    field, q, t0, t1, threshold = case
+    solver = FlowSolver(100, blowup_threshold=threshold)
+    got = plain_outcome(lambda: flow_map(FlowMap(field, t0, t1, solver), q))
+    assert isinstance(got, tuple)
+    assert got == plain_outcome(lambda: numpy_plain_rk4(field, q, t0, t1, solver))
 
 
 @st.composite
