@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -46,7 +47,7 @@ DEFAULT_NODES = 16
 ZERO_NORM_CUTOFF = 1e-14
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class OrderEstimate:
     """Fitted decay order of a nonnegative sample over a dyadic t-grid."""
 
@@ -62,7 +63,7 @@ class OrderEstimate:
         return self.degenerate or self.fitted_slope > k + margin
 
 
-@dataclass(eq=False)
+@dataclass(eq=False, slots=True)
 class RemainderReport:
     """Norm of the order-k truncation remainder at one (k, t), with bound."""
 
@@ -199,21 +200,20 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
 
 def fit_order(t_grid: np.ndarray, norms: np.ndarray,
               cutoff: float = ZERO_NORM_CUTOFF) -> OrderEstimate:
-    """Least-squares log-log slope over samples above the zero cutoff (degenerate below two)."""
+    """Least-squares log-log slope over samples above the zero cutoff (degenerate below two),
+    in closed form: the slope is sum(x y) / sum(x x) over the centred logs x and y."""
     t_grid = np.asarray(t_grid, dtype=float)
     norms = np.asarray(norms, dtype=float)
     usable = norms > cutoff
     excluded = int(np.sum(~usable))
     if int(np.sum(usable)) < 2:
         return degenerate_estimate(t_grid, norms)
-    log_t = np.log(t_grid[usable])
-    log_n = np.log(norms[usable])
-    slope, intercept = np.polyfit(log_t, log_n, 1)
-    fitted = slope * log_t + intercept
-    ss_res = float(np.sum((log_n - fitted) ** 2))
-    ss_tot = float(np.sum((log_n - np.mean(log_n)) ** 2))
+    x, y = (v - np.mean(v) for v in (np.log(t_grid[usable]), np.log(norms[usable])))
+    slope = float(np.dot(x, y) / np.dot(x, x))
+    ss_res = float(np.sum((y - slope * x) ** 2))
+    ss_tot = float(np.sum(y ** 2))
     r_squared = 1.0 if ss_tot == 0.0 else 1.0 - ss_res / ss_tot
-    return OrderEstimate(t_grid=t_grid, norms=norms, fitted_slope=float(slope),
+    return OrderEstimate(t_grid=t_grid, norms=norms, fitted_slope=slope,
                          r_squared=r_squared, excluded=excluded)
 
 
@@ -223,6 +223,14 @@ def degenerate_estimate(t_grid, norms) -> OrderEstimate:
                          norms=np.asarray(norms, dtype=float),
                          fitted_slope=math.inf, r_squared=1.0,
                          excluded=len(norms), degenerate=True)
+
+
+@lru_cache(maxsize=32)
+def _dyadic_grid(t_max: float, levels: int) -> np.ndarray:
+    """t_max * 2^-j for j < levels: one read-only array per (t_max, levels), shared."""
+    grid = t_max * 2.0 ** (-np.arange(levels, dtype=float))
+    grid.flags.writeable = False
+    return grid
 
 
 def order_probe(sample: Callable[[float], float], t_max: float,
@@ -237,7 +245,7 @@ def order_probe(sample: Callable[[float], float], t_max: float,
     """
     t_max = _positive(t_max, "t_max")
     levels = as_int(levels, "levels", 4)  # 4.5 would run 5 levels
-    t_grid = t_max * 2.0 ** (-np.arange(levels, dtype=float))
+    t_grid = _dyadic_grid(t_max, levels)
     norms = np.array([float(sample(t)) for t in t_grid])
     if not np.all(np.isfinite(norms) & (norms >= 0)):
         raise ValueError(f"samples must be finite and nonnegative, got {norms.tolist()}")

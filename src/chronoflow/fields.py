@@ -9,9 +9,10 @@ contiguous time intervals, and an autonomous field is the one piece over
 
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.  Equal
-term tables share one compiled evaluator and one variational RK4 loop per
-process (``_compiled``, up to ``COMPILE_MEMO_SIZE`` entries); the memo is
-thread-safe, and a race compiles a table twice.
+term tables share one compiled evaluator and one variational RK4 loop, and
+maps of one dimension one plain RK4 loop, per process (``_compiled``, up to
+``COMPILE_MEMO_SIZE`` entries); the memo is thread-safe, and a race compiles
+a table twice.
 """
 from __future__ import annotations
 
@@ -22,7 +23,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, partial
+from functools import cache, cached_property, lru_cache, partial
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -239,6 +240,48 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
     return namespace["_eval"]
 
 
+def _rk4_step(n: int, stage: Callable[[int, str | None, list[str]], list[str]],
+              updates: Sequence[str] = (), finite: Sequence[str] = ()) -> list[str]:
+    """One RK4 step on y0..y{n-1} for both generated loops: stage s (0 to 3) is the lines
+    ``stage(s, scale, point)`` for the point y_k, then y_k + scale * k<s>_k; then
+    ``updates``, the state update, and BlowUpError unless every |y_k| <= threshold
+    (false for NaN) and every name in ``finite`` is finite."""
+    lines = []
+    for s, scale in enumerate((None, "half", "half", "h")):
+        lines += stage(s, scale, [f"y{k} + {scale} * k{s}_{k}" if s else f"y{k}"
+                                  for k in range(n)])
+    lines += updates
+    lines += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})"
+              for k in range(n)]
+    checks = [f"abs(y{k}) <= threshold" for k in range(n)]
+    if finite:  # x - x is 0.0 for every finite x and NaN otherwise
+        zeros = [f"({x} - {x})" for x in finite]
+        if len(zeros) > SUM_CHUNK:
+            lines += _sum_lines("zero", zeros)
+            zeros = ["zero"]
+        checks.append(" + ".join(zeros) + " == 0.0")
+    return lines + [f"if not ({' and '.join(checks)}):",
+                    "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h)"]
+
+
+def _plain_source(n: int) -> str:
+    """Source of the RK4 loop ``_rk4(f, q, a, h, n_steps, threshold, step_base)`` on n
+    floats, one call of the evaluator ``f`` per stage: the IEEE operations of a numpy
+    stepper in its order.  It holds no field, so every map of dimension n shares it."""
+    stage = lambda s, _, point: [f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = "
+                                 f"f([{', '.join(point)}])"]
+    state = ", ".join(f"y{k}" for k in range(n))
+    return "\n".join([
+        "def _rk4(f, q, a, h, n_steps, threshold, step_base):",
+        "    half = 0.5 * h",
+        "    sixth = h / 6.0",
+        f"    {state}, = q",
+        "    for i in range(n_steps):",
+        *("        " + line for line in _rk4_step(n, stage)),
+        f"    return [{state}]",
+    ])
+
+
 def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False) -> str:
     """Source of a fixed-step RK4 loop over the state and its n x n pushforward.
 
@@ -254,7 +297,8 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
     A step raises BlowUpError when the state leaves the threshold or an updated
     matrix entry is not finite; an overflowing power raises it at the same step.
     With ``calls`` the loop is ``_rk4(f, q, ...)`` and calls the evaluator ``f``
-    at each stage point in place of the inlined field.
+    at each stage point in place of the inlined field.  The stage points, the
+    state update and the blow-up test are the plain loop's (``_rk4_step``).
     """
     jac_tables = [_diff_terms(table, var) for table in tables for var in range(n)]
     state = [f"y{k}" for k in range(n)]
@@ -273,20 +317,19 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
         "    try:",
         "        for i in range(n_steps):",
     ]
-    body = []
     # stage s + 1: point p<s+1>_k (y_k at s = 0), slopes k<s+1>_k, matrix slopes d<s+1>_r_c
-    for s, scale in enumerate((None, "half", "half", "h")):
-        point = state
+    def stage(s: int, scale: str | None, values: list[str]) -> list[str]:
+        body, point = [], state
         if s:
             point = [f"p{s + 1}_{k}" for k in range(n)]
-            body += [f"{point[k]} = y{k} + {scale} * k{s}_{k}" for k in range(n)]
+            body += [f"{name} = {value}" for name, value in zip(point, values)]
         if calls:
             body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = f([{', '.join(point)}])")
         else:
             for k, table in enumerate(tables):
                 body += _sum_lines(f"k{s + 1}_{k}", _terms(table, point) or ["0.0"])
         if not rows:
-            continue
+            return body
         if s:
             body += [f"n{k}_{c} = m{k}_{c} + {scale} * d{s}_{k}_{c}" for k in moving
                      for c in range(n)]
@@ -307,19 +350,11 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
                 products = [f"{factor[r, k]} * {'n' if s and k in moving else 'm'}{k}_{c}"
                             for k in range(n) if (r, k) in factor]
                 body += _sum_lines(f"d{s + 1}_{r}_{c}", products)
-    body += [f"m{r}_{c} = m{r}_{c} + sixth * (d1_{r}_{c} + 2.0 * d2_{r}_{c} + 2.0 * d3_{r}_{c}"
-             f" + d4_{r}_{c})" for r in rows for c in range(n)]
-    body += [f"y{k} = y{k} + sixth * (k1_{k} + 2.0 * k2_{k} + 2.0 * k3_{k} + k4_{k})"
-             for k in range(n)]
-    checks = [f"abs(y{k}) <= threshold" for k in range(n)]
-    if rows:  # x - x is 0.0 for every finite x and NaN otherwise
-        zeros = [f"(m{r}_{c} - m{r}_{c})" for r in rows for c in range(n)]
-        if len(zeros) > SUM_CHUNK:
-            body += _sum_lines("zero", zeros)
-            zeros = ["zero"]
-        checks.append(" + ".join(zeros) + " == 0.0")
-    body += [f"if not ({' and '.join(checks)}):",
-             "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h)"]
+        return body
+
+    updates = [f"m{r}_{c} = m{r}_{c} + sixth * (d1_{r}_{c} + 2.0 * d2_{r}_{c} + 2.0 * d3_{r}_{c}"
+               f" + d4_{r}_{c})" for r in rows for c in range(n)]
+    body = _rk4_step(n, stage, updates, [f"m{r}_{c}" for r in rows for c in range(n)])
     lines += ["            " + line for line in body]
     lines += [
         "    except OverflowError:",
@@ -330,18 +365,21 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
 
 
 @lru_cache(maxsize=COMPILE_MEMO_SIZE)
-def _compiled(kind: str, key: tuple[int, tuple[tuple[tuple[Exps, float], ...], ...]]):
-    """The compiled ``kind`` of the map whose ``PolynomialMap._key`` is ``key``: its
-    evaluator (``"evaluator"``, ``_compile_evaluator``) or its RK4 loop with
-    pushforward (``_variational_source``), with the field inlined (``"variational"``)
-    or called through an evaluator (``"variational_calls"``); the loop's Jacobian is
-    derived only here, on a miss.  Equal maps have equal keys and generate identical
-    source, so every map with equal tables shares one function of each kind with its bits."""
+def _compiled(kind: str, key):
+    """The compiled ``kind`` for ``key``: the evaluator (``"evaluator"``, ``_compile_evaluator``)
+    or RK4 loop with pushforward (``_variational_source``), field inlined (``"variational"``)
+    or called (``"variational_calls"``), of the map whose ``PolynomialMap._key`` is ``key``;
+    or the plain RK4 loop (``"plain"``, ``_plain_source``) of dimension ``key``.  A loop's
+    Jacobian is derived only on a miss.  Equal keys generate identical source, so every
+    map with equal tables shares one function of each kind with its bits."""
+    namespace: dict = {"BlowUpError": BlowUpError}
+    if kind == "plain":
+        exec(_plain_source(key), namespace)
+        return namespace["_rk4"]
     dim, tables = key
     components = tuple(dict(table) for table in tables)
     if kind == "evaluator":
         return _compile_evaluator(components, dim)
-    namespace: dict = {"BlowUpError": BlowUpError}
     exec(_variational_source(components, dim, kind == "variational_calls"), namespace)
     return namespace["_rk4"]
 
@@ -381,9 +419,9 @@ class PolynomialMap:
         pm.dim_in, pm.dim_out, pm._components = dim_in, len(tables), tuple(tables)
         return pm
 
-    @cached_property
+    @property
     def _key(self) -> tuple[int, tuple[tuple[tuple[Exps, float], ...], ...]]:
-        """(dim_in, each term table as its sorted items): equal exactly for equal maps."""
+        """(dim_in, each term table as its sorted items): equal exactly for equal maps; not kept."""
         return self.dim_in, tuple(tuple(sorted(table.items())) for table in self._components)
 
     @cached_property
@@ -460,7 +498,9 @@ class PolynomialMap:
         return cls(dim_in, len(values), [[(v, zero)] for v in values])
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)  # typed: 2.0 fails as it did, not as 2's map
     def identity(cls, dim: int) -> "PolynomialMap":
+        """The identity of R^dim, one shared value per ``dim``."""
         comps = []
         for i in range(dim):
             e = tuple(1 if j == i else 0 for j in range(dim))
@@ -681,13 +721,15 @@ class Observable:
         return self.map.jacobian(as_point(q, self.map.dim_in))
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)  # one shared value per argument list
     def identity(cls, dim: int, max_derivative_order: int = DEFAULT_OBSERVABLE_ORDER) -> "Observable":
         return cls(PolynomialMap.identity(dim), max_derivative_order)
 
     @classmethod
+    @lru_cache(maxsize=64, typed=True)  # typed: a dim of 3.0 fails as it did
     def coordinate(cls, dim: int, axis: int,
                    max_derivative_order: int = DEFAULT_OBSERVABLE_ORDER) -> "Observable":
-        """The scalar observable picking out coordinate ``axis`` (0-based)."""
+        """The scalar observable of coordinate ``axis`` (0-based), shared per argument list."""
         axis = as_int(axis, "axis")  # 0.5 would pick no coordinate, True axis 1
         if not 0 <= axis < dim:
             raise DimensionError(f"axis {axis} out of range for dim {dim}")
@@ -893,30 +935,32 @@ def linear_field(matrix) -> VectorField:
     return VectorField.autonomous(PolynomialMap.linear(a))
 
 
+@cache
 def rotation2d() -> VectorField:
-    """Planar rotation x' = (-y, x); flow is the rotation by angle t."""
+    """Planar rotation x' = (-y, x), whose flow rotates by t; one shared, immutable value."""
     return linear_field([[0.0, -1.0], [1.0, 0.0]])
 
 
+@cache
 def _planar_pair(a: float, b: float) -> tuple[VectorField, VectorField]:
-    """The pair (1, 0, a*y) and (0, 1, b*x) on R^3; b = 0 drops the x term."""
+    """The pair (1, 0, a*y) and (0, 1, b*x) on R^3 (b = 0 drops x); one shared value per (a, b)."""
     first = PolynomialMap(3, 3, [[(1.0, (0, 0, 0))], [], [(a, (0, 1, 0))]])
     second = PolynomialMap(3, 3, [[], [(1.0, (0, 0, 0))], [(b, (1, 0, 0))]])
     return VectorField.autonomous(first), VectorField.autonomous(second)
 
 
 def heisenberg_fields() -> tuple[VectorField, VectorField]:
-    """The Heisenberg pair V1 = (1, 0, -y/2), V2 = (0, 1, x/2) on R^3."""
+    """The Heisenberg pair (1, 0, -y/2), (0, 1, x/2) on R^3; one shared, immutable value."""
     return _planar_pair(-0.5, 0.5)
 
 
 def unicycle_fields() -> tuple[VectorField, VectorField]:
-    """Chained-form unicycle on R^3: (1, 0, y) and (0, 1, 0)."""
+    """Chained-form unicycle on R^3: (1, 0, y) and (0, 1, 0); one shared, immutable value."""
     return _planar_pair(1.0, 0.0)
 
 
 def brockett_fields() -> tuple[VectorField, VectorField]:
-    """Brockett integrator on R^3: (1, 0, -y) and (0, 1, x)."""
+    """Brockett integrator on R^3: (1, 0, -y) and (0, 1, x); one shared, immutable value."""
     return _planar_pair(-1.0, 1.0)
 
 

@@ -2,10 +2,11 @@
 
 The solver integrates each piecewise-autonomous segment with classical
 fourth-order Runge-Kutta on a fixed grid, splitting steps at the field's
-time breakpoints so no step straddles a discontinuity.  A plain solve is a
-float-list loop through each piece's compiled evaluator.  Pushforwards come
-from the variational equation M' = V'(x(t)) M integrated alongside the
-trajectory.  Backward flows use negative steps on the same field.
+time breakpoints so no step straddles a discontinuity.  A plain solve runs a
+loop generated once per dimension, which calls each piece's compiled
+evaluator at every stage.  Pushforwards come from the variational equation
+M' = V'(x(t)) M integrated alongside the trajectory.  Backward flows use
+negative steps on the same field.
 """
 from __future__ import annotations
 
@@ -18,7 +19,8 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .errors import BlowUpError
-from .fields import Observable, VectorField, _finite_times, _positive, as_float, as_int, as_point
+from .fields import (Observable, VectorField, _compiled, _finite_times, _positive, as_float,
+                     as_int, as_point)
 
 MAX_STEPS_PER_SOLVE = 10 ** 8
 
@@ -102,29 +104,19 @@ def _advance_piece(pm, q: list[float], mat: list[float] | None, a: float, b: flo
     multiply-add of the generated loop into numpy scalar arithmetic, with
     the same bits at about three times the cost.  With ``mat`` the piece's
     generated loop (``PolynomialMap._variational_rk4``), which inlines the
-    field and its Jacobian, carries the state and the matrix; without it a
-    float-list loop carries the state through the piece's compiled evaluator,
-    with the IEEE operations of a numpy stepper in the same order.
+    field and its Jacobian, carries the state and the matrix; without it the
+    plain loop generated once per dimension (``fields._plain_source``) carries
+    the state through the piece's compiled evaluator, one call per stage, with
+    the IEEE operations of a numpy stepper in the same order.
     """
     n_steps = solver.step_count(a, b)
     h = (b - a) / n_steps
     threshold = solver.blowup_threshold
     if mat is not None:
         q, mat = pm._variational_rk4(q, mat, a, h, n_steps, threshold, step_base)
-        return q, mat, step_base + n_steps
-    f = pm._evaluator
-    half = 0.5 * h
-    sixth = h / 6.0
-    for i in range(n_steps):
-        k1 = f(q)
-        k2 = f([x + half * k for x, k in zip(q, k1)])
-        k3 = f([x + half * k for x, k in zip(q, k2)])
-        k4 = f([x + h * k for x, k in zip(q, k3)])
-        q = [x + sixth * (a1 + 2.0 * a2 + 2.0 * a3 + a4)
-             for x, a1, a2, a3, a4 in zip(q, k1, k2, k3, k4)]
-        if not all(abs(x) <= threshold for x in q):  # true also for NaN
-            raise BlowUpError(step_base + i + 1, a + (i + 1) * h)
-    return q, None, step_base + n_steps
+    else:
+        q = _compiled("plain", pm.dim_in)(pm._evaluator, q, a, h, n_steps, threshold, step_base)
+    return q, mat, step_base + n_steps
 
 
 def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
@@ -167,9 +159,9 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
 
 
 def flow_map(fm: FlowMap, q) -> np.ndarray:
-    """Endpoint of the trajectory q' = V_t(q) from (t0, q) to t1."""
+    """Endpoint of the trajectory q' = V_t(q) from (t0, q) to t1, as an array of its own."""
     states, _ = _flow_core(fm.field, fm.t0, [fm.t1], q, fm.solver, False)
-    return states[0]
+    return states[0].copy()  # a view would keep the (1, n) array alive with it
 
 
 def flow_with_pushforward(fm: FlowMap, q) -> tuple[np.ndarray, np.ndarray]:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import TYPE_CHECKING
 
@@ -38,7 +38,6 @@ from .flow import (
     _solve_columns,
     _transport,
     chained_trajectory,
-    flow_map,
     inverse_flow,
     run_schedule,
 )
@@ -87,8 +86,9 @@ class BracketExpression:
         return f"[{self.left},{self.right}]"
 
     @classmethod
+    @lru_cache(maxsize=128)
     def parse(cls, text: str) -> "BracketExpression":
-        """Parse the grammar ``V1``, ``[V1,V2]``, ``[[V1,V2],V1]`` (whitespace-insensitive)."""
+        """Parse ``V1``, ``[V1,V2]``, ``[[V1,V2],V1]`` (whitespace-insensitive), memoised."""
         compact = "".join(text.split())
         expr, pos = cls._parse_at(compact, 0)
         if pos != len(compact):
@@ -311,52 +311,3 @@ def pushforward_invariance_check(fm: FlowMap, v: VectorField, w: VectorField, q,
     fv, fw, lhs = transport(point)
     rhs = jac_fw @ fv - jac_fv @ fw
     return float(np.linalg.norm(lhs - rhs))
-
-
-def commutator_decomposition_residual(x_field: VectorField, y_field: VectorField,
-                                      t: float, q, solver: FlowSolver) -> float:
-    """Check the exact operator decomposition of a degree-2 flow commutator.
-
-    Writing P^{-1} = Id - A1, P = Id + A2, Q^{-1} = Id - B1, Q = Id + B2
-    for the two flows at parameter t, the commutator operator equals
-    Id - B2 A1 + A1 B1 + R with
-    R = B2 A1 B1 - A2 B2 A1 + A2 A1 B1 + A2 B2 A1 B1.
-    All pieces are assembled from the same four flow maps and applied to
-    the identity observable at q; the return value is the norm of the
-    difference from the directly-composed commutator endpoint.
-    """
-    point = as_point(q, x_field.dim)
-    p_map = FlowMap(x_field, 0.0, t, solver)
-    q_map = FlowMap(y_field, 0.0, t, solver)
-
-    fwd_p = lambda p: flow_map(p_map, p)
-    inv_p = lambda p: inverse_flow(p_map, p)
-    fwd_q = lambda p: flow_map(q_map, p)
-    inv_q = lambda p: inverse_flow(q_map, p)
-
-    # Operators act on observables phi: point -> vector.
-    a1 = lambda phi: (lambda p: phi(p) - phi(inv_p(p)))
-    a2 = lambda phi: (lambda p: phi(fwd_p(p)) - phi(p))
-    b1 = lambda phi: (lambda p: phi(p) - phi(inv_q(p)))
-    b2 = lambda phi: (lambda p: phi(fwd_q(p)) - phi(p))
-
-    def compose(*ops):
-        def apply(phi):
-            for op in reversed(ops):
-                phi = op(phi)
-            return phi
-        return apply
-
-    identity = lambda p: p
-    remainder = lambda phi: (lambda p:
-                             compose(b2, a1, b1)(phi)(p)
-                             - compose(a2, b2, a1)(phi)(p)
-                             + compose(a2, a1, b1)(phi)(p)
-                             + compose(a2, b2, a1, b1)(phi)(p))
-    assembled = (point
-                 - compose(b2, a1)(identity)(point)
-                 + compose(a1, b1)(identity)(point)
-                 + remainder(identity)(point))
-
-    direct = inv_q(inv_p(fwd_q(fwd_p(point))))
-    return float(np.linalg.norm(assembled - direct))

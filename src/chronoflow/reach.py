@@ -71,11 +71,17 @@ def simulate_schedule(sys: AffineControlSystem, q0, sched: ControlSchedule,
 
 @dataclass(eq=False, slots=True)
 class RankReport:
-    """Iterated brackets evaluated at a point, with their numerical rank."""
+    """Iterated brackets evaluated at a point, with their numerical rank: row i of
+    the (m, n) matrix ``values`` is ``basis[i]`` at the point."""
 
-    brackets: list[tuple[BracketExpression, np.ndarray]]
+    basis: tuple[BracketExpression, ...]
+    values: np.ndarray
     numerical_rank: int
     singular_values: np.ndarray
+
+    @property
+    def brackets(self) -> list[tuple[BracketExpression, np.ndarray]]:  # in basis order
+        return list(zip(self.basis, self.values))
 
     def to_json(self) -> dict:
         return {
@@ -119,12 +125,11 @@ def _bracket_basis(num_fields: int, max_degree: int) -> tuple[BracketExpression,
 
 
 def _rank_report(basis, fields, point: np.ndarray, rel_tol: float) -> RankReport:
-    rows = [(expr, eval_field(f, 0.0, point)) for expr, f in zip(basis, fields)]
-    matrix = np.array([v for _, v in rows])
+    matrix = np.array([eval_field(f, 0.0, point) for f in fields])
     singular = np.linalg.svd(matrix, compute_uv=False)
     top = singular[0] if singular.size else 0.0
     rank = int(np.sum(singular > rel_tol * top)) if top > 0 else 0
-    return RankReport(brackets=rows, numerical_rank=rank, singular_values=singular)
+    return RankReport(tuple(basis), matrix, rank, singular)
 
 
 def bracket_rank(sys: AffineControlSystem, q, max_degree: int,

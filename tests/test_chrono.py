@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 import chronoflow.flow
@@ -27,7 +28,7 @@ from chronoflow import (
     simplex_volume,
     volterra_truncate,
 )
-from chronoflow.chrono import _direct_remainder
+from chronoflow.chrono import ZERO_NORM_CUTOFF, _direct_remainder, fit_order
 from chronoflow.quadrature import MAX_NODES, gauss_legendre
 
 SOLVER = FlowSolver(1000)
@@ -192,6 +193,33 @@ def test_order_probe_remainder_k2_slope():
 
     estimate = order_probe(sample, 0.4, 8)
     assert 1.9 <= estimate.fitted_slope <= 2.3
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.floats(0.01, 2.0), st.integers(2, 12), st.floats(0.25, 8.0), st.floats(-20.0, 5.0),
+       st.lists(st.floats(-0.5, 0.5), min_size=12, max_size=12))
+def test_closed_form_slope_matches_polyfit(t_max, levels, order, log_c, noise):
+    # a decay c t^order with multiplicative noise on a dyadic grid, some samples below
+    # the zero cutoff: the closed form and numpy's least-squares polyfit, the
+    # reference, fit the same line up to rounding
+    t_grid = t_max * 2.0 ** -np.arange(levels, dtype=float)
+    norms = np.exp(log_c + order * np.log(t_grid) + np.array(noise[:levels]))
+    usable = norms > ZERO_NORM_CUTOFF
+    assume(usable.sum() >= 2)
+    log_t, log_n = np.log(t_grid[usable]), np.log(norms[usable])
+    slope, intercept = np.polyfit(log_t, log_n, 1)
+    ss_res = np.sum((log_n - (slope * log_t + intercept)) ** 2)
+    ss_tot = np.sum((log_n - np.mean(log_n)) ** 2)
+    estimate = fit_order(t_grid, norms)
+    assert abs(estimate.fitted_slope - slope) <= 1e-12 * abs(slope)
+    assert estimate.excluded == levels - usable.sum()
+    if ss_tot > 1e-20:
+        assert abs(estimate.r_squared - (1.0 - ss_res / ss_tot)) <= 1e-12
+
+
+def test_order_probe_shares_its_read_only_grid():
+    first, second = (order_probe(lambda t: t ** 2, 0.5, 6) for _ in range(2))
+    assert first.t_grid is second.t_grid and not first.t_grid.flags.writeable
 
 
 def test_order_probe_degenerate_on_zeros():

@@ -481,19 +481,37 @@ def _compiled_code(pm):
 
 
 def test_equal_tables_share_their_compiled_code():
-    # maps built independently from equal tables: the catalog twice, a JSON round
+    # maps built independently from equal tables: the same terms twice, a JSON round
     # trip and the lift of equal inputs
-    pairs = [(a.pieces[0][2], b.pieces[0][2])
-             for a, b in zip(heisenberg_fields(), heisenberg_fields())]
-    pairs.append((V1.pieces[0][2], vector_field_from_json(
-        json.loads(json.dumps(V1.to_json()))).pieces[0][2]))
+    def build():
+        return PolynomialMap(3, 3, [[(1.0, (0, 0, 0))], [], [(-0.5, (0, 1, 0))]])
+
+    first, second = build(), build()
+    pairs = [(first, second), (first, vector_field_from_json(json.loads(json.dumps(
+        VectorField.autonomous(second).to_json()))).pieces[0][2])]
     phi = PolynomialMap(3, 3, [[(0.5, (2, 0, 1))], [(1.0, (0, 1, 1))], [(-2.0, (1, 1, 0))]])
-    pairs.append((lift_map(phi, heisenberg_fields()[0].pieces[0][2]),
-                  lift_map(PolynomialMap.from_json(phi.to_json(), 3), V1.pieces[0][2])))
+    pairs.append((lift_map(phi, first),
+                  lift_map(PolynomialMap.from_json(phi.to_json(), 3), second)))
     for a, b in pairs:
         assert a is not b and a == b
         for code_a, code_b in zip(_compiled_code(a), _compiled_code(b)):
             assert code_a is code_b
+
+
+@pytest.mark.parametrize("builder", [rotation2d, heisenberg_fields, unicycle_fields,
+                                     brockett_fields])
+def test_each_catalog_builder_returns_one_shared_value(builder):
+    assert builder() is builder()
+
+
+def test_identity_and_coordinate_maps_are_shared_per_argument():
+    assert PolynomialMap.identity(3) is PolynomialMap.identity(3)
+    assert Observable.identity(3).map is Observable.identity(3, 2).map
+    assert Observable.identity(3, 2) is Observable.identity(3, 2)
+    assert Observable.coordinate(3, 1).map is Observable.coordinate(3, 1).map
+    assert Observable.coordinate(3, 1).map is not Observable.coordinate(3, 2).map
+    with pytest.raises(TypeError):  # a float dimension fails as it did unshared
+        PolynomialMap.identity(3.0)
 
 
 @pytest.mark.parametrize("pm, other", [
@@ -524,6 +542,17 @@ def test_many_pieces_of_two_tables_compile_twice(monkeypatch):
     end, _ = flow_with_pushforward(fm, [0.5, 0.5])
     assert np.array_equal(end, flow_map(fm, [0.5, 0.5]))
     assert sorted(compiled) == ["_compile_evaluator"] * 2 + ["_variational_source"] * 2
+
+
+def test_maps_of_one_dimension_share_one_plain_loop(monkeypatch):
+    fields._compiled.cache_clear()
+    generated = []
+    original = fields._plain_source
+    monkeypatch.setattr(fields, "_plain_source", lambda n: generated.append(n) or original(n))
+    for pm in (PolynomialMap.linear([[0.0, -1.0], [1.0, 0.0]]),
+               PolynomialMap.constants([1.0, 0.5], 2), PolynomialMap.constants([1.0, 0.5, 2.0], 3)):
+        flow_map(FlowMap(VectorField.autonomous(pm), 0.0, 0.5, FlowSolver(10)), [0.3] * pm.dim_in)
+    assert generated == [2, 3]
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

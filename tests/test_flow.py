@@ -218,6 +218,18 @@ def test_a_replaced_evaluator_runs_each_variational_stage():
     assert _bits(ends[0]) == _bits(ends[1])
 
 
+def test_a_replaced_evaluator_runs_each_plain_stage():
+    # the plain loop holds no field and calls the map's evaluator, replaced or not
+    pm = PolynomialMap(2, 2, [[(-1.0, (0, 1)), (0.3, (2, 0))], [(1.0, (1, 0))]])
+    fm = FlowMap(VectorField.autonomous(pm), 0.0, 0.37, FlowSolver(100))
+    before = flow_map(fm, [0.4, -0.1])
+    calls = []
+    evaluate = pm._evaluator
+    pm._evaluator = lambda x: calls.append(x) or evaluate(x)
+    assert _bits(flow_map(fm, [0.4, -0.1])) == _bits(before)
+    assert len(calls) == 4 * 37
+
+
 def test_non_finite_pushforward_raises():
     # x' = 60 y, y' = 60 x from the origin: the state stays at 0, so only the
     # pushforward, growing like e^(60 t), can report the blow-up

@@ -44,9 +44,9 @@ EXPORTS = {
     ),
     "liealg": (
         "BracketExpression", "adjoint_check", "bracket_asymptotics_check",
-        "bracket_program", "commutator_decomposition_residual",
-        "eval_bracket_expression", "flow_bracket", "inverse_expansion_check",
-        "lie_bracket", "lie_bracket_field", "pushforward_invariance_check",
+        "bracket_program", "eval_bracket_expression", "flow_bracket",
+        "inverse_expansion_check", "lie_bracket", "lie_bracket_field",
+        "pushforward_invariance_check",
     ),
     "paramflow": (
         "IN_FORMULA", "OUT_FORMULA", "PerturbedSystem", "fd_param_derivative",

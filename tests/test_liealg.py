@@ -18,13 +18,14 @@ from chronoflow import (
     bracket_asymptotics_check,
     bracket_program,
     brockett_fields,
-    commutator_decomposition_residual,
     constant_field,
     eval_bracket_expression,
     finite_difference_jacobian,
     flow_bracket,
+    flow_map,
     heisenberg_fields,
     inverse_expansion_check,
+    inverse_flow,
     lie_bracket,
     lie_bracket_field,
     linear_field,
@@ -262,6 +263,55 @@ def test_pushforward_invariance_commuting_constants():
     fm = FlowMap(fields[0], 0.0, 0.5, SOLVER)
     assert pushforward_invariance_check(fm, fields[0], fields[1],
                                         [0.3, 0.4]) <= 1e-9
+
+
+def commutator_decomposition_residual(x_field: VectorField, y_field: VectorField,
+                                      t: float, q, solver: FlowSolver) -> float:
+    """Reference: the exact operator decomposition of a degree-2 flow commutator.
+
+    Writing P^{-1} = Id - A1, P = Id + A2, Q^{-1} = Id - B1, Q = Id + B2
+    for the two flows at parameter t, the commutator operator equals
+    Id - B2 A1 + A1 B1 + R with
+    R = B2 A1 B1 - A2 B2 A1 + A2 A1 B1 + A2 B2 A1 B1.
+    All pieces are assembled from the same four flow maps and applied to
+    the identity observable at q; the return value is the norm of the
+    difference from the directly-composed commutator endpoint.
+    """
+    point = np.asarray(q, dtype=float)
+    p_map = FlowMap(x_field, 0.0, t, solver)
+    q_map = FlowMap(y_field, 0.0, t, solver)
+
+    fwd_p = lambda p: flow_map(p_map, p)
+    inv_p = lambda p: inverse_flow(p_map, p)
+    fwd_q = lambda p: flow_map(q_map, p)
+    inv_q = lambda p: inverse_flow(q_map, p)
+
+    # Operators act on observables phi: point -> vector.
+    a1 = lambda phi: (lambda p: phi(p) - phi(inv_p(p)))
+    a2 = lambda phi: (lambda p: phi(fwd_p(p)) - phi(p))
+    b1 = lambda phi: (lambda p: phi(p) - phi(inv_q(p)))
+    b2 = lambda phi: (lambda p: phi(fwd_q(p)) - phi(p))
+
+    def compose(*ops):
+        def apply(phi):
+            for op in reversed(ops):
+                phi = op(phi)
+            return phi
+        return apply
+
+    identity = lambda p: p
+    remainder = lambda phi: (lambda p:
+                             compose(b2, a1, b1)(phi)(p)
+                             - compose(a2, b2, a1)(phi)(p)
+                             + compose(a2, a1, b1)(phi)(p)
+                             + compose(a2, b2, a1, b1)(phi)(p))
+    assembled = (point
+                 - compose(b2, a1)(identity)(point)
+                 + compose(a1, b1)(identity)(point)
+                 + remainder(identity)(point))
+
+    direct = inv_q(inv_p(fwd_q(fwd_p(point))))
+    return float(np.linalg.norm(assembled - direct))
 
 
 @pytest.mark.parametrize("t", [0.1, 0.2])

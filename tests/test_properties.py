@@ -6,9 +6,9 @@ systems, up to float rounding in the polynomial arithmetic; the direct and
 difference remainders must agree on random piecewise fields in either time
 direction; the compiled evaluator must give the bits of a term-by-term
 numpy evaluation (dimension <= 8, exponents <= 11, overflow included), the
-plain float-list RK4 loop the endpoint bits, or the blow-up step and time,
-of a numpy stepper (dimension <= 8, piecewise fields, both time directions;
-overflow to inf, NaN states and overflowing powers), and
+generated plain RK4 loop the endpoint bits, or the blow-up step and time,
+of a numpy stepper (dimension <= 16, piecewise fields, both time directions;
+overflow to inf, NaN states and overflowing powers, dimension <= 8), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
 numpy stepper's pushforward (dimension <= 8, and fields with a zero, a
 constant and a 300-term component); flows, pushforwards and
@@ -84,6 +84,7 @@ from chronoflow.fields import (
     _compile_evaluator,
     _diff_terms,
     _mul_terms,
+    _plain_source,
     _variational_source,
     add_fields,
     eval_field,
@@ -256,7 +257,7 @@ directions = st.sampled_from(((0.0, 0.7), (0.7, 0.0), (-0.8, 0.4), (0.4, -0.8)))
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.data())
 def test_plain_loop_keeps_the_bits_of_the_numpy_stepper(data):
-    dim = data.draw(st.integers(1, 8))
+    dim = data.draw(st.integers(1, 16))
     field = data.draw(windowed_fields(dim, 3))
     q = data.draw(st.lists(st.floats(-1.0, 1.0), min_size=dim, max_size=dim).map(np.array))
     t0, t1 = data.draw(directions)
@@ -345,6 +346,14 @@ def test_generated_variational_loop_matches_numpy_stepper(data):
 @given(kernel_maps(), st.data())
 def test_inlined_zero_constant_and_chunked_components_keep_the_flow_bits(pm, data):
     assert_variational_matches_numpy(pm, data)
+
+
+def test_generated_plain_source_stays_small_at_dimension_8():
+    # per step: one evaluator call per stage, 8 state updates and the blow-up test;
+    # the loop holds no field, so no table makes it longer
+    source = _plain_source(8)
+    assert len(source.splitlines()) <= 4 + 8 + 2 + 6
+    assert len(source) <= 2_000
 
 
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)

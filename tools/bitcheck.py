@@ -13,6 +13,9 @@ series and witnesses have one section per kind of field (autonomous,
 distinct pieces, repeated tables), since a change to how a series sums
 over pieces can keep the bits of one kind and move another's.  Two source
 trees that print the same digests give the same bits on all of them.
+The ``estimates`` section hashes the fitted slope, R^2 and excluded count
+of order probes, and ``dims`` plain and inverse flows in dimensions 1, 5
+and 8 and the step and time of two blow-ups.
 The last section, ``errors``, is no number: it hashes the exception type
 and message (or that the call returned) of a fixed list of invalid inputs,
 the CLI's among them with their exit code and stderr, so it moves with any
@@ -231,6 +234,48 @@ def _kernels(fields, points):
                 yield cf.param_derivative(system, points[2], mode, SOLVER, nodes=8)
 
 
+def _estimates(points):
+    """The fitted slope, R^2 and excluded count of fixed order probes: remainders,
+    a sample with samples below the zero cutoff, flow brackets and inverse expansions,
+    so that a change to the fit moves this section."""
+    rot, phi = cf.rotation2d(), cf.Observable.coordinate(2, 0)
+    estimates = [cf.order_probe(lambda t, k=k: cf.remainder_eval(
+        rot, phi, [0.6, -0.8], 0.0, t, k, SOLVER).remainder_norm, 0.4, 6) for k in (1, 2)]
+    estimates.append(cf.order_probe(lambda t: t ** 3 if t > 0.02 else 0.0, 0.5, 8))
+    shear = [cf.constant_field([1.0, 0.0, 0.0]), cf.VectorField.autonomous(
+        cf.PolynomialMap(3, 3, [[], [(1.0, (2, 0, 0))], [(0.5, (0, 1, 1))]]))]
+    for fields in (shear, cf.brockett_fields()):
+        for text in ("[V1,V2]", "[[V1,V2],V1]"):
+            expr = cf.BracketExpression.parse(text)
+            estimates += [cf.bracket_asymptotics_check(expr, fields, q, 0.2, 5, SOLVER)
+                          for q in points[:2]]
+        estimates += [cf.inverse_expansion_check(fields[1], q, 0.2, 5, SOLVER)
+                      for q in points[:2]]
+    for estimate in estimates:
+        yield [estimate.fitted_slope, estimate.r_squared, estimate.excluded]
+
+
+def _dims():
+    """Plain and inverse flows of random maps in dimensions 1, 5 and 8, in both time
+    directions, and the (step, time) of a blow-up forward and one backward."""
+    rng = np.random.default_rng(17)
+    for dim in (1, 5, 8):
+        field = cf.VectorField.autonomous(_random_map(rng, dim))
+        q = rng.uniform(-0.5, 0.5, dim)
+        for t0, t in DIRECTIONS:
+            fm = cf.FlowMap(field, t0, t, SOLVER)
+            yield cf.flow_map(fm, q)
+            yield cf.inverse_flow(fm, q)
+    for sign in (1.0, -1.0):  # x' = sign x^2 from 1 leaves every bound at t = sign
+        square = cf.VectorField.autonomous(cf.PolynomialMap(1, 1, [[(sign, (2,))]]))
+        try:
+            cf.flow_map(cf.FlowMap(square, 0.0, 3.0 * sign, SOLVER), [1.0])
+        except cf.BlowUpError as err:
+            yield [err.step, err.t]
+        else:
+            yield "returned"
+
+
 def _invalid_calls() -> list:
     """One call per invalid input: each count below its least value, a string schedule
     duration, each positive real at NaN, 0, a string, bytes and a numpy bool, each flow
@@ -331,6 +376,8 @@ def sections() -> dict[str, object]:
         "plans": _plans(points),
         "schedules": _schedules(points),
         "kernels": _kernels(_kernel_fields(), points),
+        "estimates": _estimates(points),
+        "dims": _dims(),
         "errors": _errors(),
     }
 
