@@ -10,9 +10,9 @@ contiguous time intervals, and an autonomous field is the one piece over
 All values are immutable after construction and every operation is a pure
 function of its inputs, so concurrent use needs no synchronization.  Equal
 term tables share one compiled evaluator and one variational RK4 loop, and
-maps of one dimension one plain RK4 loop, per process (``_compiled``, up to
-``COMPILE_MEMO_SIZE`` entries); the memo is thread-safe, and a race compiles
-a table twice.
+maps of one dimension the plain and the time-dependent RK4 loop, per process
+(``_compiled``, up to ``COMPILE_MEMO_SIZE`` entries); the memo is thread-safe,
+and a race compiles a table twice.
 """
 from __future__ import annotations
 
@@ -264,12 +264,15 @@ def _rk4_step(n: int, stage: Callable[[int, str | None, list[str]], list[str]],
                     "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h)"]
 
 
-def _plain_source(n: int) -> str:
+def _plain_source(n: int, timed: bool = False) -> str:
     """Source of the RK4 loop ``_rk4(f, q, a, h, n_steps, threshold, step_base)`` on n
     floats, one call of the evaluator ``f`` per stage: the IEEE operations of a numpy
-    stepper in its order.  It holds no field, so every map of dimension n shares it."""
+    stepper in its order.  It holds no field, so every map of dimension n shares it.
+    With ``timed`` the evaluator is ``f(t, x)``: step i sets t = a + i * h and calls it
+    at t, t + h/2 (twice) and t + h, as a numpy stepper with a time-dependent field."""
+    times = ("t, ", "t + half, ", "t + half, ", "t + h, ") if timed else ("",) * 4
     stage = lambda s, _, point: [f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = "
-                                 f"f([{', '.join(point)}])"]
+                                 f"f({times[s]}[{', '.join(point)}])"]
     state = ", ".join(f"y{k}" for k in range(n))
     return "\n".join([
         "def _rk4(f, q, a, h, n_steps, threshold, step_base):",
@@ -277,6 +280,7 @@ def _plain_source(n: int) -> str:
         "    sixth = h / 6.0",
         f"    {state}, = q",
         "    for i in range(n_steps):",
+        *(["        t = a + i * h"] if timed else []),
         *("        " + line for line in _rk4_step(n, stage)),
         f"    return [{state}]",
     ])
@@ -366,15 +370,16 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
 
 @lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def _compiled(kind: str, key):
-    """The compiled ``kind`` for ``key``: the evaluator (``"evaluator"``, ``_compile_evaluator``)
-    or RK4 loop with pushforward (``_variational_source``), field inlined (``"variational"``)
-    or called (``"variational_calls"``), of the map whose ``PolynomialMap._key`` is ``key``;
-    or the plain RK4 loop (``"plain"``, ``_plain_source``) of dimension ``key``.  A loop's
+    """The compiled ``kind`` for ``key``.  For the map whose ``PolynomialMap._key`` is
+    ``key``: its evaluator (``"evaluator"``, ``_compile_evaluator``), or its RK4 loop with
+    pushforward (``_variational_source``), field inlined (``"variational"``) or called
+    (``"variational_calls"``).  For the dimension ``key`` (``_plain_source``): the plain
+    RK4 loop on an evaluator f(x) (``"plain"``) or f(t, x) (``"timed"``).  A loop's
     Jacobian is derived only on a miss.  Equal keys generate identical source, so every
     map with equal tables shares one function of each kind with its bits."""
     namespace: dict = {"BlowUpError": BlowUpError}
-    if kind == "plain":
-        exec(_plain_source(key), namespace)
+    if kind in ("plain", "timed"):
+        exec(_plain_source(key, kind == "timed"), namespace)
         return namespace["_rk4"]
     dim, tables = key
     components = tuple(dict(table) for table in tables)

@@ -2,9 +2,10 @@
 
 The solver integrates each piecewise-autonomous segment with classical
 fourth-order Runge-Kutta on a fixed grid, splitting steps at the field's
-time breakpoints so no step straddles a discontinuity.  A plain solve runs a
-loop generated once per dimension, which calls each piece's compiled
-evaluator at every stage.  Pushforwards come from the variational equation
+time breakpoints so no step straddles a discontinuity.  Every solve runs a
+loop generated from one RK4 step (``fields._rk4_step``): the plain loop of
+each dimension calls a piece's compiled evaluator, or a time-dependent
+evaluator, at every stage.  Pushforwards come from the variational equation
 M' = V'(x(t)) M integrated alongside the trajectory.  Backward flows use
 negative steps on the same field.
 """
@@ -18,7 +19,6 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .errors import BlowUpError
 from .fields import (Observable, VectorField, _compiled, _finite_times, _positive, as_float,
                      as_int, as_point)
 
@@ -95,42 +95,18 @@ class NumericalField:
         return f"NumericalField(dim={self.dim}, {self.description})"
 
 
-def _advance_piece(pm, q: list[float], mat: list[float] | None, a: float, b: float,
-                   solver: FlowSolver, step_base: int) -> tuple[list[float], list[float] | None, int]:
-    """RK4 over [a, b] on one autonomous piece, optionally with variational state.
-
-    ``q``, the row-major ``mat``, ``a`` and ``b`` are Python floats, as
-    ``_flow_core`` hands them over: an ``np.float64`` time would turn every
-    multiply-add of the generated loop into numpy scalar arithmetic, with
-    the same bits at about three times the cost.  With ``mat`` the piece's
-    generated loop (``PolynomialMap._variational_rk4``), which inlines the
-    field and its Jacobian, carries the state and the matrix; without it the
-    plain loop generated once per dimension (``fields._plain_source``) carries
-    the state through the piece's compiled evaluator, one call per stage, with
-    the IEEE operations of a numpy stepper in the same order.
-    """
-    n_steps = solver.step_count(a, b)
-    h = (b - a) / n_steps
-    threshold = solver.blowup_threshold
-    if mat is not None:
-        q, mat = pm._variational_rk4(q, mat, a, h, n_steps, threshold, step_base)
-    else:
-        q = _compiled("plain", pm.dim_in)(pm._evaluator, q, a, h, n_steps, threshold, step_base)
-    return q, mat, step_base + n_steps
-
-
 def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
                want_pushforward: bool) -> tuple[np.ndarray, np.ndarray | list]:
     """Walk one trajectory of ``field`` from (t0, q) through ``times`` in one pass.
 
-    The point, the times and the window are checked once, and the times
-    become Python floats here, whatever their type.  Node i's interval
-    [times[i-1], times[i]] (t0 for the first) is split as ``field.parts``
-    splits a single solve, without checking the window again, and the state
-    passes from node to node as a list of floats.  With ``want_pushforward``
-    each node's matrix restarts at the identity, giving the segment
-    pushforward of its interval, and its step count restarts at 0.  The
-    nodes stay float lists until the pass ends, which converts them once:
+    The one executor of solves on a field.  The point, the times and the window
+    are checked once, and the times become Python floats here (an ``np.float64``
+    time would turn the loops into numpy scalar arithmetic: same bits, 3x the cost).
+    Node i's interval [times[i-1], times[i]] (t0 for the first) is split as
+    ``field.parts`` splits a single solve, and each part runs ``step_count`` steps
+    of the piece's ``_variational_rk4`` with ``want_pushforward``, else of the plain
+    loop, on float lists.  Each node's matrix restarts at the identity (its segment
+    pushforward) and its step count at 0.  The pass converts the nodes once:
     returns the (N, n) states at the N ``times`` and the (N, n, n) segment
     pushforwards (an empty list without ``want_pushforward``).
     """
@@ -139,7 +115,7 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     _finite_times(t0, *times)
     field.check_window(t0, *times)
     n = field.dim
-    identity = None
+    identity, plain, threshold = None, _compiled("plain", n), solver.blowup_threshold
     if want_pushforward:
         identity = [0.0] * (n * n)
         identity[::n + 1] = [1.0] * n
@@ -149,7 +125,13 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     for t in times:
         mat, step_base = identity, 0
         for a, b, pm in field._parts(start, t):
-            point, mat, step_base = _advance_piece(pm, point, mat, a, b, solver, step_base)
+            n_steps = solver.step_count(a, b)
+            h = (b - a) / n_steps
+            if want_pushforward:
+                point, mat = pm._variational_rk4(point, mat, a, h, n_steps, threshold, step_base)
+            else:
+                point = plain(pm._evaluator, point, a, h, n_steps, threshold, step_base)
+            step_base += n_steps
         states.append(point)
         if want_pushforward:
             segments.append(mat)
@@ -281,7 +263,7 @@ def run_schedule(sched: ControlSchedule, fields, q, solver: FlowSolver,
     endpoint and the clock at its end (q and ``start`` when no segment has a piece)."""
     field = sched.field(fields, start)
     if field is None:
-        return as_point(q), start
+        return as_point(q).copy(), start
     end = field.window[1]
     return flow_map(FlowMap(field, start, end, solver), q), end
 
@@ -338,26 +320,19 @@ def chained_trajectory(field: VectorField, t0: float, times, q, solver: FlowSolv
 
 
 def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float,
-                        t1: float, q, solver: FlowSolver, dim: int | None = None) -> np.ndarray:
+                        t1: float, q, solver: FlowSolver) -> np.ndarray:
     """RK4 endpoint for a genuinely time-dependent evaluator (t, q) -> vector.
 
     One fixed grid over [t0, t1], with no breakpoint splitting: a caller
-    whose evaluator is piecewise in time solves each interval in turn.
+    whose evaluator is piecewise in time solves each interval in turn.  The
+    steps are the timed loop of dimension len(q) (``fields._plain_source``),
+    so an evaluator value of another length is a ValueError.
     """
     _finite_times(t0, t1)  # before the t1 == t0 shortcut
-    point = as_point(q, dim)
+    point = as_point(q)
     if t1 == t0:
-        return point
+        return point.copy()
     n_steps = solver.step_count(t0, t1)
-    h = (t1 - t0) / n_steps
-    t = t0
-    for i in range(n_steps):
-        k1 = fn(t, point)
-        k2 = fn(t + 0.5 * h, point + 0.5 * h * k1)
-        k3 = fn(t + 0.5 * h, point + 0.5 * h * k2)
-        k4 = fn(t + h, point + h * k3)
-        point = point + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        t = t0 + (i + 1) * h
-        if not (abs(point).max() <= solver.blowup_threshold):  # true also for NaN
-            raise BlowUpError(i + 1, t)
-    return point
+    loop = _compiled("timed", len(point))
+    return np.array(loop(lambda t, x: fn(t, np.array(x)), point, t0, (t1 - t0) / n_steps,
+                         n_steps, solver.blowup_threshold, 0))

@@ -134,6 +134,6 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
         pieces = [pm]
         corrected = flow_time_dependent(
             lambda tau, z: _transport(FlowMap(v, tau, 0.0, solver), pieces, z)[0],
-            s, e, corrected, solver, dim=v.dim)
+            s, e, corrected, solver)
     factored = flow_map(FlowMap(v, 0.0, t, solver), corrected)
     return float(np.linalg.norm(direct - factored))

@@ -193,7 +193,7 @@ def plan_reach(sys: AffineControlSystem, q0, target, epsilon: float,
     consecutive halvings raise StalledError with the best result so far.
     """
     from .liealg import bracket_fields
-    point = as_point(q0, sys.dim)
+    point = as_point(q0, sys.dim).copy()  # the endpoint when no motion is taken
     goal = as_point(target, sys.dim)
     epsilon = _positive(epsilon, "epsilon")
     step_fraction = _positive(step_fraction, "step_fraction")

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from numpy.testing import assert_allclose
 
-import chronoflow.flow
+import chronoflow.fields
 from chronoflow import (
     FlowMap,
     FlowSolver,
@@ -321,19 +321,20 @@ def _distinct_innermost_times(t0, t, k, cut, nodes=16):
 @pytest.mark.parametrize("k", [1, 2, "integral_equation_residual"])
 @pytest.mark.parametrize("t0,t", [(0.0, 1.0), (1.3, 0.2)])
 def test_direct_remainder_is_one_pass(monkeypatch, k, t0, t):
-    # Every RK4 step goes through _advance_piece.  One chained pass through
-    # the distinct innermost times adds at most one partial step per segment
-    # and per breakpoint crossed to the step count of the whole window.  The
-    # integral equation residual (an order-1 direct remainder) walks the same
-    # pass on to t for its flowed point.
+    # Every solve takes each part's steps from FlowSolver.step_count.  One
+    # chained pass through the distinct innermost times adds at most one partial
+    # step per segment and per breakpoint crossed to the step count of the whole
+    # window.  The integral equation residual (an order-1 direct remainder)
+    # walks the same pass on to t for its flowed point.
     steps = []
-    advance = chronoflow.flow._advance_piece
+    step_count = FlowSolver.step_count
+    bound = SOLVER.step_count(t0, t) + 1
 
-    def counting(pm, q, mat, a, b, solver, step_base):
-        steps.append(solver.step_count(a, b))
-        return advance(pm, q, mat, a, b, solver, step_base)
+    def counting(solver, a, b):
+        steps.append(step_count(solver, a, b))
+        return steps[-1]
 
-    monkeypatch.setattr(chronoflow.flow, "_advance_piece", counting)
+    monkeypatch.setattr(FlowSolver, "step_count", counting)
     field, phi, q = _rotation_then_drift(), Observable.identity(2), [0.6, -0.8]
     if k == "integral_equation_residual":
         assert integral_equation_residual(field, phi, q, t0, t, SOLVER) <= 1e-7
@@ -341,7 +342,7 @@ def test_direct_remainder_is_one_pass(monkeypatch, k, t0, t):
     else:
         remainder_eval(field, phi, q, t0, t, k, SOLVER, method="direct")
         segments = _distinct_innermost_times(t0, t, k, 0.5)
-    assert 0 < sum(steps) <= SOLVER.step_count(t0, t) + segments + 1
+    assert 0 < sum(steps) <= bound + segments
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])

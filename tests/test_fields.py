@@ -548,11 +548,15 @@ def test_maps_of_one_dimension_share_one_plain_loop(monkeypatch):
     fields._compiled.cache_clear()
     generated = []
     original = fields._plain_source
-    monkeypatch.setattr(fields, "_plain_source", lambda n: generated.append(n) or original(n))
+    monkeypatch.setattr(fields, "_plain_source",
+                        lambda n, timed: generated.append((n, timed)) or original(n, timed))
     for pm in (PolynomialMap.linear([[0.0, -1.0], [1.0, 0.0]]),
                PolynomialMap.constants([1.0, 0.5], 2), PolynomialMap.constants([1.0, 0.5, 2.0], 3)):
         flow_map(FlowMap(VectorField.autonomous(pm), 0.0, 0.5, FlowSolver(10)), [0.3] * pm.dim_in)
-    assert generated == [2, 3]
+        cf.flow_time_dependent(lambda t, x: (1.0 + t) * pm(x), 0.0, 0.5, [0.3] * pm.dim_in,
+                               FlowSolver(10))
+    # one plain and one timed loop per dimension, whatever the map
+    assert generated == [(2, False), (2, True), (3, False), (3, True)]
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

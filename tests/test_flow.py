@@ -255,6 +255,13 @@ def test_time_dependent_flow_blows_up_at_the_same_step():
     assert str(timed.value) == str(plain.value)
 
 
+def test_time_dependent_flow_rejects_a_value_of_another_length():
+    # the loop unpacks one value per coordinate, where a numpy stepper would broadcast
+    with pytest.raises(ValueError, match="values to unpack"):
+        flow_time_dependent(lambda t, x: np.array([1.0]), 0.0, 1.0, [0.1, 0.2, 0.3],
+                            FlowSolver(100))
+
+
 def test_time_dependent_flow_rejects_nan_state():
     with pytest.raises(BlowUpError) as info:
         flow_time_dependent(lambda t, x: np.array([np.nan]), 0.0, 1.0, [1.0],

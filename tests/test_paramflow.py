@@ -3,7 +3,6 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-import chronoflow.flow
 from chronoflow import (
     FlowMap,
     FlowSolver,
@@ -67,22 +66,23 @@ def test_formula_oracle_agreement_catalog_pairs(base, perturbation, dim):
 
 
 def test_param_derivative_is_one_pass(monkeypatch):
-    # Every RK4 step of every solve, plain or variational, goes through
-    # _advance_piece; one pass through the 32 nodes may add one partial step
-    # per segment to the step count of the whole window.
+    # Every solve, plain or variational, takes each part's steps from
+    # FlowSolver.step_count; one pass through the 32 nodes may add one partial
+    # step per segment to the step count of the whole window.
     steps = []
-    advance = chronoflow.flow._advance_piece
+    step_count = FlowSolver.step_count
+    bound = SOLVER.step_count(0.0, 0.5) + 33
 
-    def counting(pm, q, mat, a, b, solver, step_base):
-        steps.append(solver.step_count(a, b))
-        return advance(pm, q, mat, a, b, solver, step_base)
+    def counting(solver, a, b):
+        steps.append(step_count(solver, a, b))
+        return steps[-1]
 
-    monkeypatch.setattr(chronoflow.flow, "_advance_piece", counting)
+    monkeypatch.setattr(FlowSolver, "step_count", counting)
     system = PerturbedSystem(V1, V2, 0.0, 0.5)
     for mode in (IN_FORMULA, OUT_FORMULA):
         steps.clear()
         param_derivative(system, [0.1, 0.2, 0.3], mode, SOLVER, nodes=32)
-        assert 0 < sum(steps) <= SOLVER.step_count(0.0, 0.5) + 33
+        assert 0 < sum(steps) <= bound
 
 
 def _piecewise_base():

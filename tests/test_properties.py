@@ -220,6 +220,28 @@ def numpy_plain_rk4(field: VectorField, q: np.ndarray, t0: float, t1: float,
     return q
 
 
+def numpy_time_dependent_rk4(fn, t0: float, t1: float, q: np.ndarray,
+                             solver: FlowSolver) -> np.ndarray:
+    """Reference: RK4 for a time-dependent evaluator on numpy arrays, stage by stage,
+    on one grid over [t0, t1], as ``flow_time_dependent`` stepped before it ran the
+    generated timed loop."""
+    if t1 == t0:
+        return q
+    n_steps = solver.step_count(t0, t1)
+    h = (t1 - t0) / n_steps
+    t = t0
+    for i in range(n_steps):
+        k1 = fn(t, q)
+        k2 = fn(t + 0.5 * h, q + 0.5 * h * k1)
+        k3 = fn(t + 0.5 * h, q + 0.5 * h * k2)
+        k4 = fn(t + h, q + h * k3)
+        q = q + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        t = t0 + (i + 1) * h
+        if not (abs(q).max() <= solver.blowup_threshold):  # true also for NaN
+            raise BlowUpError(i + 1, t)
+    return q
+
+
 def plain_outcome(solve):
     """The bits of an endpoint, or the step and time of the blow-up it raised."""
     try:
@@ -308,6 +330,36 @@ def test_plain_loop_blows_up_at_the_numpy_steppers_step_and_time(case):
     assert got == plain_outcome(lambda: numpy_plain_rk4(field, q, t0, t1, solver))
 
 
+def timed(pm: PolynomialMap):
+    """The time-dependent field (1 + t^2) pm(x), which grows wherever pm does."""
+    return lambda t, x: (1.0 + t * t) * pm(x)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_time_dependent_loop_keeps_the_bits_of_the_numpy_stepper(data):
+    dim = data.draw(st.integers(1, 8))
+    fn = timed(data.draw(polynomial_maps(dim, max_terms=4)))
+    q = data.draw(points(dim))
+    t0, t1 = data.draw(directions)
+    solver = FlowSolver(40)
+    with np.errstate(all="ignore"):
+        assert plain_outcome(lambda: flow_time_dependent(fn, t0, t1, q, solver)) == (
+            plain_outcome(lambda: numpy_time_dependent_rk4(fn, t0, t1, q, solver)))
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(blowing_up())
+def test_time_dependent_loop_blows_up_at_the_numpy_steppers_step_and_time(case):
+    field, q, t0, t1, threshold = case
+    fn = timed(field.pieces[0][2])
+    solver = FlowSolver(100, blowup_threshold=threshold)
+    with np.errstate(all="ignore"):
+        got = plain_outcome(lambda: flow_time_dependent(fn, t0, t1, q, solver))
+        assert isinstance(got, tuple)
+        assert got == plain_outcome(lambda: numpy_time_dependent_rk4(fn, t0, t1, q, solver))
+
+
 @st.composite
 def kernel_maps(draw) -> PolynomialMap:
     """Fields on R^3 or R^4 with an identically zero component, a constant one and one
@@ -350,10 +402,12 @@ def test_inlined_zero_constant_and_chunked_components_keep_the_flow_bits(pm, dat
 
 def test_generated_plain_source_stays_small_at_dimension_8():
     # per step: one evaluator call per stage, 8 state updates and the blow-up test;
-    # the loop holds no field, so no table makes it longer
-    source = _plain_source(8)
-    assert len(source.splitlines()) <= 4 + 8 + 2 + 6
-    assert len(source) <= 2_000
+    # the loop holds no field, so no table makes it longer.  The timed loop adds
+    # one line to the loop body, the step's time
+    plain, timed_source = _plain_source(8), _plain_source(8, True)
+    assert len(plain.splitlines()) <= 4 + 8 + 2 + 6
+    assert len(timed_source.splitlines()) <= 4 + 8 + 2 + 7
+    assert max(len(plain), len(timed_source)) <= 2_000
 
 
 @settings(max_examples=20, deadline=None, database=None, derandomize=True)
@@ -985,7 +1039,7 @@ def per_evaluation_vop(v, w, q, t, solver: FlowSolver) -> float:
         return np.linalg.solve(mat, eval_field(w, tau, end))
 
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), q)
-    corrected = flow_time_dependent(pull_back, 0.0, t, q, solver, dim=v.dim)
+    corrected = flow_time_dependent(pull_back, 0.0, t, q, solver)
     return float(np.linalg.norm(direct - flow_map(FlowMap(v, 0.0, t, solver), corrected)))
 
 
@@ -1087,7 +1141,7 @@ def per_node_vop(v, w, q, t, solver: FlowSolver) -> float:
         for s, e, pm in w.parts(a, b):
             corrected = flow_time_dependent(
                 lambda tau, z: per_node_transport(FlowMap(v, tau, 0.0, solver), [pm], z)[0],
-                s, e, corrected, solver, dim=v.dim)
+                s, e, corrected, solver)
     return float(np.linalg.norm(direct - flow_map(FlowMap(v, 0.0, t, solver), corrected)))
 
 

@@ -24,6 +24,7 @@ from chronoflow import (
     constant_field,
     flow_bracket,
     flow_map,
+    flow_time_dependent,
     heisenberg_fields,
     plan_reach,
     simulate_schedule,
@@ -38,6 +39,23 @@ CONSTANTS = AffineControlSystem.of([
     constant_field([1.0, 0.0, 0.0]),
     constant_field([0.0, 1.0, 0.0]),
 ])
+
+
+@pytest.mark.parametrize("solve", [
+    lambda q: flow_map(FlowMap(HEIS.fields[0], 0.4, 0.4, SOLVER), q),
+    lambda q: simulate_schedule(HEIS, q, ControlSchedule(()), SOLVER),
+    lambda q: run_program(ControlSchedule(()), HEIS.fields, q, SOLVER),
+    lambda q: flow_bracket(BracketExpression.parse("[V1,V2]"), HEIS.fields, 0.0, q, SOLVER),
+    lambda q: flow_time_dependent(lambda t, x: -x, 0.4, 0.4, q, SOLVER),
+    lambda q: plan_reach(HEIS, q, q, 1e-3, 2, 50, SOLVER).endpoint,
+], ids=["flow_map", "simulate_schedule", "run_program", "flow_bracket",
+        "flow_time_dependent", "plan_reach"])
+def test_a_solve_that_does_not_move_returns_an_array_of_its_own(solve):
+    q = np.array([0.3, 0.4, 0.5])
+    end = solve(q)
+    assert end is not q
+    end[0] = 9.0
+    assert q.tolist() == [0.3, 0.4, 0.5]
 
 
 def test_simulate_empty_schedule():
