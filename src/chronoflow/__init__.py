@@ -56,7 +56,6 @@ from .fields import (
 from .flow import (
     FlowMap,
     FlowSolver,
-    NumericalField,
     flow_map,
     flow_operator_apply,
     flow_pushforward,

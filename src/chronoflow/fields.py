@@ -457,7 +457,10 @@ class PolynomialMap:
         )
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
-        return np.array(self._evaluator(np.asarray(x, dtype=float).tolist()))
+        x = np.asarray(x, dtype=float)
+        if x.shape != (self.dim_in,):  # a shape test only: reference steppers pass inf and NaN
+            raise DimensionError(f"map of R^{self.dim_in} called at shape {x.shape}")
+        return np.array(self._evaluator(x.tolist()))
 
     @cached_property
     def jacobian_map(self) -> "PolynomialMap":
@@ -576,8 +579,6 @@ class VectorField:
     downstream lifts may consume.
     """
 
-    exact = True
-
     def __init__(self, pieces: Sequence[tuple[float, float, PolynomialMap]],
                  smoothness_order: int = DEFAULT_SMOOTHNESS_ORDER):
         smoothness_order = as_int(smoothness_order, "smoothness_order", 1)
@@ -618,14 +619,10 @@ class VectorField:
         """One piece over all of time."""
         return not self._cuts and self.window == (-math.inf, math.inf)
 
-    def piece_index(self, t: float) -> int:
-        """Index of the active piece at time t (right-continuous at breakpoints)."""
-        self.check_window(t)
-        return bisect_right(self._cuts, t)
-
     def piece_at(self, t: float) -> PolynomialMap:
-        """Active polynomial piece at time t."""
-        return self.pieces[self.piece_index(t)][2]
+        """Active polynomial piece at time t (right-continuous at breakpoints)."""
+        self.check_window(t)
+        return self.pieces[bisect_right(self._cuts, t)][2]
 
     def breakpoints_between(self, a: float, b: float) -> list[float]:
         """Interior piece boundaries strictly between a and b (any order), ascending."""
@@ -738,8 +735,7 @@ class Observable:
         axis = as_int(axis, "axis")  # 0.5 would pick no coordinate, True axis 1
         if not 0 <= axis < dim:
             raise DimensionError(f"axis {axis} out of range for dim {dim}")
-        e = tuple(1 if j == axis else 0 for j in range(dim))
-        return cls(PolynomialMap(dim, 1, [[(1.0, e)]]), max_derivative_order)
+        return cls(PolynomialMap.linear(np.eye(dim)[axis:axis + 1]), max_derivative_order)
 
     @classmethod
     def constant(cls, values, dim_in: int,
@@ -779,12 +775,13 @@ def apply_lift(field: VectorField, t: float, obs: Observable) -> Observable:
 def iterate_lift(fields_seq: Sequence[tuple[VectorField, float]],
                  obs: Observable) -> Observable:
     """The lift of ``obs`` by V_t for each (V, t) in turn, list position 1 first
-    (innermost): the ``LiftTable`` entry of the pieces active at the times."""
+    (innermost): the ``LiftTable`` entry of the pieces active at the times.  Each V
+    must be a VectorField; an evaluator, such as a transported field, is a TypeError."""
     fields_seq = list(fields_seq)
     lifts = LiftTable(obs, len(fields_seq))
     if not fields_seq:
         return obs
-    if not all(getattr(field, "exact", False) for field, _ in fields_seq):
+    if not all(isinstance(field, VectorField) for field, _ in fields_seq):
         raise TypeError("lifts require exact polynomial fields")
     key = tuple(field.piece_at(t) for field, t in fields_seq)
     return Observable(lifts[key], obs.max_derivative_order - len(key))

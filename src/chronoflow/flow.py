@@ -73,28 +73,6 @@ class FlowMap:
         _finite_times(self.t0, self.t1)
 
 
-class NumericalField:
-    """A field-like evaluator (t, q) -> vector without exact derivatives.
-
-    Produced by pushforwards of flow maps; excluded from every
-    exact-derivative path (lifts, polynomial brackets).
-    """
-
-    exact = False
-
-    def __init__(self, dim: int, fn: Callable[[float, np.ndarray], np.ndarray],
-                 description: str = "numerical field"):
-        self.dim = dim
-        self._fn = fn
-        self.description = description
-
-    def __call__(self, t: float, q) -> np.ndarray:
-        return self._fn(t, as_point(q, self.dim))
-
-    def __repr__(self) -> str:
-        return f"NumericalField(dim={self.dim}, {self.description})"
-
-
 def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
                want_pushforward: bool) -> tuple[np.ndarray, np.ndarray | list]:
     """Walk one trajectory of ``field`` from (t0, q) through ``times`` in one pass.
@@ -197,17 +175,18 @@ class ControlSchedule:
             raise ValueError(f"the schedule's start must be finite, got {start}")
         negated = functools.cache(lambda pm: pm.scaled(-1.0))  # once per map and call
         for i, seg in enumerate(self.segments):
-            if not 1 <= seg.field_index <= len(fields):
-                raise IndexError(f"segment {i} uses V{seg.field_index}, out of range")
-            if not fields[seg.field_index - 1].is_autonomous:
-                raise ValueError(f"segment {i} uses V{seg.field_index}, which is not autonomous")
-            if seg.sign not in (-1, 1):
+            index = as_int(seg.field_index, f"segment {i} field_index")
+            if not 1 <= index <= len(fields):
+                raise IndexError(f"segment {i} uses V{index}, out of range")
+            if not fields[index - 1].is_autonomous:
+                raise ValueError(f"segment {i} uses V{index}, which is not autonomous")
+            if as_int(seg.sign, f"segment {i} sign") not in (-1, 1):
                 raise ValueError(f"segment {i} sign must be +1 or -1")
             if not math.isfinite(seg.duration):
                 raise ValueError(f"segment {i} duration must be finite, got {seg.duration}")
             end = t + abs(seg.duration)
             if end > t:
-                pm = fields[seg.field_index - 1].pieces[0][2]
+                pm = fields[index - 1].pieces[0][2]
                 pieces.append((t, end, negated(pm) if seg.sign * seg.duration < 0 else pm))
                 t = end
         return VectorField(pieces, min(f.smoothness_order for f in fields)) if pieces else None
@@ -291,16 +270,16 @@ def _transport(fm: FlowMap, pieces, r) -> np.ndarray:
     return _solve_columns(segments[0], [piece._evaluator(row) for piece in pieces])
 
 
-def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> NumericalField:
-    """The transported field F_*V: r -> F_*(F^{-1}(r)) V(t_eval, F^{-1}(r)).
+def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> Callable[..., np.ndarray]:
+    """The transported field F_*V: r -> F_*(F^{-1}(r)) V(t_eval, F^{-1}(r)), as an
+    evaluator (t, r) -> vector for ``flow_time_dependent``; t is unused.
 
-    F is the flow map ``fm``.  The result is numerical (each evaluation is
-    one variational solve of the inverse flow from r and one linear solve,
-    ``_transport``), so it carries no exact derivatives.
+    F is the flow map ``fm``.  Each evaluation checks r and makes one variational
+    solve of the inverse flow from r and one linear solve (``_transport``), so the
+    result has no exact derivatives: lifts, brackets and control systems reject it.
     """
     piece = field.piece_at(t_eval)
-    return NumericalField(field.dim, lambda _t, r: _transport(fm, [piece], r)[0],
-                          f"pushforward by flow [{fm.t0}, {fm.t1}]")
+    return lambda _t, r: _transport(fm, [piece], as_point(r, field.dim))[0]
 
 
 def chained_trajectory(field: VectorField, t0: float, times, q, solver: FlowSolver,

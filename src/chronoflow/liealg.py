@@ -128,7 +128,7 @@ def lie_bracket_map(v_map: PolynomialMap, w_map: PolynomialMap) -> PolynomialMap
 def lie_bracket_field(v: VectorField, w: VectorField, t: float = 0.0) -> VectorField:
     """The bracket as an autonomous polynomial field, from the pieces at t."""
     for f in (v, w):
-        if not getattr(f, "exact", False):
+        if not isinstance(f, VectorField):
             raise TypeError("bracket nesting requires exact polynomial fields")
     pm = lie_bracket_map(v.piece_at(t), w.piece_at(t))
     return VectorField.autonomous(pm, min(v.smoothness_order, w.smoothness_order))

@@ -47,14 +47,14 @@ class AffineControlSystem:
         fields = tuple(fields)
         if not fields:
             raise ValueError("a control system needs at least one field")
+        if not all(isinstance(f, VectorField) for f in fields):
+            raise TypeError("control fields must be exact polynomial fields")
         dim = fields[0].dim
         for f in fields:
             if f.dim != dim:
                 raise DimensionError("control fields have mixed dimensions")
             if not f.is_autonomous:
                 raise ValueError("control fields must be autonomous")
-            if not getattr(f, "exact", False):
-                raise TypeError("control fields must be exact polynomial fields")
         return cls(fields=fields, dim=dim)
 
 
@@ -153,7 +153,7 @@ def bracket_motion(sys: AffineControlSystem, expr: BracketExpression,
     """
     from .liealg import bracket_program
     magnitude = _positive(magnitude, "magnitude")
-    if sign not in (-1, 1):
+    if as_int(sign, "sign") not in (-1, 1):
         raise ValueError("sign must be +1 or -1")
     if expr.max_index() > len(sys.fields):
         raise IndexError(f"expression leaf V{expr.max_index()} out of range")

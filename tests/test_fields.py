@@ -225,7 +225,7 @@ def test_parts_cut_at_breakpoints_in_the_direction_of_time():
     assert field.parts(0.3, 0.3) == []
     assert field.parts(0.25 - 1e-16, 0.3) == [(0.25, 0.3, p1)]  # a sliver takes no step
     assert field.parts(0.0, 0.0) == field.parts(1.0, 1.0) == []
-    assert [field.piece_index(t) for t in (0.0, 0.2, 0.25, 0.5, 1.0)] == [0, 0, 1, 2, 2]
+    assert [field.piece_at(t) for t in (0.0, 0.2, 0.25, 0.5, 1.0)] == [p0, p0, p1, p2, p2]
     assert field.breakpoints_between(0.9, 0.25) == [0.5]
     with pytest.raises(TimeWindowError):
         field.parts(0.5, 1.5)
@@ -512,6 +512,35 @@ def test_identity_and_coordinate_maps_are_shared_per_argument():
     assert Observable.coordinate(3, 1).map is not Observable.coordinate(3, 2).map
     with pytest.raises(TypeError):  # a float dimension fails as it did unshared
         PolynomialMap.identity(3.0)
+
+
+@pytest.mark.parametrize("dim", range(1, 9))
+def test_coordinate_tables_are_the_hand_built_ones(dim):
+    for axis in range(dim):
+        unit = tuple(1 if j == axis else 0 for j in range(dim))
+        built = PolynomialMap(dim, 1, [[(1.0, unit)]])
+        coordinate = Observable.coordinate(dim, axis, 5)
+        assert coordinate.map == built and coordinate.max_derivative_order == 5
+        assert coordinate.map.components == built.components
+        assert [type(c) for c, _ in coordinate.map.components[0]] == [float]
+        assert coordinate(np.arange(1.0, dim + 1.0)).tolist() == [axis + 1.0]
+    for axis, error, message in ((True, ValueError, "axis must be an integer, got True"),
+                                 (-1, DimensionError, f"axis -1 out of range for dim {dim}"),
+                                 (dim, DimensionError, f"axis {dim} out of range for dim {dim}")):
+        with pytest.raises(error, match=re.escape(message)):
+            Observable.coordinate(dim, axis)
+
+
+@pytest.mark.parametrize("pm, x", [
+    (PolynomialMap.constants([1.0], 2), [1, 2, 3]),
+    (PolynomialMap.identity(2), [1, 2, 3]),
+    (PolynomialMap.identity(2), [1.0]),
+    (PolynomialMap.identity(2), [[1.0, 2.0]]),
+    (PolynomialMap.identity(1), 1.0),
+])
+def test_polynomial_map_call_checks_the_point_shape(pm, x):
+    with pytest.raises(DimensionError, match=re.escape(f"map of R^{pm.dim_in} called at shape")):
+        pm(x)
 
 
 @pytest.mark.parametrize("pm, other", [

@@ -7,7 +7,9 @@ import pytest
 from numpy.testing import assert_allclose
 
 from chronoflow import (
+    AffineControlSystem,
     BlowUpError,
+    DimensionError,
     FlowMap,
     FlowSolver,
     Observable,
@@ -15,6 +17,7 @@ from chronoflow import (
     PolynomialMap,
     VectorField,
     adjoint_check,
+    apply_lift,
     constant_field,
     eval_field,
     flow_map,
@@ -24,6 +27,7 @@ from chronoflow import (
     flow_with_pushforward,
     heisenberg_fields,
     inverse_flow,
+    lie_bracket_field,
     linear_field,
     order_probe,
     param_derivative,
@@ -325,9 +329,27 @@ def test_pushforward_field_translation_conjugates_linear():
     assert np.linalg.norm(pf(0.0, r) - a @ (r - s * c)) <= 1e-9
 
 
-def test_pushforward_field_is_marked_numerical():
+@pytest.mark.parametrize("entry", [
+    lambda pf: apply_lift(pf, 0.0, Observable.identity(2)),
+    lambda pf: lie_bracket_field(rotation2d(), pf),
+    lambda pf: AffineControlSystem.of([rotation2d(), pf]),
+], ids=["apply_lift", "lie_bracket_field", "AffineControlSystem.of"])
+def test_exact_paths_reject_a_pushforward_field(entry):
+    # a transported field is an evaluator (t, r) -> vector with no exact derivatives
     pf = pushforward_field(FlowMap(rotation2d(), 0.0, 0.5, SOLVER), rotation2d(), 0.0)
-    assert pf.exact is False
+    with pytest.raises(TypeError, match="exact polynomial fields"):
+        entry(pf)
+
+
+def test_flow_time_dependent_solves_a_pushforward_field():
+    # the rotation transported by its own flow is the rotation, so its solve is the flow's
+    solver = FlowSolver(100)
+    pf = pushforward_field(FlowMap(rotation2d(), 0.0, 0.6, solver), rotation2d(), 0.0)
+    q = [0.7, -0.4]
+    got = flow_time_dependent(pf, 0.0, 0.5, q, solver)
+    assert np.max(np.abs(got - flow_map(FlowMap(rotation2d(), 0.0, 0.5, solver), q))) <= 1e-12
+    with pytest.raises(DimensionError):
+        pf(0.0, [0.7, -0.4, 0.1])
 
 
 def test_breakpoint_splitting_handles_backward_flow():

@@ -34,7 +34,7 @@ EXPORTS = {
         "vector_field_from_json", "zero_field",
     ),
     "flow": (
-        "FlowMap", "FlowSolver", "NumericalField", "flow_map", "flow_operator_apply",
+        "FlowMap", "FlowSolver", "flow_map", "flow_operator_apply",
         "flow_pushforward", "flow_time_dependent", "flow_with_pushforward",
         "inverse_flow", "pushforward_field",
     ),

@@ -1,4 +1,6 @@
 """Tests for control schedules, bracket rank, and the reachability planner."""
+import re
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -88,6 +90,31 @@ def test_simulate_validates_segments():
     with pytest.raises(ValueError):
         simulate_schedule(HEIS, [0.0, 0.0, 0.0],
                           ControlSchedule((Segment(1, 1, -0.1),)), SOLVER)
+
+
+@pytest.mark.parametrize("segment, message", [
+    (Segment(1.5, 1, 0.1), "segment 0 field_index must be an integer, got 1.5"),
+    (Segment(True, 1, 0.1), "segment 0 field_index must be an integer, got True"),
+    (Segment(True, True, 0.1), "segment 0 field_index must be an integer, got True"),
+    (Segment(1, True, 0.1), "segment 0 sign must be an integer, got True"),
+    (Segment(1, 0.5, 0.1), "segment 0 sign must be an integer, got 0.5"),
+])
+def test_segment_index_and_sign_must_be_integers(segment, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        simulate_schedule(HEIS, [0.0, 0.0, 0.0], ControlSchedule((segment,)), SOLVER)
+
+
+def test_integral_float_segment_index_and_sign_run_as_ints():
+    q = [0.1, 0.2, 0.3]
+    as_floats = ControlSchedule((Segment(2.0, -1.0, 0.25), Segment(np.int64(1), 1, 0.5)))
+    as_ints = ControlSchedule((Segment(2, -1, 0.25), Segment(1, 1, 0.5)))
+    assert np.array_equal(simulate_schedule(HEIS, q, as_floats, SOLVER),
+                          simulate_schedule(HEIS, q, as_ints, SOLVER))
+
+
+def test_bracket_motion_sign_must_be_an_integer():
+    with pytest.raises(ValueError, match="sign must be an integer, got True"):
+        bracket_motion(HEIS, BracketExpression.parse("[V1,V2]"), 0.04, sign=True)
 
 
 def test_concatenation_consistency():

@@ -278,8 +278,10 @@ def _dims():
 
 def _invalid_calls() -> list:
     """One call per invalid input: each count below its least value, a string schedule
-    duration, each positive real at NaN, 0, a string, bytes and a numpy bool, each flow
-    time at NaN and inf, and CLI flags out of range."""
+    duration, a float segment index and bool signs, a transported field at the exact
+    entry points, a map called at a point of the wrong length, each positive real at NaN,
+    0, a string, bytes and a numpy bool, each flow time at NaN and inf, and CLI flags
+    out of range."""
     v1, v2 = cf.heisenberg_fields()
     system = cf.AffineControlSystem.of((v1, v2))
     expr = cf.BracketExpression.parse("[V1,V2]")
@@ -300,8 +302,18 @@ def _invalid_calls() -> list:
         lambda: cf.plan_reach(system, zero, [0.0, 0.0, 0.1], 1e-3, 2, -1, solver),
         lambda: cf.BracketExpression.leaf(0),
     ]
-    calls.append(lambda: cf.simulate_schedule(
-        system, zero, cf.ControlSchedule((cf.Segment(1, 1, "1"),)), solver))
+    for seg in (cf.Segment(1, 1, "1"), cf.Segment(1.5, 1, 0.1), cf.Segment(True, True, 0.1),
+                cf.Segment(1, True, 0.1)):
+        calls.append(lambda seg=seg: cf.simulate_schedule(
+            system, zero, cf.ControlSchedule((seg,)), solver))
+    transported = cf.pushforward_field(cf.FlowMap(rot, 0.0, 0.5, solver), rot, 0.0)
+    calls += [
+        lambda: cf.bracket_motion(system, expr, 0.01, sign=True),
+        lambda: cf.apply_lift(transported, 0.0, phi),
+        lambda: cf.lie_bracket_field(rot, transported),
+        lambda: cf.AffineControlSystem.of((rot, transported)),
+        lambda: pm([1.0, 0.0, 0.0]),
+    ]
     for bad in (math.nan, 0.0, "1", b"1", np.True_):
         calls += [
             lambda bad=bad: cf.sample_lift_bound(rot, phi, 1, q, bad),
