@@ -12,13 +12,16 @@ function of its inputs, so concurrent use needs no synchronization.  Equal
 term tables share one compiled evaluator and one variational RK4 loop, and
 maps of one dimension the plain and the time-dependent RK4 loop, per process
 (``_compiled``, up to ``COMPILE_MEMO_SIZE`` entries); the memo is thread-safe,
-and a race compiles a table twice.
+and a race compiles a table twice.  A variational loop computes the values of a
+step that no step changes (constant slopes, the matrix slopes of constant
+Jacobian entries, their increments) once, in a prologue before its first step.
 """
 from __future__ import annotations
 
 import json
 import math
 import numbers
+import re
 import sys
 from bisect import bisect_left, bisect_right
 from collections import deque
@@ -41,6 +44,8 @@ SUM_CHUNK = 256
 # distinct term tables whose compiled code a process keeps; a benchmark workload
 # meets 10 to about 320 of them in 1,000 operations
 COMPILE_MEMO_SIZE = 1024
+# a name in generated source; a float literal's exponent (1e-05) reads as e, which no line sets
+_NAME = re.compile(r"[A-Za-z_]\w*")
 
 
 def as_point(q, dim: int | None = None) -> np.ndarray:
@@ -286,6 +291,33 @@ def _plain_source(n: int, timed: bool = False) -> str:
     ])
 
 
+def _hoist(step: Sequence[str], variant: set[str], live: set[str]) -> tuple[list[str], list[str]]:
+    """The lines ``target = expr`` of one RK4 step split into (prologue, loop), same bits.
+
+    An update ``x = x + sixth * (...)`` names its increment ``u_x`` first.  A line is
+    dropped when no later kept line, ``live`` or ``variant`` reads its target.  Names
+    in ``variant`` change from step to step, as do the targets of lines that read one,
+    which stay in the loop; the rest read only h, half, sixth, literals, never updated
+    matrix rows and names that such lines assign, and run once before it, in order.
+    """
+    lines = []
+    for line in step:
+        x, expr = line.split(" = ", 1)
+        increment = expr.startswith(f"{x} + sixth * ")
+        lines += [f"u_{x} = {expr[len(x) + 3:]}", f"{x} = {x} + u_{x}"] if increment else [line]
+    kept, live = [], variant | live
+    for line in reversed(lines):
+        target, expr = line.split(" = ", 1)
+        targets, reads = set(target.replace(",", " ").split()), set(_NAME.findall(expr))
+        if targets & live:
+            live |= reads
+            kept.append((targets, reads, line))
+    while variant != (grown := variant.union(*(t for t, reads, _ in kept if reads & variant))):
+        variant = grown
+    return ([line for targets, _, line in reversed(kept) if not targets & variant],
+            [line for targets, _, line in reversed(kept) if targets & variant])
+
+
 def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False) -> str:
     """Source of a fixed-step RK4 loop over the state and its n x n pushforward.
 
@@ -302,14 +334,15 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
     matrix entry is not finite; an overflowing power raises it at the same step.
     With ``calls`` the loop is ``_rk4(f, q, ...)`` and calls the evaluator ``f``
     at each stage point in place of the inlined field.  The stage points, the
-    state update and the blow-up test are the plain loop's (``_rk4_step``).
+    state update and the blow-up test are the plain loop's (``_rk4_step``); the
+    step's lines that read only loop invariants run once, in a prologue before
+    the loop, and the ones nothing reads are dropped (``_hoist``).
     """
     jac_tables = [_diff_terms(table, var) for table in tables for var in range(n)]
     state = [f"y{k}" for k in range(n)]
-    rows = [r for r in range(n) if any(jac_tables[r * n + c] for c in range(n))]
-    # rows of m that some Jacobian entry reads and that the loop updates: only
-    # they differ between m and the matrix m + scale * d<s> a stage multiplies
-    moving = sorted({k for r in rows for k in rows if jac_tables[r * n + k]})
+    # the rows r that the loop updates, each with the columns k where dV_r/dx_k is not 0
+    rows = {r: cols for r in range(n)
+            if (cols := [k for k in range(n) if jac_tables[r * n + k]])}
     matrix = [f"m{r}_{c}" for r in range(n) for c in range(n)]
     lines = [
         f"def _rk4({'f, ' if calls else ''}q, m, a, h, n_steps, threshold, step_base):",
@@ -319,47 +352,38 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
         f"    {', '.join(matrix)}, = m",
         "    i = 0",
         "    try:",
-        "        for i in range(n_steps):",
     ]
-    # stage s + 1: point p<s+1>_k (y_k at s = 0), slopes k<s+1>_k, matrix slopes d<s+1>_r_c
+    # stage s + 1: point p<s+1>_k (y_k at s = 0) and the matrix n<s>_k_c = m + scale * d<s>
+    # of each updated row, slopes k<s+1>_k, Jacobian entries j<s+1>_r_k, matrix slopes
+    # d<s+1>_r_c; _hoist drops the rows of n that no entry reads
     def stage(s: int, scale: str | None, values: list[str]) -> list[str]:
         body, point = [], state
         if s:
             point = [f"p{s + 1}_{k}" for k in range(n)]
             body += [f"{name} = {value}" for name, value in zip(point, values)]
+            body += [f"n{k}_{c} = m{k}_{c} + {scale} * d{s}_{k}_{c}" for k in rows
+                     for c in range(n)]
         if calls:
             body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = f([{', '.join(point)}])")
         else:
             for k, table in enumerate(tables):
                 body += _sum_lines(f"k{s + 1}_{k}", _terms(table, point) or ["0.0"])
-        if not rows:
-            return body
-        if s:
-            body += [f"n{k}_{c} = m{k}_{c} + {scale} * d{s}_{k}_{c}" for k in moving
-                     for c in range(n)]
-        factor = {}
-        for r in rows:
-            for k in range(n):
-                table = jac_tables[r * n + k]
-                if not table:
-                    continue
-                terms = _terms(table, point)
-                if len(table) > 1 or any(next(iter(table))):  # not a constant
-                    body += _sum_lines(f"j{r}_{k}", terms)
-                    factor[r, k] = f"j{r}_{k}"
-                else:
-                    factor[r, k] = terms[0]
-        for r in rows:
+        for r, cols in rows.items():
+            for k in cols:
+                body += _sum_lines(f"j{s + 1}_{r}_{k}", _terms(jac_tables[r * n + k], point))
             for c in range(n):
-                products = [f"{factor[r, k]} * {'n' if s and k in moving else 'm'}{k}_{c}"
-                            for k in range(n) if (r, k) in factor]
-                body += _sum_lines(f"d{s + 1}_{r}_{c}", products)
+                body += _sum_lines(f"d{s + 1}_{r}_{c}", [
+                    f"j{s + 1}_{r}_{k} * {'n' if s and k in rows else 'm'}{k}_{c}" for k in cols])
         return body
 
     updates = [f"m{r}_{c} = m{r}_{c} + sixth * (d1_{r}_{c} + 2.0 * d2_{r}_{c} + 2.0 * d3_{r}_{c}"
                f" + d4_{r}_{c})" for r in rows for c in range(n)]
-    body = _rk4_step(n, stage, updates, [f"m{r}_{c}" for r in rows for c in range(n)])
-    lines += ["            " + line for line in body]
+    finite = [f"m{r}_{c}" for r in rows for c in range(n)]
+    *step, test, fail = _rk4_step(n, stage, updates, finite)
+    # the evaluator f is called at every stage, as the plain loop calls it
+    prologue, loop = _hoist(step, {"f", *state, *finite}, set(_NAME.findall(test + fail)))
+    lines += ["        " + line for line in prologue] + ["        for i in range(n_steps):"]
+    lines += ["            " + line for line in loop + [test, fail]]
     lines += [
         "    except OverflowError:",
         "        raise BlowUpError(step_base + i + 1, a + (i + 1) * h) from None",

@@ -70,6 +70,8 @@ class FlowMap:
     solver: FlowSolver = dataclass_field(default_factory=FlowSolver)
 
     def __post_init__(self):
+        if not isinstance(self.field, VectorField):  # an evaluator goes to flow_time_dependent
+            raise TypeError("flow maps require exact polynomial fields")
         _finite_times(self.t0, self.t1)
 
 
@@ -313,5 +315,8 @@ def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float
         return point.copy()
     n_steps = solver.step_count(t0, t1)
     loop = _compiled("timed", len(point))
-    return np.array(loop(lambda t, x: fn(t, np.array(x)), point, t0, (t1 - t0) / n_steps,
-                         n_steps, solver.blowup_threshold, 0))
+    # the loop steps on Python floats (numpy scalar stage points give the same bits, slower);
+    # a complex value stays complex, where dtype=float would drop its imaginary part
+    return np.array(loop(lambda t, x: np.asarray(fn(t, np.array(x))).tolist(),
+                         point.tolist(), t0, (t1 - t0) / n_steps, n_steps,
+                         solver.blowup_threshold, 0))

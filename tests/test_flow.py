@@ -35,6 +35,7 @@ from chronoflow import (
     rotation2d,
     zero_field,
 )
+from chronoflow import fields, flow
 from chronoflow.flow import MAX_STEPS_PER_SOLVE, chained_trajectory
 
 SOLVER = FlowSolver(steps_per_unit_time=1000)
@@ -266,6 +267,39 @@ def test_time_dependent_flow_rejects_a_value_of_another_length():
                             FlowSolver(100))
 
 
+def test_time_dependent_flow_steps_a_complex_value_in_complex():
+    # x' = i x from 1: the value's imaginary part is kept, not cast away
+    end = flow_time_dependent(lambda t, x: 1j * x, 0.0, 0.5, [1.0], FlowSolver(100))
+    assert abs(end[0] - np.exp(0.5j)) <= 1e-9
+
+
+def test_time_dependent_loop_steps_on_python_floats(monkeypatch):
+    # the evaluator gets a numpy array of each stage point; the loop gets the start
+    # and each value as Python floats, so that no stage point is a numpy scalar
+    timed, floats, arrays = fields._compiled("timed", 2), [], []
+
+    def spy(f, q, *rest):
+        def stage(t, x):
+            value = f(t, x)
+            floats.extend([x, value])
+            return value
+
+        floats.append(q)
+        return timed(stage, q, *rest)
+
+    def evaluator(t, x):
+        arrays.append(x)
+        return np.array([-x[1], t * x[0]])
+
+    monkeypatch.setattr(flow, "_compiled", lambda kind, key: spy if kind == "timed"
+                        else fields._compiled(kind, key))
+    end = flow_time_dependent(evaluator, 0.0, 0.5, np.array([0.7, -0.4]), FlowSolver(10))
+    assert len(floats) == 1 + 2 * 4 * 5 and len(arrays) == 4 * 5
+    assert all(type(v) is list and all(type(c) is float for c in v) for v in floats)
+    assert all(type(x) is np.ndarray for x in arrays)
+    assert type(end) is np.ndarray and end.dtype == float
+
+
 def test_time_dependent_flow_rejects_nan_state():
     with pytest.raises(BlowUpError) as info:
         flow_time_dependent(lambda t, x: np.array([np.nan]), 0.0, 1.0, [1.0],
@@ -333,7 +367,8 @@ def test_pushforward_field_translation_conjugates_linear():
     lambda pf: apply_lift(pf, 0.0, Observable.identity(2)),
     lambda pf: lie_bracket_field(rotation2d(), pf),
     lambda pf: AffineControlSystem.of([rotation2d(), pf]),
-], ids=["apply_lift", "lie_bracket_field", "AffineControlSystem.of"])
+    lambda pf: flow_map(FlowMap(pf, 0.0, 0.5, SOLVER), [0.7, -0.4]),
+], ids=["apply_lift", "lie_bracket_field", "AffineControlSystem.of", "FlowMap"])
 def test_exact_paths_reject_a_pushforward_field(entry):
     # a transported field is an evaluator (t, r) -> vector with no exact derivatives
     pf = pushforward_field(FlowMap(rotation2d(), 0.0, 0.5, SOLVER), rotation2d(), 0.0)

@@ -33,6 +33,7 @@ sequences, bit for bit where no two pieces share a table (dimension <= 3,
 one to six pieces, k <= 4).
 Examples are derandomized so the suite is repeatable.
 """
+import ast
 import collections
 import functools
 import itertools
@@ -251,25 +252,30 @@ def plain_outcome(solve):
 
 
 def numpy_variational_rk4(pm: PolynomialMap, q: np.ndarray, t: float, solver: FlowSolver):
-    """Reference: RK4 with the variational matrix on numpy arrays, stage by stage."""
+    """Reference: RK4 with the variational matrix on numpy arrays, stage by stage,
+    with the blow-up test after each step (state past the threshold, or a matrix
+    entry not finite)."""
     n_steps = solver.step_count(0.0, t)
     h = t / n_steps
     half, sixth = 0.5 * h, h / 6.0
     mat = np.eye(pm.dim_in)
-    for _ in range(n_steps):
-        k1 = pm(q)
-        q2 = q + half * k1
-        k2 = pm(q2)
-        q3 = q + half * k2
-        k3 = pm(q3)
-        q4 = q + h * k3
-        k4 = pm(q4)
-        m1 = pm.jacobian(q) @ mat
-        m2 = pm.jacobian(q2) @ (mat + half * m1)
-        m3 = pm.jacobian(q3) @ (mat + half * m2)
-        m4 = pm.jacobian(q4) @ (mat + h * m3)
-        mat = mat + sixth * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
-        q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    with np.errstate(all="ignore"):  # overflow to inf is the blow-up case
+        for i in range(n_steps):
+            k1 = pm(q)
+            q2 = q + half * k1
+            k2 = pm(q2)
+            q3 = q + half * k2
+            k3 = pm(q3)
+            q4 = q + h * k3
+            k4 = pm(q4)
+            m1 = pm.jacobian(q) @ mat
+            m2 = pm.jacobian(q2) @ (mat + half * m1)
+            m3 = pm.jacobian(q3) @ (mat + half * m2)
+            m4 = pm.jacobian(q4) @ (mat + h * m3)
+            mat = mat + sixth * (m1 + 2.0 * m2 + 2.0 * m3 + m4)
+            q = q + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if not (abs(q).max() <= solver.blowup_threshold and np.isfinite(mat).all()):
+                raise BlowUpError(i + 1, 0.0 + (i + 1) * h)
     return q, mat
 
 
@@ -611,6 +617,75 @@ def test_segment_executor_is_exact_on_affine_nilpotent_systems(name):
     results += [remainder_past_the_series(field, q, 0.5) for field in sys.fields]
     for errors, floor in results:
         assert max(errors) <= floor, (name, errors, floor)
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(triangular_fields(st.integers(1, 6)), st.data())
+def test_hoisted_loop_keeps_the_flow_bits_on_triangular_fields(field, data):
+    # constant components, constant Jacobian entries and matrix rows that no entry
+    # reads: the lines the generated loop runs once before its steps, or drops
+    assert_variational_matches_numpy(field.pieces[0][2], data)
+
+
+@pytest.mark.parametrize("n", range(3, 7))
+@settings(max_examples=5, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_hoisted_loop_keeps_the_flow_bits_on_the_chained_form(n, data):
+    for field in chained_form(n).fields:
+        assert_variational_matches_numpy(field.pieces[0][2], data)
+
+
+@st.composite
+def hoisted_blowing_up(draw):
+    """A map whose increments are loop invariants and leave every bound in at most 80
+    steps of FlowSolver(4), in dimension 2 to 8: x_0' = b, a constant that carries x_0
+    past the threshold, or x_1' = c x_0 from x_0 = 0 with x_0' = 0, a constant
+    Jacobian entry whose matrix increment overflows to inf while the state stays
+    put.  The other components are constants."""
+    dim = draw(st.integers(2, 8))
+    t = draw(st.sampled_from((20.0, -20.0)))
+    threshold = draw(st.sampled_from((1e12, 1e300, np.finfo(float).max)))
+    unit = tuple(int(v == 0) for v in range(dim))
+    if draw(st.booleans()):  # about 4 threshold / b steps; inf at the first if 2 b overflows
+        b = min(threshold * 10.0 ** draw(st.floats(-1.2, 0.5)), np.finfo(float).max)
+        first, second = [(math.copysign(b, t), (0,) * dim)], []
+    else:  # about 4e308 / c steps; inf at the first if 5 c overflows
+        first = []
+        second = [(draw(st.sampled_from((1.0, -1.0))) * 10.0 ** draw(st.floats(307.0, 307.6)),
+                   unit)]
+    rest = [[(draw(coefficients), (0,) * dim)] for _ in range(dim - 2)]
+    q = np.array([0.0, *draw(st.lists(coefficients, min_size=dim - 1, max_size=dim - 1))])
+    return PolynomialMap(dim, dim, [first, second, *rest]), q, t, threshold
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(hoisted_blowing_up())
+def test_hoisted_increments_blow_up_at_the_numpy_steppers_step_and_time(case):
+    pm, q, t, threshold = case
+    prologue = _variational_source(pm._components, pm.dim_in).split("for i in range")[0]
+    assert "u_y0 = " in prologue or "u_m1_0 = " in prologue
+    solver = FlowSolver(4, blowup_threshold=threshold)
+    fm = FlowMap(VectorField.autonomous(pm), 0.0, t, solver)
+    got = plain_outcome(lambda: flow_with_pushforward(fm, q)[0])
+    assert isinstance(got, tuple)
+    assert got == plain_outcome(lambda: numpy_variational_rk4(pm, q, t, solver)[0])
+
+
+def test_the_heisenberg_loop_holds_no_statement_on_loop_invariants_alone():
+    # each statement left in the loop reads a name that the loop assigns: the constant
+    # slopes, the matrix slopes of the constant Jacobian and their increments run once
+    source = _variational_source(heisenberg_fields()[0].pieces[0][2]._components, 3)
+    loop = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For))
+
+    def names(node, ctx):
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
+
+    assigned = names(loop, ast.Store)
+    for statement in loop.body:
+        assert names(statement, ast.Load) & assigned, ast.unparse(statement)
+    # y1's four slopes and three stage points, three matrix and three state updates,
+    # y2's increment and the blow-up test
+    assert len(loop.body) == 15
 
 
 def assert_well_formed(pm: PolynomialMap) -> None:

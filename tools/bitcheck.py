@@ -8,7 +8,9 @@ fields and piecewise fields (pieces of distinct tables, and pieces that
 repeat two tables, shared or built apart), in both time directions; and
 pushforwards and parameter derivatives on fields with an identically zero
 component, a constant one and one longer than the generated code's sum
-chunk, which the variational loop inlines in every shape it has.  The
+chunk, which the variational loop inlines in every shape it has, and on
+the catalog fields and the chained form, whose constant slopes and
+Jacobian entries the loop computes once, before its steps.  The
 series and witnesses have one section per kind of field (autonomous,
 distinct pieces, repeated tables), since a change to how a series sums
 over pieces can keep the bits of one kind and move another's.  Two source
@@ -234,6 +236,41 @@ def _kernels(fields, points):
                 yield cf.param_derivative(system, points[2], mode, SOLVER, nodes=8)
 
 
+def _chained_form(n: int) -> tuple[cf.VectorField, cf.VectorField]:
+    """x_1' = u_1, x_2' = u_2, x_{k+1}' = x_k u_1 for k = 2..n-1, as its two fields."""
+    def unit(var):
+        return tuple(int(v == var) for v in range(n))
+
+    first = [[(1.0, unit(None))], []] + [[(1.0, unit(k - 1))] for k in range(2, n)]
+    second = [[], [(1.0, unit(None))]] + [[] for _ in range(2, n)]
+    return tuple(cf.VectorField.autonomous(cf.PolynomialMap(n, n, comps))
+                 for comps in (first, second))
+
+
+def _invariant_kernels():
+    """Pushforwards on every field of the four catalog systems and of the chained form
+    for n = 4 to 6, whose constant slopes and Jacobian entries the variational loop
+    computes once before its steps, in both time directions; and the step and time of
+    a blow-up where such a matrix increment, x_1' = c x_0 at x_0 = 0, overflows."""
+    rng = np.random.default_rng(19)
+    catalog = [field for name in ("rotation2d", "heisenberg", "unicycle", "brockett")
+               for field in cf.builtin_system(name)]
+    for field in catalog + [f for n in (4, 5, 6) for f in _chained_form(n)]:
+        q = rng.uniform(-0.5, 0.5, field.dim)
+        for t0, t in DIRECTIONS:
+            yield cf.flow_with_pushforward(cf.FlowMap(field, t0, t, SOLVER), q)
+    overflow = cf.VectorField.autonomous(
+        cf.PolynomialMap(3, 3, [[], [(2e307, (1, 0, 0))], [(0.5, (0, 0, 0))]]))
+    for t in (20.0, -20.0):
+        try:
+            cf.flow_with_pushforward(cf.FlowMap(overflow, 0.0, t, cf.FlowSolver(4)),
+                                     [0.0, 0.3, -0.2])
+        except cf.BlowUpError as err:
+            yield [err.step, err.t]
+        else:
+            yield "returned"
+
+
 def _estimates(points):
     """The fitted slope, R^2 and excluded count of fixed order probes: remainders,
     a sample with samples below the zero cutoff, flow brackets and inverse expansions,
@@ -279,9 +316,9 @@ def _dims():
 def _invalid_calls() -> list:
     """One call per invalid input: each count below its least value, a string schedule
     duration, a float segment index and bool signs, a transported field at the exact
-    entry points, a map called at a point of the wrong length, each positive real at NaN,
-    0, a string, bytes and a numpy bool, each flow time at NaN and inf, and CLI flags
-    out of range."""
+    entry points and in a flow map, a map called at a point of the wrong length, each
+    positive real at NaN, 0, a string, bytes and a numpy bool, each flow time at NaN and
+    inf, and CLI flags out of range."""
     v1, v2 = cf.heisenberg_fields()
     system = cf.AffineControlSystem.of((v1, v2))
     expr = cf.BracketExpression.parse("[V1,V2]")
@@ -312,6 +349,7 @@ def _invalid_calls() -> list:
         lambda: cf.apply_lift(transported, 0.0, phi),
         lambda: cf.lie_bracket_field(rot, transported),
         lambda: cf.AffineControlSystem.of((rot, transported)),
+        lambda: cf.FlowMap(transported, 0.0, 0.5, solver),
         lambda: pm([1.0, 0.0, 0.0]),
     ]
     for bad in (math.nan, 0.0, "1", b"1", np.True_):
@@ -387,7 +425,7 @@ def sections() -> dict[str, object]:
         "residuals": _residuals(autonomous, piecewise, points),
         "plans": _plans(points),
         "schedules": _schedules(points),
-        "kernels": _kernels(_kernel_fields(), points),
+        "kernels": itertools.chain(_kernels(_kernel_fields(), points), _invariant_kernels()),
         "estimates": _estimates(points),
         "dims": _dims(),
         "errors": _errors(),
