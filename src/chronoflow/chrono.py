@@ -198,13 +198,12 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
     return np.array(integral), states[-1] if len(states) else point
 
 
-def fit_order(t_grid: np.ndarray, norms: np.ndarray,
-              cutoff: float = ZERO_NORM_CUTOFF) -> OrderEstimate:
-    """Least-squares log-log slope over samples above the zero cutoff (degenerate below two),
+def fit_order(t_grid: np.ndarray, norms: np.ndarray) -> OrderEstimate:
+    """Least-squares log-log slope over samples above ``ZERO_NORM_CUTOFF`` (degenerate below two),
     in closed form: the slope is sum(x y) / sum(x x) over the centred logs x and y."""
     t_grid = np.asarray(t_grid, dtype=float)
     norms = np.asarray(norms, dtype=float)
-    usable = norms > cutoff
+    usable = norms > ZERO_NORM_CUTOFF
     excluded = int(np.sum(~usable))
     if int(np.sum(usable)) < 2:
         return degenerate_estimate(t_grid, norms)

@@ -247,7 +247,7 @@ def _compile_evaluator(components: tuple[TermDict, ...], dim_in: int):
 
 def _rk4_step(n: int, stage: Callable[[int, str | None, list[str]], list[str]],
               updates: Sequence[str] = (), finite: Sequence[str] = ()) -> list[str]:
-    """One RK4 step on y0..y{n-1} for both generated loops: stage s (0 to 3) is the lines
+    """One RK4 step on y0..y{n-1} for every generated loop: stage s (0 to 3) is the lines
     ``stage(s, scale, point)`` for the point y_k, then y_k + scale * k<s>_k; then
     ``updates``, the state update, and BlowUpError unless every |y_k| <= threshold
     (false for NaN) and every name in ``finite`` is finite."""
@@ -269,102 +269,80 @@ def _rk4_step(n: int, stage: Callable[[int, str | None, list[str]], list[str]],
                     "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h)"]
 
 
-def _plain_source(n: int, timed: bool = False) -> str:
-    """Source of the RK4 loop ``_rk4(f, q, a, h, n_steps, threshold, step_base)`` on n
-    floats, one call of the evaluator ``f`` per stage: the IEEE operations of a numpy
-    stepper in its order.  It holds no field, so every map of dimension n shares it.
-    With ``timed`` the evaluator is ``f(t, x)``: step i sets t = a + i * h and calls it
-    at t, t + h/2 (twice) and t + h, as a numpy stepper with a time-dependent field."""
-    times = ("t, ", "t + half, ", "t + half, ", "t + h, ") if timed else ("",) * 4
-    stage = lambda s, _, point: [f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = "
-                                 f"f({times[s]}[{', '.join(point)}])"]
-    state = ", ".join(f"y{k}" for k in range(n))
-    return "\n".join([
-        "def _rk4(f, q, a, h, n_steps, threshold, step_base):",
-        "    half = 0.5 * h",
-        "    sixth = h / 6.0",
-        f"    {state}, = q",
-        "    for i in range(n_steps):",
-        *(["        t = a + i * h"] if timed else []),
-        *("        " + line for line in _rk4_step(n, stage)),
-        f"    return [{state}]",
-    ])
-
-
 def _hoist(step: Sequence[str], variant: set[str], live: set[str]) -> tuple[list[str], list[str]]:
     """The lines ``target = expr`` of one RK4 step split into (prologue, loop), same bits.
 
-    An update ``x = x + sixth * (...)`` names its increment ``u_x`` first.  A line is
-    dropped when no later kept line, ``live`` or ``variant`` reads its target.  Names
-    in ``variant`` change from step to step, as do the targets of lines that read one,
-    which stay in the loop; the rest read only h, half, sixth, literals, never updated
-    matrix rows and names that such lines assign, and run once before it, in order.
+    Precondition: a name the step reads before assigning it is in ``variant``, and a
+    name assigned twice is read between its assignments only by them (``_sum_lines``).
+    A line is dropped when no later kept line, ``live`` or ``variant`` reads its target.
+    In program order, the targets of a line that reads a variant name are variant; the
+    lines that assign a variant name stay in the loop, and the rest run once before it,
+    in order.  An update ``x = x + sixth * (...)`` whose increment reads no variant name
+    computes it once before the loop, as ``u_x``, and adds ``u_x`` in the loop.
     """
-    lines = []
-    for line in step:
-        x, expr = line.split(" = ", 1)
-        increment = expr.startswith(f"{x} + sixth * ")
-        lines += [f"u_{x} = {expr[len(x) + 3:]}", f"{x} = {x} + u_{x}"] if increment else [line]
     kept, live = [], variant | live
-    for line in reversed(lines):
+    for line in reversed(step):
         target, expr = line.split(" = ", 1)
-        targets, reads = set(target.replace(",", " ").split()), set(_NAME.findall(expr))
-        if targets & live:
-            live |= reads
+        if (targets := set(target.replace(",", " ").split())) & live:
+            live |= (reads := set(_NAME.findall(expr)))
             kept.append((targets, reads, line))
-    while variant != (grown := variant.union(*(t for t, reads, _ in kept if reads & variant))):
-        variant = grown
-    return ([line for targets, _, line in reversed(kept) if not targets & variant],
-            [line for targets, _, line in reversed(kept) if targets & variant])
+    lines, variant = [], set(variant)
+    for targets, reads, line in reversed(kept):
+        x, expr = line.split(" = ", 1)
+        if expr.startswith(f"{x} + sixth * ") and variant.isdisjoint(
+                _NAME.findall(increment := expr[len(x) + 3:])):
+            lines += [((), f"u_{x} = {increment}"), (targets, f"{x} = {x} + u_{x}")]
+            continue
+        if not variant.isdisjoint(reads):
+            variant |= targets
+        lines.append((targets, line))
+    return ([line for targets, line in lines if variant.isdisjoint(targets)],
+            [line for targets, line in lines if not variant.isdisjoint(targets)])
 
 
-def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False) -> str:
-    """Source of a fixed-step RK4 loop over the state and its n x n pushforward.
+def _rk4_source(kind: str, n: int, tables: Sequence[TermDict] = ()) -> str:
+    """Source of the RK4 loop of ``kind`` on y0..y{n-1}, one for each loop ``_compiled``
+    serves: the step ``_rk4_step`` writes, split by ``_hoist`` into the lines that read
+    only loop invariants, which run once in a prologue before the loop, and the loop.
 
-    ``tables`` are the field's n term tables.  The generated
-    ``_rk4(q, m, a, h, n_steps, threshold, step_base)`` runs on Python floats,
-    ``q`` the state and ``m`` the row-major matrix as lists, and inlines the
-    field and its Jacobian (entry r*n + c is dV_r/dx_c, derived here) term by
-    term at each stage point.  The field is written as the evaluator writes it
-    (``_terms``, ``_sum_lines``, ``0.0`` for an empty component), so the state
-    takes the numpy stepper's operations in its order and endpoints are the
-    bits of the plain flow.  The matrix solves M' = J(x) M: zero Jacobian
-    entries are skipped, and a row whose Jacobian row is zero is never touched.
-    A step raises BlowUpError when the state leaves the threshold or an updated
-    matrix entry is not finite; an overflowing power raises it at the same step.
-    With ``calls`` the loop is ``_rk4(f, q, ...)`` and calls the evaluator ``f``
-    at each stage point in place of the inlined field.  The stage points, the
-    state update and the blow-up test are the plain loop's (``_rk4_step``); the
-    step's lines that read only loop invariants run once, in a prologue before
-    the loop, and the ones nothing reads are dropped (``_hoist``).
+    ``"plain"`` is ``_rk4(f, q, a, h, n_steps, threshold, step_base)`` and calls the
+    evaluator ``f`` once per stage, ``"timed"`` the same with ``f(t, x)``: step i sets
+    t = a + i * h and calls it at t, t + h/2 (twice) and t + h.  Both take the IEEE
+    operations of a numpy stepper in its order, and hold no field, so every map of
+    dimension n shares them.  ``"variational"`` is ``_rk4(q, m, a, h, n_steps,
+    threshold, step_base)`` over the state and its n x n pushforward, ``m`` the
+    row-major matrix, and inlines the field's n term ``tables`` and its Jacobian
+    (entry r*n + c is dV_r/dx_c, derived here) term by term at each stage point.  The
+    field is written as the evaluator writes it (``_terms``, ``_sum_lines``, ``0.0``
+    for an empty component), so endpoints are the bits of the plain flow.  The matrix
+    solves M' = J(x) M: zero Jacobian entries are skipped, and a row whose Jacobian row
+    is zero is never touched.  Its step raises BlowUpError also when an updated matrix
+    entry is not finite, and an overflowing power raises it at the same step.
+    ``"variational_calls"`` is ``_rk4(f, q, m, ...)``, which calls the evaluator ``f``
+    at each stage point in place of the inlined field.
     """
     jac_tables = [_diff_terms(table, var) for table in tables for var in range(n)]
     state = [f"y{k}" for k in range(n)]
+    variational = kind.startswith("variational")
+    matrix = [f"m{r}_{c}" for r in range(n) for c in range(n)] if variational else []
     # the rows r that the loop updates, each with the columns k where dV_r/dx_k is not 0
-    rows = {r: cols for r in range(n)
+    rows = {r: cols for r in range(len(tables))
             if (cols := [k for k in range(n) if jac_tables[r * n + k]])}
-    matrix = [f"m{r}_{c}" for r in range(n) for c in range(n)]
-    lines = [
-        f"def _rk4({'f, ' if calls else ''}q, m, a, h, n_steps, threshold, step_base):",
-        "    half = 0.5 * h",
-        "    sixth = h / 6.0",
-        f"    {', '.join(state)}, = q",
-        f"    {', '.join(matrix)}, = m",
-        "    i = 0",
-        "    try:",
-    ]
-    # stage s + 1: point p<s+1>_k (y_k at s = 0) and the matrix n<s>_k_c = m + scale * d<s>
-    # of each updated row, slopes k<s+1>_k, Jacobian entries j<s+1>_r_k, matrix slopes
-    # d<s+1>_r_c; _hoist drops the rows of n that no entry reads
-    def stage(s: int, scale: str | None, values: list[str]) -> list[str]:
-        body, point = [], state
-        if s:
+    times = ("t, ", "t + half, ", "t + half, ", "t + h, ") if kind == "timed" else ("",) * 4
+
+    # stage s + 1: the step's time, point p<s+1>_k (y_k at s = 0) and the matrix
+    # n<s>_k_c = m + scale * d<s> of each updated row, slopes k<s+1>_k, Jacobian entries
+    # j<s+1>_r_k, matrix slopes d<s+1>_r_c; _hoist drops the rows of n that no entry reads
+    def stage(s: int, scale: str | None, point: list[str]) -> list[str]:
+        body = ["t = a + i * h"] if kind == "timed" and not s else []
+        if s and matrix:
+            body += [f"p{s + 1}_{k} = {value}" for k, value in enumerate(point)]
             point = [f"p{s + 1}_{k}" for k in range(n)]
-            body += [f"{name} = {value}" for name, value in zip(point, values)]
             body += [f"n{k}_{c} = m{k}_{c} + {scale} * d{s}_{k}_{c}" for k in rows
                      for c in range(n)]
-        if calls:
-            body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = f([{', '.join(point)}])")
+        if kind != "variational":
+            body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = "
+                        f"f({times[s]}[{', '.join(point)}])")
         else:
             for k, table in enumerate(tables):
                 body += _sum_lines(f"k{s + 1}_{k}", _terms(table, point) or ["0.0"])
@@ -380,36 +358,36 @@ def _variational_source(tables: Sequence[TermDict], n: int, calls: bool = False)
                f" + d4_{r}_{c})" for r in rows for c in range(n)]
     finite = [f"m{r}_{c}" for r in rows for c in range(n)]
     *step, test, fail = _rk4_step(n, stage, updates, finite)
-    # the evaluator f is called at every stage, as the plain loop calls it
-    prologue, loop = _hoist(step, {"f", *state, *finite}, set(_NAME.findall(test + fail)))
-    lines += ["        " + line for line in prologue] + ["        for i in range(n_steps):"]
-    lines += ["            " + line for line in loop + [test, fail]]
-    lines += [
-        "    except OverflowError:",
-        "        raise BlowUpError(step_base + i + 1, a + (i + 1) * h) from None",
-        f"    return [{', '.join(state)}], [{', '.join(matrix)}]",
-    ]
-    return "\n".join(lines)
+    # the evaluator f is called at every stage, and the step's time reads i
+    prologue, loop = _hoist(step, {"f", "i", *state, *finite}, set(_NAME.findall(test + fail)))
+    head = ["half = 0.5 * h", "sixth = h / 6.0", f"{', '.join(state)}, = q"]
+    body = [*prologue, "for i in range(n_steps):", *("    " + line for line in loop + [test, fail])]
+    returned = f"[{', '.join(state)}]"
+    if matrix:
+        head += [f"{', '.join(matrix)}, = m", "i = 0"]
+        body = ["try:", *("    " + line for line in body), "except OverflowError:",
+                "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h) from None"]
+        returned += f", [{', '.join(matrix)}]"
+    args = ("f, " if kind != "variational" else "") + ("q, m" if matrix else "q")
+    return "\n".join([f"def _rk4({args}, a, h, n_steps, threshold, step_base):",
+                      *("    " + line for line in head + body + [f"return {returned}"])])
 
 
 @lru_cache(maxsize=COMPILE_MEMO_SIZE)
 def _compiled(kind: str, key):
     """The compiled ``kind`` for ``key``.  For the map whose ``PolynomialMap._key`` is
     ``key``: its evaluator (``"evaluator"``, ``_compile_evaluator``), or its RK4 loop with
-    pushforward (``_variational_source``), field inlined (``"variational"``) or called
-    (``"variational_calls"``).  For the dimension ``key`` (``_plain_source``): the plain
-    RK4 loop on an evaluator f(x) (``"plain"``) or f(t, x) (``"timed"``).  A loop's
-    Jacobian is derived only on a miss.  Equal keys generate identical source, so every
-    map with equal tables shares one function of each kind with its bits."""
-    namespace: dict = {"BlowUpError": BlowUpError}
-    if kind in ("plain", "timed"):
-        exec(_plain_source(key, kind == "timed"), namespace)
-        return namespace["_rk4"]
-    dim, tables = key
-    components = tuple(dict(table) for table in tables)
+    pushforward, field inlined (``"variational"``) or called (``"variational_calls"``).
+    For the dimension ``key``: the plain RK4 loop on an evaluator f(x) (``"plain"``) or
+    f(t, x) (``"timed"``).  ``_rk4_source`` writes every loop, and a loop's Jacobian is
+    derived only on a miss.  Equal keys generate identical source, so every map with
+    equal tables shares one function of each kind with its bits."""
+    n, tables = (key, ()) if kind in ("plain", "timed") else key
+    tables = tuple(dict(table) for table in tables)
     if kind == "evaluator":
-        return _compile_evaluator(components, dim)
-    exec(_variational_source(components, dim, kind == "variational_calls"), namespace)
+        return _compile_evaluator(tables, n)
+    namespace: dict = {"BlowUpError": BlowUpError}
+    exec(_rk4_source(kind, n, tables), namespace)
     return namespace["_rk4"]
 
 
@@ -464,7 +442,7 @@ class PolynomialMap:
     @cached_property
     def _variational_rk4(self):
         """The generated RK4 loop with pushforward, ``rk4(q, m, a, h, n_steps, threshold,
-        step_base)`` (``_variational_source``).  It inlines the field, unless this map's
+        step_base)`` (``_rk4_source``).  It inlines the field, unless this map's
         ``_evaluator`` was replaced by one ``_compile_evaluator`` did not make, which is
         not the ``_eval`` of its own globals (a wrapper, even one made by functools.wraps,
         as perfbench's step-count tests install): then it calls that one at each stage."""
@@ -693,6 +671,13 @@ class VectorField:
         return doc
 
 
+def _exact(what: str, *fields) -> None:
+    """TypeError unless every field is a ``VectorField``, checked before any attribute is
+    read: an evaluator, such as a transported field, has no pieces or exact derivatives."""
+    if not all(isinstance(field, VectorField) for field in fields):
+        raise TypeError(f"{what} exact polynomial fields")
+
+
 def _joint_parts(v: VectorField, w: VectorField, a: float,
                  b: float) -> list[tuple[float, float, PolynomialMap, PolynomialMap]]:
     """The parts (start, end, map of v, map of w) of [a, b] in one piece of each field,
@@ -703,6 +688,7 @@ def _joint_parts(v: VectorField, w: VectorField, a: float,
 def add_fields(v: VectorField, w: VectorField, coeff_v: float = 1.0,
                coeff_w: float = 1.0) -> VectorField:
     """Pointwise linear combination coeff_v*V + coeff_w*W, piece-aware."""
+    _exact("field sums require", v, w)
     if v.dim != w.dim:
         raise DimensionError("fields have different dimensions")
     order = min(v.smoothness_order, w.smoothness_order)
@@ -781,12 +767,14 @@ class Observable:
 
 def eval_field(field: VectorField, t: float, q) -> np.ndarray:
     """Value of the active polynomial piece at (t, q)."""
+    _exact("field values require", field)
     point = as_point(q, field.dim)
     return field.piece_at(t)(point)
 
 
 def field_jacobian(field: VectorField, t: float, q) -> np.ndarray:
     """Exact Jacobian of the active piece; entry (r, c) is dV_r/dx_c."""
+    _exact("field Jacobians require", field)
     point = as_point(q, field.dim)
     return field.piece_at(t).jacobian(point)
 
@@ -805,8 +793,7 @@ def iterate_lift(fields_seq: Sequence[tuple[VectorField, float]],
     lifts = LiftTable(obs, len(fields_seq))
     if not fields_seq:
         return obs
-    if not all(isinstance(field, VectorField) for field, _ in fields_seq):
-        raise TypeError("lifts require exact polynomial fields")
+    _exact("lifts require", *(field for field, _ in fields_seq))
     key = tuple(field.piece_at(t) for field, t in fields_seq)
     return Observable(lifts[key], obs.max_derivative_order - len(key))
 

@@ -3,7 +3,7 @@
 The solver integrates each piecewise-autonomous segment with classical
 fourth-order Runge-Kutta on a fixed grid, splitting steps at the field's
 time breakpoints so no step straddles a discontinuity.  Every solve runs a
-loop generated from one RK4 step (``fields._rk4_step``): the plain loop of
+loop that one generator writes (``fields._rk4_source``): the plain loop of
 each dimension calls a piece's compiled evaluator, or a time-dependent
 evaluator, at every stage.  Pushforwards come from the variational equation
 M' = V'(x(t)) M integrated alongside the trajectory.  Backward flows use
@@ -19,8 +19,8 @@ from typing import Callable, ClassVar
 
 import numpy as np
 
-from .fields import (Observable, VectorField, _compiled, _finite_times, _positive, as_float,
-                     as_int, as_point)
+from .fields import (Observable, VectorField, _compiled, _exact, _finite_times, _positive,
+                     as_float, as_int, as_point)
 
 MAX_STEPS_PER_SOLVE = 10 ** 8
 
@@ -70,8 +70,7 @@ class FlowMap:
     solver: FlowSolver = dataclass_field(default_factory=FlowSolver)
 
     def __post_init__(self):
-        if not isinstance(self.field, VectorField):  # an evaluator goes to flow_time_dependent
-            raise TypeError("flow maps require exact polynomial fields")
+        _exact("flow maps require", self.field)  # an evaluator goes to flow_time_dependent
         _finite_times(self.t0, self.t1)
 
 
@@ -306,7 +305,7 @@ def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float
 
     One fixed grid over [t0, t1], with no breakpoint splitting: a caller
     whose evaluator is piecewise in time solves each interval in turn.  The
-    steps are the timed loop of dimension len(q) (``fields._plain_source``),
+    steps are the timed loop of dimension len(q) (``fields._rk4_source``),
     so an evaluator value of another length is a ValueError.
     """
     _finite_times(t0, t1)  # before the t1 == t0 shortcut

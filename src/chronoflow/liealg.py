@@ -22,6 +22,7 @@ from .errors import DimensionError
 from .fields import (
     PolynomialMap,
     VectorField,
+    _exact,
     _finite_times,
     as_int,
     as_point,
@@ -127,9 +128,7 @@ def lie_bracket_map(v_map: PolynomialMap, w_map: PolynomialMap) -> PolynomialMap
 
 def lie_bracket_field(v: VectorField, w: VectorField, t: float = 0.0) -> VectorField:
     """The bracket as an autonomous polynomial field, from the pieces at t."""
-    for f in (v, w):
-        if not isinstance(f, VectorField):
-            raise TypeError("bracket nesting requires exact polynomial fields")
+    _exact("bracket nesting requires", v, w)
     pm = lie_bracket_map(v.piece_at(t), w.piece_at(t))
     return VectorField.autonomous(pm, min(v.smoothness_order, w.smoothness_order))
 
@@ -266,6 +265,7 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
     their inverses; the bracket is the exact coordinate bracket, and it and
     W are evaluated through their compiled evaluators on the pass's states.
     """
+    _exact("the adjoint identity check requires", v, w)
     if not (v.is_autonomous and w.is_autonomous):
         raise ValueError("the adjoint identity check expects autonomous fields")
     point = as_point(q, v.dim)

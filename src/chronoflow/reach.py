@@ -23,7 +23,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import DimensionError, PlannerPreconditionError, StalledError
-from .fields import VectorField, _positive, as_float, as_int, as_point, eval_field, vector_norm
+from .fields import (VectorField, _exact, _positive, as_float, as_int, as_point, eval_field,
+                     vector_norm)
 from .flow import (  # noqa: F401 (re-exports Segment; perfbench reads reach.flow_map)
     ControlSchedule, FlowSolver, Segment, flow_map, run_schedule)
 
@@ -47,8 +48,7 @@ class AffineControlSystem:
         fields = tuple(fields)
         if not fields:
             raise ValueError("a control system needs at least one field")
-        if not all(isinstance(f, VectorField) for f in fields):
-            raise TypeError("control fields must be exact polynomial fields")
+        _exact("control fields must be", *fields)
         dim = fields[0].dim
         for f in fields:
             if f.dim != dim:

@@ -559,10 +559,12 @@ def test_many_pieces_of_two_tables_compile_twice(monkeypatch):
     # a bang-bang field on 1,000 pieces, each its own map of one of two tables
     fields._compiled.cache_clear()
     compiled = []
-    for name in ("_compile_evaluator", "_variational_source"):
+    for name in ("_compile_evaluator", "_rk4_source"):
         original = getattr(fields, name)
+        # a loop is recorded by its kind, the first argument of _rk4_source
         monkeypatch.setattr(fields, name, lambda *args, name=name, original=original:
-                            compiled.append(name) or original(*args))
+                            compiled.append(args[0] if name == "_rk4_source" else name)
+                            or original(*args))
     signs = np.random.default_rng(1000).choice([-1.0, 1.0], size=1000)
     edges = np.linspace(0.0, 1.0, 1001).tolist()
     field = VectorField.piecewise([(a, b, PolynomialMap.linear([[0.0, -s], [s, 0.0]]))
@@ -570,22 +572,23 @@ def test_many_pieces_of_two_tables_compile_twice(monkeypatch):
     fm = FlowMap(field, 0.0, 1.0, FlowSolver(4000))
     end, _ = flow_with_pushforward(fm, [0.5, 0.5])
     assert np.array_equal(end, flow_map(fm, [0.5, 0.5]))
-    assert sorted(compiled) == ["_compile_evaluator"] * 2 + ["_variational_source"] * 2
+    # the plain loop of dimension 2 is compiled once, for flow_map
+    assert sorted(compiled) == ["_compile_evaluator"] * 2 + ["plain"] + ["variational"] * 2
 
 
 def test_maps_of_one_dimension_share_one_plain_loop(monkeypatch):
     fields._compiled.cache_clear()
     generated = []
-    original = fields._plain_source
-    monkeypatch.setattr(fields, "_plain_source",
-                        lambda n, timed: generated.append((n, timed)) or original(n, timed))
+    original = fields._rk4_source
+    monkeypatch.setattr(fields, "_rk4_source", lambda kind, n, *rest:
+                        generated.append((kind, n)) or original(kind, n, *rest))
     for pm in (PolynomialMap.linear([[0.0, -1.0], [1.0, 0.0]]),
                PolynomialMap.constants([1.0, 0.5], 2), PolynomialMap.constants([1.0, 0.5, 2.0], 3)):
         flow_map(FlowMap(VectorField.autonomous(pm), 0.0, 0.5, FlowSolver(10)), [0.3] * pm.dim_in)
         cf.flow_time_dependent(lambda t, x: (1.0 + t) * pm(x), 0.0, 0.5, [0.3] * pm.dim_in,
                                FlowSolver(10))
     # one plain and one timed loop per dimension, whatever the map
-    assert generated == [(2, False), (2, True), (3, False), (3, True)]
+    assert generated == [("plain", 2), ("timed", 2), ("plain", 3), ("timed", 3)]
 
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)

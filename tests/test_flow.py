@@ -16,10 +16,12 @@ from chronoflow import (
     PerturbedSystem,
     PolynomialMap,
     VectorField,
+    add_fields,
     adjoint_check,
     apply_lift,
     constant_field,
     eval_field,
+    field_jacobian,
     flow_map,
     flow_operator_apply,
     flow_pushforward,
@@ -368,9 +370,17 @@ def test_pushforward_field_translation_conjugates_linear():
     lambda pf: lie_bracket_field(rotation2d(), pf),
     lambda pf: AffineControlSystem.of([rotation2d(), pf]),
     lambda pf: flow_map(FlowMap(pf, 0.0, 0.5, SOLVER), [0.7, -0.4]),
-], ids=["apply_lift", "lie_bracket_field", "AffineControlSystem.of", "FlowMap"])
+    lambda pf: eval_field(pf, 0.0, [0.7, -0.4]),
+    lambda pf: field_jacobian(pf, 0.0, [0.7, -0.4]),
+    lambda pf: add_fields(rotation2d(), pf),
+    lambda pf: add_fields(pf, rotation2d()),
+    lambda pf: adjoint_check(rotation2d(), pf, [0.7, -0.4], 0.5, SOLVER),
+    lambda pf: adjoint_check(pf, rotation2d(), [0.7, -0.4], 0.5, SOLVER),
+], ids=["apply_lift", "lie_bracket_field", "AffineControlSystem.of", "FlowMap", "eval_field",
+        "field_jacobian", "add_fields-w", "add_fields-v", "adjoint_check-w", "adjoint_check-v"])
 def test_exact_paths_reject_a_pushforward_field(entry):
-    # a transported field is an evaluator (t, r) -> vector with no exact derivatives
+    # a transported field is an evaluator (t, r) -> vector with no exact derivatives;
+    # the check runs before any attribute of it (dim, is_autonomous) is read
     pf = pushforward_field(FlowMap(rotation2d(), 0.0, 0.5, SOLVER), rotation2d(), 0.0)
     with pytest.raises(TypeError, match="exact polynomial fields"):
         entry(pf)

@@ -85,8 +85,7 @@ from chronoflow.fields import (
     _compile_evaluator,
     _diff_terms,
     _mul_terms,
-    _plain_source,
-    _variational_source,
+    _rk4_source,
     add_fields,
     eval_field,
     lift_map,
@@ -410,7 +409,7 @@ def test_generated_plain_source_stays_small_at_dimension_8():
     # per step: one evaluator call per stage, 8 state updates and the blow-up test;
     # the loop holds no field, so no table makes it longer.  The timed loop adds
     # one line to the loop body, the step's time
-    plain, timed_source = _plain_source(8), _plain_source(8, True)
+    plain, timed_source = _rk4_source("plain", 8), _rk4_source("timed", 8)
     assert len(plain.splitlines()) <= 4 + 8 + 2 + 6
     assert len(timed_source.splitlines()) <= 4 + 8 + 2 + 7
     assert max(len(plain), len(timed_source)) <= 2_000
@@ -421,7 +420,7 @@ def test_generated_plain_source_stays_small_at_dimension_8():
 def test_generated_variational_source_stays_small_at_dimension_8(pm):
     # per stage: 8 stage points, 8 field components, and at most 64 Jacobian
     # entries, 64 matrix products and 64 intermediate matrix entries
-    source = _variational_source(pm._components, 8)
+    source = _rk4_source("variational", 8, pm._components)
     assert len(source.splitlines()) <= 4 * (8 + 8 + 3 * 64) + 64 + 8 + 12
     assert len(source) <= 80_000
 
@@ -647,7 +646,7 @@ def hoisted_blowing_up(draw):
     threshold = draw(st.sampled_from((1e12, 1e300, np.finfo(float).max)))
     unit = tuple(int(v == 0) for v in range(dim))
     if draw(st.booleans()):  # about 4 threshold / b steps; inf at the first if 2 b overflows
-        b = min(threshold * 10.0 ** draw(st.floats(-1.2, 0.5)), np.finfo(float).max)
+        b = min(float(threshold) * 10.0 ** draw(st.floats(-1.2, 0.5)), np.finfo(float).max)
         first, second = [(math.copysign(b, t), (0,) * dim)], []
     else:  # about 4e308 / c steps; inf at the first if 5 c overflows
         first = []
@@ -662,7 +661,7 @@ def hoisted_blowing_up(draw):
 @given(hoisted_blowing_up())
 def test_hoisted_increments_blow_up_at_the_numpy_steppers_step_and_time(case):
     pm, q, t, threshold = case
-    prologue = _variational_source(pm._components, pm.dim_in).split("for i in range")[0]
+    prologue = _rk4_source("variational", pm.dim_in, pm._components).split("for i in range")[0]
     assert "u_y0 = " in prologue or "u_m1_0 = " in prologue
     solver = FlowSolver(4, blowup_threshold=threshold)
     fm = FlowMap(VectorField.autonomous(pm), 0.0, t, solver)
@@ -671,21 +670,71 @@ def test_hoisted_increments_blow_up_at_the_numpy_steppers_step_and_time(case):
     assert got == plain_outcome(lambda: numpy_variational_rk4(pm, q, t, solver)[0])
 
 
-def test_the_heisenberg_loop_holds_no_statement_on_loop_invariants_alone():
-    # each statement left in the loop reads a name that the loop assigns: the constant
-    # slopes, the matrix slopes of the constant Jacobian and their increments run once
-    source = _variational_source(heisenberg_fields()[0].pieces[0][2]._components, 3)
-    loop = next(node for node in ast.walk(ast.parse(source)) if isinstance(node, ast.For))
+def assert_hoisted(source: str) -> ast.For:
+    """No statement before the generated loop reads a name that the loop assigns, and
+    each statement in it reads one; the loop's ``for`` node."""
+    tree = ast.parse(source)
+    loop = next(node for node in ast.walk(tree) if isinstance(node, ast.For))
 
     def names(node, ctx):
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ctx)}
 
     assigned = names(loop, ast.Store)
+    for statement in ast.walk(tree):
+        if isinstance(statement, ast.Assign) and statement.lineno < loop.lineno:
+            assert not names(statement, ast.Load) & assigned, ast.unparse(statement)
     for statement in loop.body:
         assert names(statement, ast.Load) & assigned, ast.unparse(statement)
-    # y1's four slopes and three stage points, three matrix and three state updates,
-    # y2's increment and the blow-up test
-    assert len(loop.body) == 15
+    return loop
+
+
+def test_the_heisenberg_loop_holds_no_statement_on_loop_invariants_alone():
+    # the constant slopes, the matrix slopes of the constant Jacobian and their
+    # increments run once, before the loop
+    loop = assert_hoisted(
+        _rk4_source("variational", 3, heisenberg_fields()[0].pieces[0][2]._components))
+    # y1's four slopes and three stage points, three matrix and three state updates
+    # (y2's increment inlined in its update) and the blow-up test
+    assert len(loop.body) == 14
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.integers(1, 8).flatmap(lambda dim: polynomial_maps(dim, max_terms=4))
+       | triangular_fields(st.integers(1, 8)).map(lambda field: field.pieces[0][2]),
+       st.sampled_from(("variational", "variational_calls")))
+def test_no_generated_loop_holds_a_statement_on_loop_invariants_alone(pm, kind):
+    assert_hoisted(_rk4_source(kind, pm.dim_in, pm._components))
+
+
+def test_no_plain_loop_holds_a_statement_on_loop_invariants_alone():
+    for n in range(1, 9):
+        for kind in ("plain", "timed"):
+            assert_hoisted(_rk4_source(kind, n))
+
+
+PLAIN_2 = """\
+def _rk4(f, q, a, h, n_steps, threshold, step_base):
+    half = 0.5 * h
+    sixth = h / 6.0
+    y0, y1, = q
+    for i in range(n_steps):
+{time}        k1_0, k1_1, = f({t1}[y0, y1])
+        k2_0, k2_1, = f({t2}[y0 + half * k1_0, y1 + half * k1_1])
+        k3_0, k3_1, = f({t2}[y0 + half * k2_0, y1 + half * k2_1])
+        k4_0, k4_1, = f({t4}[y0 + h * k3_0, y1 + h * k3_1])
+        y0 = y0 + sixth * (k1_0 + 2.0 * k2_0 + 2.0 * k3_0 + k4_0)
+        y1 = y1 + sixth * (k1_1 + 2.0 * k2_1 + 2.0 * k3_1 + k4_1)
+        if not (abs(y0) <= threshold and abs(y1) <= threshold):
+            raise BlowUpError(step_base + i + 1, a + (i + 1) * h)
+    return [y0, y1]"""
+
+
+def test_the_plain_and_timed_loops_of_dimension_2_are_pinned():
+    # the plain loop takes a numpy stepper's operations in its order; the timed one
+    # adds the step's time and passes it to each stage's call
+    assert _rk4_source("plain", 2) == PLAIN_2.format(time="", t1="", t2="", t4="")
+    assert _rk4_source("timed", 2) == PLAIN_2.format(
+        time="        t = a + i * h\n", t1="t, ", t2="t + half, ", t4="t + h, ")
 
 
 def assert_well_formed(pm: PolynomialMap) -> None:
