@@ -15,9 +15,12 @@ series and witnesses have one section per kind of field (autonomous,
 distinct pieces, repeated tables), since a change to how a series sums
 over pieces can keep the bits of one kind and move another's.  Two source
 trees that print the same digests give the same bits on all of them.
-The ``estimates`` section hashes the fitted slope, R^2 and excluded count
-of order probes, and ``dims`` plain and inverse flows in dimensions 1, 5
-and 8 and the step and time of two blow-ups.
+The ``kernels`` section hashes pushforwards and blow-ups only, and
+``param_deriv`` every parameter derivative, so a change to
+``param_derivative`` alone moves ``param_deriv`` and nothing else.  The
+``estimates`` section hashes the fitted slope, R^2 and excluded count of
+order probes, and ``dims`` plain and inverse flows in dimensions 1, 5 and
+8 and the step and time of two blow-ups.
 The last section, ``errors``, is no number: it hashes the exception type
 and message (or that the call returned) of a fixed list of invalid inputs,
 the CLI's among them with their exit code and stderr, so it moves with any
@@ -225,15 +228,11 @@ def _schedules(points):
 
 
 def _kernels(fields, points):
-    names = list(fields)
-    for base, perturbation in zip(names, names[1:] + names[:1]):
+    for field in fields.values():
         for t0, t in DIRECTIONS:
-            fm = cf.FlowMap(fields[base], t0, t, SOLVER)
+            fm = cf.FlowMap(field, t0, t, SOLVER)
             for q in points:
                 yield cf.flow_with_pushforward(fm, q)
-            system = cf.PerturbedSystem(fields[base], fields[perturbation], t0, t)
-            for mode in (cf.IN_FORMULA, cf.OUT_FORMULA):
-                yield cf.param_derivative(system, points[2], mode, SOLVER, nodes=8)
 
 
 def _chained_form(n: int) -> tuple[cf.VectorField, cf.VectorField]:
@@ -421,7 +420,8 @@ def sections() -> dict[str, object]:
         "flows": _flows(every, points),
         **{f"series_{kind}": _series(fields, points) for kind, fields in kinds.items()},
         **{f"witnesses_{kind}": _witnesses(fields, points) for kind, fields in kinds.items()},
-        "param_deriv": _param_derivatives(every, points),
+        "param_deriv": itertools.chain(_param_derivatives(every, points),
+                                       _param_derivatives(_kernel_fields(), points)),
         "residuals": _residuals(autonomous, piecewise, points),
         "plans": _plans(points),
         "schedules": _schedules(points),
