@@ -28,6 +28,7 @@ from .fields import (
     Observable,
     PolynomialMap,
     VectorField,
+    _exact,
     _finite_times,
     _positive,
     as_int,
@@ -112,6 +113,7 @@ def _series_terms(field: VectorField, obs: Observable, point: np.ndarray,
 def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
                           t: float, k: int) -> np.ndarray:
     """Iterated integral of the k-fold lift composition over the order-k simplex."""
+    _exact("Volterra series require", field)
     k = as_int(k, "simplex order k", 0)
     return _series_terms(field, obs, as_point(q, field.dim), t0, t, k)[k]
 
@@ -119,6 +121,7 @@ def simplex_integral_term(field: VectorField, obs: Observable, q, t0: float,
 def volterra_truncate(field: VectorField, obs: Observable, q, t0: float, t: float,
                       k: int) -> np.ndarray:
     """Order-k truncation: phi(q) plus the simplex terms of orders 1..k-1."""
+    _exact("Volterra series require", field)
     k = as_int(k, "truncation order k", 1)
     terms = _series_terms(field, obs, as_point(q, field.dim), t0, t, k - 1)
     return sum(terms[1:], terms[0])
@@ -136,6 +139,7 @@ def remainder_eval(field: VectorField, obs: Observable, q, t0: float, t: float,
     k lifts, on one chained trajectory through the innermost quadrature
     times (``nodes`` per piece met, ``DEFAULT_NODES`` unless given).
     """
+    _exact("Volterra remainders require", field)
     k = as_int(k, "truncation order k", 1)
     point = as_point(q, field.dim)
     if method == "difference":
@@ -262,6 +266,7 @@ def integral_equation_residual(field: VectorField, obs: Observable, q, t0: float
     integral equation.  P(q) ends the chained trajectory through the
     quadrature times, so the call costs one pass along it.
     """
+    _exact("the integral equation residual requires", field)
     point = as_point(q, field.dim)
     integral, end = _direct_remainder(field, obs, point, t0, t, 1, solver, nodes,
                                       to_end=True)

@@ -315,16 +315,20 @@ def _rk4_source(kind: str, n: int, tables: Sequence[TermDict] = ()) -> str:
     (entry r*n + c is dV_r/dx_c, derived here) term by term at each stage point.  The
     field is written as the evaluator writes it (``_terms``, ``_sum_lines``, ``0.0``
     for an empty component), so endpoints are the bits of the plain flow.  The matrix
-    solves M' = J(x) M: zero Jacobian entries are skipped, and a row whose Jacobian row
-    is zero is never touched.  Its step raises BlowUpError also when an updated matrix
-    entry is not finite, and an overflowing power raises it at the same step.
-    ``"variational_calls"`` is ``_rk4(f, q, m, ...)``, which calls the evaluator ``f``
-    at each stage point in place of the inlined field.
+    solves M' = J(x) M: zero Jacobian entries are skipped, a constant one is set once for
+    all four stages, and a row whose Jacobian row is zero is never touched.  Its step
+    raises BlowUpError also when an updated matrix entry is not finite, and an overflowing
+    power raises it at the same step.  ``"variational_calls"`` is ``_rk4(f, q, m, ...)``,
+    which calls the evaluator ``f`` at each stage point in place of the inlined field.
+    ``"tangent"`` is the variational loop on one column, ``m`` a vector of length n: it
+    solves v' = J(x) v with the bits of that column of the matrix loop.
     """
     jac_tables = [_diff_terms(table, var) for table in tables for var in range(n)]
+    constant = {i for i, table in enumerate(jac_tables) if not any(map(any, table))}
     state = [f"y{k}" for k in range(n)]
-    variational = kind.startswith("variational")
-    matrix = [f"m{r}_{c}" for r in range(n) for c in range(n)] if variational else []
+    inline = kind in ("variational", "tangent")
+    columns = range(1) if kind == "tangent" else range(n)
+    matrix = [] if kind in ("plain", "timed") else [f"m{r}_{c}" for r in range(n) for c in columns]
     # the rows r that the loop updates, each with the columns k where dV_r/dx_k is not 0
     rows = {r: cols for r in range(len(tables))
             if (cols := [k for k in range(n) if jac_tables[r * n + k]])}
@@ -332,15 +336,16 @@ def _rk4_source(kind: str, n: int, tables: Sequence[TermDict] = ()) -> str:
 
     # stage s + 1: the step's time, point p<s+1>_k (y_k at s = 0) and the matrix
     # n<s>_k_c = m + scale * d<s> of each updated row, slopes k<s+1>_k, Jacobian entries
-    # j<s+1>_r_k, matrix slopes d<s+1>_r_c; _hoist drops the rows of n that no entry reads
+    # j<s+1>_r_k (j1_r_k at every stage if constant), matrix slopes d<s+1>_r_c; _hoist
+    # drops the rows of n that no entry reads, and the constant entries of stages 2 to 4
     def stage(s: int, scale: str | None, point: list[str]) -> list[str]:
         body = ["t = a + i * h"] if kind == "timed" and not s else []
         if s and matrix:
             body += [f"p{s + 1}_{k} = {value}" for k, value in enumerate(point)]
             point = [f"p{s + 1}_{k}" for k in range(n)]
             body += [f"n{k}_{c} = m{k}_{c} + {scale} * d{s}_{k}_{c}" for k in rows
-                     for c in range(n)]
-        if kind != "variational":
+                     for c in columns]
+        if not inline:
             body.append(f"{', '.join(f'k{s + 1}_{k}' for k in range(n))}, = "
                         f"f({times[s]}[{', '.join(point)}])")
         else:
@@ -349,14 +354,15 @@ def _rk4_source(kind: str, n: int, tables: Sequence[TermDict] = ()) -> str:
         for r, cols in rows.items():
             for k in cols:
                 body += _sum_lines(f"j{s + 1}_{r}_{k}", _terms(jac_tables[r * n + k], point))
-            for c in range(n):
+            for c in columns:
                 body += _sum_lines(f"d{s + 1}_{r}_{c}", [
-                    f"j{s + 1}_{r}_{k} * {'n' if s and k in rows else 'm'}{k}_{c}" for k in cols])
+                    f"j{1 if r * n + k in constant else s + 1}_{r}_{k} * "
+                    f"{'n' if s and k in rows else 'm'}{k}_{c}" for k in cols])
         return body
 
     updates = [f"m{r}_{c} = m{r}_{c} + sixth * (d1_{r}_{c} + 2.0 * d2_{r}_{c} + 2.0 * d3_{r}_{c}"
-               f" + d4_{r}_{c})" for r in rows for c in range(n)]
-    finite = [f"m{r}_{c}" for r in rows for c in range(n)]
+               f" + d4_{r}_{c})" for r in rows for c in columns]
+    finite = [f"m{r}_{c}" for r in rows for c in columns]
     *step, test, fail = _rk4_step(n, stage, updates, finite)
     # the evaluator f is called at every stage, and the step's time reads i
     prologue, loop = _hoist(step, {"f", "i", *state, *finite}, set(_NAME.findall(test + fail)))
@@ -368,7 +374,7 @@ def _rk4_source(kind: str, n: int, tables: Sequence[TermDict] = ()) -> str:
         body = ["try:", *("    " + line for line in body), "except OverflowError:",
                 "    raise BlowUpError(step_base + i + 1, a + (i + 1) * h) from None"]
         returned += f", [{', '.join(matrix)}]"
-    args = ("f, " if kind != "variational" else "") + ("q, m" if matrix else "q")
+    args = ("" if inline else "f, ") + ("q, m" if matrix else "q")
     return "\n".join([f"def _rk4({args}, a, h, n_steps, threshold, step_base):",
                       *("    " + line for line in head + body + [f"return {returned}"])])
 
@@ -377,11 +383,11 @@ def _rk4_source(kind: str, n: int, tables: Sequence[TermDict] = ()) -> str:
 def _compiled(kind: str, key):
     """The compiled ``kind`` for ``key``.  For the map whose ``PolynomialMap._key`` is
     ``key``: its evaluator (``"evaluator"``, ``_compile_evaluator``), or its RK4 loop with
-    pushforward, field inlined (``"variational"``) or called (``"variational_calls"``).
-    For the dimension ``key``: the plain RK4 loop on an evaluator f(x) (``"plain"``) or
-    f(t, x) (``"timed"``).  ``_rk4_source`` writes every loop, and a loop's Jacobian is
-    derived only on a miss.  Equal keys generate identical source, so every map with
-    equal tables shares one function of each kind with its bits."""
+    pushforward, field inlined (``"variational"``) or called (``"variational_calls"``), or
+    with a tangent (``"tangent"``).  For the dimension ``key``: the plain RK4 loop on an
+    evaluator f(x) (``"plain"``) or f(t, x) (``"timed"``).  ``_rk4_source`` writes every
+    loop, and a loop's Jacobian is derived only on a miss.  Equal keys generate identical
+    source, so every map with equal tables shares one function of each kind with its bits."""
     n, tables = (key, ()) if kind in ("plain", "timed") else key
     tables = tuple(dict(table) for table in tables)
     if kind == "evaluator":
@@ -450,6 +456,11 @@ class PolynomialMap:
         if evaluator is None or getattr(evaluator, "__globals__", {}).get("_eval") is evaluator:
             return _compiled("variational", self._key)
         return partial(_compiled("variational_calls", self._key), evaluator)
+
+    @cached_property
+    def _tangent_rk4(self):
+        """The ``"tangent"`` loop ``rk4(q, v, ...)``, which always inlines the field."""
+        return _compiled("tangent", self._key)
 
     @property
     def components(self) -> tuple[tuple[tuple[float, Exps], ...], ...]:
@@ -906,6 +917,7 @@ def sample_lift_bound(field: VectorField, obs: Observable, order: int, center,
     """Estimate the lift-composition bound by sampling the ball: the words are the
     length-``order`` keys of ``chen_walk`` over the pieces, once in each time
     direction, so a field of D distinct maps has at most D^order of them."""
+    _exact("lift witnesses require", field)
     order = as_int(order, "witness order", 1)  # True would pass as order 1
     center = as_point(center, field.dim)
     radius = _positive(radius, "witness radius")

@@ -6,8 +6,8 @@ time breakpoints so no step straddles a discontinuity.  Every solve runs a
 loop that one generator writes (``fields._rk4_source``): the plain loop of
 each dimension calls a piece's compiled evaluator, or a time-dependent
 evaluator, at every stage.  Pushforwards come from the variational equation
-M' = V'(x(t)) M integrated alongside the trajectory.  Backward flows use
-negative steps on the same field.
+M' = V'(x(t)) M along the trajectory, a tangent pass from one column of it (the
+``"tangent"`` loop).  Backward flows use negative steps on the same field.
 """
 from __future__ import annotations
 
@@ -75,7 +75,7 @@ class FlowMap:
 
 
 def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
-               want_pushforward: bool) -> tuple[np.ndarray, np.ndarray | list]:
+               want_pushforward: bool, gains=None) -> tuple[np.ndarray, np.ndarray | list]:
     """Walk one trajectory of ``field`` from (t0, q) through ``times`` in one pass.
 
     The one executor of solves on a field.  The point, the times and the window
@@ -87,7 +87,9 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
     loop, on float lists.  Each node's matrix restarts at the identity (its segment
     pushforward) and its step count at 0.  The pass converts the nodes once:
     returns the (N, n) states at the N ``times`` and the (N, n, n) segment
-    pushforwards (an empty list without ``want_pushforward``).
+    pushforwards (an empty list without ``want_pushforward``).  With ``gains``, one
+    (weight, evaluator) per time but the last, a tangent pass carries a vector from 0 by
+    ``_tangent_rk4``, adds weight * evaluator(state) at time i and returns it last.
     """
     point = as_point(q, field.dim).tolist()
     t0, times = float(t0), [float(t) for t in times]
@@ -100,22 +102,29 @@ def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
         identity[::n + 1] = [1.0] * n
     states: list[list[float]] = []
     segments: list[list[float]] = []
-    start = t0
-    for t in times:
+    start, vector = t0, [0.0] * n
+    for i, t in enumerate(times):
         mat, step_base = identity, 0
         for a, b, pm in field._parts(start, t):
             n_steps = solver.step_count(a, b)
             h = (b - a) / n_steps
-            if want_pushforward:
+            if gains is not None:
+                point, vector = pm._tangent_rk4(point, vector, a, h, n_steps, threshold, step_base)
+            elif want_pushforward:
                 point, mat = pm._variational_rk4(point, mat, a, h, n_steps, threshold, step_base)
             else:
                 point = plain(pm._evaluator, point, a, h, n_steps, threshold, step_base)
             step_base += n_steps
+        if gains is not None and i < len(gains):
+            weight, evaluate = gains[i]
+            vector = [v + weight * g for v, g in zip(vector, evaluate(point))]
         states.append(point)
         if want_pushforward:
             segments.append(mat)
         start = t
     mats = np.array(segments).reshape(len(times), n, n) if want_pushforward else []
+    if gains is not None:
+        mats = np.array(vector)
     return (np.array(states) if times else np.empty((0, n))), mats  # no rows: shape (0, n)
 
 
@@ -172,6 +181,7 @@ class ControlSchedule:
         not move the clock has no piece, and None stands for no piece at all.  Each V_i
         must exist and be autonomous, each s be +1 or -1, and ``start`` and each d finite."""
         fields, pieces, t = list(fields), [], float(start)
+        _exact("control schedules require", *fields)
         if not math.isfinite(t):  # a clock at NaN or inf would take no piece
             raise ValueError(f"the schedule's start must be finite, got {start}")
         negated = functools.cache(lambda pm: pm.scaled(-1.0))  # once per map and call

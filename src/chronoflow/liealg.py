@@ -135,6 +135,7 @@ def lie_bracket_field(v: VectorField, w: VectorField, t: float = 0.0) -> VectorF
 
 def lie_bracket(v: VectorField, w: VectorField, t: float, q) -> np.ndarray:
     """Bracket value DW(q).V(q) - DV(q).W(q) at one point."""
+    _exact("bracket values require", v, w)
     point = as_point(q, v.dim)
     return (field_jacobian(w, t, point) @ eval_field(v, t, point)
             - field_jacobian(v, t, point) @ eval_field(w, t, point))
@@ -216,6 +217,7 @@ def bracket_asymptotics_check(expr: BracketExpression, fields, q, t_max: float,
     removing t^k B(q) must decay with slope above k (or cancel exactly,
     which counts as a pass).
     """
+    _exact("the bracket asymptotics check requires", *fields)
     k = expr.degree
     for f in fields:
         if k > f.smoothness_order:
@@ -240,6 +242,7 @@ def inverse_expansion_check(v: VectorField, q, t_max: float, levels: int,
     The residual || P_t^{-1}(q) - q + t V(q) || must be o(t); slope about 2
     on smooth fields, exact zero for flows with affine inverses.
     """
+    _exact("the inverse expansion check requires", v)
     point = as_point(q, v.dim)
     value = eval_field(v, 0.0, point)
 
@@ -296,6 +299,7 @@ def pushforward_invariance_check(fm: FlowMap, v: VectorField, w: VectorField, q,
     values) share one variational solve of the inverse flow and one stacked
     linear solve per point (``_transport``), at 2n + 1 distinct points.
     """
+    _exact("the pushforward invariance check requires", v, w)
     point = as_point(q, v.dim)
     pieces = [f.piece_at(t_eval) for f in (v, w, lie_bracket_field(v, w, t_eval))]
     transported: dict[bytes, np.ndarray] = {}

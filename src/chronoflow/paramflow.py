@@ -16,10 +16,12 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DimensionError
-from .fields import VectorField, _finite_times, _joint_parts, _positive, add_fields, as_point
+from .fields import (VectorField, _exact, _finite_times, _joint_parts, _positive, add_fields,
+                     as_point)
 from .flow import (
     FlowMap,
     FlowSolver,
+    _flow_core,
     _solve_columns,
     _transport,
     chained_trajectory,
@@ -43,6 +45,7 @@ class PerturbedSystem:
     t1: float
 
     def __post_init__(self):
+        _exact("perturbed systems require", self.base_field, self.perturbation_field)
         _finite_times(self.t0, self.t1)
         if self.base_field.dim != self.perturbation_field.dim:
             raise DimensionError("base and perturbation fields have different dims")
@@ -51,13 +54,13 @@ class PerturbedSystem:
 
 
 def _quad_nodes(sys: PerturbedSystem, nodes: int):
-    """Gauss-Legendre nodes and weights over [t0, t1], one rule per part of V and W
-    alike, and W's map at each node: the map of the part that yields the node."""
+    """Gauss-Legendre nodes and weights over [t0, t1] as Python floats, one rule per part
+    of V and W alike, and W's map at each node: the map of the part that yields the node."""
     xs, ws, maps = [], [], []
     for s, e, _, pw in _joint_parts(sys.base_field, sys.perturbation_field, sys.t0, sys.t1):
         x, w = gauss_legendre(s, e, nodes)
-        xs.extend(x)
-        ws.extend(w)
+        xs.extend(x.tolist())
+        ws.extend(w.tolist())
         maps.extend([pw] * len(x))
     return xs, ws, maps
 
@@ -66,19 +69,17 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
                      nodes: int = DEFAULT_NODES) -> np.ndarray:
     """Derivative of the perturbed flow at alpha = 0, by quadrature in tau.
 
-    One variational pass t0 -> tau_1 -> ... -> tau_n -> t1 along the
-    unperturbed trajectory gives the segment pushforwards S_1, ..., S_{n+1},
-    and every pushforward below is a product of them.  ``mode="in"``
-    integrates pushforward(tau_i -> t1) = S_{n+1} ... S_{i+1} applied to W
-    along the trajectory; ``mode="out"`` pulls each contribution back to
-    the start through the inverse of pushforward(t0 -> tau_i) = S_i ... S_1
-    and applies the full product once outside the integral; one stacked
-    linear solve pulls back every contribution.  W's map at each node comes
-    from the part that yields the node, with no lookup per node; its compiled
-    evaluator runs on the pass's states, and the weights apply in one
-    broadcast.  Because both modes share the same S_i they agree to rounding:
-    they are two evaluations of one numerical route, not independent checks
-    of each other.  ``fd_param_derivative`` is the independent oracle.
+    Both modes make one pass t0 -> tau_1 -> ... -> tau_n -> t1 along the unperturbed
+    trajectory.  ``mode="in"`` integrates pushforward(tau_i -> t1) applied to W as one
+    tangent pass, forward-mode differentiation of the flow: a vector beside the state
+    gains w_i W(x(tau_i)) at node i and the tangent equation carries it to t1, with no
+    matrix.  ``mode="out"`` is the matrix route: the pass gives the segment
+    pushforwards S_1, ..., S_{n+1}, one stacked linear solve pulls each contribution
+    back through pushforward(t0 -> tau_i) = S_i ... S_1, and the full product applies
+    once outside the integral.  W's map at each node is the map of the part that
+    yields it, with no lookup, and its compiled evaluator runs on the pass's float
+    states.  The modes share only the trajectory, so they agree to rounding by two
+    routes; ``fd_param_derivative`` is the independent oracle.
     """
     if mode not in (IN_FORMULA, OUT_FORMULA):
         raise ValueError(f"mode must be '{IN_FORMULA}' or '{OUT_FORMULA}'")
@@ -86,17 +87,14 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     xs, ws, maps = _quad_nodes(sys, _node_count(nodes))  # checked even with no part
     if not xs:  # no part of [t0, t1] is longer than parts' cutoff, t1 == t0 included
         return np.zeros(sys.base_field.dim)
+    if mode == IN_FORMULA:
+        gains = [(w, pm._evaluator) for w, pm in zip(ws, maps)]
+        return _flow_core(sys.base_field, sys.t0, xs + [sys.t1], point, solver, False, gains)[1]
     states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], point,
                                           solver, pushforward=True)
     values = [pm._evaluator(p) for pm, p in zip(maps, states.tolist())]
     contributions = np.array(ws)[:, None] * np.array(values)
-
     total = np.zeros(sys.base_field.dim)
-    if mode == IN_FORMULA:
-        # Horner form: after node i, total = sum over j <= i of S_i ... S_{j+1} c_j
-        for mat, c in zip(segments, contributions):
-            total = mat @ total + c
-        return segments[-1] @ total
     forwards = list(accumulate(segments, lambda f, m: m @ f, initial=np.eye(len(total))))
     for value in _solve_columns(np.array(forwards[1:-1]), contributions):
         total += value
@@ -127,6 +125,7 @@ def variation_of_parameters_check(v: VectorField, w: VectorField, q, t: float,
     interval.  Each value of G is ``_transport`` by the flow tau -> 0: one
     forward variational solve over [0, tau] from z and one linear solve.
     """
+    _exact("the variation-of-parameters check requires", v, w)
     point = as_point(q, v.dim)
     direct = flow_map(FlowMap(add_fields(v, w), 0.0, t, solver), point)
     corrected = point

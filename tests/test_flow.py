@@ -9,6 +9,7 @@ from numpy.testing import assert_allclose
 from chronoflow import (
     AffineControlSystem,
     BlowUpError,
+    BracketExpression,
     DimensionError,
     FlowMap,
     FlowSolver,
@@ -27,14 +28,25 @@ from chronoflow import (
     flow_pushforward,
     flow_time_dependent,
     flow_with_pushforward,
+    bracket_asymptotics_check,
+    flow_bracket,
     heisenberg_fields,
+    integral_equation_residual,
+    inverse_expansion_check,
     inverse_flow,
+    lie_bracket,
     lie_bracket_field,
     linear_field,
     order_probe,
     param_derivative,
     pushforward_field,
+    pushforward_invariance_check,
+    remainder_eval,
     rotation2d,
+    sample_lift_bound,
+    simplex_integral_term,
+    variation_of_parameters_check,
+    volterra_truncate,
     zero_field,
 )
 from chronoflow import fields, flow
@@ -376,8 +388,29 @@ def test_pushforward_field_translation_conjugates_linear():
     lambda pf: add_fields(pf, rotation2d()),
     lambda pf: adjoint_check(rotation2d(), pf, [0.7, -0.4], 0.5, SOLVER),
     lambda pf: adjoint_check(pf, rotation2d(), [0.7, -0.4], 0.5, SOLVER),
+    lambda pf: remainder_eval(pf, Observable.identity(2), [0.7, -0.4], 0.0, 0.5, 1, SOLVER),
+    lambda pf: volterra_truncate(pf, Observable.identity(2), [0.7, -0.4], 0.0, 0.5, 2),
+    lambda pf: simplex_integral_term(pf, Observable.identity(2), [0.7, -0.4], 0.0, 0.5, 1),
+    lambda pf: integral_equation_residual(pf, Observable.identity(2), [0.7, -0.4], 0.0, 0.5,
+                                          SOLVER),
+    lambda pf: sample_lift_bound(pf, Observable.identity(2), 1, [0.7, -0.4], 0.5),
+    lambda pf: inverse_expansion_check(pf, [0.7, -0.4], 0.2, 4, SOLVER),
+    lambda pf: PerturbedSystem(pf, rotation2d(), 0.0, 0.5),
+    lambda pf: PerturbedSystem(rotation2d(), pf, 0.0, 0.5),
+    lambda pf: flow_bracket(BracketExpression.parse("[V1,V2]"), [rotation2d(), pf], 0.1,
+                            [0.7, -0.4], SOLVER),
+    lambda pf: bracket_asymptotics_check(BracketExpression.parse("[V1,V2]"),
+                                         [rotation2d(), pf], [0.7, -0.4], 0.2, 4, SOLVER),
+    lambda pf: pushforward_invariance_check(FlowMap(rotation2d(), 0.0, 0.5, SOLVER), pf,
+                                            rotation2d(), [0.7, -0.4]),
+    lambda pf: variation_of_parameters_check(pf, rotation2d(), [0.7, -0.4], 0.5, SOLVER),
+    lambda pf: lie_bracket(pf, rotation2d(), 0.0, [0.7, -0.4]),
 ], ids=["apply_lift", "lie_bracket_field", "AffineControlSystem.of", "FlowMap", "eval_field",
-        "field_jacobian", "add_fields-w", "add_fields-v", "adjoint_check-w", "adjoint_check-v"])
+        "field_jacobian", "add_fields-w", "add_fields-v", "adjoint_check-w", "adjoint_check-v",
+        "remainder_eval", "volterra_truncate", "simplex_integral_term",
+        "integral_equation_residual", "sample_lift_bound", "inverse_expansion_check",
+        "PerturbedSystem-v", "PerturbedSystem-w", "flow_bracket", "bracket_asymptotics_check",
+        "pushforward_invariance_check-v", "variation_of_parameters_check-v", "lie_bracket-v"])
 def test_exact_paths_reject_a_pushforward_field(entry):
     # a transported field is an evaluator (t, r) -> vector with no exact derivatives;
     # the check runs before any attribute of it (dim, is_autonomous) is read

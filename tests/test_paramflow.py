@@ -23,6 +23,7 @@ from chronoflow import (
     variation_of_parameters_check,
     zero_field,
 )
+from chronoflow import fields, paramflow
 from chronoflow.flow import _transport
 
 SOLVER = FlowSolver(1000)
@@ -83,6 +84,33 @@ def test_param_derivative_is_one_pass(monkeypatch):
         steps.clear()
         param_derivative(system, [0.1, 0.2, 0.3], mode, SOLVER, nodes=32)
         assert 0 < sum(steps) <= bound
+
+
+def test_in_mode_is_one_tangent_pass_with_no_matrix(monkeypatch):
+    # "in" carries a vector beside the state: it compiles the tangent loop and no
+    # variational one, and its one pass returns that vector, no (N, n, n) stack
+    fields._compiled.cache_clear()
+    kinds, carried = [], []
+    source, core = fields._rk4_source, paramflow._flow_core
+
+    def spying(*args):
+        states, rest = core(*args)
+        carried.append((args[5], np.shape(rest)))  # want_pushforward, what the pass carried
+        return states, rest
+
+    monkeypatch.setattr(fields, "_rk4_source",
+                        lambda kind, *rest: kinds.append(kind) or source(kind, *rest))
+    monkeypatch.setattr(paramflow, "_flow_core", spying)
+    # the Heisenberg pair, built apart from the shared one, so that no loop of it is cached
+    system = PerturbedSystem(*(VectorField.autonomous(PolynomialMap(3, 3, comps)) for comps in (
+        [[(1.0, (0, 0, 0))], [], [(-0.5, (0, 1, 0))]],
+        [[], [(1.0, (0, 0, 0))], [(0.5, (1, 0, 0))]])), 0.0, 0.5)
+    inner = param_derivative(system, [0.1, 0.2, 0.3], IN_FORMULA, SOLVER)
+    assert "tangent" in kinds and "variational" not in kinds
+    assert carried == [(False, (3,))]
+    monkeypatch.undo()
+    outer = param_derivative(system, [0.1, 0.2, 0.3], OUT_FORMULA, SOLVER)
+    assert np.linalg.norm(inner - outer) <= 1e-6
 
 
 def _piecewise_base():

@@ -11,7 +11,9 @@ of a numpy stepper (dimension <= 16, piecewise fields, both time directions;
 overflow to inf, NaN states and overflowing powers, dimension <= 8), and
 the generated variational RK4 loop the plain flow's endpoint bits and a
 numpy stepper's pushforward (dimension <= 8, and fields with a zero, a
-constant and a 300-term component); flows, pushforwards and
+constant and a 300-term component), and the tangent loop the bits of each
+column of the variational loop, blow-ups included (dimension <= 8); flows,
+pushforwards and
 inverse flows of strictly triangular fields must converge at order 4 to
 the exact, terminating Lie series of the field, and so must schedules,
 flow brackets and the remainder past the last Lie term on pairs of such
@@ -21,10 +23,11 @@ give the bits of one single solve per node on random piecewise fields;
 transported fields must match the two-solve route, and the stacked
 pull-backs of param_derivative, adjoint_check and the variation-of-
 parameters check the bits of one linear solve per node (dimension <= 6),
-and param_derivative, adjoint_check, transported fields and the variation-
-of-parameters check, whose node values come from the compiled evaluator
-on one stacked pass, the bits of one array and one eval_field per node
-(dimension <= 4, piecewise fields, both time directions);
+and param_derivative ("in" against one tangent solve per node), adjoint_check,
+transported fields and the variation-of-parameters check, whose node values
+come from the compiled evaluator on one stacked pass, the bits of one array
+and one eval_field per node (dimension <= 4, piecewise fields, both time
+directions);
 a Volterra truncation must be phi(q) plus its simplex terms, bit for bit
 on autonomous fields, and the lift witness must dominate the lift of every
 piece sequence (dimension <= 3, two or three pieces, k <= 4); Chen's walk
@@ -670,6 +673,45 @@ def test_hoisted_increments_blow_up_at_the_numpy_steppers_step_and_time(case):
     assert got == plain_outcome(lambda: numpy_variational_rk4(pm, q, t, solver)[0])
 
 
+def loop_outcome(loop, q, m, *args, column=None):
+    """The state and the list a generated loop carries (of a row-major matrix only its
+    ``column``), or the (step, time) at which the loop blew up."""
+    try:
+        state, carried = loop(q, m, *args)
+    except BlowUpError as err:
+        return err.step, err.t
+    return state, carried if column is None else carried[column::len(state)]
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(st.data())
+def test_tangent_loop_keeps_the_bits_of_each_column_of_the_matrix_loop(data):
+    # each column of M' = J(x) M is its own tangent equation: from any starting matrix,
+    # column c of the matrix loop is the tangent loop started from that column, and the
+    # matrix loop started from that column alone blows up at the tangent loop's step
+    if data.draw(st.booleans()):
+        pm = data.draw(st.integers(1, 8).flatmap(lambda dim: polynomial_maps(dim, max_terms=4)))
+        q = data.draw(st.lists(st.floats(-0.5, 0.5), min_size=pm.dim_in,
+                               max_size=pm.dim_in).map(np.array))
+        t, threshold = data.draw(st.sampled_from((0.25, -0.25))), 1e12
+    else:
+        pm, q, t, threshold = data.draw(hoisted_blowing_up())
+    n = pm.dim_in
+    start = np.array(data.draw(st.lists(st.floats(-2.0, 2.0), min_size=n * n,
+                                        max_size=n * n))).reshape(n, n)
+    args = (0.0, t / 80, 80, float(threshold), 3)
+    for c in range(n):
+        tangent = loop_outcome(pm._tangent_rk4, q.tolist(), start[:, c].tolist(), *args)
+        alone = np.zeros((n, n))
+        alone[:, c] = start[:, c]
+        assert tangent == loop_outcome(pm._variational_rk4, q.tolist(),
+                                       alone.ravel().tolist(), *args, column=c)
+        full = loop_outcome(pm._variational_rk4, q.tolist(), start.ravel().tolist(), *args,
+                            column=c)
+        if isinstance(full[0], list):  # a blow-up of another column stops the matrix loop
+            assert tangent == full
+
+
 def assert_hoisted(source: str) -> ast.For:
     """No statement before the generated loop reads a name that the loop assigns, and
     each statement in it reads one; the loop's ``for`` node."""
@@ -698,10 +740,19 @@ def test_the_heisenberg_loop_holds_no_statement_on_loop_invariants_alone():
     assert len(loop.body) == 14
 
 
+@pytest.mark.parametrize("kind", ["variational", "tangent"])
+def test_a_constant_jacobian_entry_is_written_once_for_all_four_stages(kind):
+    # the rotation's entries -1.0 and 1.0 are stage 1's names, which every stage reads
+    source = _rk4_source(kind, 2, builtin_system("rotation2d")[0].pieces[0][2]._components)
+    assert [line.strip() for line in source.splitlines() if line.strip().startswith("j")] == [
+        "j1_0_1 = -1.0", "j1_1_0 = 1.0"]
+    assert source.count("j1_0_1 * ") == 4 * (2 if kind == "variational" else 1)  # per column
+
+
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(st.integers(1, 8).flatmap(lambda dim: polynomial_maps(dim, max_terms=4))
        | triangular_fields(st.integers(1, 8)).map(lambda field: field.pieces[0][2]),
-       st.sampled_from(("variational", "variational_calls")))
+       st.sampled_from(("variational", "variational_calls", "tangent")))
 def test_no_generated_loop_holds_a_statement_on_loop_invariants_alone(pm, kind):
     assert_hoisted(_rk4_source(kind, pm.dim_in, pm._components))
 
@@ -1214,9 +1265,42 @@ def per_node_arrays(field, t0, times, q, solver):
             [np.array(mat) for mat in segments.tolist()])
 
 
+def column_solve(field: VectorField, t0: float, t1: float, q, vector, solver: FlowSolver):
+    """Reference: one solve of [t0, t1] whose matrix loop runs, part by part, from the
+    matrix that is ``vector`` in its first column and zero elsewhere; the endpoint
+    and that column."""
+    n, step_base = field.dim, 0
+    q, vector = list(q), list(vector)
+    for a, b, pm in field.parts(t0, t1):
+        n_steps = solver.step_count(a, b)
+        start = np.zeros((n, n))
+        start[:, 0] = vector
+        q, mat = pm._variational_rk4(q, start.ravel().tolist(), a, (b - a) / n_steps, n_steps,
+                                     solver.blowup_threshold, step_base)
+        vector = np.array(mat).reshape(n, n)[:, 0].tolist()
+        step_base += n_steps
+    return np.array(q), np.array(vector)
+
+
+def per_node_tangent(sys: PerturbedSystem, q, solver: FlowSolver, nodes: int):
+    """Reference: param_derivative's "in" mode with one solve per node, each carrying the
+    vector as a column of the matrix loop, and one eval_field and weight product per node."""
+    xs, ws, _ = _quad_nodes(sys, nodes)
+    point, vector = np.asarray(q, dtype=float), np.zeros(sys.base_field.dim)
+    if not xs:
+        return vector
+    for start, tau, w in zip([sys.t0] + xs, xs, ws):
+        point, vector = column_solve(sys.base_field, start, tau, point, vector, solver)
+        vector = vector + w * eval_field(sys.perturbation_field, tau, point)
+    return column_solve(sys.base_field, xs[-1], sys.t1, point, vector, solver)[1]
+
+
 def per_node_param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
                               nodes: int):
-    """Reference: param_derivative with one eval_field and one weight product per node."""
+    """Reference: param_derivative with one eval_field and one weight product per node;
+    "in" is ``per_node_tangent``."""
+    if mode == "in":
+        return per_node_tangent(sys, q, solver, nodes)
     dim = sys.base_field.dim
     xs, ws, _ = _quad_nodes(sys, nodes)
     if not xs:
@@ -1225,10 +1309,6 @@ def per_node_param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSo
     contributions = [w * eval_field(sys.perturbation_field, tau, p)
                      for tau, w, p in zip(xs, ws, states)]
     total = np.zeros(dim)
-    if mode == "in":
-        for mat, c in zip(segments, contributions):
-            total = mat @ total + c
-        return segments[-1] @ total
     forwards = list(itertools.accumulate(segments, lambda f, m: m @ f,
                                          initial=np.eye(dim)))
     for value in _solve_columns(np.array(forwards[1:-1]), contributions):
@@ -1287,7 +1367,7 @@ def test_node_values_keep_the_bits_of_per_node_evaluation(data):
     # The stacked pass hands each consumer one array and node values come from the
     # compiled evaluator on its float rows; the parent formulation made one array and
     # one eval_field per node.  Both give the same bits, piecewise fields and both
-    # time directions included
+    # time directions included; "in" is one tangent pass, against one solve per node
     dim = data.draw(dims)
     v = data.draw(windowed_fields(dim, 2))
     w = data.draw(windowed_fields(dim, 3))
