@@ -39,7 +39,7 @@ from .fields import (
 from .flow import (
     FlowMap,
     FlowSolver,
-    chained_trajectory,
+    _flow_core,
     flow_operator_apply,
 )
 from .quadrature import _node_count, gauss_legendre
@@ -190,8 +190,7 @@ def _direct_remainder(field: VectorField, obs: Observable, point: np.ndarray,
                        for x, w in zip(xs.tolist(), ws.tolist()) for c, m, lift in outers])
     leaves = [leaf for block in reversed(blocks) for leaf in block]  # as the trajectory runs
     times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
-    states, _ = chained_trajectory(field, t0, times + [t] if to_end else times,
-                                   point, solver)
+    states, _ = _flow_core(field, t0, times + [t] if to_end else times, point, solver)
     moved = dict(zip(times, states.tolist()))
     # per component, in leaf order from 0.0: the float operations of a numpy sum
     integral = [0.0] * obs.dim_out

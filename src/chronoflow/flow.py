@@ -7,7 +7,8 @@ loop that one generator writes (``fields._rk4_source``): the plain loop of
 each dimension calls a piece's compiled evaluator, or a time-dependent
 evaluator, at every stage.  Pushforwards come from the variational equation
 M' = V'(x(t)) M along the trajectory, a tangent pass from one column of it (the
-``"tangent"`` loop).  Backward flows use negative steps on the same field.
+``"tangent"`` loop), and ``_pull_back`` pulls vectors back along one trajectory
+through its segment pushforwards.  Backward flows use negative steps on the same field.
 """
 from __future__ import annotations
 
@@ -15,6 +16,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field as dataclass_field
+from itertools import accumulate
 from typing import Callable, ClassVar
 
 import numpy as np
@@ -75,31 +77,34 @@ class FlowMap:
 
 
 def _flow_core(field: VectorField, t0: float, times, q, solver: FlowSolver,
-               want_pushforward: bool, gains=None) -> tuple[np.ndarray, np.ndarray | list]:
+               want_pushforward: bool = False, gains=None) -> tuple[np.ndarray, np.ndarray | list]:
     """Walk one trajectory of ``field`` from (t0, q) through ``times`` in one pass.
 
-    The one executor of solves on a field.  The point, the times and the window
-    are checked once, and the times become Python floats here (an ``np.float64``
-    time would turn the loops into numpy scalar arithmetic: same bits, 3x the cost).
-    Node i's interval [times[i-1], times[i]] (t0 for the first) is split as
-    ``field.parts`` splits a single solve, and each part runs ``step_count`` steps
-    of the piece's ``_variational_rk4`` with ``want_pushforward``, else of the plain
-    loop, on float lists.  Each node's matrix restarts at the identity (its segment
-    pushforward) and its step count at 0.  The pass converts the nodes once:
-    returns the (N, n) states at the N ``times`` and the (N, n, n) segment
-    pushforwards (an empty list without ``want_pushforward``).  With ``gains``, one
-    (weight, evaluator) per time but the last, a tangent pass carries a vector from 0 by
+    The one executor of solves on a field, single or chained.  The point, the times
+    and the window are checked once, and the times become Python floats here (an
+    ``np.float64`` time would turn the loops into numpy scalar arithmetic: same bits,
+    3x the cost).  Node i's interval [times[i-1], times[i]] (t0 for the first) is split
+    as ``field.parts`` splits a single solve, so each state has the bits of a single
+    solve from the previous one.  Each part runs ``step_count`` steps of the piece's
+    ``_variational_rk4`` with ``want_pushforward``, else of the plain loop, looked up
+    once per pass, on float lists.  Each node's matrix restarts at the identity (its
+    segment pushforward S_i) and its step count at 0.  The pass converts the nodes once:
+    returns the (N, n) states at the N ``times`` and the (N, n, n) segment pushforwards
+    (an empty list without ``want_pushforward``).  With ``gains``, one (weight,
+    evaluator) per time but the last, a tangent pass carries a vector from 0 by
     ``_tangent_rk4``, adds weight * evaluator(state) at time i and returns it last.
     """
     point = as_point(q, field.dim).tolist()
     t0, times = float(t0), [float(t) for t in times]
     _finite_times(t0, *times)
     field.check_window(t0, *times)
-    n = field.dim
-    identity, plain, threshold = None, _compiled("plain", n), solver.blowup_threshold
+    n, threshold = field.dim, solver.blowup_threshold
+    identity = plain = None
     if want_pushforward:
         identity = [0.0] * (n * n)
         identity[::n + 1] = [1.0] * n
+    elif gains is None:  # once per pass, and only on a pass that runs it
+        plain = _compiled("plain", n)
     states: list[list[float]] = []
     segments: list[list[float]] = []
     start, vector = t0, [0.0] * n
@@ -281,6 +286,18 @@ def _transport(fm: FlowMap, pieces, r) -> np.ndarray:
     return _solve_columns(segments[0], [piece._evaluator(row) for piece in pieces])
 
 
+def _pull_back(field: VectorField, t0: float, times, q, solver: FlowSolver,
+               values: Callable[[list], np.ndarray | list]) -> tuple[np.ndarray, np.ndarray]:
+    """Rows P_i^-1 v_i and the full product P_N, for the m <= N vectors v_i that
+    ``values`` gives on the float states of one variational pass through ``times``:
+    P_i = S_i ... S_1, the forward product of its segment pushforwards, is the
+    pushforward from t0 to times[i], and one stacked linear solve applies the inverses."""
+    states, segments = _flow_core(field, t0, times, q, solver, True)
+    vectors = values(states.tolist())
+    forwards = list(accumulate(segments, lambda f, m: m @ f, initial=np.eye(field.dim)))
+    return _solve_columns(np.array(forwards[1:len(vectors) + 1]), vectors), forwards[-1]
+
+
 def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> Callable[..., np.ndarray]:
     """The transported field F_*V: r -> F_*(F^{-1}(r)) V(t_eval, F^{-1}(r)), as an
     evaluator (t, r) -> vector for ``flow_time_dependent``; t is unused.
@@ -291,22 +308,6 @@ def pushforward_field(fm: FlowMap, field: VectorField, t_eval: float) -> Callabl
     """
     piece = field.piece_at(t_eval)
     return lambda _t, r: _transport(fm, [piece], as_point(r, field.dim))[0]
-
-
-def chained_trajectory(field: VectorField, t0: float, times, q, solver: FlowSolver,
-                       pushforward: bool = False) -> tuple[np.ndarray, np.ndarray | list]:
-    """One trajectory from (t0, q), solved segment by segment through ``times``.
-
-    One pass of the executor single solves use (``_flow_core``), so each
-    state has the bits of a single solve from the previous one.  Returns the
-    states at the N ``times`` as one (N, n) array and, with ``pushforward``,
-    the segment pushforwards S_i of the flow times[i-1] -> times[i] (t0 for
-    the first) as one (N, n, n) array, each converted once per pass; the
-    pushforward between two nodes is the product S_j ... S_{i+1}.  Callers
-    evaluate fields at the nodes through ``states.tolist()`` and a piece's
-    compiled evaluator, not one ``eval_field`` per node.
-    """
-    return _flow_core(field, t0, times, q, solver, pushforward)
 
 
 def flow_time_dependent(fn: Callable[[float, np.ndarray], np.ndarray], t0: float,

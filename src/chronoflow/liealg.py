@@ -13,7 +13,6 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -36,9 +35,8 @@ from .flow import (
     FlowMap,
     FlowSolver,
     Segment,
-    _solve_columns,
+    _pull_back,
     _transport,
-    chained_trajectory,
     inverse_flow,
     run_schedule,
 )
@@ -262,11 +260,12 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
     (P_{t,0})_* W (q) = W(q) + integral over [0, t] of (P_{tau,0})_* [V, W] (q).
     Every transport evaluates at a point x_tau of the forward trajectory
     from q, where the backward pushforward (P_{tau,0})_* is the inverse of
-    the forward one, P_{0,tau}'s differential at q.  One variational pass
-    from q through the quadrature nodes to t supplies all of them as
-    products of segment pushforwards, and one stacked linear solve applies
-    their inverses; the bracket is the exact coordinate bracket, and it and
-    W are evaluated through their compiled evaluators on the pass's states.
+    the forward one, P_{0,tau}'s differential at q.  ``flow._pull_back``
+    supplies all of them: one variational pass from q through the quadrature
+    nodes to t gives them as products of segment pushforwards, and one
+    stacked linear solve applies their inverses.  The bracket is the exact
+    coordinate bracket, and it and W are evaluated through their compiled
+    evaluators on the pass's states.
     """
     _exact("the adjoint identity check requires", v, w)
     if not (v.is_autonomous and w.is_autonomous):
@@ -275,13 +274,8 @@ def adjoint_check(v: VectorField, w: VectorField, q, t: float, solver: FlowSolve
     bracket, w_map = lie_bracket_field(v, w).piece_at(0.0), w.piece_at(0.0)
     _finite_times(0.0, t)  # once, before the nodes spread t
     xs, ws = gauss_legendre(0.0, t, nodes)
-    states, segments = chained_trajectory(v, 0.0, list(xs) + [t], point, solver,
-                                          pushforward=True)
-
-    forwards = list(accumulate(segments, lambda f, m: m @ f, initial=np.eye(v.dim)))
-    rows = states.tolist()
-    values = [bracket._evaluator(x_tau) for x_tau in rows[:-1]]
-    pulled = _solve_columns(np.array(forwards[1:]), values + [w_map._evaluator(rows[-1])])
+    pulled, _ = _pull_back(v, 0.0, list(xs) + [t], point, solver, lambda rows: [
+        bracket._evaluator(x_tau) for x_tau in rows[:-1]] + [w_map._evaluator(rows[-1])])
     total = w_map(point)
     for weight, value in zip(ws, pulled):
         total += weight * value

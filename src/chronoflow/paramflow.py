@@ -11,7 +11,6 @@ verify them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -22,9 +21,8 @@ from .flow import (
     FlowMap,
     FlowSolver,
     _flow_core,
-    _solve_columns,
+    _pull_back,
     _transport,
-    chained_trajectory,
     flow_map,
     flow_time_dependent,
 )
@@ -73,12 +71,12 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     trajectory.  ``mode="in"`` integrates pushforward(tau_i -> t1) applied to W as one
     tangent pass, forward-mode differentiation of the flow: a vector beside the state
     gains w_i W(x(tau_i)) at node i and the tangent equation carries it to t1, with no
-    matrix.  ``mode="out"`` is the matrix route: the pass gives the segment
-    pushforwards S_1, ..., S_{n+1}, one stacked linear solve pulls each contribution
-    back through pushforward(t0 -> tau_i) = S_i ... S_1, and the full product applies
-    once outside the integral.  W's map at each node is the map of the part that
-    yields it, with no lookup, and its compiled evaluator runs on the pass's float
-    states.  The modes share only the trajectory, so they agree to rounding by two
+    matrix.  ``mode="out"`` is the matrix route, ``flow._pull_back``: the pass gives
+    the segment pushforwards S_1, ..., S_{n+1}, one stacked linear solve pulls each
+    contribution back through pushforward(t0 -> tau_i) = S_i ... S_1, and the full
+    product applies once outside the integral.  W's map at each node is the map of the
+    part that yields it, with no lookup, and its compiled evaluator runs on the pass's
+    float states.  The modes share only the trajectory, so they agree to rounding by two
     routes; ``fd_param_derivative`` is the independent oracle.
     """
     if mode not in (IN_FORMULA, OUT_FORMULA):
@@ -90,15 +88,13 @@ def param_derivative(sys: PerturbedSystem, q, mode: str, solver: FlowSolver,
     if mode == IN_FORMULA:
         gains = [(w, pm._evaluator) for w, pm in zip(ws, maps)]
         return _flow_core(sys.base_field, sys.t0, xs + [sys.t1], point, solver, False, gains)[1]
-    states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], point,
-                                          solver, pushforward=True)
-    values = [pm._evaluator(p) for pm, p in zip(maps, states.tolist())]
-    contributions = np.array(ws)[:, None] * np.array(values)
+    pulled, full = _pull_back(sys.base_field, sys.t0, xs + [sys.t1], point, solver,
+                              lambda rows: np.array(ws)[:, None] * np.array(
+                                  [pm._evaluator(p) for pm, p in zip(maps, rows)]))
     total = np.zeros(sys.base_field.dim)
-    forwards = list(accumulate(segments, lambda f, m: m @ f, initial=np.eye(len(total))))
-    for value in _solve_columns(np.array(forwards[1:-1]), contributions):
+    for value in pulled:
         total += value
-    return forwards[-1] @ total
+    return full @ total
 
 
 def fd_param_derivative(sys: PerturbedSystem, q, epsilon: float,

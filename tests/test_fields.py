@@ -784,7 +784,7 @@ def test_a_schedule_duration_must_be_a_positive_number(bad, message):
 
 @pytest.mark.parametrize("call", [
     lambda t: FlowMap(rotation2d(), 0.0, t),
-    lambda t: cf.flow.chained_trajectory(rotation2d(), 0.0, [0.5, t], _Q2, FlowSolver(100)),
+    lambda t: cf.flow._flow_core(rotation2d(), 0.0, [0.5, t], _Q2, FlowSolver(100)),
     lambda t: cf.flow_time_dependent(lambda _t, x: -x, 0.0, t, _Q2, FlowSolver(100)),
     lambda t: cf.simplex_volume(0.0, t, 2),
     lambda t: cf.volterra_truncate(rotation2d(), _PHI2, _Q2, 0.0, t, 2),

@@ -50,7 +50,7 @@ from chronoflow import (
     zero_field,
 )
 from chronoflow import fields, flow
-from chronoflow.flow import MAX_STEPS_PER_SOLVE, chained_trajectory
+from chronoflow.flow import MAX_STEPS_PER_SOLVE, _flow_core
 
 SOLVER = FlowSolver(steps_per_unit_time=1000)
 V1, V2 = heisenberg_fields()
@@ -468,18 +468,18 @@ def test_flow_map_rejects_non_finite_times(t0, t1):
         FlowMap(rotation2d(), t0, t1, SOLVER)
 
 
-def test_chained_trajectory_matches_direct_solves():
+def test_one_pass_through_nodes_matches_direct_solves():
     field = piecewise_benchmark()
     q = np.array([0.5, -0.2])
     times = [0.3, 0.7, 1.2]
-    states, segments = chained_trajectory(field, 0.0, times, q, SOLVER, pushforward=True)
+    states, segments = _flow_core(field, 0.0, times, q, SOLVER, True)
     product = np.eye(2)
     for t, state, mat in zip(times, states, segments):
         product = mat @ product
         end, direct = flow_with_pushforward(FlowMap(field, 0.0, t, SOLVER), q)
         assert np.linalg.norm(state - end) <= 1e-10
         assert np.linalg.norm(product - direct) <= 1e-10
-    plain, none = chained_trajectory(field, 0.0, times, q, SOLVER)
+    plain, none = _flow_core(field, 0.0, times, q, SOLVER)
     assert none == []
     assert_allclose(plain, states, rtol=0, atol=1e-14)
 
@@ -489,12 +489,34 @@ def test_chained_trajectory_stacks_each_pass_once(times):
     # one (N, n) array of states and one (N, n, n) array of segment pushforwards,
     # zero rows for no times; the no-pushforward pass returns no matrices
     field, q = piecewise_benchmark(), np.array([0.5, -0.2])
-    states, segments = chained_trajectory(field, 0.0, times, q, SOLVER, pushforward=True)
+    states, segments = _flow_core(field, 0.0, times, q, SOLVER, True)
     assert states.shape == (len(times), 2) and states.dtype == np.float64
     assert segments.shape == (len(times), 2, 2) and segments.dtype == np.float64
-    plain, none = chained_trajectory(field, 0.0, times, q, SOLVER)
+    plain, none = _flow_core(field, 0.0, times, q, SOLVER)
     assert plain.shape == (len(times), 2) and none == []
     assert np.array_equal(plain, states)
+
+
+def test_only_a_plain_pass_looks_up_the_plain_loop(monkeypatch):
+    # a variational or tangent pass never runs the plain loop of its dimension, so it
+    # compiles none; a plain pass looks it up once, not once per part
+    fields._compiled.cache_clear()
+    kinds, lookups = [], []
+    source, compiled = fields._rk4_source, flow._compiled
+    monkeypatch.setattr(fields, "_rk4_source",
+                        lambda kind, *rest: kinds.append(kind) or source(kind, *rest))
+    monkeypatch.setattr(flow, "_compiled",
+                        lambda kind, key: lookups.append(kind) or compiled(kind, key))
+    edges = np.linspace(0.0, 1.0, 11).tolist()
+    base = VectorField.piecewise([(a, b, PolynomialMap.linear(np.eye(4) * (1.0 + a)))
+                                  for a, b in zip(edges, edges[1:])])
+    q = [0.1, -0.2, 0.3, 0.4]
+    flow_with_pushforward(FlowMap(base, 0.0, 1.0, SOLVER), q)
+    param_derivative(PerturbedSystem(base, constant_field([1.0, 0.0, 0.0, 0.5]), 0.0, 1.0),
+                     q, "in", SOLVER)
+    assert "plain" not in kinds and lookups == []
+    flow_map(FlowMap(base, 0.0, 1.0, SOLVER), q)
+    assert kinds.count("plain") == 1 and lookups == ["plain"]
 
 
 def _bits(value) -> bytes:
@@ -531,8 +553,7 @@ def test_float64_times_run_the_generated_loop_on_floats(monkeypatch):
         fm = FlowMap(field, cast(1.3), cast(0.1), solver)
         results = [
             flow_with_pushforward(fm, q),
-            chained_trajectory(field, cast(0.0), [cast(t) for t in times], q, solver,
-                               pushforward=True),
+            _flow_core(field, cast(0.0), [cast(t) for t in times], q, solver, True),
             [param_derivative(PerturbedSystem(V1, V2, cast(0.0), cast(0.5)),
                               [0.1, 0.2, 0.3], mode, solver) for mode in ("in", "out")],
             adjoint_check(V1, V2, [0.1, 0.2, 0.3], cast(0.3), solver),

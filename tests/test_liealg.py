@@ -248,6 +248,22 @@ def test_adjoint_check_random_field(random_field, t):
     assert adjoint_check(v, w, [0.2, -0.1, 0.3], t, FlowSolver(300)) <= 1e-9
 
 
+@pytest.mark.parametrize("nodes", [1, 16])
+def test_adjoint_check_is_one_pushforward_pass_through_its_nodes(monkeypatch, nodes):
+    # every transport comes from one variational pass from q through the
+    # quadrature nodes to t, pulled back by one stacked solve
+    calls = []
+    core = chronoflow.flow._flow_core
+
+    def spying(field, t0, times, q, solver, want_pushforward=False):
+        calls.append((want_pushforward, len(times)))
+        return core(field, t0, times, q, solver, want_pushforward)
+
+    monkeypatch.setattr(chronoflow.flow, "_flow_core", spying)
+    assert adjoint_check(V1, V2, [0.1, -0.2, 0.3], 0.3, FlowSolver(300), nodes) <= 1e-9
+    assert calls == [(True, nodes + 1)]
+
+
 def test_pushforward_invariance_identity_flow():
     fm = FlowMap(V1, 0.0, 0.0, SOLVER)
     assert pushforward_invariance_check(fm, V1, V2, [0.1, 0.2, 0.0]) <= 1e-6

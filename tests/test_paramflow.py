@@ -23,7 +23,7 @@ from chronoflow import (
     variation_of_parameters_check,
     zero_field,
 )
-from chronoflow import fields, paramflow
+from chronoflow import fields, flow, paramflow
 from chronoflow.flow import _transport
 
 SOLVER = FlowSolver(1000)
@@ -111,6 +111,24 @@ def test_in_mode_is_one_tangent_pass_with_no_matrix(monkeypatch):
     monkeypatch.undo()
     outer = param_derivative(system, [0.1, 0.2, 0.3], OUT_FORMULA, SOLVER)
     assert np.linalg.norm(inner - outer) <= 1e-6
+
+
+@pytest.mark.parametrize("t0,t1", [(0.1, 1.4), (1.4, 0.1)])
+def test_out_mode_is_one_pushforward_pass_through_its_nodes(monkeypatch, t0, t1):
+    # "out" pulls every contribution back along one variational pass through the
+    # nodes of each part and t1, and runs no other solve
+    calls = []
+    core = flow._flow_core
+
+    def spying(field, t0, times, q, solver, want_pushforward=False, gains=None):
+        calls.append((want_pushforward, len(times)))
+        return core(field, t0, times, q, solver, want_pushforward, gains)
+
+    for module in (flow, paramflow):
+        monkeypatch.setattr(module, "_flow_core", spying)
+    system = PerturbedSystem(_piecewise_base(), constant_field([1.0, -0.5]), t0, t1)
+    param_derivative(system, [0.4, -0.3], OUT_FORMULA, SOLVER, nodes=8)
+    assert calls == [(True, 2 * 8 + 1)]  # two parts of eight nodes, and t1
 
 
 def _piecewise_base():

@@ -93,7 +93,7 @@ from chronoflow.fields import (
     eval_field,
     lift_map,
 )
-from chronoflow.flow import _solve_columns, chained_trajectory, flow_time_dependent
+from chronoflow.flow import _flow_core, _solve_columns, flow_time_dependent
 from chronoflow.liealg import lie_bracket_field, lie_bracket_map
 from chronoflow.paramflow import _quad_nodes
 from chronoflow.quadrature import gauss_legendre
@@ -1015,7 +1015,7 @@ def region_direct_remainder(field, obs, q, t0, t, k, solver, nodes):
             leaves.extend((x, float(w * volume * (b - x) ** c), lift)
                           for volume, lift, c in outers)
     times = sorted({x for x, _, _ in leaves}, reverse=t < t0)
-    states, _ = chained_trajectory(field, t0, times, q, solver)
+    states, _ = _flow_core(field, t0, times, q, solver)
     moved = dict(zip(times, states))
     return sum((w * lift(moved[x]) for x, w, lift in leaves), np.zeros(obs.dim_out))
 
@@ -1145,11 +1145,11 @@ def per_node_solves(field, t0, times, q, solver, pushforward):
 
 @settings(max_examples=60, deadline=None, database=None, derandomize=True)
 @given(node_walks(), st.sampled_from((float, np.float64)))
-def test_chained_trajectory_is_one_solve_per_node(walk, cast):
+def test_one_executor_pass_is_one_solve_per_node(walk, cast):
     field, t0, times, q = walk
     solver = FlowSolver(40)
     for pushforward in (False, True):
-        chained = walk_outcome(lambda: chained_trajectory(
+        chained = walk_outcome(lambda: _flow_core(
             field, cast(t0), [cast(t) for t in times], q, solver, pushforward))
         assert chained == walk_outcome(
             lambda: per_node_solves(field, t0, times, q, solver, pushforward))
@@ -1181,8 +1181,7 @@ def per_node_out_formula(sys: PerturbedSystem, q, solver: FlowSolver, nodes: int
     """Reference: param_derivative's "out" mode with one solve per node."""
     dim = sys.base_field.dim
     xs, ws, _ = _quad_nodes(sys, nodes)
-    states, segments = chained_trajectory(sys.base_field, sys.t0, xs + [sys.t1], q,
-                                          solver, pushforward=True)
+    states, segments = _flow_core(sys.base_field, sys.t0, xs + [sys.t1], q, solver, True)
     total, forward = np.zeros(dim), np.eye(dim)
     for mat, w, tau, p in zip(segments, ws, xs, states):
         forward = mat @ forward
@@ -1194,8 +1193,7 @@ def per_node_adjoint_check(v, w, q, t, solver: FlowSolver, nodes: int = 16) -> f
     """Reference: adjoint_check with one solve per node and one for the left side."""
     bracket = lie_bracket_field(v, w)
     xs, ws = gauss_legendre(0.0, t, nodes)
-    states, segments = chained_trajectory(v, 0.0, list(xs) + [t], q, solver,
-                                          pushforward=True)
+    states, segments = _flow_core(v, 0.0, list(xs) + [t], q, solver, True)
     total = eval_field(w, 0.0, q).astype(float)
     forward = np.eye(v.dim)
     for weight, x_tau, mat in zip(ws, states, segments):
@@ -1260,7 +1258,7 @@ def test_stacked_pull_backs_match_per_node_solves(pair, data):
 def per_node_arrays(field, t0, times, q, solver):
     """Reference nodes: the chained pass as one array per state and one per segment
     pushforward, as the executor built them before it stacked a pass."""
-    states, segments = chained_trajectory(field, t0, times, q, solver, pushforward=True)
+    states, segments = _flow_core(field, t0, times, q, solver, True)
     return ([np.array(state) for state in states.tolist()],
             [np.array(mat) for mat in segments.tolist()])
 

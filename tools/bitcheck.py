@@ -24,8 +24,9 @@ order probes, and ``dims`` plain and inverse flows in dimensions 1, 5 and
 The last section, ``errors``, is no number: it hashes the exception type
 and message (or that the call returned) of a fixed list of invalid inputs,
 the CLI's among them with their exit code and stderr, so it moves with any
-message.  Only the public API is used, so the script runs against any
-checkout:
+message.  Only the public API is used, and the executor behind every solve,
+``flow._flow_core``, called with each of its positional arguments, so the
+script runs against any checkout that has it:
 
     PYTHONPATH=src python tools/bitcheck.py
     PYTHONPATH=/path/to/other/checkout/src python tools/bitcheck.py
@@ -365,7 +366,7 @@ def _invalid_calls() -> list:
     for t in (math.nan, math.inf):
         calls += [
             lambda t=t: cf.FlowMap(rot, 0.0, t, solver),
-            lambda t=t: cf.flow.chained_trajectory(rot, 0.0, [0.5, t], q, solver),
+            lambda t=t: cf.flow._flow_core(rot, 0.0, [0.5, t], q, solver, False),
             lambda t=t: cf.flow_time_dependent(lambda _t, x: -x, 0.0, t, q, solver),
             lambda t=t: cf.simplex_volume(0.0, t, 2),
             lambda t=t: cf.simplex_integral_term(rot, phi, q, 0.0, t, 1),
